@@ -50,6 +50,7 @@ from .reduction import (
     reduce_state,
 )
 from .system import (
+    BUILTIN_FIELDS,
     MechanicalSystem,
     StatePoint,
     SystemError,
@@ -59,15 +60,6 @@ from .system import (
 )
 
 INTEGRATORS = ("reference", "vni10", "vni20", "original_node", "dla")
-
-_BUILTIN_FIELDS = {
-    "nonholonomic_particle": {
-        "names": ["x", "y", "z"],
-        "M": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]],
-        "V": "0",
-        "mu": [["-y", "0", "1"]],
-    },
-}
 
 
 class ConfigError(Exception):
@@ -98,11 +90,11 @@ def build_system(desc) -> MechanicalSystem:
     fields = {}
     if "builtin" in desc:
         name = desc["builtin"]
-        if name not in _BUILTIN_FIELDS:
+        if name not in BUILTIN_FIELDS:
             raise ConfigError(
-                f"unknown builtin system {name!r}; available: {sorted(_BUILTIN_FIELDS)}"
+                f"unknown builtin system {name!r}; available: {sorted(BUILTIN_FIELDS)}"
             )
-        fields.update(_BUILTIN_FIELDS[name])
+        fields.update(BUILTIN_FIELDS[name])
     for key in ("names", "M", "V", "mu"):
         if key in desc:
             fields[key] = desc[key]
@@ -153,24 +145,33 @@ def _initial_state(cfg: dict, sys: MechanicalSystem, residual=None) -> StatePoin
     return x
 
 
+def _positive(cfg: dict, key: str) -> float:
+    """cfg[key] as a positive finite float; JSON booleans are not numbers here."""
+    if key not in cfg:
+        raise ConfigError(f"config is missing {key!r}")
+    raw = cfg[key]
+    try:
+        value = float(raw)
+    except (TypeError, ValueError):
+        value = np.nan
+    if isinstance(raw, bool) or not (value > 0.0 and np.isfinite(value)):
+        raise ConfigError(f"{key} must be positive and finite, got {raw!r}")
+    return value
+
+
 def _steps_and_eps(cfg: dict) -> tuple[float, int]:
-    if "eps" not in cfg:
-        raise ConfigError("config is missing 'eps'")
-    eps = float(cfg["eps"])
-    if not (eps > 0.0 and np.isfinite(eps)):
-        raise ConfigError(f"eps must be positive and finite, got {cfg['eps']!r}")
+    eps = _positive(cfg, "eps")
     has_n, has_t = "N" in cfg, "T" in cfg
     if has_n == has_t:
         raise ConfigError("give exactly one of 'N' (step count) or 'T' (end time)")
     if has_n:
-        N = int(cfg["N"])
-        if N < 0 or N != cfg["N"]:
-            raise ConfigError(f"N must be a non-negative integer, got {cfg['N']!r}")
+        N = cfg["N"]
+        whole = isinstance(N, int) or (isinstance(N, float) and N.is_integer())
+        if isinstance(N, bool) or not whole or N < 0:
+            raise ConfigError(f"N must be a non-negative integer, got {N!r}")
+        N = int(N)
     else:
-        T = float(cfg["T"])
-        if not (T > 0.0 and np.isfinite(T)):
-            raise ConfigError(f"T must be positive and finite, got {cfg['T']!r}")
-        N = max(1, round(T / eps))
+        N = max(1, round(_positive(cfg, "T") / eps))
     return eps, N
 
 
@@ -327,9 +328,7 @@ def convergence_study(cfg: dict, eps_list: list[float], jobs: int = 1) -> StudyR
     x0 = _initial_state(cfg, sys)
     if "T" not in cfg:
         raise ConfigError("a convergence study needs 'T'")
-    T = float(cfg["T"])
-    if not (T > 0.0 and np.isfinite(T)):
-        raise ConfigError(f"T must be positive and finite, got {cfg['T']!r}")
+    T = _positive(cfg, "T")
 
     oracle = reference_flow(sys, x0, T)
     oracle_concat = oracle.concat()
@@ -416,11 +415,7 @@ def cmd_embed(cfg: dict, out_dir: str) -> int:
             phi = reduced_step_map(sys, split, scheme)
         except SystemError as exc:
             raise ConfigError(str(exc)) from None
-    if "eps" not in cfg:
-        raise ConfigError("config is missing 'eps'")
-    eps = float(cfg["eps"])
-    if not (eps > 0.0 and np.isfinite(eps)):
-        raise ConfigError(f"eps must be positive and finite, got {cfg['eps']!r}")
+    eps = _positive(cfg, "eps")
 
     pts_cfg = cfg.get("points")
     if not isinstance(pts_cfg, list) or not pts_cfg:
@@ -467,11 +462,7 @@ def cmd_interp(cfg: dict, out_dir: str) -> int:
             raise ConfigError(f"config needs {key!r} as an object with 'q' and 'v'")
     a = _initial_state(cfg["x0"], sys)
     b = _initial_state(cfg["x1"], sys)
-    if "eps" not in cfg:
-        raise ConfigError("config is missing 'eps'")
-    eps = float(cfg["eps"])
-    if not (eps > 0.0 and np.isfinite(eps)):
-        raise ConfigError(f"eps must be positive and finite, got {cfg['eps']!r}")
+    eps = _positive(cfg, "eps")
     samples = int(cfg.get("samples", 101))
     if samples < 2:
         raise ConfigError("'samples' must be at least 2")

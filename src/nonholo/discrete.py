@@ -1,17 +1,27 @@
 """Variational-style one-step schemes that keep velocities admissible.
 
-Three families live here, all built from the same ingredients:
+``vni10_step`` drifts the node and solves the linear multiplier system in
+closed form.  The other schemes discretize the same Lagrange-d'Alembert
+principle and differ only in where the force is evaluated and where the
+reaction one-form and the constraint are taken, so each is one call of the
+kernel ``_implicit_step``.  It solves for the new velocity u and multiplier
 
-* ``vni10_step`` / ``vni20_step`` advance a node (q~, v) while enforcing
-  mu(q~_{k+1}) v_{k+1} = 0 at the new node -- explicitly at first order,
-  through a small Newton solve at second order.
-* ``original_node_step`` enforces the constraint at a midpoint
-  configuration instead; the scheme then conserves the *deformed* residual
-  mu(q - eps/2 v) v, and its admissible set is an O(eps) deformation of D.
-* ``dla_step`` is the two-point form: given consecutive configurations
-  (q_{k-1}, q_k) it produces q_{k+1} from the discrete Euler-Lagrange
-  equations of L_d = eps L(rho(x, y)), with the constraint evaluated at the
-  node image of the finite-difference map rho.
+    M (u - v0) + eps (w grad V(q) + fixed_force) - eps mu_react' lambda = 0,
+    mu(q) u = 0,      q = q_base + c eps u,
+
+with (q_half = q_k + eps/2 v_k, rho the finite-difference map below)
+
+    scheme          q_base   c      w        fixed_force                      mu_react
+    vni20           q_half   1/2    1/2      1/2 grad V(q_k)                  mu(q_half)
+    original_node   q_k      1/2    1/2      1/2 grad V(q_k - eps/2 v_k)      mu(q_k)
+    dla             q_k      beta   1-beta   beta grad V(rho(q_{k-1}, q_k))   mu(q_k)
+
+``vni20_step`` is second order.  ``original_node_step`` enforces the
+constraint at a midpoint configuration; it conserves the *deformed* residual
+mu(q - eps/2 v) v, so its admissible set is an O(eps) deformation of D.
+``dla_step`` is the two-point form: from consecutive configurations
+(q_{k-1}, q_k) it produces q_{k+1} = q_k + eps u from the discrete
+Euler-Lagrange equations of L_d = eps L(rho(x, y)).
 
 A ``FiniteDifferenceMap`` with parameter beta in [0, 1] fixes how a pair of
 configurations is read as a point of TQ.  Redefining the nodes through the
@@ -32,7 +42,7 @@ from typing import Callable
 import numpy as np
 
 from .reduction import _lambda_raw
-from .system import MechanicalSystem, StatePoint, SystemError, energy
+from .system import MechanicalSystem, StatePoint, SystemError, _gram_solve, energy
 
 __all__ = [
     "FiniteDifferenceMap",
@@ -41,7 +51,6 @@ __all__ = [
     "newton_solve",
     "DiscreteNonholonomicSystem",
     "StepResult",
-    "DlaResult",
     "vni10_step",
     "vni20_step",
     "original_node_step",
@@ -157,19 +166,12 @@ class DiscreteNonholonomicSystem:
 
 @dataclass(frozen=True)
 class StepResult:
-    """One advance of a node scheme: the new node, its multiplier, Newton work."""
+    """One advance of a scheme: the new state, its multiplier, Newton work.
+
+    For the two-point scheme the state is (q_{k+1}, (q_{k+1} - q_k) / eps).
+    """
 
     state: StatePoint
-    lam: np.ndarray
-    iters: int
-
-
-@dataclass(frozen=True)
-class DlaResult:
-    """One advance of the two-point scheme."""
-
-    q_next: np.ndarray
-    v_next: np.ndarray
     lam: np.ndarray
     iters: int
 
@@ -184,11 +186,7 @@ def vni10_step(sys: MechanicalSystem, x: StatePoint, eps: float) -> StepResult:
     mu1 = sys.mu_at(q1)
     w = x.v - eps * (sys.M_inv @ sys.grad_v_at(q1))
     if sys.m:
-        C1 = mu1 @ sys.M_inv @ mu1.T
-        try:
-            lam = -np.linalg.solve(C1, mu1 @ w) / eps
-        except np.linalg.LinAlgError:
-            raise SystemError(f"constraint Gram matrix singular at q={q1!r}") from None
+        lam = -_gram_solve(sys, mu1, mu1 @ w, q1) / eps
         v1 = w + eps * (sys.M_inv @ (mu1.T @ lam))
     else:
         lam = np.zeros(0)
@@ -196,49 +194,53 @@ def vni10_step(sys: MechanicalSystem, x: StatePoint, eps: float) -> StepResult:
     return StepResult(StatePoint(q1, v1), lam, 0)
 
 
-def vni20_step(sys: MechanicalSystem, x: StatePoint, eps: float) -> StepResult:
-    """Second-order scheme: trapezoidal forces, reaction at the half point,
-    constraint enforced at the new node.
+def _implicit_step(
+    sys: MechanicalSystem,
+    eps: float,
+    v0: np.ndarray,
+    q_base: np.ndarray,
+    c: float,
+    w: float,
+    fixed_force: np.ndarray,
+    mu_react: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """Solve the shared step equations (module docstring) for (u, lambda).
 
-    The intermediate configuration q~_{k+1} = q_half + eps/2 v_{k+1} is
-    eliminated, leaving a Newton solve in (v_{k+1}, lambda).
+    The first block is the discrete Euler-Lagrange equation divided by eps,
+    so its residual is O(1) and the Newton tolerance means the same at every
+    step size.  Returns (u, lambda, Newton iterations).
     """
-    n, m = sys.n, sys.m
-    q_half = x.q + 0.5 * eps * x.v
-    grad0 = sys.grad_v_at(x.q)
-    mu_half = sys.mu_at(q_half) if m else np.zeros((0, n))
+    n = sys.n
 
-    def unpack(u):
-        return u[:n], u[n:]
+    def residual(z):
+        u, lam = z[:n], z[n:]
+        q = q_base + c * eps * u
+        r1 = sys.M @ (u - v0) + eps * (w * sys.grad_v_at(q) + fixed_force)
+        r1 = r1 - eps * (mu_react.T @ lam)
+        return np.concatenate([r1, sys.mu_at(q) @ u])
 
-    def q1_of(v1):
-        return q_half + 0.5 * eps * v1
-
-    def residual(u):
-        v1, lam = unpack(u)
-        q1 = q1_of(v1)
-        r1 = v1 - x.v + 0.5 * eps * (sys.M_inv @ (sys.grad_v_at(q1) + grad0))
-        if m:
-            r1 = r1 - eps * (sys.M_inv @ (mu_half.T @ lam))
-            r2 = sys.mu_at(q1) @ v1
-            return np.concatenate([r1, r2])
-        return r1
-
-    def jacobian(u):
-        v1, _ = unpack(u)
-        q1 = q1_of(v1)
-        J = np.zeros((n + m, n + m))
-        J[:n, :n] = np.eye(n) + 0.25 * eps * eps * (sys.M_inv @ sys.hess_v_at(q1))
-        if m:
-            J[:n, n:] = -eps * (sys.M_inv @ mu_half.T)
-            dmu = sys.mu_jac_at(q1)
-            J[n:, :n] = sys.mu_at(q1) + 0.5 * eps * np.einsum("aij,i->aj", dmu, v1)
+    def jacobian(z):
+        u = z[:n]
+        q = q_base + c * eps * u
+        J = np.zeros((n + sys.m, n + sys.m))
+        J[:n, :n] = sys.M + eps * eps * c * w * sys.hess_v_at(q)
+        J[:n, n:] = -eps * mu_react.T
+        J[n:, :n] = sys.mu_at(q) + c * eps * np.einsum("aij,i->aj", sys.mu_jac_at(q), u)
         return J
 
-    u0 = np.concatenate([x.v, np.zeros(m)])
-    u, iters = newton_solve(residual, jacobian, u0)
-    v1, lam = unpack(u)
-    return StepResult(StatePoint(q1_of(v1), v1), lam, iters)
+    z, iters = newton_solve(residual, jacobian, np.concatenate([v0, np.zeros(sys.m)]))
+    return z[:n], z[n:], iters
+
+
+def vni20_step(sys: MechanicalSystem, x: StatePoint, eps: float) -> StepResult:
+    """Second-order scheme: trapezoidal forces, reaction at the half point,
+    constraint enforced at the new node q~_{k+1} = q_half + eps/2 v_{k+1}.
+    """
+    q_half = x.q + 0.5 * eps * x.v
+    v1, lam, iters = _implicit_step(
+        sys, eps, x.v, q_half, 0.5, 0.5, 0.5 * sys.grad_v_at(x.q), sys.mu_at(q_half)
+    )
+    return StepResult(StatePoint(q_half + 0.5 * eps * v1, v1), lam, iters)
 
 
 def original_node_step(sys: MechanicalSystem, x: StatePoint, eps: float) -> StepResult:
@@ -254,37 +256,10 @@ def original_node_step(sys: MechanicalSystem, x: StatePoint, eps: float) -> Step
             "input node violates the deformed constraint "
             f"(residual {np.max(np.abs(res0)):.6g}); repair it with deformed_admissible_velocity"
         )
-    n, m = sys.n, sys.m
-    mu0 = sys.mu_at(x.q) if m else np.zeros((0, n))
     grad_back = sys.grad_v_at(x.q - 0.5 * eps * x.v)
-
-    def unpack(u):
-        return u[:n], u[n:]
-
-    def residual(u):
-        v1, lam = unpack(u)
-        q_mid = x.q + 0.5 * eps * v1
-        r1 = sys.M @ (v1 - x.v) + 0.5 * eps * (sys.grad_v_at(q_mid) + grad_back)
-        if m:
-            r1 = r1 - eps * (mu0.T @ lam)
-            r2 = sys.mu_at(q_mid) @ v1
-            return np.concatenate([r1, r2])
-        return r1
-
-    def jacobian(u):
-        v1, _ = unpack(u)
-        q_mid = x.q + 0.5 * eps * v1
-        J = np.zeros((n + m, n + m))
-        J[:n, :n] = sys.M + 0.25 * eps * eps * sys.hess_v_at(q_mid)
-        if m:
-            J[:n, n:] = -eps * mu0.T
-            dmu = sys.mu_jac_at(q_mid)
-            J[n:, :n] = sys.mu_at(q_mid) + 0.5 * eps * np.einsum("aij,i->aj", dmu, v1)
-        return J
-
-    u0 = np.concatenate([x.v, np.zeros(m)])
-    u, iters = newton_solve(residual, jacobian, u0)
-    v1, lam = unpack(u)
+    v1, lam, iters = _implicit_step(
+        sys, eps, x.v, x.q, 0.5, 0.5, 0.5 * grad_back, sys.mu_at(x.q)
+    )
     return StepResult(StatePoint(x.q + eps * v1, v1), lam, iters)
 
 
@@ -326,51 +301,23 @@ def deformed_admissible_velocity(
     return w_of(c)
 
 
-def dla_step(dsys: DiscreteNonholonomicSystem, q_prev: np.ndarray, q_cur: np.ndarray) -> DlaResult:
+def dla_step(
+    dsys: DiscreteNonholonomicSystem, q_prev: np.ndarray, q_cur: np.ndarray
+) -> StepResult:
     """Advance the two-point scheme: (q_{k-1}, q_k) -> q_{k+1}.
 
     The unknowns are the scaled difference u_v = (q_{k+1} - q_k) / eps and
-    the multiplier; the discrete Euler-Lagrange residual is kept in the O(1)
-    velocity scale so the Newton tolerance is meaningful uniformly in eps.
+    the multiplier; the result's state is (q_{k+1}, u_v).
     """
     sys, rho = dsys.sys, dsys.rho
     eps, beta = rho.eps, rho.beta
-    n, m = sys.n, sys.m
     v_k = (q_cur - q_prev) / eps
     dsys.check_regularity(q_cur, q_cur + eps * v_k)
     grad_back = sys.grad_v_at(rho.point(q_prev, q_cur))
-    mu_k = sys.mu_at(q_cur) if m else np.zeros((0, n))
-
-    def unpack(u):
-        return u[:n], u[n:]
-
-    def residual(u):
-        u_v, lam = unpack(u)
-        q_fwd = q_cur + beta * eps * u_v
-        r1 = sys.M @ (u_v - v_k) + eps * (
-            (1.0 - beta) * sys.grad_v_at(q_fwd) + beta * grad_back
-        )
-        if m:
-            r1 = r1 - eps * (mu_k.T @ lam)
-            r2 = sys.mu_at(q_fwd) @ u_v
-            return np.concatenate([r1, r2])
-        return r1
-
-    def jacobian(u):
-        u_v, _ = unpack(u)
-        q_fwd = q_cur + beta * eps * u_v
-        J = np.zeros((n + m, n + m))
-        J[:n, :n] = sys.M + eps * eps * beta * (1.0 - beta) * sys.hess_v_at(q_fwd)
-        if m:
-            J[:n, n:] = -eps * mu_k.T
-            dmu = sys.mu_jac_at(q_fwd)
-            J[n:, :n] = sys.mu_at(q_fwd) + beta * eps * np.einsum("aij,i->aj", dmu, u_v)
-        return J
-
-    u0 = np.concatenate([v_k, np.zeros(m)])
-    u, iters = newton_solve(residual, jacobian, u0)
-    u_v, lam = unpack(u)
-    return DlaResult(q_cur + eps * u_v, u_v, lam, iters)
+    u_v, lam, iters = _implicit_step(
+        sys, eps, v_k, q_cur, beta, 1.0 - beta, beta * grad_back, sys.mu_at(q_cur)
+    )
+    return StepResult(StatePoint(q_cur + eps * u_v, u_v), lam, iters)
 
 
 @dataclass
@@ -458,19 +405,16 @@ def run_integrator(
     elif beta is not None:
         raise SystemError(f"beta only applies to the two-point scheme, not {scheme!r}")
 
-    plain0 = sys.mu_at(x0.q) @ x0.v if sys.m else np.zeros(0)
-    if scheme in ("vni10", "vni20") or (scheme == "dla" and policy is NodePolicy.REDEFINED):
-        if sys.m and np.max(np.abs(plain0)) > ADMISSIBLE_TOL:
-            raise SystemError(f"initial node is off D (residual {np.max(np.abs(plain0)):.6g})")
-    elif scheme == "original_node":
-        pass  # original_node_step validates its own deformed precondition
-    elif scheme == "dla" and policy is NodePolicy.ORIGINAL:
-        q_shift = x0.q - (1.0 - beta) * eps * x0.v
-        res = sys.mu_at(q_shift) @ x0.v if sys.m else np.zeros(0)
-        if sys.m and np.max(np.abs(res)) > ADMISSIBLE_TOL:
-            raise SystemError(
-                f"initial node violates the discrete constraint (residual {np.max(np.abs(res)):.6g})"
-            )
+    # original_node_step validates its own deformed precondition
+    if sys.m and scheme != "original_node":
+        if scheme == "dla" and policy is NodePolicy.ORIGINAL:
+            res = sys.mu_at(x0.q - (1.0 - beta) * eps * x0.v) @ x0.v
+            broken = "violates the discrete constraint"
+        else:
+            res = sys.mu_at(x0.q) @ x0.v
+            broken = "is off D"
+        if np.max(np.abs(res)) > ADMISSIBLE_TOL:
+            raise SystemError(f"initial node {broken} (residual {np.max(np.abs(res)):.6g})")
 
     N = int(steps)
     n, m = sys.n, sys.m
@@ -493,67 +437,46 @@ def run_integrator(
 
     record(0, x0, _lambda_raw(sys, x0), 0)
 
-    def truncated(upto: int, raw_rows: int = 0) -> DiscreteTrajectory:
-        # Rows recorded before a failed step, attached to the exception so
-        # callers can salvage them.
+    def trajectory(upto: int) -> DiscreteTrajectory:
+        # Also the rows recorded before a failed step, attached to the
+        # exception so callers can salvage them.
         return DiscreteTrajectory(
-            times=times[:upto].copy(),
-            states=states[:upto].copy(),
-            lambdas=lambdas[:upto].copy(),
-            residuals=residuals[:upto].copy(),
-            deformed_residuals=deformed[:upto].copy(),
-            energies=energies[:upto].copy(),
-            newton_iters=iters[:upto].copy(),
+            times=times[:upto],
+            states=states[:upto],
+            lambdas=lambdas[:upto],
+            residuals=residuals[:upto],
+            deformed_residuals=deformed[:upto],
+            energies=energies[:upto],
+            newton_iters=iters[:upto],
             n=n,
             eps=eps,
-            raw_configurations=raw[:raw_rows].copy() if raw is not None else None,
+            raw_configurations=raw[: upto + 1] if raw is not None else None,
         )
 
-    if scheme in ("vni10", "vni20", "original_node"):
+    if scheme == "dla":
+        # the two-point scheme advances the raw configuration pairs
+        raw = np.empty((N + 2, n))
+        if policy is NodePolicy.REDEFINED:
+            raw[0], raw[1] = dsys.rho.inverse(x0.q, x0.v)
+        else:
+            raw[0], raw[1] = x0.q - eps * x0.v, x0.q
+    else:
         step_fn = {
             "vni10": vni10_step,
             "vni20": vni20_step,
             "original_node": original_node_step,
         }[scheme]
-        x = x0
-        for k in range(1, N + 1):
-            try:
-                out = step_fn(sys, x, eps)
-            except (NewtonError, SystemError) as exc:
-                exc.partial = truncated(k)
-                raise
-            x = out.state
-            record(k, x, out.lam, out.iters)
-    else:
-        if policy is NodePolicy.REDEFINED:
-            q_prev, q_cur = dsys.rho.inverse(x0.q, x0.v)
-        else:
-            q_prev, q_cur = x0.q - eps * x0.v, x0.q
-        raw = np.empty((N + 2, n))
-        raw[0], raw[1] = q_prev, q_cur
-        for k in range(1, N + 1):
-            try:
-                out = dla_step(dsys, q_prev, q_cur)
-            except (NewtonError, SystemError) as exc:
-                exc.partial = truncated(k, raw_rows=k + 1)
-                raise
-            q_prev, q_cur = q_cur, out.q_next
-            raw[k + 1] = q_cur
+    x = x0
+    for k in range(1, N + 1):
+        try:
+            out = dla_step(dsys, raw[k - 1], raw[k]) if scheme == "dla" else step_fn(sys, x, eps)
+        except (NewtonError, SystemError) as exc:
+            exc.partial = trajectory(k)
+            raise
+        x = out.state
+        if scheme == "dla":
+            raw[k + 1] = x.q
             if policy is NodePolicy.REDEFINED:
-                node_q, node_v = dsys.rho.forward(q_prev, q_cur)
-            else:
-                node_q, node_v = q_cur, out.v_next
-            record(k, StatePoint(node_q, node_v), out.lam, out.iters)
-
-    return DiscreteTrajectory(
-        times=times,
-        states=states,
-        lambdas=lambdas,
-        residuals=residuals,
-        deformed_residuals=deformed,
-        energies=energies,
-        newton_iters=iters,
-        n=n,
-        eps=eps,
-        raw_configurations=raw,
-    )
+                x = StatePoint(*dsys.rho.forward(raw[k], raw[k + 1]))
+        record(k, x, out.lam, out.iters)
+    return trajectory(N + 1)

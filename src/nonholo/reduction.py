@@ -28,6 +28,8 @@ from .system import (
     MechanicalSystem,
     StatePoint,
     SystemError,
+    _checked_gram,
+    _gram_solve,
     c_matrix,
     constraint_residual,
 )
@@ -64,20 +66,11 @@ def _constraint_gradients(sys: MechanicalSystem, x: StatePoint) -> tuple[np.ndar
 
 
 def _lambda_pieces(sys: MechanicalSystem, x: StatePoint):
-    """(lambda, mu(q), M^-1 grad V(q)) with the Gram system solved in place.
-
-    This is the integrator hot path, so it skips the conditioning
-    certificate that `c_matrix` provides and lets LAPACK object to an
-    outright singular Gram matrix instead.
-    """
+    """(lambda, mu(q), M^-1 grad V(q)), with the unchecked hot-path Gram solve."""
     mu = sys.mu_at(x.q)
     minv_grad = sys.M_inv @ sys.grad_v_at(x.q)
     grad_q = x.v @ sys.mu_jac_at(x.q)
-    C = mu @ sys.M_inv @ mu.T
-    try:
-        lam = -np.linalg.solve(C, grad_q @ x.v - mu @ minv_grad)
-    except np.linalg.LinAlgError:
-        raise SystemError(f"constraint Gram matrix singular at q={x.q!r}") from None
+    lam = -_gram_solve(sys, mu, grad_q @ x.v - mu @ minv_grad, x.q)
     return lam, mu, minv_grad
 
 
@@ -282,19 +275,7 @@ def _deformed_mu(sys: MechanicalSystem, dc: DeformedConstraint, x: StatePoint) -
 
 def deformed_c_matrix(sys: MechanicalSystem, dc: DeformedConstraint, x: StatePoint) -> CMatrix:
     """Gram matrix of the deformed one-forms mu + delta dg/dv."""
-    mu_d = _deformed_mu(sys, dc, x)
-    C = mu_d @ sys.M_inv @ mu_d.T
-    C = 0.5 * (C + C.T)
-    if sys.m == 0:
-        return CMatrix(C, C.copy(), 1.0)
-    try:
-        np.linalg.cholesky(C)
-    except np.linalg.LinAlgError:
-        raise SystemError(f"deformed Gram matrix not positive definite at q={x.q!r}") from None
-    cond = float(np.linalg.cond(C))
-    if cond > 1e12:
-        raise SystemError(f"deformed Gram matrix ill-conditioned (cond={cond:.3e})")
-    return CMatrix(C, np.linalg.inv(C), cond)
+    return _checked_gram(sys, _deformed_mu(sys, dc, x), x.q)
 
 
 def deformed_residual(sys: MechanicalSystem, dc: DeformedConstraint, x: StatePoint) -> np.ndarray:

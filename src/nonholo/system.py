@@ -202,9 +202,21 @@ class CMatrix:
     cond: float
 
 
-def c_matrix(sys: MechanicalSystem, q: np.ndarray) -> CMatrix:
-    """C = mu M^-1 mu', SPD whenever mu(q) has full rank; inverse via Cholesky."""
-    mu = sys.mu_at(q)
+def _gram_solve(sys: MechanicalSystem, mu: np.ndarray, rhs: np.ndarray, q: np.ndarray):
+    """Solve (mu M^-1 mu') x = rhs for the constraint rows mu taken at q.
+
+    This is the integrator hot path, so it skips the conditioning
+    certificate that `c_matrix` provides and lets LAPACK object to an
+    outright singular Gram matrix instead.
+    """
+    try:
+        return np.linalg.solve(mu @ sys.M_inv @ mu.T, rhs)
+    except np.linalg.LinAlgError:
+        raise SystemError(f"constraint Gram matrix singular at q={q!r}") from None
+
+
+def _checked_gram(sys: MechanicalSystem, mu: np.ndarray, q: np.ndarray) -> CMatrix:
+    """C = mu M^-1 mu' for the rows mu taken at q, with Cholesky and conditioning checks."""
     C = mu @ sys.M_inv @ mu.T
     C = 0.5 * (C + C.T)
     if sys.m == 0:
@@ -218,6 +230,11 @@ def c_matrix(sys: MechanicalSystem, q: np.ndarray) -> CMatrix:
     if cond > COND_LIMIT:
         raise SystemError(f"constraint Gram matrix ill-conditioned (cond={cond:.3e}) at q={q!r}")
     return CMatrix(C, C_inv, cond)
+
+
+def c_matrix(sys: MechanicalSystem, q: np.ndarray) -> CMatrix:
+    """C = mu M^-1 mu', SPD whenever mu(q) has full rank; inverse via Cholesky."""
+    return _checked_gram(sys, sys.mu_at(q), q)
 
 
 def project_velocity(sys: MechanicalSystem, q: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -318,11 +335,18 @@ def energy(sys: MechanicalSystem, x: StatePoint) -> float:
     return float(0.5 * x.v @ sys.M @ x.v + sys.v_at(x.q))
 
 
+# The builtin systems as config-style field tables, read both by their
+# constructors here and by the config loader's {"builtin": name}.
+BUILTIN_FIELDS = {
+    "nonholonomic_particle": {
+        "names": ["x", "y", "z"],
+        "M": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]],
+        "V": "0",
+        "mu": [["-y", "0", "1"]],
+    },
+}
+
+
 def nonholonomic_particle() -> MechanicalSystem:
     """Free particle in R^3 whose vertical velocity is slaved to y: v_z = y v_x."""
-    return MechanicalSystem(
-        names=["x", "y", "z"],
-        M=np.eye(3),
-        V="0",
-        mu=[["-y", "0", "1"]],
-    )
+    return MechanicalSystem(**BUILTIN_FIELDS["nonholonomic_particle"])

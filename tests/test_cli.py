@@ -107,6 +107,11 @@ def test_simulate_config_errors(tmp_path, capsys):
         dict(PARTICLE_SIM, T=1.0),  # both N and T
         {k: v for k, v in PARTICLE_SIM.items() if k != "N"},  # neither
         dict(PARTICLE_SIM, eps=-0.1),
+        dict(PARTICLE_SIM, eps=True),  # JSON booleans are not numbers
+        dict(PARTICLE_SIM, eps="fast"),
+        dict(PARTICLE_SIM, N=2.5),
+        dict(PARTICLE_SIM, N=True),
+        {**{k: v for k, v in PARTICLE_SIM.items() if k != "N"}, "T": True},
         dict(PARTICLE_SIM, q=[0.0, 1.0]),
         dict(PARTICLE_SIM, system="rolling_disk"),
         dict(PARTICLE_SIM, beta=0.5),  # beta without the two-point scheme

@@ -238,6 +238,26 @@ def test_dla_beta_half_matches_second_order_scheme():
     assert np.max(np.abs(a.lambdas - b.lambdas)) < 1e-10
 
 
+def test_two_point_scheme_matches_node_schemes_on_disk():
+    # criterion 8 where the particle cannot reach: a potential with a
+    # non-zero Hessian, a non-identity mass matrix and two constraints
+    sys = MechanicalSystem(
+        names=["x", "y", "th", "ph"],
+        M=np.diag([1.0, 1.0, 0.25, 0.5]),
+        V="(x^2+y^2)/2 + 0.1*(1-cos(th))",
+        mu=[["1", "0", "0", "-0.5*cos(th)"], ["0", "1", "0", "-0.5*sin(th)"]],
+    )
+    th, w_th, w_ph = 0.7, 0.3, 1.1  # an admissible start: (v_x, v_y) = w_ph (cos th, sin th) / 2
+    v0 = [0.5 * np.cos(th) * w_ph, 0.5 * np.sin(th) * w_ph, w_th, w_ph]
+    x0 = StatePoint([1.0, 0.0, th, 0.0], v0)
+    eps, steps = 0.01, 200
+    for scheme, beta, tol in (("vni10", 0.0, 1e-11), ("vni20", 0.5, 1e-10)):
+        a = run_integrator(sys, scheme, x0, eps, steps)
+        b = run_integrator(sys, "dla", x0, eps, steps, beta=beta, policy=NodePolicy.REDEFINED)
+        assert np.max(np.abs(a.states - b.states)) < tol, scheme
+        assert np.max(np.abs(a.lambdas - b.lambdas)) < tol, scheme
+
+
 # --- convergence orders ---------------------------------------------------------
 
 
