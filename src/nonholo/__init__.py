@@ -20,51 +20,10 @@ The `nonholo` console script drives batch runs from JSON configs.
 from __future__ import annotations
 
 from . import cli, discrete, embed, exprdiff, flow, reduction, system
-from .discrete import (
-    DiscreteNonholonomicSystem,
-    DiscreteTrajectory,
-    FiniteDifferenceMap,
-    NewtonError,
-    NodePolicy,
-    dla_step,
-    newton_solve,
-    original_node_step,
-    run_integrator,
-    vni10_step,
-    vni20_step,
-)
-from .embed import (
-    EmbeddingProblem,
-    OneStepMap,
-    build_G,
-    interpolate_in_D,
-    reduced_problem,
-    reduced_step_map,
-    verify_embedding,
-)
-from .exprdiff import evaluate, gradient, hessian, parse
-from .flow import BlowUpError, Trajectory, integrate, reference_flow
-from .reduction import (
-    DeformedConstraint,
-    ReducedState,
-    deformed_field,
-    h_field,
-    lambda_continuous,
-    psi_embed,
-    reduce_state,
-    reduced_field,
-)
-from .system import (
-    MechanicalSystem,
-    StatePoint,
-    SystemError,
-    c_matrix,
-    constraint_residual,
-    derive_connection,
-    energy,
-    nonholonomic_particle,
-    project_velocity,
-)
+from .discrete import run_integrator
+from .embed import reduced_problem, reduced_step_map, verify_embedding
+from .flow import reference_flow
+from .system import MechanicalSystem, StatePoint, derive_connection
 
 __version__ = "0.1.0"
 
@@ -78,46 +37,11 @@ __all__ = [
     "system",
     "MechanicalSystem",
     "StatePoint",
-    "SystemError",
-    "c_matrix",
-    "constraint_residual",
     "derive_connection",
-    "energy",
-    "nonholonomic_particle",
-    "project_velocity",
-    "lambda_continuous",
-    "h_field",
-    "ReducedState",
-    "psi_embed",
-    "reduce_state",
-    "reduced_field",
-    "DeformedConstraint",
-    "deformed_field",
-    "BlowUpError",
-    "Trajectory",
-    "integrate",
     "reference_flow",
-    "FiniteDifferenceMap",
-    "NodePolicy",
-    "NewtonError",
-    "newton_solve",
-    "DiscreteNonholonomicSystem",
-    "DiscreteTrajectory",
-    "vni10_step",
-    "vni20_step",
-    "original_node_step",
-    "dla_step",
     "run_integrator",
-    "OneStepMap",
-    "EmbeddingProblem",
-    "interpolate_in_D",
     "reduced_problem",
     "reduced_step_map",
-    "build_G",
     "verify_embedding",
-    "parse",
-    "evaluate",
-    "gradient",
-    "hessian",
     "__version__",
 ]

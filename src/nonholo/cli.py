@@ -7,21 +7,20 @@ Four subcommands share a common shape::
     nonholo embed    --config run.json [--out DIR]
     nonholo interp   --config run.json [--out DIR]
 
-Exit codes: 0 on success, 2 on configuration problems, 3 on numerical
-failure at runtime (whatever rows were computed are still written).
+Exit codes: 0 on success, 2 on configuration problems, 3 on failure at
+runtime, domain errors of expressions included (rows computed are written).
 Output data files are deterministic: identical configs produce
 byte-identical CSVs, and timing lives only in the JSON summaries.
 """
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys as _sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -40,7 +39,7 @@ from .embed import (
     reduced_step_map,
     verify_embedding,
 )
-from .flow import BlowUpError, integrate, reference_flow
+from .flow import BlowUpError, integrate, reference_flow, write_csv
 from .reduction import (
     DeformedConstraint,
     deformed_field,
@@ -60,6 +59,8 @@ from .system import (
 )
 
 INTEGRATORS = ("reference", "vni10", "vni20", "original_node", "dla")
+# What a run can raise once its config is valid: exit code 3.
+RUNTIME_ERRORS = (BlowUpError, NewtonError, SystemError, exprdiff.EvalError)
 
 
 class ConfigError(Exception):
@@ -134,7 +135,7 @@ def _initial_state(cfg: dict, sys: MechanicalSystem, residual=None) -> StatePoin
     q = _vector(cfg, "q", sys.n)
     v = _vector(cfg, "v", sys.n)
     x = StatePoint(q, v)
-    if cfg.get("project_initial", False):
+    if _flag(cfg, "project_initial"):
         return StatePoint(q, project_velocity(sys, q, v))
     res = (residual or constraint_residual)(sys, x)
     if sys.m and np.max(np.abs(res)) > ADMISSIBLE_TOL:
@@ -145,18 +146,52 @@ def _initial_state(cfg: dict, sys: MechanicalSystem, residual=None) -> StatePoin
     return x
 
 
-def _positive(cfg: dict, key: str) -> float:
-    """cfg[key] as a positive finite float; JSON booleans are not numbers here."""
-    if key not in cfg:
+def _number(cfg: dict, key: str, default: float | None = None) -> float:
+    """cfg[key] (or the default) as a finite float; JSON booleans are not numbers here."""
+    raw = cfg.get(key, default)
+    if raw is None:
         raise ConfigError(f"config is missing {key!r}")
-    raw = cfg[key]
     try:
         value = float(raw)
     except (TypeError, ValueError):
         value = np.nan
-    if isinstance(raw, bool) or not (value > 0.0 and np.isfinite(value)):
-        raise ConfigError(f"{key} must be positive and finite, got {raw!r}")
+    if isinstance(raw, bool) or not np.isfinite(value):
+        raise ConfigError(f"{key} must be a finite number, got {raw!r}")
     return value
+
+
+def _positive(cfg: dict, key: str, default: float | None = None) -> float:
+    """Like `_number`, and the value must be > 0."""
+    value = _number(cfg, key, default)
+    if not value > 0.0:
+        raise ConfigError(f"{key} must be positive and finite, got {cfg[key]!r}")
+    return value
+
+
+def _integer(cfg: dict, key: str, default: int | None = None, least: int = 0) -> int:
+    """cfg[key] (or the default) as a whole number >= least; 2.0 counts, 2.5 and true do not."""
+    raw = cfg.get(key, default)
+    if raw is None:
+        raise ConfigError(f"config is missing {key!r}")
+    whole = isinstance(raw, int) or (isinstance(raw, float) and raw.is_integer())
+    if isinstance(raw, bool) or not whole or raw < least:
+        raise ConfigError(f"{key} must be an integer >= {least}, got {raw!r}")
+    return int(raw)
+
+
+def _flag(cfg: dict, key: str) -> bool:
+    """cfg[key] as JSON true or false, default false; "no" is not false."""
+    raw = cfg.get(key, False)
+    if not isinstance(raw, bool):
+        raise ConfigError(f"{key} must be true or false, got {raw!r}")
+    return raw
+
+
+def _out_path(cfg: dict, key: str, default: str, out_dir: str) -> str:
+    name = cfg.get(key, default)
+    if not isinstance(name, str) or not name:
+        raise ConfigError(f"{key} must be a file name, got {name!r}")
+    return os.path.join(out_dir, name)
 
 
 def _steps_and_eps(cfg: dict) -> tuple[float, int]:
@@ -165,11 +200,7 @@ def _steps_and_eps(cfg: dict) -> tuple[float, int]:
     if has_n == has_t:
         raise ConfigError("give exactly one of 'N' (step count) or 'T' (end time)")
     if has_n:
-        N = cfg["N"]
-        whole = isinstance(N, int) or (isinstance(N, float) and N.is_integer())
-        if isinstance(N, bool) or not whole or N < 0:
-            raise ConfigError(f"N must be a non-negative integer, got {N!r}")
-        N = int(N)
+        N = _integer(cfg, "N")
     else:
         N = max(1, round(_positive(cfg, "T") / eps))
     return eps, N
@@ -182,11 +213,16 @@ def _nodes_policy(cfg: dict) -> NodePolicy:
     return NodePolicy[raw]
 
 
-def _check_beta(cfg: dict, integ: str) -> None:
-    if integ == "dla" and cfg.get("beta") is None:
-        raise ConfigError("the two-point scheme needs 'beta' in the config")
-    if integ != "dla" and cfg.get("beta") is not None:
-        raise ConfigError(f"'beta' only applies to the two-point scheme, not {integ!r}")
+def _beta(cfg: dict, integ: str) -> float | None:
+    """The two-point scheme's beta in [0, 1]; None for the other integrators."""
+    if integ != "dla":
+        if cfg.get("beta") is not None:
+            raise ConfigError(f"'beta' only applies to the two-point scheme, not {integ!r}")
+        return None
+    beta = _number(cfg, "beta")
+    if not 0.0 <= beta <= 1.0:
+        raise ConfigError(f"beta must lie in [0, 1], got {cfg['beta']!r}")
+    return beta
 
 
 def _deformation(cfg: dict, sys: MechanicalSystem) -> DeformedConstraint | None:
@@ -200,7 +236,7 @@ def _deformation(cfg: dict, sys: MechanicalSystem) -> DeformedConstraint | None:
         raise ConfigError(f"deformation.g must list {sys.m} expressions")
     try:
         return DeformedConstraint(
-            g=[exprdiff.parse(text) for text in g], delta=float(desc.get("delta", 0.0))
+            g=[exprdiff.parse(text) for text in g], delta=_number(desc, "delta", 0.0)
         )
     except exprdiff.ExprSyntaxError as exc:
         raise ConfigError(f"bad deformation expression: {exc}") from None
@@ -216,32 +252,32 @@ def cmd_simulate(cfg: dict, out_dir: str) -> int:
         raise ConfigError(f"unknown integrator {integ!r}; pick one of {INTEGRATORS}")
     eps, N = _steps_and_eps(cfg)
     policy = _nodes_policy(cfg)
-    _check_beta(cfg, integ)
+    beta = _beta(cfg, integ)
+    project_each_step = _flag(cfg, "project_each_step")
     dc = _deformation(cfg, sys)
     if dc is not None and integ != "reference":
         raise ConfigError("deformed constraints only apply to the reference integrator")
     x0 = _initial_state(
         cfg, sys, residual=(lambda s, x: deformed_residual(s, dc, x)) if dc else None
     )
-    if integ == "original_node" and cfg.get("project_initial", False):
+    if integ == "original_node" and _flag(cfg, "project_initial"):
         # this scheme preserves the deformed set, so repair onto that instead
         x0 = StatePoint(x0.q, deformed_admissible_velocity(sys, x0.q, x0.v, eps))
 
-    csv_path = os.path.join(out_dir, cfg.get("output", "trajectory.csv"))
+    csv_path = _out_path(cfg, "output", "trajectory.csv", out_dir)
+    summary_path = _out_path(cfg, "summary", "summary.json", out_dir)
     started = time.perf_counter()
     try:
         if integ == "reference":
-            kwargs = {"project_each_step": bool(cfg.get("project_each_step", False))}
+            kwargs = {"project_each_step": project_each_step}
             if dc is not None:
                 kwargs["field"] = lambda x: deformed_field(sys, dc, x)
                 kwargs["lambda_fn"] = lambda s, x: deformed_lambda(s, dc, x)
                 kwargs["residual_fn"] = lambda s, x: deformed_residual(s, dc, x)
             traj = integrate(sys, x0, eps * N, eps, **kwargs)
         else:
-            traj = run_integrator(
-                sys, integ, x0, eps, N, beta=cfg.get("beta"), policy=policy
-            )
-    except (BlowUpError, NewtonError, SystemError) as exc:
+            traj = run_integrator(sys, integ, x0, eps, N, beta=beta, policy=policy)
+    except RUNTIME_ERRORS as exc:
         partial = getattr(exc, "partial", None)
         if partial is not None:
             partial.to_csv(csv_path)
@@ -262,7 +298,7 @@ def cmd_simulate(cfg: dict, out_dir: str) -> int:
         "csv": os.path.basename(csv_path),
         "runtime_seconds": time.perf_counter() - started,
     }
-    _write_json(os.path.join(out_dir, cfg.get("summary", "summary.json")), summary)
+    _write_json(summary_path, summary)
     return 0
 
 
@@ -280,16 +316,6 @@ class StudyResult:
     lambda_slope: float | None
     failures: list[dict] = field(default_factory=list)
 
-    def as_dict(self) -> dict:
-        return {
-            "eps": self.eps,
-            "state_error": self.state_error,
-            "lambda_error": self.lambda_error,
-            "state_slope": self.state_slope,
-            "lambda_slope": self.lambda_slope,
-            "failures": self.failures,
-        }
-
 
 def _endpoint_errors(args) -> tuple[float, float, float]:
     """Worker: run one step size and return (eps, state error, lambda error)."""
@@ -300,16 +326,12 @@ def _endpoint_errors(args) -> tuple[float, float, float]:
     N = max(1, round(T / eps))
     if integ == "reference":
         traj = integrate(sys, x0, T, eps)
-        end = traj.states[-1]
-        lam_end = traj.lambdas[-1]
     else:
-        dtraj = run_integrator(
-            sys, integ, x0, eps, N, beta=cfg.get("beta"), policy=_nodes_policy(cfg)
+        traj = run_integrator(
+            sys, integ, x0, eps, N, beta=_beta(cfg, integ), policy=_nodes_policy(cfg)
         )
-        end = dtraj.states[-1]
-        lam_end = dtraj.lambdas[-1]
-    state_err = float(np.max(np.abs(end - oracle_concat)))
-    lam_err = float(np.max(np.abs(lam_end - oracle_lam))) if len(oracle_lam) else 0.0
+    state_err = float(np.max(np.abs(traj.states[-1] - oracle_concat)))
+    lam_err = float(np.max(np.abs(traj.lambdas[-1] - oracle_lam))) if len(oracle_lam) else 0.0
     return eps, state_err, lam_err
 
 
@@ -317,17 +339,14 @@ def convergence_study(cfg: dict, eps_list: list[float], jobs: int = 1) -> StudyR
     """Endpoint errors against one high-resolution oracle, across step sizes."""
     if len(eps_list) < 4:
         raise ConfigError("a convergence study needs at least 4 step sizes")
-    if any(not (e > 0.0 and np.isfinite(e)) for e in eps_list):
-        raise ConfigError("step sizes must be positive and finite")
+    eps_list = [_positive({"eps_list": e}, "eps_list") for e in eps_list]
     sys = build_system(cfg.get("system", "nonholonomic_particle"))
     integ = cfg.get("integrator", "vni10")
     if integ not in INTEGRATORS:
         raise ConfigError(f"unknown integrator {integ!r}; pick one of {INTEGRATORS}")
-    _check_beta(cfg, integ)  # surface pairing errors before forking workers
+    _beta(cfg, integ)  # surface pairing errors before forking workers
     _nodes_policy(cfg)
     x0 = _initial_state(cfg, sys)
-    if "T" not in cfg:
-        raise ConfigError("a convergence study needs 'T'")
     T = _positive(cfg, "T")
 
     oracle = reference_flow(sys, x0, T)
@@ -365,7 +384,7 @@ def convergence_study(cfg: dict, eps_list: list[float], jobs: int = 1) -> StudyR
 def _try_endpoint(args):
     try:
         return _endpoint_errors(args)
-    except (BlowUpError, NewtonError, SystemError) as exc:
+    except RUNTIME_ERRORS as exc:
         return f"{type(exc).__name__}: {exc}"
 
 
@@ -374,20 +393,25 @@ def cmd_converge(cfg: dict, out_dir: str, eps_list: list[float] | None, jobs: in
         eps_list = cfg.get("eps_list")
     if eps_list is None:
         raise ConfigError("give step sizes via 'eps_list' in the config or --eps-list")
-    eps_list = [float(e) for e in eps_list]
+    if not isinstance(eps_list, list):
+        raise ConfigError("'eps_list' must be a list of step sizes")
+    csv_path = _out_path(cfg, "output", "convergence.csv", out_dir)
+    summary_path = _out_path(cfg, "summary", "study.json", out_dir)
     started = time.perf_counter()
-    study = convergence_study(cfg, eps_list, jobs=jobs)
+    try:
+        study = convergence_study(cfg, eps_list, jobs=jobs)
+    except RUNTIME_ERRORS as exc:
+        print(f"error: the reference oracle failed: {exc}", file=_sys.stderr)
+        return 3
 
-    csv_path = os.path.join(out_dir, cfg.get("output", "convergence.csv"))
-    with open(csv_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["eps", "state_error", "lambda_error"])
-        for row in zip(study.eps, study.state_error, study.lambda_error):
-            writer.writerow([format(val, ".17g") for val in row])
-
-    payload = study.as_dict()
+    write_csv(
+        csv_path,
+        ["eps", "state_error", "lambda_error"],
+        zip(study.eps, study.state_error, study.lambda_error),
+    )
+    payload = asdict(study)
     payload["runtime_seconds"] = time.perf_counter() - started
-    _write_json(os.path.join(out_dir, cfg.get("summary", "study.json")), payload)
+    _write_json(summary_path, payload)
     if not study.eps:
         print("error: every step size failed", file=_sys.stderr)
         return 3
@@ -407,15 +431,18 @@ def cmd_embed(cfg: dict, out_dir: str) -> int:
     except SystemError as exc:
         raise ConfigError(f"cannot split coordinates at q0: {exc}") from None
     scheme = cfg.get("scheme", "vni10")
-    problem = reduced_problem(sys, split, base_step=float(cfg.get("base_step", 2e-3)))
+    problem = reduced_problem(sys, split, base_step=_positive(cfg, "base_step", 2e-3))
     if scheme == "exact":
-        phi = exact_step_map(problem, p=int(cfg.get("p", 1)))
+        phi = exact_step_map(problem, p=_integer(cfg, "p", 1, least=1))
     else:
         try:
             phi = reduced_step_map(sys, split, scheme)
         except SystemError as exc:
             raise ConfigError(str(exc)) from None
     eps = _positive(cfg, "eps")
+    t_frac = _number(cfg, "t_frac", 0.37)
+    order_levels = _integer(cfg, "order_levels", 5, least=2)
+    summary_path = _out_path(cfg, "summary", "embedding.json", out_dir)
 
     pts_cfg = cfg.get("points")
     if not isinstance(pts_cfg, list) or not pts_cfg:
@@ -424,7 +451,7 @@ def cmd_embed(cfg: dict, out_dir: str) -> int:
     for i, entry in enumerate(pts_cfg):
         if not isinstance(entry, dict):
             raise ConfigError(f"points[{i}] must be an object with 'q' and 'v'")
-        x = _initial_state({**entry, "project_initial": cfg.get("project_initial", False)}, sys)
+        x = _initial_state({**entry, "project_initial": _flag(cfg, "project_initial")}, sys)
         try:
             points.append(reduce_state(sys, split, x).concat())
         except SystemError as exc:
@@ -433,20 +460,15 @@ def cmd_embed(cfg: dict, out_dir: str) -> int:
     started = time.perf_counter()
     try:
         report = verify_embedding(
-            problem,
-            phi,
-            eps,
-            np.asarray(points),
-            t_frac=float(cfg.get("t_frac", 0.37)),
-            order_levels=int(cfg.get("order_levels", 5)),
+            problem, phi, eps, np.asarray(points), t_frac=t_frac, order_levels=order_levels
         )
-    except (NewtonError, SystemError, BlowUpError) as exc:
+    except RUNTIME_ERRORS as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return 3
     report["scheme"] = scheme
     report["eps"] = eps
     report["runtime_seconds"] = time.perf_counter() - started
-    _write_json(os.path.join(out_dir, cfg.get("summary", "embedding.json")), report)
+    _write_json(summary_path, report)
     return 0
 
 
@@ -463,9 +485,8 @@ def cmd_interp(cfg: dict, out_dir: str) -> int:
     a = _initial_state(cfg["x0"], sys)
     b = _initial_state(cfg["x1"], sys)
     eps = _positive(cfg, "eps")
-    samples = int(cfg.get("samples", 101))
-    if samples < 2:
-        raise ConfigError("'samples' must be at least 2")
+    samples = _integer(cfg, "samples", 101, least=2)
+    csv_path = _out_path(cfg, "output", "interpolation.csv", out_dir)
     q0 = _vector(cfg, "q0", sys.n) if "q0" in cfg else a.q
     try:
         split = derive_connection(sys, q0=q0)
@@ -473,25 +494,17 @@ def cmd_interp(cfg: dict, out_dir: str) -> int:
     except SystemError as exc:
         raise ConfigError(str(exc)) from None
 
-    csv_path = os.path.join(out_dir, cfg.get("output", "interpolation.csv"))
-    with open(csv_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        header = (
-            ["t"]
-            + [f"q_{i + 1}" for i in range(sys.n)]
-            + [f"v_{i + 1}" for i in range(sys.n)]
-            + [f"residual_{a_ + 1}" for a_ in range(sys.m)]
-        )
-        writer.writerow(header)
-        for t in np.linspace(0.0, eps, samples):
-            x = curve(float(t))
-            res = constraint_residual(sys, x)
-            writer.writerow(
-                [format(float(t), ".17g")]
-                + [format(val, ".17g") for val in x.q]
-                + [format(val, ".17g") for val in x.v]
-                + [format(val, ".17g") for val in res]
-            )
+    header = (
+        ["t"]
+        + [f"q_{i + 1}" for i in range(sys.n)]
+        + [f"v_{i + 1}" for i in range(sys.n)]
+        + [f"residual_{a_ + 1}" for a_ in range(sys.m)]
+    )
+    rows = []
+    for t in np.linspace(0.0, eps, samples):
+        x = curve(float(t))
+        rows.append([float(t), *x.q, *x.v, *constraint_residual(sys, x)])
+    write_csv(csv_path, header, rows)
     return 0
 
 

@@ -6,19 +6,25 @@ residual and energy alongside the states; `flow_field` is the bare-bones
 variant for an arbitrary autonomous field on R^d.  Reference solutions use a
 step short enough that their own error sits far below anything the package
 measures against them.
+
+`Trajectory` is the record of every run, the discrete schemes' included, and
+`write_csv` the one writer of the package's CSV tables.
 """
 from __future__ import annotations
 
+import csv
 import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
+from .exprdiff import EvalError
 from .reduction import _lambda_raw, h_field
 from .system import (
     MechanicalSystem,
     StatePoint,
+    SystemError,
     _state_view,
     constraint_residual,
     energy,
@@ -28,6 +34,7 @@ from .system import (
 __all__ = [
     "BlowUpError",
     "Trajectory",
+    "write_csv",
     "rk4_step",
     "integrate",
     "reference_flow",
@@ -47,16 +54,40 @@ def rk4_step(f: Callable[[np.ndarray], np.ndarray], x: np.ndarray, h: float) -> 
     return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
+def write_csv(path, header: list[str], rows) -> None:
+    """Write an RFC-4180 table: the header, then one line per row of numbers."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(_csv_cells(row) for row in rows)
+
+
+def _csv_cells(row) -> list[str]:
+    """Counts print as integers, reals with the 17 digits that round-trip a double."""
+    return [
+        str(int(val)) if isinstance(val, (int, np.integer)) else format(val, ".17g")
+        for val in row
+    ]
+
+
 @dataclass
 class Trajectory:
-    """Sampled solution: row k holds the state after k steps of size h."""
+    """One run, sampled or discrete: row k holds the state after k steps.
+
+    The reference flow leaves the last three fields None.  A discrete scheme
+    fills `newton_iters` (0 at the initial node) and `deformed_residuals`,
+    mu(q - eps/2 v) v; the two-point scheme also keeps its raw configurations.
+    """
 
     times: np.ndarray
     states: np.ndarray  # (K+1, 2n)
     lambdas: np.ndarray  # (K+1, m)
-    residuals: np.ndarray  # (K+1, m)
+    residuals: np.ndarray  # (K+1, m), mu(q) v or the caller's residual
     energies: np.ndarray  # (K+1,)
     n: int
+    newton_iters: np.ndarray | None = None  # (K+1,)
+    deformed_residuals: np.ndarray | None = None  # (K+1, m)
+    raw_configurations: np.ndarray | None = None  # (K+2, n)
 
     def state(self, k: int) -> StatePoint:
         return StatePoint(self.states[k, : self.n], self.states[k, self.n :])
@@ -64,7 +95,25 @@ class Trajectory:
     def __len__(self) -> int:
         return self.states.shape[0]
 
-    def csv_rows(self):
+    def head(self, k: int) -> Trajectory:
+        """The first k rows (and k + 1 raw configurations), as views."""
+
+        def cut(arr, upto):
+            return None if arr is None else arr[:upto]
+
+        return Trajectory(
+            times=self.times[:k],
+            states=self.states[:k],
+            lambdas=self.lambdas[:k],
+            residuals=self.residuals[:k],
+            energies=self.energies[:k],
+            n=self.n,
+            newton_iters=cut(self.newton_iters, k),
+            deformed_residuals=cut(self.deformed_residuals, k),
+            raw_configurations=cut(self.raw_configurations, k + 1),
+        )
+
+    def _table(self):
         m = self.lambdas.shape[1]
         header = (
             ["t"]
@@ -74,42 +123,36 @@ class Trajectory:
             + [f"residual_{a + 1}" for a in range(m)]
             + ["energy"]
         )
+        columns = [self.times[:, None], self.states, self.lambdas, self.residuals,
+                   self.energies[:, None]]
+        if self.newton_iters is not None:
+            header.append("newton_iters")
+            columns.append(self.newton_iters[:, None])
+        if self.deformed_residuals is not None:
+            header += [f"deformed_residual_{a + 1}" for a in range(m)]
+            columns.append(self.deformed_residuals)
+        # one row at a time, so a long run's table is never held as Python floats
+        rows = ([val for col in columns for val in col[k].tolist()] for k in range(len(self)))
+        return header, rows
+
+    def csv_rows(self):
+        header, rows = self._table()
         yield header
-        for k in range(len(self)):
-            row = [
-                self.times[k],
-                *self.states[k],
-                *self.lambdas[k],
-                *self.residuals[k],
-                self.energies[k],
-            ]
-            yield [format(val, ".17g") for val in row]
+        for row in rows:
+            yield _csv_cells(row)
 
     def to_csv(self, path) -> None:
-        import csv
-
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerows(self.csv_rows())
+        write_csv(path, *self._table())
 
 
 class BlowUpError(RuntimeError):
-    """Solution norm passed the blow-up threshold; carries the partial run."""
+    """Solution norm passed the blow-up threshold.
 
-    def __init__(self, message: str, partial: Trajectory):
-        super().__init__(message)
-        self.partial = partial
+    Like every failure of a run, `integrate` gives it the rows recorded
+    before the failed step as `partial`.
+    """
 
-
-def _truncate(traj: Trajectory, upto: int) -> Trajectory:
-    return Trajectory(
-        times=traj.times[:upto],
-        states=traj.states[:upto],
-        lambdas=traj.lambdas[:upto],
-        residuals=traj.residuals[:upto],
-        energies=traj.energies[:upto],
-        n=traj.n,
-    )
+    partial: Trajectory | None = None
 
 
 def integrate(
@@ -145,6 +188,7 @@ def integrate(
     lambdas = np.empty((K + 1, sys.m))
     residuals = np.empty((K + 1, sys.m))
     energies = np.empty(K + 1)
+    traj = Trajectory(times, states, lambdas, residuals, energies, n)
 
     def record(k, t, x: StatePoint):
         times[k] = t
@@ -155,22 +199,22 @@ def integrate(
 
     f_concat = lambda arr: field(_state_view(arr[:n], arr[n:]))
     x = x0
-    record(0, 0.0, x)
-    for k in range(1, K + 1):
-        nxt = rk4_step(f_concat, x.concat(), h)
-        if not np.all(np.isfinite(nxt)) or np.linalg.norm(nxt) > BLOWUP_NORM:
-            raise BlowUpError(
-                f"solution blew up at t = {k * h:.6g}",
-                _truncate(
-                    Trajectory(times, states, lambdas, residuals, energies, n), k
-                ),
-            )
-        q, v = nxt[:n], nxt[n:]
-        if project_each_step:
-            v = project_velocity(sys, q, v)
-        x = StatePoint(q, v)
-        record(k, k * h, x)
-    return Trajectory(times, states, lambdas, residuals, energies, n)
+    k = 0
+    try:
+        record(0, 0.0, x)
+        for k in range(1, K + 1):
+            nxt = rk4_step(f_concat, x.concat(), h)
+            if not np.all(np.isfinite(nxt)) or np.linalg.norm(nxt) > BLOWUP_NORM:
+                raise BlowUpError(f"solution blew up at t = {k * h:.6g}")
+            q, v = nxt[:n], nxt[n:]
+            if project_each_step:
+                v = project_velocity(sys, q, v)
+            x = StatePoint(q, v)
+            record(k, k * h, x)
+    except (BlowUpError, EvalError, SystemError) as exc:
+        exc.partial = traj.head(k)  # the rows recorded before the failed one
+        raise
+    return traj
 
 
 def reference_flow(
@@ -202,5 +246,5 @@ def flow_field(
     for _ in range(K):
         z = rk4_step(f, z, h)
         if not np.all(np.isfinite(z)) or np.linalg.norm(z) > BLOWUP_NORM:
-            raise BlowUpError("flow blew up", None)
+            raise BlowUpError("flow blew up")
     return z

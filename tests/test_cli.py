@@ -3,6 +3,8 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
 from nonholo.cli import ConfigError, build_parser, convergence_study, main
 
 PARTICLE_SIM = {
@@ -101,6 +103,45 @@ def test_simulate_blow_up_keeps_partial_csv(tmp_path, capsys):
     assert len(lines) > 10  # ran for a while before diverging
 
 
+QUARTIC = {  # x'' = 4 x^3 from x = 1 blows up in finite time
+    "system": {"names": ["x"], "M": [[1.0]], "V": "-(x^4)", "mu": []},
+    "eps": 0.01,
+    "T": 10.0,
+    "q": [1.0],
+    "v": [0.0],
+}
+
+
+@pytest.mark.parametrize(
+    "cfg, header",
+    [
+        (dict(QUARTIC, integrator="reference"), "t,q_1,v_1,energy"),
+        (dict(QUARTIC, integrator="vni10"), "t,q_1,v_1,energy,newton_iters"),
+        (dict(QUARTIC, integrator="vni20"), "t,q_1,v_1,energy,newton_iters"),
+        (dict(QUARTIC, integrator="original_node"), "t,q_1,v_1,energy,newton_iters"),
+        (dict(QUARTIC, integrator="dla", beta=0.5), "t,q_1,v_1,energy,newton_iters"),
+        # x'' = -1/x runs into x = 0, where log(x) is undefined
+        (dict(QUARTIC, system={"names": ["x"], "M": [[1.0]], "V": "log(x)", "mu": []},
+              integrator="reference", v=[-1.0], T=5.0), "t,q_1,v_1,energy"),
+    ],
+    ids=["reference", "vni10", "vni20", "original_node", "dla", "log_domain"],
+)
+def test_runtime_failure_writes_partial_csv(tmp_path, capsys, cfg, header):
+    code, out = run(tmp_path, "simulate", cfg)
+    assert code == 3
+    assert capsys.readouterr().err.startswith("error:")
+    lines = (out / "trajectory.csv").read_text().splitlines()
+    assert lines[0] == header
+    assert len(lines) > 2
+
+
+def test_converge_failed_oracle_exits_3(tmp_path, capsys):
+    cfg = dict(QUARTIC, integrator="vni10", eps_list=[0.02, 0.01, 0.005, 0.0025])
+    code, _ = run(tmp_path, "converge", cfg)
+    assert code == 3
+    assert "oracle" in capsys.readouterr().err
+
+
 def test_simulate_config_errors(tmp_path, capsys):
     bad = [
         dict(PARTICLE_SIM, integrator="euler"),
@@ -119,6 +160,18 @@ def test_simulate_config_errors(tmp_path, capsys):
         dict(PARTICLE_SIM, deformation={"g": ["v_x*v_y"], "delta": 0.05}),
         dict(PARTICLE_SIM, system={"names": ["x"], "M": [[1.0]], "V": "x +", "mu": []}),
         dict(PARTICLE_SIM, system={"builtin": "nonholonomic_particle", "n": 2}),
+        dict(PARTICLE_SIM, integrator="dla", beta=True),
+        dict(PARTICLE_SIM, integrator="dla", beta="half"),
+        dict(PARTICLE_SIM, integrator="dla", beta=2),
+        dict(
+            PARTICLE_SIM,
+            integrator="reference",
+            deformation={"g": ["v_x*v_y"], "delta": "x"},
+            v=[1.0, 1.0, 0.95],
+        ),
+        dict(PARTICLE_SIM, project_initial="no"),
+        dict(PARTICLE_SIM, integrator="reference", project_each_step="no"),
+        dict(PARTICLE_SIM, output=5),
     ]
     for i, cfg in enumerate(bad):
         code, _ = run(tmp_path, "simulate", cfg, subdir=f"bad{i}")
@@ -256,6 +309,44 @@ def test_convergence_study_api_validates(tmp_path):
         pass
     else:
         raise AssertionError("missing T should be rejected")
+
+
+EMBED = {
+    "system": "nonholonomic_particle",
+    "scheme": "vni10",
+    "eps": 0.1,
+    "base_step": 0.01,
+    "q0": [0.0, 1.0, 0.0],
+    "points": [{"q": [0.0, 1.0, 0.0], "v": [1.0, 1.0, 1.0]}],
+    "order_levels": 3,
+}
+INTERP = {
+    "system": "nonholonomic_particle",
+    "eps": 0.1,
+    "x0": {"q": [0.0, 1.0, 0.0], "v": [1.0, 1.0, 1.0]},
+    "x1": {"q": [0.1, 1.1, 0.1], "v": [1.0, 1.0, 1.1]},
+}
+
+
+@pytest.mark.parametrize(
+    "command, cfg",
+    [
+        ("embed", dict(EMBED, base_step=-1)),
+        ("embed", dict(EMBED, base_step="x")),
+        ("embed", dict(EMBED, t_frac="x")),
+        ("embed", dict(EMBED, order_levels="x")),
+        ("embed", dict(EMBED, order_levels=0)),
+        ("embed", dict(EMBED, scheme="exact", p="x")),
+        ("embed", dict(EMBED, scheme="exact", p=0)),
+        ("interp", dict(INTERP, samples="x")),
+        ("converge", dict(CONVERGE, eps_list=[0.02, "x", 0.005, 0.0025])),
+        ("converge", dict(CONVERGE, eps_list=[0.02, 0.01, 0.005, True])),
+    ],
+)
+def test_other_command_config_errors(tmp_path, capsys, command, cfg):
+    code, _ = run(tmp_path, command, cfg)
+    assert code == 2, f"config should be rejected: {cfg}"
+    assert capsys.readouterr().err.startswith("config error:")
 
 
 def test_embed_report(tmp_path):

@@ -1,0 +1,174 @@
+"""Fingerprint the command line's output on a fixed set of configs.
+
+    python3 tools/csv_gate.py [CHECKOUT]
+
+Runs ``python -m nonholo.cli`` from ``CHECKOUT/src`` (default: the checkout
+holding this script) on every config below, one fresh process each, and
+prints one line per config with its exit code and one line per output file
+with its sha256.  JSON files are hashed without ``runtime_seconds``, the
+only field that changes between identical runs.  Two checkouts give the
+same CSVs when the two printouts are equal::
+
+    git worktree add ../parent HEAD~1
+    python3 tools/csv_gate.py ../parent > parent.txt
+    python3 tools/csv_gate.py > change.txt
+    diff parent.txt change.txt
+
+The set: the particle, the rolling disk with a potential started on D, and
+the same disk started off D with ``project_initial``, each run by every
+integrator (``dla`` with beta in {0, 0.3, 0.5, 1} on both node policies)
+at eps = 0.01, plus ``vni20``, ``original_node`` and ``dla`` at eps = 0.1;
+one run each of ``converge``, ``interp`` and ``embed``; then runs that fail
+at runtime and configs that misuse a key.
+"""
+from __future__ import annotations
+
+import hashlib
+import json
+import math
+import os
+import subprocess
+import sys
+import tempfile
+
+PARTICLE = {"system": "nonholonomic_particle", "q": [0.0, 1.0, 0.0], "v": [1.0, 1.0, 1.0]}
+
+DISK_SYSTEM = {
+    "names": ["x", "y", "th", "ph"],
+    "M": [[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0], [0.0, 0.0, 0.25, 0.0], [0.0, 0.0, 0.0, 0.5]],
+    "V": "(x^2+y^2)/2 + 0.1*(1-cos(th))",
+    "mu": [["1", "0", "0", "-0.5*cos(th)"], ["0", "1", "0", "-0.5*sin(th)"]],
+}
+_TH, _W_TH, _W_PH = 0.3, 0.4, 1.2
+DISK_ON_D = {
+    "system": DISK_SYSTEM,
+    "q": [1.0, 0.0, _TH, 0.0],
+    "v": [0.5 * math.cos(_TH) * _W_PH, 0.5 * math.sin(_TH) * _W_PH, _W_TH, _W_PH],
+}
+DISK_OFF_D = {**DISK_ON_D, "v": [0.7, -0.2, _W_TH, _W_PH], "project_initial": True}
+
+# x'' = 4 x^3 from x = 1 blows up in finite time.
+QUARTIC = {
+    "system": {"names": ["x"], "M": [[1.0]], "V": "-(x^4)", "mu": []},
+    "q": [1.0], "v": [0.0], "eps": 0.01, "T": 10.0,
+}
+# x'' = -1/x from x = 1, v = -1 reaches x = 0, where log(x) is undefined.
+LOG_WELL = {
+    "system": {"names": ["x"], "M": [[1.0]], "V": "log(x)", "mu": []},
+    "integrator": "reference", "q": [1.0], "v": [-1.0], "eps": 0.01, "T": 5.0,
+}
+SIM = {**PARTICLE, "integrator": "vni10", "eps": 0.01, "N": 20}
+DLA = {**SIM, "integrator": "dla", "beta": 0.5}
+EMBED = {
+    "system": "nonholonomic_particle", "scheme": "vni10", "eps": 0.1, "base_step": 0.01,
+    "q0": [0.0, 1.0, 0.0], "points": [{"q": [0.0, 1.0, 0.0], "v": [1.0, 1.0, 1.0]}],
+    "order_levels": 3,
+}
+INTERP = {
+    "system": "nonholonomic_particle", "eps": 0.1,
+    "x0": {"q": [0.0, 1.0, 0.0], "v": [1.0, 1.0, 1.0]},
+    "x1": {"q": [0.1, 1.1, 0.1], "v": [1.0, 1.0, 1.1]},
+}
+CONVERGE = {**PARTICLE, "integrator": "vni10", "T": 0.25, "eps_list": [0.02, 0.01, 0.005, 0.0025]}
+
+
+def _runs(start: dict) -> list[tuple[str, dict]]:
+    """The integrators of the fixed set, from one start."""
+    on_deformed = {"project_initial": True}  # original_node keeps the deformed set
+    runs = [
+        (name, {**start, "integrator": name, "eps": 0.01, "N": 200})
+        for name in ("reference", "vni10", "vni20")
+    ]
+    runs.append(("original_node", {**start, **on_deformed, "integrator": "original_node",
+                                   "eps": 0.01, "N": 200}))
+    for beta in (0.0, 0.3, 0.5, 1.0):
+        for nodes in ("redefined", "original"):
+            runs.append((f"dla_b{beta}_{nodes}", {**start, "integrator": "dla", "beta": beta,
+                                                  "nodes": nodes, "eps": 0.01, "N": 200}))
+    runs.append(("vni20_eps0.1", {**start, "integrator": "vni20", "eps": 0.1, "N": 50}))
+    runs.append(("original_node_eps0.1", {**start, **on_deformed, "integrator": "original_node",
+                                          "eps": 0.1, "N": 50}))
+    runs.append(("dla_eps0.1", {**start, "integrator": "dla", "beta": 0.5, "eps": 0.1, "N": 50}))
+    return runs
+
+
+def configs() -> list[tuple[str, str, dict]]:
+    """(name, command, config) of every run, in the order they are printed."""
+    out = []
+    for system, start in (("particle", PARTICLE), ("disk", DISK_ON_D), ("disk_off_d", DISK_OFF_D)):
+        out += [(f"{system}/{name}", "simulate", cfg) for name, cfg in _runs(start)]
+    out += [("other/converge", "converge", CONVERGE), ("other/interp", "interp", INTERP),
+            ("other/embed", "embed", EMBED)]
+
+    quartic = [("reference", {}), ("vni10", {}), ("vni20", {}), ("original_node", {}),
+               ("dla", {"beta": 0.5})]
+    out += [(f"fail/quartic_{name}", "simulate", {**QUARTIC, "integrator": name, **extra})
+            for name, extra in quartic]
+    out.append(("fail/log_well_reference", "simulate", LOG_WELL))
+    out.append(("fail/quartic_converge", "converge",
+                {**QUARTIC, "integrator": "vni10", "eps_list": [0.02, 0.01, 0.005, 0.0025]}))
+
+    misuse = [
+        ("simulate", "beta_true", {**DLA, "beta": True}),
+        ("simulate", "beta_string", {**DLA, "beta": "half"}),
+        ("simulate", "beta_2", {**DLA, "beta": 2}),
+        ("simulate", "delta_string", {**SIM, "integrator": "reference",
+                                      "deformation": {"g": ["v_x*v_y"], "delta": "x"}}),
+        ("simulate", "project_initial_string", {**SIM, "project_initial": "no"}),
+        ("simulate", "project_each_step_string", {**SIM, "integrator": "reference",
+                                                  "project_each_step": "no"}),
+        ("simulate", "output_number", {**SIM, "output": 5}),
+        ("embed", "base_step_negative", {**EMBED, "base_step": -1}),
+        ("embed", "t_frac_string", {**EMBED, "t_frac": "x"}),
+        ("embed", "p_string", {**EMBED, "scheme": "exact", "p": "x"}),
+        ("embed", "base_step_string", {**EMBED, "base_step": "x"}),
+        ("embed", "order_levels_string", {**EMBED, "order_levels": "x"}),
+        ("embed", "order_levels_0", {**EMBED, "order_levels": 0}),
+        ("embed", "p_0", {**EMBED, "scheme": "exact", "p": 0}),
+        ("interp", "samples_string", {**INTERP, "samples": "x"}),
+        ("converge", "eps_list_string", {**CONVERGE, "eps_list": [0.02, "x", 0.005, 0.0025]}),
+        ("converge", "eps_list_true", {**CONVERGE, "eps_list": [0.02, 0.01, 0.005, True]}),
+    ]
+    out += [(f"misuse/{command}_{name}", command, cfg) for command, name, cfg in misuse]
+    return out
+
+
+def digest(path: str) -> str:
+    if path.endswith(".json"):
+        with open(path) as fh:
+            payload = json.load(fh)
+        payload.pop("runtime_seconds", None)
+        data = json.dumps(payload, sort_keys=True).encode()
+    else:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    return hashlib.sha256(data).hexdigest()
+
+
+def main(argv: list[str]) -> int:
+    checkout = argv[1] if len(argv) > 1 else os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    src = os.path.join(os.path.abspath(checkout), "src")
+    if not os.path.isdir(os.path.join(src, "nonholo")):
+        print(f"no src/nonholo under {checkout}", file=sys.stderr)
+        return 2
+    env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1",
+           "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+    with tempfile.TemporaryDirectory() as work:
+        for i, (name, command, cfg) in enumerate(configs()):
+            cfg_path = os.path.join(work, f"{i}.json")
+            out_dir = os.path.join(work, str(i))
+            with open(cfg_path, "w") as fh:
+                json.dump(cfg, fh)
+            proc = subprocess.run(
+                [sys.executable, "-m", "nonholo.cli", command, "--config", cfg_path, "--out", out_dir],
+                env=env, cwd=work, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+            )
+            print(f"{name} exit {proc.returncode}")
+            if os.path.isdir(out_dir):
+                for fname in sorted(os.listdir(out_dir)):
+                    print(f"{name}/{fname} {digest(os.path.join(out_dir, fname))}")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main(sys.argv))
