@@ -19,7 +19,8 @@ The `nonholo` console script drives batch runs from JSON configs.
 """
 from __future__ import annotations
 
-from . import cli, discrete, embed, exprdiff, flow, reduction, system
+# `cli` is left to load on demand, so `python -m nonholo.cli` imports it only once.
+from . import discrete, embed, exprdiff, flow, reduction, system
 from .discrete import run_integrator
 from .embed import reduced_problem, reduced_step_map, verify_embedding
 from .flow import reference_flow
@@ -28,7 +29,6 @@ from .system import MechanicalSystem, StatePoint, derive_connection
 __version__ = "0.1.0"
 
 __all__ = [
-    "cli",
     "discrete",
     "embed",
     "exprdiff",

@@ -15,6 +15,7 @@ byte-identical CSVs, and timing lives only in the JSON summaries.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys as _sys
@@ -40,14 +41,7 @@ from .embed import (
     verify_embedding,
 )
 from .flow import BlowUpError, integrate, reference_flow, write_csv
-from .reduction import (
-    DeformedConstraint,
-    deformed_field,
-    deformed_lambda,
-    deformed_residual,
-    lambda_continuous,
-    reduce_state,
-)
+from .reduction import DeformedConstraint, deformed_residual, lambda_continuous, reduce_state
 from .system import (
     BUILTIN_FIELDS,
     MechanicalSystem,
@@ -121,23 +115,32 @@ def build_system(desc) -> MechanicalSystem:
 
 
 def _vector(cfg: dict, key: str, n: int) -> np.ndarray:
-    if key not in cfg:
+    raw = cfg.get(key)
+    if raw is None:
         raise ConfigError(f"config is missing {key!r}")
-    arr = np.asarray(cfg[key], dtype=float)
-    if arr.shape != (n,):
-        raise ConfigError(f"{key!r} must have {n} components, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ConfigError(f"{key!r} contains non-finite values")
-    return arr
+    if not isinstance(raw, list) or len(raw) != n:
+        raise ConfigError(f"{key!r} must be a list of {n} numbers, got {raw!r}")
+    return np.array([_as_number(entry, f"{key}[{i}]") for i, entry in enumerate(raw)])
 
 
-def _initial_state(cfg: dict, sys: MechanicalSystem, residual=None) -> StatePoint:
+@contextlib.contextmanager
+def _at_start():
+    """A system that cannot be evaluated or repaired at the initial state is a config error."""
+    try:
+        yield
+    except (SystemError, NewtonError, exprdiff.EvalError) as exc:
+        raise ConfigError(f"initial state: {exc}") from None
+
+
+def _initial_state(cfg: dict, sys: MechanicalSystem, deformation=None) -> StatePoint:
+    """(q, v) from the config, admissible for D or for the deformation's set if one is given."""
     q = _vector(cfg, "q", sys.n)
     v = _vector(cfg, "v", sys.n)
     x = StatePoint(q, v)
-    if _flag(cfg, "project_initial"):
-        return StatePoint(q, project_velocity(sys, q, v))
-    res = (residual or constraint_residual)(sys, x)
+    with _at_start():
+        if _flag(cfg, "project_initial"):
+            return StatePoint(q, project_velocity(sys, q, v))
+        res = deformed_residual(sys, deformation, x) if deformation else constraint_residual(sys, x)
     if sys.m and np.max(np.abs(res)) > ADMISSIBLE_TOL:
         raise ConfigError(
             "initial velocity is not admissible "
@@ -146,18 +149,23 @@ def _initial_state(cfg: dict, sys: MechanicalSystem, residual=None) -> StatePoin
     return x
 
 
+def _as_number(raw, what: str) -> float:
+    """raw as a finite float; JSON booleans are not numbers here."""
+    try:
+        value = float(raw)
+    except (TypeError, ValueError, OverflowError):
+        value = np.nan
+    if isinstance(raw, bool) or not np.isfinite(value):
+        raise ConfigError(f"{what} must be a finite number, got {raw!r}")
+    return value
+
+
 def _number(cfg: dict, key: str, default: float | None = None) -> float:
-    """cfg[key] (or the default) as a finite float; JSON booleans are not numbers here."""
+    """cfg[key] (or the default) as a finite float."""
     raw = cfg.get(key, default)
     if raw is None:
         raise ConfigError(f"config is missing {key!r}")
-    try:
-        value = float(raw)
-    except (TypeError, ValueError):
-        value = np.nan
-    if isinstance(raw, bool) or not np.isfinite(value):
-        raise ConfigError(f"{key} must be a finite number, got {raw!r}")
-    return value
+    return _as_number(raw, key)
 
 
 def _positive(cfg: dict, key: str, default: float | None = None) -> float:
@@ -188,8 +196,10 @@ def _flag(cfg: dict, key: str) -> bool:
 
 
 def _out_path(cfg: dict, key: str, default: str, out_dir: str) -> str:
+    """A plain file name inside the output directory."""
     name = cfg.get(key, default)
-    if not isinstance(name, str) or not name:
+    plain = isinstance(name, str) and name == os.path.basename(name) and "\0" not in name
+    if not plain or name in ("", ".", ".."):
         raise ConfigError(f"{key} must be a file name, got {name!r}")
     return os.path.join(out_dir, name)
 
@@ -199,10 +209,10 @@ def _steps_and_eps(cfg: dict) -> tuple[float, int]:
     has_n, has_t = "N" in cfg, "T" in cfg
     if has_n == has_t:
         raise ConfigError("give exactly one of 'N' (step count) or 'T' (end time)")
-    if has_n:
-        N = _integer(cfg, "N")
-    else:
-        N = max(1, round(_positive(cfg, "T") / eps))
+    steps = _integer(cfg, "N") if has_n else _positive(cfg, "T") / eps
+    N = steps if has_n or not np.isfinite(steps) else max(1, round(steps))
+    if not np.isfinite(eps * N):
+        raise ConfigError(f"the end time eps * N = {eps!r} * {N!r} overflows")
     return eps, N
 
 
@@ -232,14 +242,16 @@ def _deformation(cfg: dict, sys: MechanicalSystem) -> DeformedConstraint | None:
     if not isinstance(desc, dict) or set(desc) - {"g", "delta"}:
         raise ConfigError("'deformation' must be an object with keys 'g' and 'delta'")
     g = desc.get("g")
-    if not isinstance(g, list) or len(g) != sys.m:
-        raise ConfigError(f"deformation.g must list {sys.m} expressions")
+    if not isinstance(g, list) or len(g) != sys.m or not all(isinstance(e, str) for e in g):
+        raise ConfigError(f"deformation.g must list {sys.m} expression strings, got {g!r}")
     try:
-        return DeformedConstraint(
-            g=[exprdiff.parse(text) for text in g], delta=_number(desc, "delta", 0.0)
-        )
+        exprs = [exprdiff.parse(text) for text in g]
     except exprdiff.ExprSyntaxError as exc:
         raise ConfigError(f"bad deformation expression: {exc}") from None
+    extra = set().union(*map(exprdiff.free_variables, exprs)) - {*sys.names, *sys.vnames}
+    if extra:
+        raise ConfigError(f"unknown variables in deformation.g: {sorted(extra)}")
+    return DeformedConstraint(g=exprs, delta=_number(desc, "delta", 0.0))
 
 
 # --- simulate -------------------------------------------------------------------
@@ -257,24 +269,18 @@ def cmd_simulate(cfg: dict, out_dir: str) -> int:
     dc = _deformation(cfg, sys)
     if dc is not None and integ != "reference":
         raise ConfigError("deformed constraints only apply to the reference integrator")
-    x0 = _initial_state(
-        cfg, sys, residual=(lambda s, x: deformed_residual(s, dc, x)) if dc else None
-    )
+    x0 = _initial_state(cfg, sys, dc)
     if integ == "original_node" and _flag(cfg, "project_initial"):
         # this scheme preserves the deformed set, so repair onto that instead
-        x0 = StatePoint(x0.q, deformed_admissible_velocity(sys, x0.q, x0.v, eps))
+        with _at_start():
+            x0 = StatePoint(x0.q, deformed_admissible_velocity(sys, x0.q, x0.v, eps))
 
     csv_path = _out_path(cfg, "output", "trajectory.csv", out_dir)
     summary_path = _out_path(cfg, "summary", "summary.json", out_dir)
     started = time.perf_counter()
     try:
         if integ == "reference":
-            kwargs = {"project_each_step": project_each_step}
-            if dc is not None:
-                kwargs["field"] = lambda x: deformed_field(sys, dc, x)
-                kwargs["lambda_fn"] = lambda s, x: deformed_lambda(s, dc, x)
-                kwargs["residual_fn"] = lambda s, x: deformed_residual(s, dc, x)
-            traj = integrate(sys, x0, eps * N, eps, **kwargs)
+            traj = integrate(sys, x0, eps * N, eps, dc, project_each_step)
         else:
             traj = run_integrator(sys, integ, x0, eps, N, beta=beta, policy=policy)
     except RUNTIME_ERRORS as exc:
@@ -452,10 +458,8 @@ def cmd_embed(cfg: dict, out_dir: str) -> int:
         if not isinstance(entry, dict):
             raise ConfigError(f"points[{i}] must be an object with 'q' and 'v'")
         x = _initial_state({**entry, "project_initial": _flag(cfg, "project_initial")}, sys)
-        try:
-            points.append(reduce_state(sys, split, x).concat())
-        except SystemError as exc:
-            raise ConfigError(f"points[{i}]: {exc}") from None
+        # _initial_state holds x to a tighter residual than reduce_state's check
+        points.append(reduce_state(sys, split, x))
 
     started = time.perf_counter()
     try:

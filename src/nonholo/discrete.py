@@ -71,20 +71,23 @@ class NewtonError(RuntimeError):
 
 
 def newton_solve(
-    residual: Callable[[np.ndarray], np.ndarray],
-    jacobian: Callable[[np.ndarray], np.ndarray],
+    linearize: Callable[[np.ndarray], tuple[np.ndarray, Callable[[], np.ndarray]]],
     u0: np.ndarray,
     tol: float = NEWTON_TOL,
     max_iter: int = 30,
 ) -> tuple[np.ndarray, int]:
-    """Plain Newton iteration with an exact Jacobian; returns (root, iterations)."""
+    """Plain Newton iteration with an exact Jacobian; returns (root, iterations).
+
+    linearize(u) returns the residual at u and a thunk for the Jacobian there,
+    so the two share what they evaluate at the iterate.
+    """
     u = np.asarray(u0, dtype=float).copy()
     for it in range(max_iter):
-        r = residual(u)
+        r, jacobian = linearize(u)
         if np.max(np.abs(r)) <= tol:
             return u, it
         try:
-            du = np.linalg.solve(jacobian(u), -r)
+            du = np.linalg.solve(jacobian(), -r)
         except np.linalg.LinAlgError:
             raise NewtonError("singular Jacobian in step equations") from None
         u = u + du
@@ -213,23 +216,23 @@ def _implicit_step(
     """
     n = sys.n
 
-    def residual(z):
+    def linearize(z):
         u, lam = z[:n], z[n:]
         q = q_base + c * eps * u
+        mu = sys.mu_at(q)
         r1 = sys.M @ (u - v0) + eps * (w * sys.grad_v_at(q) + fixed_force)
         r1 = r1 - eps * (mu_react.T @ lam)
-        return np.concatenate([r1, sys.mu_at(q) @ u])
 
-    def jacobian(z):
-        u = z[:n]
-        q = q_base + c * eps * u
-        J = np.zeros((n + sys.m, n + sys.m))
-        J[:n, :n] = sys.M + eps * eps * c * w * sys.hess_v_at(q)
-        J[:n, n:] = -eps * mu_react.T
-        J[n:, :n] = sys.mu_at(q) + c * eps * np.einsum("aij,i->aj", sys.mu_jac_at(q), u)
-        return J
+        def jacobian():
+            J = np.zeros((n + sys.m, n + sys.m))
+            J[:n, :n] = sys.M + eps * eps * c * w * sys.hess_v_at(q)
+            J[:n, n:] = -eps * mu_react.T
+            J[n:, :n] = mu + c * eps * np.einsum("aij,i->aj", sys.mu_jac_at(q), u)
+            return J
 
-    z, iters = newton_solve(residual, jacobian, np.concatenate([v0, np.zeros(sys.m)]))
+        return np.concatenate([r1, mu @ u]), jacobian
+
+    z, iters = newton_solve(linearize, np.concatenate([v0, np.zeros(sys.m)]))
     return z[:n], z[n:], iters
 
 
@@ -284,22 +287,19 @@ def deformed_admissible_velocity(
     v = np.asarray(v, dtype=float)
     lift = sys.M_inv @ sys.mu_at(q).T  # (n, m)
 
-    def w_of(c):
-        return v + lift @ c
-
-    def residual(c):
-        w = w_of(c)
-        return sys.mu_at(q - 0.5 * eps * w) @ w
-
-    def jacobian(c):
-        w = w_of(c)
+    def linearize(c):
+        w = v + lift @ c
         q_back = q - 0.5 * eps * w
-        dmu = sys.mu_jac_at(q_back)
-        term = -0.5 * eps * np.einsum("aij,jb,i->ab", dmu, lift, w)
-        return term + sys.mu_at(q_back) @ lift
+        mu = sys.mu_at(q_back)
 
-    c, _ = newton_solve(residual, jacobian, np.zeros(sys.m))
-    return w_of(c)
+        def jacobian():
+            dmu = sys.mu_jac_at(q_back)
+            return -0.5 * eps * np.einsum("aij,jb,i->ab", dmu, lift, w) + mu @ lift
+
+        return mu @ w, jacobian
+
+    c, _ = newton_solve(linearize, np.zeros(sys.m))
+    return v + lift @ c
 
 
 def dla_step(

@@ -29,7 +29,7 @@ import numpy as np
 
 from .discrete import NewtonError, original_node_step, vni10_step, vni20_step
 from .flow import flow_field
-from .reduction import ReducedState, psi_embed, reduce_state, reduced_field
+from .reduction import psi_embed, reduce_state, reduced_field
 from .system import ConnectionSplit, MechanicalSystem, SystemError
 
 __all__ = [
@@ -93,15 +93,13 @@ def interpolate_in_D(
     the accuracy of the lift itself.  The cutoff's flat ends make the curve
     bitwise constant near t = 0 and t = eps.
     """
-    xi0 = reduce_state(sys, split, x0).concat()
-    xi1 = reduce_state(sys, split, x1).concat()
-    n = sys.n
+    xi0 = reduce_state(sys, split, x0)
+    xi1 = reduce_state(sys, split, x1)
 
     def c(t: float):
         w0 = chi0(t / eps)
         w1 = chi1(t / eps)
-        blend = w0 * xi0 + w1 * xi1
-        return psi_embed(sys, split, ReducedState(blend[:n], blend[n:]))
+        return psi_embed(sys, split, w0 * xi0 + w1 * xi1)
 
     return c
 
@@ -137,15 +135,14 @@ def reduced_problem(
     sys: MechanicalSystem, split: ConnectionSplit, base_step: float = 2e-3
 ) -> EmbeddingProblem:
     """The reduced constrained dynamics as an embedding problem on R^{2n-m}."""
-    n = sys.n
 
     def field(xi: np.ndarray) -> np.ndarray:
-        return reduced_field(sys, split, ReducedState(xi[:n], xi[n:]))
+        return reduced_field(sys, split, xi)
 
     def flow(t: float, y: np.ndarray) -> np.ndarray:
         return flow_field(field, y, t, base_step)
 
-    return EmbeddingProblem(dim=2 * n - sys.m, field=field, flow=flow)
+    return EmbeddingProblem(dim=2 * sys.n - sys.m, field=field, flow=flow)
 
 
 _NODE_STEPS = {"vni10": (vni10_step, 1), "vni20": (vni20_step, 2), "original_node": (original_node_step, 1)}
@@ -156,12 +153,10 @@ def reduced_step_map(sys: MechanicalSystem, split: ConnectionSplit, scheme: str)
     if scheme not in _NODE_STEPS:
         raise SystemError(f"no node scheme named {scheme!r}; pick from {sorted(_NODE_STEPS)}")
     step_fn, p = _NODE_STEPS[scheme]
-    n = sys.n
 
     def fn(eps: float, xi: np.ndarray) -> np.ndarray:
-        x = psi_embed(sys, split, ReducedState(xi[:n], xi[n:]))
-        out = step_fn(sys, x, eps)
-        return reduce_state(sys, split, out.state, check=False).concat()
+        out = step_fn(sys, psi_embed(sys, split, xi), eps)
+        return reduce_state(sys, split, out.state, check=False)
 
     return OneStepMap(fn, p)
 

@@ -20,7 +20,8 @@ from typing import Callable
 import numpy as np
 
 from .exprdiff import EvalError
-from .reduction import _lambda_raw, h_field
+from .reduction import DeformedConstraint, _lambda_raw, h_field
+from .reduction import deformed_field, deformed_lambda, deformed_residual
 from .system import (
     MechanicalSystem,
     StatePoint,
@@ -82,7 +83,7 @@ class Trajectory:
     times: np.ndarray
     states: np.ndarray  # (K+1, 2n)
     lambdas: np.ndarray  # (K+1, m)
-    residuals: np.ndarray  # (K+1, m), mu(q) v or the caller's residual
+    residuals: np.ndarray  # (K+1, m), mu(q) v, or the deformed residual of a deformed run
     energies: np.ndarray  # (K+1,)
     n: int
     newton_iters: np.ndarray | None = None  # (K+1,)
@@ -160,24 +161,22 @@ def integrate(
     x0: StatePoint,
     T: float,
     eps_ref: float,
-    field: Callable[[StatePoint], np.ndarray] | None = None,
+    deformation: DeformedConstraint | None = None,
     project_each_step: bool = False,
-    lambda_fn: Callable[[MechanicalSystem, StatePoint], np.ndarray] | None = None,
-    residual_fn: Callable[[MechanicalSystem, StatePoint], np.ndarray] | None = None,
 ) -> Trajectory:
     """March the constrained dynamics from x0 to time T with RK4 steps ~eps_ref.
 
     The step count is K = max(1, round(T / eps_ref)) so the requested final
-    time is hit exactly.  `field`, `lambda_fn` and `residual_fn` default to
-    the plain constrained dynamics and can be swapped for the perturbed or
-    deformed variants; they all receive `StatePoint`s.
+    time is hit exactly.  With a `deformation`, the field, the recorded
+    multiplier and the recorded residual are all those of the deformed
+    constraint set mu(q) v + delta g(q, v) = 0.
     """
-    if field is None:
-        field = lambda x: h_field(sys, x)
-    if lambda_fn is None:
-        lambda_fn = _lambda_raw
-    if residual_fn is None:
-        residual_fn = constraint_residual
+    if deformation is None:
+        field, lambda_at, residual_at = h_field, _lambda_raw, constraint_residual
+    else:
+        field = lambda s, x: deformed_field(s, deformation, x)
+        lambda_at = lambda s, x: deformed_lambda(s, deformation, x)
+        residual_at = lambda s, x: deformed_residual(s, deformation, x)
 
     K = max(1, abs(round(T / eps_ref))) if T else 0
     h = T / K if K else 0.0
@@ -193,11 +192,11 @@ def integrate(
     def record(k, t, x: StatePoint):
         times[k] = t
         states[k] = x.concat()
-        lambdas[k] = lambda_fn(sys, x)
-        residuals[k] = residual_fn(sys, x)
+        lambdas[k] = lambda_at(sys, x)
+        residuals[k] = residual_at(sys, x)
         energies[k] = energy(sys, x)
 
-    f_concat = lambda arr: field(_state_view(arr[:n], arr[n:]))
+    f_concat = lambda arr: field(sys, _state_view(arr[:n], arr[n:]))
     x = x0
     k = 0
     try:
@@ -217,17 +216,12 @@ def integrate(
     return traj
 
 
-def reference_flow(
-    sys: MechanicalSystem,
-    x0: StatePoint,
-    t: float,
-    field: Callable[[StatePoint], np.ndarray] | None = None,
-) -> StatePoint:
+def reference_flow(sys: MechanicalSystem, x0: StatePoint, t: float) -> StatePoint:
     """Endpoint of the flow after time t (either sign), at reference accuracy."""
     if t == 0.0:
         return x0
     K = max(1, math.ceil(abs(t) / REFERENCE_STEP))
-    traj = integrate(sys, x0, t, t / K, field=field)
+    traj = integrate(sys, x0, t, t / K)
     return traj.state(len(traj) - 1)
 
 

@@ -6,12 +6,15 @@ The constrained dynamics on D is the ODE
 
 with the multiplier chosen so that d/dt [mu(q) v] = 0.  Splitting the
 coordinates with a `ConnectionSplit` eliminates the fiber velocities and
-yields an unconstrained ODE in (q, v_base); `psi_embed` and
-`psi_pseudo_inverse` convert between the two pictures.
+yields an unconstrained ODE in the flat reduced coordinates
+xi = (q, v_base); `psi_embed` and `psi_pseudo_inverse` convert between the
+two pictures.
 
 Two modified versions of the field live here as well: an order-eps^p
 perturbation restored to tangency by adjusting the multiplier, and the
 dynamics of a genuinely deformed constraint mu(q) v + delta g(q, v) = 0.
+All three eliminate the multiplier with the one solve `_solve_field` and
+differ only in the constraint gradients, velocity and force they give it.
 """
 from __future__ import annotations
 
@@ -37,7 +40,6 @@ from .system import (
 __all__ = [
     "lambda_continuous",
     "h_field",
-    "ReducedState",
     "psi_embed",
     "grad_psi",
     "psi_pseudo_inverse",
@@ -57,35 +59,44 @@ __all__ = [
 ON_D_TOL = 1e-9
 
 
-def _constraint_gradients(sys: MechanicalSystem, x: StatePoint) -> tuple[np.ndarray, np.ndarray]:
-    """(d phi/dq, d phi/dv) for phi(q, v) = mu(q) v, shapes (m, n) each."""
-    mu = sys.mu_at(x.q)
-    dmu = sys.mu_jac_at(x.q)
-    grad_q = np.einsum("i,aij->aj", x.v, dmu)
-    return grad_q, mu
+def _plain_inputs(sys: MechanicalSystem, x: StatePoint):
+    """`_solve_field`'s (q, rows, grad_q, qdot, f_v) for phi = mu(q) v at x, f_v = -M^-1 grad V."""
+    return x.q, sys.mu_at(x.q), x.v @ sys.mu_jac_at(x.q), x.v, -(sys.M_inv @ sys.grad_v_at(x.q))
 
 
-def _lambda_pieces(sys: MechanicalSystem, x: StatePoint):
-    """(lambda, mu(q), M^-1 grad V(q)), with the unchecked hot-path Gram solve."""
-    mu = sys.mu_at(x.q)
-    minv_grad = sys.M_inv @ sys.grad_v_at(x.q)
-    grad_q = x.v @ sys.mu_jac_at(x.q)
-    lam = -_gram_solve(sys, mu, grad_q @ x.v - mu @ minv_grad, x.q)
-    return lam, mu, minv_grad
+def _solve_field(sys: MechanicalSystem, q, rows, grad_q, qdot, f_v, checked: bool = False):
+    """The one multiplier solve: returns the field (qdot, f_v + M^-1 rows' lambda) and lambda.
+
+    lambda solves (rows M^-1 rows') lambda = -(grad_q . qdot + rows . f_v), the
+    condition d/dt phi = 0 for a constraint phi with d phi/dq = grad_q and
+    d phi/dv = rows.  The plain field takes the unchecked hot-path Gram solve;
+    `checked` takes the Cholesky- and condition-checked inverse instead.
+    """
+    rhs = grad_q @ qdot + rows @ f_v
+    if checked:
+        lam = -(_checked_gram(sys, rows, q).inv @ rhs)
+    else:
+        lam = -_gram_solve(sys, rows, rhs, q)
+    return np.concatenate([qdot, f_v + sys.M_inv @ (rows.T @ lam)]), lam
 
 
 def _lambda_raw(sys: MechanicalSystem, x: StatePoint) -> np.ndarray:
     if sys.m == 0:
         return np.zeros(0)
-    return _lambda_pieces(sys, x)[0]
+    return _solve_field(sys, *_plain_inputs(sys, x))[1]
+
+
+def _require_on_d(sys: MechanicalSystem, x: StatePoint) -> None:
+    if sys.m:
+        res = float(np.max(np.abs(constraint_residual(sys, x))))
+        if res > ON_D_TOL:
+            raise SystemError(f"state is off D (residual {res:.6g})")
 
 
 def lambda_continuous(sys: MechanicalSystem, x: StatePoint, check: bool = True) -> np.ndarray:
     """Reaction multipliers at x, which must lie on D unless check=False."""
-    if check and sys.m:
-        res = constraint_residual(sys, x)
-        if np.max(np.abs(res)) > ON_D_TOL:
-            raise SystemError(f"state violates the constraints (residual {np.max(np.abs(res)):.6g})")
+    if check:
+        _require_on_d(sys, x)
     return _lambda_raw(sys, x)
 
 
@@ -93,56 +104,35 @@ def h_field(sys: MechanicalSystem, x: StatePoint) -> np.ndarray:
     """The constrained field (v, -M^-1 grad V + lambda_a M^-1 mu^a), concatenated."""
     if sys.m == 0:
         return np.concatenate([x.v, -(sys.M_inv @ sys.grad_v_at(x.q))])
-    lam, mu, minv_grad = _lambda_pieces(sys, x)
-    return np.concatenate([x.v, -minv_grad + sys.M_inv @ (mu.T @ lam)])
+    return _solve_field(sys, *_plain_inputs(sys, x))[0]
 
 
-@dataclass(frozen=True)
-class ReducedState:
-    """Coordinates (q, v_base) of a point of D under a connection split."""
-
-    q: np.ndarray
-    v_base: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "q", np.asarray(self.q, dtype=float))
-        object.__setattr__(self, "v_base", np.asarray(self.v_base, dtype=float))
-
-    def concat(self) -> np.ndarray:
-        return np.concatenate([self.q, self.v_base])
-
-    @staticmethod
-    def from_concat(arr: np.ndarray, n: int) -> "ReducedState":
-        arr = np.asarray(arr, dtype=float)
-        return ReducedState(arr[:n], arr[n:])
-
-
-def psi_embed(sys: MechanicalSystem, split: ConnectionSplit, red: ReducedState) -> StatePoint:
-    """Lift (q, v_base) to the unique point of D above it: v_fiber = -A(q) v_base."""
+def psi_embed(sys: MechanicalSystem, split: ConnectionSplit, xi) -> StatePoint:
+    """Lift xi = (q, v_base) to the unique point of D above it: v_fiber = -A(q) v_base."""
+    q, v_base = xi[: sys.n], xi[sys.n :]
     v = np.zeros(sys.n)
-    v[list(split.base)] = red.v_base
+    v[list(split.base)] = v_base
     if sys.m:
-        v_f = -split.a_at(sys, red.q) @ red.v_base
-        v[list(split.fiber)] = v_f
-    return StatePoint(red.q, v)
+        v[list(split.fiber)] = -split.a_at(sys, q) @ v_base
+    return StatePoint(q, v)
 
 
-def grad_psi(sys: MechanicalSystem, split: ConnectionSplit, red: ReducedState) -> np.ndarray:
+def grad_psi(sys: MechanicalSystem, split: ConnectionSplit, xi) -> np.ndarray:
     """Jacobian of the lift, shape (2n, n + (n - m)).
 
     Row blocks are (q, v); column blocks are (q, v_base).  The only
     non-trivial block is d v_fiber = -(dA/dq . v_base) dq - A dv_base.
     """
     n, m = sys.n, sys.m
-    k = n - m
-    out = np.zeros((2 * n, n + k))
+    q, v_base = xi[:n], xi[n:]
+    out = np.zeros((2 * n, 2 * n - m))
     out[:n, :n] = np.eye(n)
     for r, idx in enumerate(split.base):
         out[n + idx, n + r] = 1.0
     if m:
-        A = split.a_at(sys, red.q)
-        dA = split.a_jac_at(sys, red.q)
-        dvf_dq = -np.einsum("aij,i->aj", dA, red.v_base)
+        A = split.a_at(sys, q)
+        dA = split.a_jac_at(sys, q)
+        dvf_dq = -np.einsum("aij,i->aj", dA, v_base)
         for r, idx in enumerate(split.fiber):
             out[n + idx, :n] = dvf_dq[r]
             out[n + idx, n:] = -A[r]
@@ -161,20 +151,16 @@ def psi_pseudo_inverse(sys: MechanicalSystem, split: ConnectionSplit) -> np.ndar
 
 def reduce_state(
     sys: MechanicalSystem, split: ConnectionSplit, x: StatePoint, check: bool = True
-) -> ReducedState:
-    """Project a point of D to its (q, v_base) coordinates."""
-    if check and sys.m:
-        res = constraint_residual(sys, x)
-        if np.max(np.abs(res)) > ON_D_TOL:
-            raise SystemError(f"state off D cannot be reduced (residual {np.max(np.abs(res)):.6g})")
-    return ReducedState(x.q, x.v[list(split.base)])
+) -> np.ndarray:
+    """Project a point of D to its reduced coordinates xi = (q, v_base)."""
+    if check:
+        _require_on_d(sys, x)
+    return np.concatenate([x.q, x.v[list(split.base)]])
 
 
-def reduced_field(sys: MechanicalSystem, split: ConnectionSplit, red: ReducedState) -> np.ndarray:
-    """The unconstrained ODE in (q, v_base): select rows of h along the lift."""
-    x = psi_embed(sys, split, red)
-    hx = h_field(sys, x)
-    return psi_pseudo_inverse(sys, split) @ hx
+def reduced_field(sys: MechanicalSystem, split: ConnectionSplit, xi) -> np.ndarray:
+    """The unconstrained ODE in xi = (q, v_base): select rows of h along the lift."""
+    return psi_pseudo_inverse(sys, split) @ h_field(sys, psi_embed(sys, split, xi))
 
 
 @dataclass(frozen=True)
@@ -197,30 +183,25 @@ def _ghat_parts(sys: MechanicalSystem, pert: PerturbationInput, x: StatePoint):
     return g[: sys.n], g[sys.n :]
 
 
-def perturbed_lambda(
-    sys: MechanicalSystem, pert: PerturbationInput, x: StatePoint
-) -> np.ndarray:
-    """Multiplier keeping h + eps^p ghat tangent to D."""
-    lam = _lambda_raw(sys, x)
-    if sys.m == 0 or pert.eps == 0.0:
-        return lam
+def _perturbed(sys: MechanicalSystem, pert: PerturbationInput, x: StatePoint):
+    scale = pert.eps**pert.p
     g_q, g_v = _ghat_parts(sys, pert, x)
-    grad_q, mu = _constraint_gradients(sys, x)
-    cm = c_matrix(sys, x.q)
-    return lam - pert.eps**pert.p * (cm.inv @ (grad_q @ g_q + mu @ g_v))
+    q, mu, grad_q, v, f_v = _plain_inputs(sys, x)
+    return _solve_field(sys, q, mu, grad_q, v + scale * g_q, f_v + scale * g_v, checked=True)
+
+
+def perturbed_lambda(sys: MechanicalSystem, pert: PerturbationInput, x: StatePoint) -> np.ndarray:
+    """Multiplier keeping h + eps^p ghat tangent to D."""
+    if sys.m == 0 or pert.eps == 0.0:
+        return _lambda_raw(sys, x)
+    return _perturbed(sys, pert, x)[1]
 
 
 def perturbed_field(sys: MechanicalSystem, pert: PerturbationInput, x: StatePoint) -> np.ndarray:
     """h + eps^p ghat with the multiplier re-solved so D stays invariant."""
     if pert.eps == 0.0:
         return h_field(sys, x)
-    scale = pert.eps**pert.p
-    g_q, g_v = _ghat_parts(sys, pert, x)
-    lam = perturbed_lambda(sys, pert, x)
-    acc = -sys.M_inv @ sys.grad_v_at(x.q) + scale * g_v
-    if sys.m:
-        acc = acc + sys.M_inv @ (sys.mu_at(x.q).T @ lam)
-    return np.concatenate([x.v + scale * g_q, acc])
+    return _perturbed(sys, pert, x)[0]
 
 
 def perturbed_field_diagnostic(
@@ -269,13 +250,9 @@ class DeformedConstraint:
         return np.array([exprdiff.gradient(e, sys.vnames, ctx) for e in self.g])
 
 
-def _deformed_mu(sys: MechanicalSystem, dc: DeformedConstraint, x: StatePoint) -> np.ndarray:
-    return sys.mu_at(x.q) + dc.delta * dc.g_grad_v(sys, x)
-
-
 def deformed_c_matrix(sys: MechanicalSystem, dc: DeformedConstraint, x: StatePoint) -> CMatrix:
     """Gram matrix of the deformed one-forms mu + delta dg/dv."""
-    return _checked_gram(sys, _deformed_mu(sys, dc, x), x.q)
+    return _checked_gram(sys, sys.mu_at(x.q) + dc.delta * dc.g_grad_v(sys, x), x.q)
 
 
 def deformed_residual(sys: MechanicalSystem, dc: DeformedConstraint, x: StatePoint) -> np.ndarray:
@@ -286,27 +263,27 @@ def deformed_residual(sys: MechanicalSystem, dc: DeformedConstraint, x: StatePoi
     return res
 
 
+def _deformed(sys: MechanicalSystem, dc: DeformedConstraint, x: StatePoint):
+    q, mu, grad_q, v, f_v = _plain_inputs(sys, x)
+    rows = mu + dc.delta * dc.g_grad_v(sys, x)
+    grad_q = grad_q + dc.delta * dc.g_grad_q(sys, x)
+    return _solve_field(sys, q, rows, grad_q, v, f_v, checked=True)
+
+
 def deformed_lambda(sys: MechanicalSystem, dc: DeformedConstraint, x: StatePoint) -> np.ndarray:
     """Multiplier of the deformed dynamics (reaction along the deformed one-forms)."""
     if sys.m == 0:
         return np.zeros(0)
-    f_v = -sys.M_inv @ sys.grad_v_at(x.q)
-    grad_q, _ = _constraint_gradients(sys, x)
-    mu_d = _deformed_mu(sys, dc, x)
-    grad_q_d = grad_q + dc.delta * dc.g_grad_q(sys, x)
-    cm = deformed_c_matrix(sys, dc, x)
-    return -cm.inv @ (grad_q_d @ x.v + mu_d @ f_v)
+    return _deformed(sys, dc, x)[1]
 
 
 def deformed_field(sys: MechanicalSystem, dc: DeformedConstraint, x: StatePoint) -> np.ndarray:
     """Dynamics making the deformed residual a first integral.
 
-    With delta = 0 this reproduces the constrained field bit for bit: the
-    multiplier solve and the reaction term collapse to the undeformed ones.
+    With delta = 0 this is the constrained field up to rounding, not bit for
+    bit: the multiplier goes through the checked Gram inverse where `h_field`
+    uses the unchecked solve.  Acceptance criterion 9 bounds the gap at 1e-13.
     """
     if sys.m == 0:
         return h_field(sys, x)
-    f_v = -sys.M_inv @ sys.grad_v_at(x.q)
-    mu_d = _deformed_mu(sys, dc, x)
-    lam = deformed_lambda(sys, dc, x)
-    return np.concatenate([x.v, f_v + sys.M_inv @ (mu_d.T @ lam)])
+    return _deformed(sys, dc, x)[0]

@@ -73,7 +73,11 @@ def _state_view(q: np.ndarray, v: np.ndarray) -> StatePoint:
 
 
 def _as_expr(obj) -> Expression:
-    return exprdiff.parse(obj) if isinstance(obj, str) else obj
+    if isinstance(obj, str):
+        return exprdiff.parse(obj)
+    if not isinstance(obj, Expression):
+        raise SystemError(f"expected an expression string, got {obj!r}")
+    return obj
 
 
 class MechanicalSystem:
@@ -262,9 +266,6 @@ class ConnectionSplit:
         if set(self.base) & set(self.fiber):
             raise SystemError("base and fiber indices overlap")
 
-    def b_at(self, sys: MechanicalSystem, q: np.ndarray) -> np.ndarray:
-        return sys.mu_at(q)[:, list(self.fiber)]
-
     def a_at(self, sys: MechanicalSystem, q: np.ndarray) -> np.ndarray:
         """A(q) = B(q)^-1 mu[:, base], shape (m, n-m)."""
         mu = sys.mu_at(q)
@@ -295,9 +296,6 @@ class ConnectionSplit:
         for k, idx in enumerate(self.fiber):
             out[k, idx] = 1.0
         return out
-
-    def b_condition(self, sys: MechanicalSystem, q: np.ndarray) -> float:
-        return float(np.linalg.cond(self.b_at(sys, q)))
 
 
 def derive_connection(sys: MechanicalSystem, fiber_indices=None, q0=None) -> ConnectionSplit:

@@ -25,7 +25,6 @@ from nonholo.embed import (
 from nonholo.flow import integrate
 from nonholo.reduction import (
     DeformedConstraint,
-    ReducedState,
     deformed_field,
     deformed_residual,
     h_field,
@@ -48,7 +47,7 @@ def random_on_d_states(sys, split, count, seed):
     rng = np.random.default_rng(seed)
     out = []
     for _ in range(count):
-        xi = ReducedState(rng.normal(size=sys.n), rng.normal(size=sys.n - sys.m))
+        xi = np.concatenate([rng.normal(size=sys.n), rng.normal(size=sys.n - sys.m)])
         out.append(psi_embed(sys, split, xi))
     return out
 
@@ -206,12 +205,11 @@ def test_criterion_7_embedding(particle):
                 psi_embed(
                     particle,
                     split,
-                    ReducedState(
-                        rng.normal(scale=0.5, size=3) + [0.0, 1.0, 0.0],
-                        rng.normal(size=2),
+                    np.concatenate(
+                        [rng.normal(scale=0.5, size=3) + [0.0, 1.0, 0.0], rng.normal(size=2)]
                     ),
                 ),
-            ).concat()
+            )
             for _ in range(20)
         ]
     )
@@ -269,14 +267,7 @@ def test_criterion_8_two_point_equivalences(particle, particle_x0):
 def test_criterion_9_deformed_constraints(particle, particle_x0):
     dc = DeformedConstraint(g=[exprdiff.parse("v_x * v_y")], delta=0.05)
     x0 = StatePoint([0.0, 1.0, 0.0], [1.0, 1.0, 0.95])  # mu v + delta g = 0 here
-    traj = integrate(
-        particle,
-        x0,
-        1.0,
-        5e-4,
-        field=lambda x: deformed_field(particle, dc, x),
-        residual_fn=lambda s, x: deformed_residual(s, dc, x),
-    )
+    traj = integrate(particle, x0, 1.0, 5e-4, deformation=dc)
     drift = float(np.max(np.abs(traj.residuals - traj.residuals[0])))
 
     dc0 = DeformedConstraint(g=[exprdiff.parse("v_x * v_y")], delta=0.0)

@@ -2,10 +2,17 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from nonholo.cli import ConfigError, build_parser, convergence_study, main
+import nonholo
+from nonholo.cli import INTEGRATORS, ConfigError, build_parser, convergence_study, main
 
 PARTICLE_SIM = {
     "system": "nonholonomic_particle",
@@ -142,6 +149,11 @@ def test_converge_failed_oracle_exits_3(tmp_path, capsys):
     assert "oracle" in capsys.readouterr().err
 
 
+# log(x) in mu cannot be evaluated at this start
+LOG_MU = {"names": ["x", "y"], "M": [[1.0, 0.0], [0.0, 1.0]], "V": "0", "mu": [["log(x)", "1"]]}
+LOG_MU_START = {"q": [-1.0, 0.0], "v": [0.0, 0.0]}
+
+
 def test_simulate_config_errors(tmp_path, capsys):
     bad = [
         dict(PARTICLE_SIM, integrator="euler"),
@@ -172,6 +184,32 @@ def test_simulate_config_errors(tmp_path, capsys):
         dict(PARTICLE_SIM, project_initial="no"),
         dict(PARTICLE_SIM, integrator="reference", project_each_step="no"),
         dict(PARTICLE_SIM, output=5),
+        dict(PARTICLE_SIM, system=LOG_MU, **LOG_MU_START),
+        dict(  # mu loses rank where project_initial has to project
+            PARTICLE_SIM,
+            system={"names": ["x", "y"], "M": [[1.0, 0.0], [0.0, 1.0]], "V": "0", "mu": [["x", "0"]]},
+            q=[0.0, 0.0],
+            v=[1.0, 1.0],
+            project_initial=True,
+        ),
+        dict(PARTICLE_SIM, q="abc"),
+        dict(PARTICLE_SIM, q=[0.0, "x", 0.0]),
+        dict(
+            PARTICLE_SIM,
+            integrator="reference",
+            deformation={"g": [5], "delta": 0.05},
+            v=[1.0, 1.0, 0.95],
+        ),
+        dict(  # q is not a name of the particle
+            PARTICLE_SIM,
+            integrator="reference",
+            deformation={"g": ["v_x*q"], "delta": 0.05},
+            v=[1.0, 1.0, 0.95],
+        ),
+        dict(QUARTIC, integrator="reference", system={**QUARTIC["system"], "V": 5}),
+        dict(PARTICLE_SIM, integrator="reference", eps=1e308, N=2),  # eps * N overflows
+        dict(PARTICLE_SIM, output="."),
+        dict(PARTICLE_SIM, output="sub/run.csv"),
     ]
     for i, cfg in enumerate(bad):
         code, _ = run(tmp_path, "simulate", cfg, subdir=f"bad{i}")
@@ -341,6 +379,9 @@ INTERP = {
         ("interp", dict(INTERP, samples="x")),
         ("converge", dict(CONVERGE, eps_list=[0.02, "x", 0.005, 0.0025])),
         ("converge", dict(CONVERGE, eps_list=[0.02, 0.01, 0.005, True])),
+        ("interp", dict(INTERP, system=LOG_MU, x0=LOG_MU_START,
+                        x1={"q": [1.0, 0.0], "v": [0.0, 0.0]})),
+        ("converge", dict(CONVERGE, system=LOG_MU, **LOG_MU_START)),
     ],
 )
 def test_other_command_config_errors(tmp_path, capsys, command, cfg):
@@ -407,3 +448,95 @@ def test_jobs_default_comes_from_environment(monkeypatch):
     monkeypatch.setenv("NONHOLO_JOBS", "not-a-number")
     args = build_parser().parse_args(["converge", "--config", "x.json"])
     assert args.jobs == 1
+
+
+def test_module_entry_point_prints_no_warning(tmp_path):
+    cfg = write_config(tmp_path, dict(PARTICLE_SIM, N=2))
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(nonholo.__file__))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "nonholo.cli", "simulate", "--config", cfg, "--out", str(tmp_path)],
+        env=env, capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "Warning" not in proc.stderr, proc.stderr
+
+
+# --- fuzzed configs ----------------------------------------------------------------
+
+_scalars = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 3), st.floats(), st.text(max_size=4)
+)
+_junk = st.one_of(_scalars, st.lists(_scalars, max_size=3))
+_floats = st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=4)
+
+# Runs that start valid, with at most N = 3 steps; the fuzz then breaks a few keys.
+_BASES = [
+    dict(PARTICLE_SIM, integrator=integ, N=3, **extra)
+    for integ, extra in (
+        ("reference", {}),
+        ("reference", {"project_each_step": True}),
+        ("reference", {"deformation": {"g": ["v_x*v_y"], "delta": 0.05}, "v": [1.0, 1.0, 0.95]}),
+        ("vni10", {}),
+        ("vni20", {}),
+        ("original_node", {"project_initial": True}),
+        ("dla", {"beta": 0.5}),
+        ("dla", {"beta": 0.0, "nodes": "original"}),
+    )
+] + [dict(QUARTIC, integrator=integ, T=0.03) for integ in ("reference", "vni20")]
+
+# Each key's replacements: plausible values of the wrong size, range or kind, and junk.
+_MUTATIONS = {
+    "system": st.sampled_from([
+        "nonholonomic_particle", "rolling_disk", QUARTIC["system"], LOG_MU,
+        {"builtin": "nonholonomic_particle", "V": "log(x)"},
+        {"names": ["x"], "M": [[1.0]], "V": 5, "mu": []},
+        {"names": ["x", "y"], "M": [[1.0, 0.0], [0.0, 1.0]], "V": "0", "mu": [["x", "0"]]},
+    ]),
+    "integrator": st.sampled_from(INTEGRATORS),
+    "beta": st.floats(-0.5, 1.5),
+    "nodes": st.sampled_from(["redefined", "original"]),
+    "eps": st.one_of(st.floats(1e-3, 2.0), st.just(1e308)),
+    "N": st.integers(0, 3),
+    "q": _floats,
+    "v": _floats,
+    "project_initial": st.booleans(),
+    "project_each_step": st.booleans(),
+    "deformation": st.fixed_dictionaries(
+        {"g": st.sampled_from([["v_x*v_y"], ["log(v_x)"], ["x"], []]), "delta": st.floats(-1.0, 1.0)}
+    ),
+    "output": st.sampled_from(["run.csv", "", ".", "sub/run.csv", "a\0b"]),
+    "summary": st.sampled_from(["run.json", "", "..", "sub/run.json"]),
+}
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+@st.composite
+def _simulate_configs(draw):
+    cfg = dict(draw(st.sampled_from(_BASES)))
+    for key in draw(st.lists(st.sampled_from(sorted(_MUTATIONS)), max_size=3, unique=True)):
+        how = draw(st.sampled_from(["drop", "plausible", "junk"]))
+        if how == "drop":
+            cfg.pop(key, None)
+        else:
+            cfg[key] = draw(_MUTATIONS[key] if how == "plausible" else _junk)
+    if _is_number(cfg.get("N")) and cfg["N"] > 3:
+        cfg["N"] = 3
+    if "T" in cfg or draw(st.booleans()):
+        # a T of at most three steps, in place of N
+        cfg.pop("N", None)
+        eps = cfg.get("eps")
+        cfg["T"] = eps * draw(st.floats(0.0, 3.4)) if _is_number(eps) else draw(_junk)
+    return cfg
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_simulate_configs())
+def test_fuzzed_simulate_config_exits_0_2_or_3(cfg):
+    with tempfile.TemporaryDirectory() as work:
+        path = os.path.join(work, "run.json")
+        with open(path, "w") as fh:
+            json.dump(cfg, fh)
+        assert main(["simulate", "--config", path, "--out", os.path.join(work, "out")]) in (0, 2, 3)

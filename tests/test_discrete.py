@@ -158,9 +158,29 @@ def test_regularity_guard_fires_when_constraint_degenerates():
 
 def test_newton_solver_failures():
     with pytest.raises(NewtonError):
-        newton_solve(lambda u: np.array([1.0]), lambda u: np.eye(1), np.zeros(1), max_iter=5)
+        newton_solve(lambda u: (np.array([1.0]), lambda: np.eye(1)), np.zeros(1), max_iter=5)
     with pytest.raises(NewtonError):
-        newton_solve(lambda u: u**2 + 1.0, lambda u: np.zeros((1, 1)), np.zeros(1))
+        newton_solve(lambda u: (u**2 + 1.0, lambda: np.zeros((1, 1))), np.zeros(1))
+
+
+def test_newton_step_evaluates_mu_once_per_iterate():
+    # the residual and the Jacobian at one Newton iterate share one mu(q)
+    sys = MechanicalSystem(
+        names=["x", "y", "th", "ph"],
+        M=np.diag([1.0, 1.0, 0.25, 0.5]),
+        V="(x^2+y^2)/2 + 0.1*(1-cos(th))",
+        mu=[["1", "0", "0", "-0.5*cos(th)"], ["0", "1", "0", "-0.5*sin(th)"]],
+    )
+    th, w_th, w_ph = 0.7, 0.3, 1.1
+    v0 = [0.5 * np.cos(th) * w_ph, 0.5 * np.sin(th) * w_ph, w_th, w_ph]
+    x0 = StatePoint([1.0, 0.0, th, 0.0], v0)
+    calls = []
+    mu_at = sys.mu_at
+    sys.mu_at = lambda q: calls.append(q) or mu_at(q)
+    out = vni20_step(sys, x0, 0.01)
+    assert out.iters >= 1
+    # the reaction row at q_half, then one per iterate: each iteration's and the final one
+    assert len(calls) == 1 + out.iters + 1
 
 
 # --- invariants over many steps -----------------------------------------------

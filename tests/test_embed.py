@@ -19,7 +19,7 @@ from nonholo.embed import (
     reduced_step_map,
     verify_embedding,
 )
-from nonholo.reduction import ReducedState, psi_embed
+from nonholo.reduction import psi_embed
 from nonholo.system import SystemError, derive_connection, nonholonomic_particle
 
 # --- the cutoff ---------------------------------------------------------------
@@ -62,8 +62,8 @@ def test_interpolation_endpoints_bitwise_and_residual_small():
     eps = 0.1
     rng = np.random.default_rng(17)
     for _ in range(20):
-        x0 = psi_embed(sys, split, ReducedState(rng.normal(size=3), rng.normal(size=2)))
-        x1 = psi_embed(sys, split, ReducedState(rng.normal(size=3), rng.normal(size=2)))
+        x0 = psi_embed(sys, split, rng.normal(size=5))
+        x1 = psi_embed(sys, split, rng.normal(size=5))
         c = interpolate_in_D(sys, split, x0, x1, eps)
         a, b = c(0.0), c(eps)
         assert np.array_equal(a.q, x0.q) and np.array_equal(a.v, x0.v)
@@ -76,8 +76,8 @@ def test_interpolation_endpoints_bitwise_and_residual_small():
 def test_interpolation_is_flat_near_the_ends():
     sys = nonholonomic_particle()
     split = derive_connection(sys, q0=np.array([0.0, 1.0, 0.0]))
-    x0 = psi_embed(sys, split, ReducedState([0.0, 1.0, 0.0], [1.0, 1.0]))
-    x1 = psi_embed(sys, split, ReducedState([0.5, 1.5, 0.5], [0.5, -1.0]))
+    x0 = psi_embed(sys, split, np.array([0.0, 1.0, 0.0, 1.0, 1.0]))
+    x1 = psi_embed(sys, split, np.array([0.5, 1.5, 0.5, 0.5, -1.0]))
     eps = 0.2
     c = interpolate_in_D(sys, split, x0, x1, eps)
     early = c(0.01 * eps)
@@ -91,7 +91,7 @@ def test_interpolation_rejects_off_d_input():
     split = derive_connection(sys, q0=np.array([0.0, 1.0, 0.0]))
     from nonholo.system import StatePoint
 
-    good = psi_embed(sys, split, ReducedState([0.0, 1.0, 0.0], [1.0, 1.0]))
+    good = psi_embed(sys, split, np.array([0.0, 1.0, 0.0, 1.0, 1.0]))
     bad = StatePoint([0.0, 1.0, 0.0], [1.0, 0.0, 0.0])
     with pytest.raises(SystemError):
         interpolate_in_D(sys, split, good, bad, 0.1)
@@ -215,8 +215,8 @@ def test_reduced_problem_field_matches_reduction():
     problem = reduced_problem(sys, split)
     from nonholo.reduction import reduced_field
 
-    xi = ReducedState([0.0, 1.0, 0.0], [1.0, 1.0])
-    assert np.array_equal(problem.field(xi.concat()), reduced_field(sys, split, xi))
+    xi = np.array([0.0, 1.0, 0.0, 1.0, 1.0])
+    assert np.array_equal(problem.field(xi), reduced_field(sys, split, xi))
     assert problem.dim == 5
 
 

@@ -94,11 +94,10 @@ def test_zero_time_integration():
 
 
 def test_blow_up_carries_partial_trajectory():
-    sys = MechanicalSystem(["x"], np.eye(1), "0", [])
-    # q' = v with v' = v^3 blows up in finite time from v0 = 2
-    field = lambda x: np.array([x.v[0], x.v[0] ** 3])
+    # x'' = 4 x^3 from x = 1 blows up in finite time
+    sys = MechanicalSystem(["x"], np.eye(1), "-(x^4)", [])
     with pytest.raises(BlowUpError) as ei:
-        integrate(sys, StatePoint([0.0], [2.0]), 1.0, 1e-3, field=field)
+        integrate(sys, StatePoint([1.0], [0.0]), 10.0, 1e-2)
     partial = ei.value.partial
     assert partial is not None and len(partial) >= 1
     assert np.all(np.isfinite(partial.states))

@@ -18,8 +18,9 @@ The set: the particle, the rolling disk with a potential started on D, and
 the same disk started off D with ``project_initial``, each run by every
 integrator (``dla`` with beta in {0, 0.3, 0.5, 1} on both node policies)
 at eps = 0.01, plus ``vni20``, ``original_node`` and ``dla`` at eps = 0.1;
+the reference flow on a deformed constraint set and with ``project_each_step``;
 one run each of ``converge``, ``interp`` and ``embed``; then runs that fail
-at runtime and configs that misuse a key.
+at runtime and configs that misuse a key or start outside the system's domain.
 """
 from __future__ import annotations
 
@@ -70,6 +71,12 @@ INTERP = {
     "x1": {"q": [0.1, 1.1, 0.1], "v": [1.0, 1.0, 1.1]},
 }
 CONVERGE = {**PARTICLE, "integrator": "vni10", "T": 0.25, "eps_list": [0.02, 0.01, 0.005, 0.0025]}
+# mu v + delta v_x v_y = 0 holds at this start
+DEFORMED = {**PARTICLE, "integrator": "reference", "v": [1.0, 1.0, 0.95], "eps": 0.01, "N": 200,
+            "deformation": {"g": ["v_x*v_y"], "delta": 0.05}}
+# log(x) in mu is undefined at the start q = (-1, 0)
+LOG_MU = {"names": ["x", "y"], "M": [[1.0, 0.0], [0.0, 1.0]], "V": "0", "mu": [["log(x)", "1"]]}
+LOG_MU_START = {"q": [-1.0, 0.0], "v": [0.0, 0.0]}
 
 
 def _runs(start: dict) -> list[tuple[str, dict]]:
@@ -98,7 +105,10 @@ def configs() -> list[tuple[str, str, dict]]:
     for system, start in (("particle", PARTICLE), ("disk", DISK_ON_D), ("disk_off_d", DISK_OFF_D)):
         out += [(f"{system}/{name}", "simulate", cfg) for name, cfg in _runs(start)]
     out += [("other/converge", "converge", CONVERGE), ("other/interp", "interp", INTERP),
-            ("other/embed", "embed", EMBED)]
+            ("other/embed", "embed", EMBED), ("other/deformed_reference", "simulate", DEFORMED)]
+    out += [(f"other/{system}_project_each_step", "simulate",
+             {**start, "integrator": "reference", "project_each_step": True, "eps": 0.01, "N": 200})
+            for system, start in (("particle", PARTICLE), ("disk_off_d", DISK_OFF_D))]
 
     quartic = [("reference", {}), ("vni10", {}), ("vni20", {}), ("original_node", {}),
                ("dla", {"beta": 0.5})]
@@ -128,6 +138,23 @@ def configs() -> list[tuple[str, str, dict]]:
         ("interp", "samples_string", {**INTERP, "samples": "x"}),
         ("converge", "eps_list_string", {**CONVERGE, "eps_list": [0.02, "x", 0.005, 0.0025]}),
         ("converge", "eps_list_true", {**CONVERGE, "eps_list": [0.02, 0.01, 0.005, True]}),
+        ("simulate", "start_outside_mu_domain", {**SIM, "system": LOG_MU, **LOG_MU_START}),
+        ("interp", "start_outside_mu_domain", {**INTERP, "system": LOG_MU, "x0": LOG_MU_START,
+                                               "x1": {"q": [1.0, 0.0], "v": [0.0, 0.0]}}),
+        ("converge", "start_outside_mu_domain", {**CONVERGE, "system": LOG_MU, **LOG_MU_START}),
+        ("simulate", "project_initial_rank_loss", {
+            **SIM, "system": {"names": ["x", "y"], "M": [[1.0, 0.0], [0.0, 1.0]], "V": "0",
+                              "mu": [["x", "0"]]},
+            "q": [0.0, 0.0], "v": [1.0, 1.0], "project_initial": True}),
+        ("simulate", "q_string", {**SIM, "q": "abc"}),
+        ("simulate", "q_entry_string", {**SIM, "q": [0.0, "x", 0.0]}),
+        ("simulate", "g_entry_number", {**DEFORMED, "deformation": {"g": [5], "delta": 0.05}}),
+        ("simulate", "g_unknown_name", {**DEFORMED,
+                                        "deformation": {"g": ["v_x*q"], "delta": 0.05}}),
+        ("simulate", "v_not_an_expression", {**QUARTIC, "integrator": "reference",
+                                             "system": {**QUARTIC["system"], "V": 5}}),
+        ("simulate", "end_time_overflow", {**SIM, "integrator": "reference", "eps": 1e308, "N": 2}),
+        ("simulate", "output_dot", {**SIM, "output": "."}),
     ]
     out += [(f"misuse/{command}_{name}", command, cfg) for command, name, cfg in misuse]
     return out
