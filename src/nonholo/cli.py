@@ -40,7 +40,7 @@ from .embed import (
     reduced_step_map,
     verify_embedding,
 )
-from .flow import BlowUpError, integrate, reference_flow, write_csv
+from .flow import REFERENCE_STEP, BlowUpError, integrate, reference_flow, write_csv
 from .reduction import DeformedConstraint, deformed_residual, lambda_continuous, reduce_state
 from .system import (
     BUILTIN_FIELDS,
@@ -53,6 +53,9 @@ from .system import (
 )
 
 INTEGRATORS = ("reference", "vni10", "vni20", "original_node", "dla")
+# The most steps one run may take (the workloads in use take up to 10^4);
+# larger counts are config errors, refused before any trajectory is allocated.
+MAX_STEPS = 10**7
 # What a run can raise once its config is valid: exit code 3.
 RUNTIME_ERRORS = (BlowUpError, NewtonError, SystemError, exprdiff.EvalError)
 
@@ -204,13 +207,19 @@ def _out_path(cfg: dict, key: str, default: str, out_dir: str) -> str:
     return os.path.join(out_dir, name)
 
 
+def _check_steps(steps: float, what: str) -> None:
+    if not steps <= MAX_STEPS:
+        raise ConfigError(f"{what} asks for {steps!r} steps, more than MAX_STEPS = {MAX_STEPS}")
+
+
 def _steps_and_eps(cfg: dict) -> tuple[float, int]:
     eps = _positive(cfg, "eps")
     has_n, has_t = "N" in cfg, "T" in cfg
     if has_n == has_t:
         raise ConfigError("give exactly one of 'N' (step count) or 'T' (end time)")
     steps = _integer(cfg, "N") if has_n else _positive(cfg, "T") / eps
-    N = steps if has_n or not np.isfinite(steps) else max(1, round(steps))
+    _check_steps(steps, "N" if has_n else "T / eps")
+    N = steps if has_n else max(1, round(steps))
     if not np.isfinite(eps * N):
         raise ConfigError(f"the end time eps * N = {eps!r} * {N!r} overflows")
     return eps, N
@@ -354,6 +363,9 @@ def convergence_study(cfg: dict, eps_list: list[float], jobs: int = 1) -> StudyR
     _nodes_policy(cfg)
     x0 = _initial_state(cfg, sys)
     T = _positive(cfg, "T")
+    _check_steps(T / REFERENCE_STEP, "the reference oracle's T / REFERENCE_STEP")
+    for eps in eps_list:
+        _check_steps(T / eps, f"T / eps at eps = {eps!r}")
 
     oracle = reference_flow(sys, x0, T)
     oracle_concat = oracle.concat()

@@ -1,9 +1,11 @@
-"""Tiny scalar expression language with forward-mode derivatives.
+"""Tiny scalar expression language with symbolic derivatives.
 
 Potentials, constraint coefficients and deformation functions enter the
 library as strings like ``"-y"`` or ``"v_x*v_y/(1+y^2)"``.  This module
-parses them into immutable ASTs and evaluates values, gradients and
-Hessians by running the same tree walk on dual numbers.
+parses them into immutable ASTs and evaluates them with one float tree
+walk.  `derivative` differentiates a tree into another tree, with
+constants folded; `gradient` and `hessian` build those trees once per
+expression object and evaluate them with the same walk.
 
 Grammar (EBNF, also reproduced in the README):
 
@@ -26,25 +28,9 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "Expression",
-    "Num",
-    "Var",
-    "Neg",
-    "Add",
-    "Sub",
-    "Mul",
-    "Div",
-    "Pow",
-    "Call",
-    "ExprSyntaxError",
-    "EvalError",
-    "parse",
-    "evaluate",
-    "gradient",
-    "hessian",
-    "free_variables",
-    "to_string",
-    "FUNCTION_NAMES",
+    "Expression", "Num", "Var", "Neg", "Add", "Sub", "Mul", "Div", "Pow", "Call",
+    "ExprSyntaxError", "EvalError", "FUNCTION_NAMES",
+    "parse", "evaluate", "derivative", "gradient", "hessian", "free_variables", "to_string",
 ]
 
 
@@ -116,42 +102,12 @@ class Call:
 
 Expression = Num | Var | Neg | Add | Sub | Mul | Div | Pow | Call
 
-# value, first and second derivative of each primitive, plus a domain guard.
-def _cot(x: float) -> float:
-    s = math.sin(x)
-    if s == 0.0:
-        raise EvalError(f"cot undefined at {x!r} (sin is zero)")
-    return math.cos(x) / s
-
-
-FUNCTION_NAMES = ("sin", "cos", "tan", "exp", "log", "tanh", "sqrt", "cot")
-
-_FUNCS: dict[str, tuple] = {
-    "sin": (math.sin, math.cos, lambda x: -math.sin(x)),
-    "cos": (math.cos, lambda x: -math.sin(x), lambda x: -math.cos(x)),
-    "tan": (
-        math.tan,
-        lambda x: 1.0 + math.tan(x) ** 2,
-        lambda x: 2.0 * math.tan(x) * (1.0 + math.tan(x) ** 2),
-    ),
-    "exp": (math.exp, math.exp, math.exp),
-    "log": (math.log, lambda x: 1.0 / x, lambda x: -1.0 / (x * x)),
-    "tanh": (
-        math.tanh,
-        lambda x: 1.0 - math.tanh(x) ** 2,
-        lambda x: -2.0 * math.tanh(x) * (1.0 - math.tanh(x) ** 2),
-    ),
-    "sqrt": (
-        math.sqrt,
-        lambda x: 0.5 / math.sqrt(x),
-        lambda x: -0.25 / (x * math.sqrt(x)),
-    ),
-    "cot": (
-        _cot,
-        lambda x: -(1.0 + _cot(x) ** 2),
-        lambda x: 2.0 * _cot(x) * (1.0 + _cot(x) ** 2),
-    ),
+# cot's zero divisor, like every domain error, is caught by `_check_fn_domain`
+_FUNCS = {
+    "sin": math.sin, "cos": math.cos, "tan": math.tan, "exp": math.exp, "log": math.log,
+    "tanh": math.tanh, "sqrt": math.sqrt, "cot": lambda x: math.cos(x) / math.sin(x),
 }
+FUNCTION_NAMES = tuple(_FUNCS)
 
 _NUMBER_RE = re.compile(r"(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?")
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
@@ -253,90 +209,7 @@ def parse(text: str) -> Expression:
     return _Parser(text).parse()
 
 
-class _Dual:
-    """Scalar with a tangent vector, and optionally a symmetric second-order block."""
-
-    __slots__ = ("val", "grad", "hess")
-
-    def __init__(self, val: float, grad: np.ndarray, hess: np.ndarray | None = None):
-        self.val = val
-        self.grad = grad
-        self.hess = hess
-
-    # Plain floats are treated as constants (zero tangent).
-    def __add__(self, other):
-        if isinstance(other, _Dual):
-            h = None if self.hess is None else self.hess + other.hess
-            return _Dual(self.val + other.val, self.grad + other.grad, h)
-        return _Dual(self.val + other, self.grad, self.hess)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if isinstance(other, _Dual):
-            h = None if self.hess is None else self.hess - other.hess
-            return _Dual(self.val - other.val, self.grad - other.grad, h)
-        return _Dual(self.val - other, self.grad, self.hess)
-
-    def __rsub__(self, other):
-        h = None if self.hess is None else -self.hess
-        return _Dual(other - self.val, -self.grad, h)
-
-    def __neg__(self):
-        h = None if self.hess is None else -self.hess
-        return _Dual(-self.val, -self.grad, h)
-
-    def __mul__(self, other):
-        if isinstance(other, _Dual):
-            g = self.grad * other.val + self.val * other.grad
-            h = None
-            if self.hess is not None:
-                cross = np.outer(self.grad, other.grad)
-                h = self.hess * other.val + self.val * other.hess + cross + cross.T
-            return _Dual(self.val * other.val, g, h)
-        h = None if self.hess is None else self.hess * other
-        return _Dual(self.val * other, self.grad * other, h)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, _Dual):
-            if other.val == 0.0:
-                raise EvalError("division by zero")
-            val = self.val / other.val
-            g = (self.grad - val * other.grad) / other.val
-            h = None
-            if self.hess is not None:
-                cross = np.outer(g, other.grad)
-                h = (self.hess - cross - cross.T - val * other.hess) / other.val
-            return _Dual(val, g, h)
-        if other == 0.0:
-            raise EvalError("division by zero")
-        h = None if self.hess is None else self.hess / other
-        return _Dual(self.val / other, self.grad / other, h)
-
-    def __rtruediv__(self, other):
-        if self.val == 0.0:
-            raise EvalError("division by zero")
-        return _const_like(other, self) / self
-
-    def apply(self, f, df, d2f):
-        fval = f(self.val)
-        d = df(self.val)
-        g = d * self.grad
-        h = None
-        if self.hess is not None:
-            h = d * self.hess + d2f(self.val) * np.outer(self.grad, self.grad)
-        return _Dual(fval, g, h)
-
-
-def _const_like(value: float, template: _Dual) -> _Dual:
-    g = np.zeros_like(template.grad)
-    h = None if template.hess is None else np.zeros_like(template.hess)
-    return _Dual(float(value), g, h)
-
-
-def _eval_node(node: Expression, env: dict):
+def _eval_node(node: Expression, env: dict) -> float:
     if isinstance(node, Num):
         return node.value
     if isinstance(node, Var):
@@ -355,37 +228,32 @@ def _eval_node(node: Expression, env: dict):
     if isinstance(node, Div):
         num = _eval_node(node.left, env)
         den = _eval_node(node.right, env)
-        if isinstance(den, float) and den == 0.0:
+        if den == 0.0:
             raise EvalError("division by zero")
         return num / den
     if isinstance(node, Pow):
         return _eval_pow(node, env)
     if isinstance(node, Call):
         arg = _eval_node(node.arg, env)
-        f, df, d2f = _FUNCS[node.func]
+        _check_fn_domain(node.func, arg)
         try:
-            if isinstance(arg, _Dual):
-                _check_fn_domain(node.func, arg.val, derivative=True)
-                return arg.apply(f, df, d2f)
-            _check_fn_domain(node.func, arg, derivative=False)
-            return f(arg)
+            return _FUNCS[node.func](arg)
         except OverflowError:
             raise EvalError(f"overflow in {node.func}") from None
+        except ValueError:
+            raise EvalError(f"{node.func} undefined at {arg!r}") from None
     raise TypeError(f"not an expression node: {node!r}")
 
 
-def _check_fn_domain(func: str, x: float, derivative: bool) -> None:
+def _check_fn_domain(func: str, x: float) -> None:
     if func == "log" and x <= 0.0:
         raise EvalError(f"log of non-positive value {x!r}")
-    if func == "sqrt":
-        if x < 0.0:
-            raise EvalError(f"sqrt of negative value {x!r}")
-        if derivative and x == 0.0:
-            raise EvalError("sqrt not differentiable at 0")
-    if func == "cot" and math.sin(x) == 0.0:
-        raise EvalError(f"cot undefined at {x!r} (sin is zero)")
+    if func == "sqrt" and x < 0.0:
+        raise EvalError(f"sqrt of negative value {x!r}")
     if func in ("tan", "cot") and not math.isfinite(x):
         raise EvalError(f"{func} of non-finite value")
+    if func == "cot" and math.sin(x) == 0.0:
+        raise EvalError(f"cot undefined at {x!r} (sin is zero)")
 
 
 def _literal_int_exponent(node: Expression):
@@ -399,10 +267,11 @@ def _literal_int_exponent(node: Expression):
     return None
 
 
-def _eval_pow(node: Pow, env: dict):
+def _eval_pow(node: Pow, env: dict) -> float:
     base = _eval_node(node.base, env)
     # Integer exponents up to 8 go through repeated multiplication so that
-    # polynomial data stays exact and negative bases are legal.
+    # polynomial data stays exact; larger ones through math.pow.  Both
+    # accept negative bases.
     n = _literal_int_exponent(node.exponent)
     if n is not None and abs(n) <= 8:
         if n == 0:
@@ -411,22 +280,20 @@ def _eval_pow(node: Pow, env: dict):
         for _ in range(abs(n) - 1):
             acc = acc * base
         if n < 0:
-            if (acc.val if isinstance(acc, _Dual) else acc) == 0.0:
+            if acc == 0.0:
                 raise EvalError("division by zero")
             return 1.0 / acc
         return acc
-    expo = _eval_node(node.exponent, env)
-    base_val = base.val if isinstance(base, _Dual) else base
-    if base_val <= 0.0:
-        raise EvalError(f"power with non-positive base {base_val!r} requires an integer exponent")
+    if n is None:
+        expo = _eval_node(node.exponent, env)
+        if base <= 0.0:
+            raise EvalError(f"power with non-positive base {base!r} requires an integer exponent")
     try:
-        lg = base.apply(*_FUNCS["log"]) if isinstance(base, _Dual) else math.log(base)
-        prod = lg * expo
-        if isinstance(prod, _Dual):
-            return prod.apply(*_FUNCS["exp"])
-        return math.exp(prod)
+        return math.exp(math.log(base) * expo) if n is None else math.pow(base, n)
     except OverflowError:
         raise EvalError("overflow in power evaluation") from None
+    except ValueError:  # math.pow of a zero base to a negative power
+        raise EvalError("division by zero") from None
 
 
 def _check_finite(value: float) -> float:
@@ -441,42 +308,152 @@ def evaluate(expr: Expression, ctx: dict) -> float:
     return _check_finite(float(out))
 
 
-def _seeded_env(ctx: dict, wrt: list[str], order: int) -> dict:
-    k = len(wrt)
-    env = {name: float(val) for name, val in ctx.items()}
+# --- symbolic derivatives --------------------------------------------------------
+# The constructors fold constants: zero terms and factors 1 drop out, numbers
+# combine.  The rules keep the operation order of forward-mode differentiation,
+# (da*b) + (a*db) and (da - (a/b)*db) / b, so both give the same doubles.
+
+_ZERO, _ONE, _TWO = Num(0.0), Num(1.0), Num(2.0)
+
+
+def _fold(cls, a: Expression, b: Expression) -> Expression:
+    """cls(a, b), or its value when both operands are numbers."""
+    if isinstance(a, Num) and isinstance(b, Num) and not (cls is Div and b.value == 0.0):
+        return Num(_eval_node(cls(a, b), {}))
+    return cls(a, b)
+
+
+def _neg(a: Expression) -> Expression:
+    if isinstance(a, Num):
+        return _ZERO if a.value == 0.0 else Num(-a.value)
+    return Neg(a)
+
+
+def _add(a: Expression, b: Expression) -> Expression:
+    return b if a == _ZERO else a if b == _ZERO else _fold(Add, a, b)
+
+
+def _sub(a: Expression, b: Expression) -> Expression:
+    return a if b == _ZERO else _neg(b) if a == _ZERO else _fold(Sub, a, b)
+
+
+def _mul(a: Expression, b: Expression) -> Expression:
+    if a == _ZERO or b == _ZERO:
+        return _ZERO
+    return b if a == _ONE else a if b == _ONE else _fold(Mul, a, b)
+
+
+def _quotient(a: Expression, b: Expression, da: Expression, db: Expression) -> Expression:
+    """d(a/b) = (da - (a/b)*db) / b.
+
+    With da = 0 the numerator stays 0 - (a/b)*db; -(a/b)*db would differ in
+    the sign of a zero.
+    """
+    if db == _ZERO:
+        return _ZERO if da == _ZERO else _fold(Div, da, b)
+    return Div(Sub(da, _mul(Div(a, b), db)), b)
+
+
+# f'(u) of each function, as a tree over its argument u
+_DERIVATIVE_RULES = {
+    "sin": lambda u: Call("cos", u),
+    "cos": lambda u: Neg(Call("sin", u)),
+    "tan": lambda u: Add(_ONE, Pow(Call("tan", u), _TWO)),
+    "exp": lambda u: Call("exp", u),
+    "log": lambda u: Div(_ONE, u),
+    "tanh": lambda u: Sub(_ONE, Pow(Call("tanh", u), _TWO)),
+    "sqrt": lambda u: Div(Num(0.5), Call("sqrt", u)),
+    "cot": lambda u: Neg(Add(_ONE, Pow(Call("cot", u), _TWO))),
+}
+
+
+def _pow_derivative(node: Pow, name: str) -> Expression:
+    """Differentiate the power as `_eval_pow` evaluates it."""
+    b, n = node.base, _literal_int_exponent(node.exponent)
+    if n is None:
+        return derivative(Call("exp", Mul(Call("log", b), node.exponent)), name)
+    if abs(n) > 8:
+        return _mul(_mul(Num(float(n)), Pow(b, Num(float(n - 1)))), derivative(b, name))
+    if n == 0:
+        return _ZERO
+    acc = b
+    for _ in range(abs(n) - 1):
+        acc = Mul(acc, b)
+    return derivative(acc if n > 0 else Div(_ONE, acc), name)
+
+
+def derivative(expr: Expression, name: str) -> Expression:
+    """d expr / d name as an expression tree, constants folded.
+
+    The tree is evaluated like any other; where `expr` is undefined it may
+    be too, so `gradient` and `hessian` evaluate `expr` first.
+    """
+    if isinstance(expr, Num):
+        return _ZERO
+    if isinstance(expr, Var):
+        return _ONE if expr.name == name else _ZERO
+    if isinstance(expr, Neg):
+        return _neg(derivative(expr.operand, name))
+    if isinstance(expr, Call):
+        darg = derivative(expr.arg, name)
+        return _ZERO if darg == _ZERO else _mul(_DERIVATIVE_RULES[expr.func](expr.arg), darg)
+    if isinstance(expr, Pow):
+        return _pow_derivative(expr, name)
+    a, b = expr.left, expr.right
+    da, db = derivative(a, name), derivative(b, name)
+    if isinstance(expr, Add):
+        return _add(da, db)
+    if isinstance(expr, Sub):
+        return _sub(da, db)
+    if isinstance(expr, Mul):
+        return _add(_mul(da, b), _mul(a, db))
+    return _quotient(a, b, da, db)
+
+
+# (tree, derivative) by (id of the tree, name).  Each entry keeps its tree
+# alive, so the id is never reused; keying by value would hash the whole
+# tree on every call.
+_DERIVATIVES: dict[tuple[int, str], tuple[Expression, Expression]] = {}
+
+
+def _cached_derivative(expr: Expression, name: str) -> Expression:
+    hit = _DERIVATIVES.get((id(expr), name))
+    if hit is None:
+        hit = _DERIVATIVES[id(expr), name] = (expr, derivative(expr, name))
+    return hit[1]
+
+
+def _checked_env(expr: Expression, wrt: list[str], ctx: dict) -> dict:
+    """Float bindings of ctx, after `expr` itself evaluated to a finite value there."""
+    env = {k: float(v) for k, v in ctx.items()}
     for name in wrt:
         if name not in env:
             raise EvalError(f"unbound variable {name!r}")
-    for i, name in enumerate(wrt):
-        grad = np.zeros(k)
-        grad[i] = 1.0
-        hess = np.zeros((k, k)) if order == 2 else None
-        env[name] = _Dual(env[name], grad, hess)
+    _check_finite(_eval_node(expr, env))
     return env
 
 
 def gradient(expr: Expression, wrt: list[str], ctx: dict) -> np.ndarray:
     """First derivatives of `expr` with respect to the listed names, at `ctx`."""
-    out = _eval_node(expr, _seeded_env(ctx, list(wrt), order=1))
-    if not isinstance(out, _Dual):
-        out = _Dual(float(out), np.zeros(len(wrt)))
-    _check_finite(out.val)
-    if not np.all(np.isfinite(out.grad)):
+    env = _checked_env(expr, wrt, ctx)
+    out = [_eval_node(_cached_derivative(expr, name), env) for name in wrt]
+    if not all(map(math.isfinite, out)):
         raise EvalError("gradient produced a non-finite value")
-    return out.grad.copy()
+    return np.array(out, dtype=float)
 
 
 def hessian(expr: Expression, wrt: list[str], ctx: dict) -> np.ndarray:
-    """Second-derivative matrix of `expr`; symmetric by construction."""
+    """Second-derivative matrix of `expr`: the upper triangle, mirrored."""
+    env = _checked_env(expr, wrt, ctx)
     k = len(wrt)
-    out = _eval_node(expr, _seeded_env(ctx, list(wrt), order=2))
-    if not isinstance(out, _Dual):
-        return np.zeros((k, k))
-    _check_finite(out.val)
-    hess = out.hess if out.hess is not None else np.zeros((k, k))
-    if not np.all(np.isfinite(hess)):
+    out = np.empty((k, k))
+    for i in range(k):
+        first = _cached_derivative(expr, wrt[i])
+        for j in range(i, k):
+            out[i, j] = out[j, i] = _eval_node(_cached_derivative(first, wrt[j]), env)
+    if not np.all(np.isfinite(out)):
         raise EvalError("hessian produced a non-finite value")
-    return hess.copy()
+    return out
 
 
 def free_variables(expr: Expression) -> set[str]:

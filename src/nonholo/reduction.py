@@ -159,8 +159,9 @@ def reduce_state(
 
 
 def reduced_field(sys: MechanicalSystem, split: ConnectionSplit, xi) -> np.ndarray:
-    """The unconstrained ODE in xi = (q, v_base): select rows of h along the lift."""
-    return psi_pseudo_inverse(sys, split) @ h_field(sys, psi_embed(sys, split, xi))
+    """The unconstrained ODE in xi = (q, v_base): the q and v_base rows of h along the lift."""
+    h = h_field(sys, psi_embed(sys, split, xi))
+    return np.concatenate([h[: sys.n], h[sys.n :][list(split.base)]])
 
 
 @dataclass(frozen=True)

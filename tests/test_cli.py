@@ -210,6 +210,8 @@ def test_simulate_config_errors(tmp_path, capsys):
         dict(PARTICLE_SIM, integrator="reference", eps=1e308, N=2),  # eps * N overflows
         dict(PARTICLE_SIM, output="."),
         dict(PARTICLE_SIM, output="sub/run.csv"),
+        dict(PARTICLE_SIM, N=1e20),  # step counts above MAX_STEPS
+        dict(PARTICLE_SIM, N=24001854256926364.0),
     ]
     for i, cfg in enumerate(bad):
         code, _ = run(tmp_path, "simulate", cfg, subdir=f"bad{i}")
@@ -382,6 +384,8 @@ INTERP = {
         ("interp", dict(INTERP, system=LOG_MU, x0=LOG_MU_START,
                         x1={"q": [1.0, 0.0], "v": [0.0, 0.0]})),
         ("converge", dict(CONVERGE, system=LOG_MU, **LOG_MU_START)),
+        ("converge", dict(CONVERGE, eps_list=[0.02, 0.01, 0.005, 1e-320])),  # T / eps overflows
+        ("converge", dict(CONVERGE, T=1e300)),  # the reference oracle's step count
     ],
 )
 def test_other_command_config_errors(tmp_path, capsys, command, cfg):

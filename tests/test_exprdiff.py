@@ -1,8 +1,10 @@
-"""Parser and forward-mode derivative checks.
+"""Parser and symbolic derivative checks.
 
 Derivatives are validated against central finite differences at random
 points, round-tripping is validated structurally and bit-exactly on
-generated trees, and the error paths are pinned down to byte offsets.
+generated trees, the error paths are pinned down to byte offsets, and
+derivative trees are checked for folded constants and for failing
+wherever the expression itself fails.
 """
 from __future__ import annotations
 
@@ -24,6 +26,7 @@ from nonholo.exprdiff import (
     Pow,
     Sub,
     Var,
+    derivative,
     evaluate,
     free_variables,
     gradient,
@@ -261,3 +264,50 @@ def test_print_parse_evaluates_bit_identically(tree):
         return
     got = evaluate(parse(to_string(tree)), ctx)
     assert got == want
+
+
+def test_integer_powers_above_8_at_negative_base():
+    assert evaluate(parse("(-2)^9"), {}) == -512.0
+    assert evaluate(parse("x^9"), {"x": -2.0}) == -512.0
+    assert evaluate(parse("x^-9"), {"x": -2.0}) == -1.0 / 512.0
+    assert gradient(parse("x^9"), ["x"], {"x": -2.0})[0] == 9.0 * 256.0
+    assert gradient(parse("x^-9"), ["x"], {"x": -2.0})[0] == -9.0 / 1024.0
+    assert hessian(parse("x^10/10"), ["x"], {"x": -0.5})[0, 0] == 9.0 / 256.0
+    with pytest.raises(EvalError):
+        evaluate(parse("x^-9"), {"x": 0.0})
+    with pytest.raises(EvalError):
+        evaluate(parse("x^400"), {"x": 10.0})
+
+
+def test_functions_of_an_overflowed_argument_raise_eval_error():
+    # x*x overflows to inf, where math.sin raises a bare ValueError
+    for text in ("sin(x*x)", "cos(x*x)", "tan(x*x)", "cot(x*x)"):
+        with pytest.raises(EvalError):
+            evaluate(parse(text), {"x": 1e200})
+
+
+def test_derivative_folds_constants():
+    assert derivative(parse("-y"), "y") == Num(-1.0)
+    assert derivative(parse("x*y + sin(x)/2"), "z") == Num(0.0)
+    assert derivative(parse("3*x^2"), "x") == parse("3*(x+x)")
+
+
+def test_gradient_evaluates_the_expression_first():
+    # the derivative with respect to y is 1, but log(x) is undefined at x = -1
+    with pytest.raises(EvalError):
+        gradient(parse("log(x) + y"), ["y"], {"x": -1.0, "y": 0.0})
+    with pytest.raises(EvalError):
+        hessian(parse("log(x) + y"), ["y"], {"x": -1.0, "y": 0.0})
+
+
+@settings(max_examples=300, deadline=None)
+@given(_trees, st.sampled_from([0.0, 0.7, -1.3, 2.0]))
+def test_derivatives_fail_wherever_the_value_fails(tree, y):
+    ctx = {"x": 0.7, "y": y, "z": 0.0}
+    try:
+        evaluate(tree, ctx)
+    except EvalError:
+        with pytest.raises(EvalError):
+            gradient(tree, VARIABLES, ctx)
+        with pytest.raises(EvalError):
+            hessian(tree, VARIABLES, ctx)

@@ -186,6 +186,9 @@ def test_reduced_field_value_and_consistency():
             lhs = h_field(sys_k, psi_embed(sys_k, split_k, xi))
             rhs = grad_psi(sys_k, split_k, xi) @ reduced_field(sys_k, split_k, xi)
             assert np.max(np.abs(lhs - rhs)) < 1e-12
+            # selecting rows of h is the pseudo-inverse applied to it
+            selected = psi_pseudo_inverse(sys_k, split_k) @ lhs
+            assert np.array_equal(reduced_field(sys_k, split_k, xi), selected)
 
 
 # --- perturbations -----------------------------------------------------------

@@ -19,8 +19,10 @@ the same disk started off D with ``project_initial``, each run by every
 integrator (``dla`` with beta in {0, 0.3, 0.5, 1} on both node policies)
 at eps = 0.01, plus ``vni20``, ``original_node`` and ``dla`` at eps = 0.1;
 the reference flow on a deformed constraint set and with ``project_each_step``;
-one run each of ``converge``, ``interp`` and ``embed``; then runs that fail
-at runtime and configs that misuse a key or start outside the system's domain.
+one run each of ``converge``, ``interp`` and ``embed``; a potential with an
+integer power above 8 at a negative base; then runs that fail at runtime and
+configs that misuse a key, ask for a huge step count or start outside the
+system's domain.
 """
 from __future__ import annotations
 
@@ -57,6 +59,11 @@ QUARTIC = {
 LOG_WELL = {
     "system": {"names": ["x"], "M": [[1.0]], "V": "log(x)", "mu": []},
     "integrator": "reference", "q": [1.0], "v": [-1.0], "eps": 0.01, "T": 5.0,
+}
+# x'' = -x^9 from x = -0.5: an integer power above 8 at a negative base
+POWER10 = {
+    "system": {"names": ["x"], "M": [[1.0]], "V": "x^10/10", "mu": []},
+    "q": [-0.5], "v": [0.0], "eps": 0.01, "N": 200,
 }
 SIM = {**PARTICLE, "integrator": "vni10", "eps": 0.01, "N": 20}
 DLA = {**SIM, "integrator": "dla", "beta": 0.5}
@@ -109,6 +116,8 @@ def configs() -> list[tuple[str, str, dict]]:
     out += [(f"other/{system}_project_each_step", "simulate",
              {**start, "integrator": "reference", "project_each_step": True, "eps": 0.01, "N": 200})
             for system, start in (("particle", PARTICLE), ("disk_off_d", DISK_OFF_D))]
+    out += [(f"other/power10_{name}", "simulate", {**POWER10, "integrator": name})
+            for name in ("reference", "vni20")]
 
     quartic = [("reference", {}), ("vni10", {}), ("vni20", {}), ("original_node", {}),
                ("dla", {"beta": 0.5})]
@@ -155,6 +164,10 @@ def configs() -> list[tuple[str, str, dict]]:
                                              "system": {**QUARTIC["system"], "V": 5}}),
         ("simulate", "end_time_overflow", {**SIM, "integrator": "reference", "eps": 1e308, "N": 2}),
         ("simulate", "output_dot", {**SIM, "output": "."}),
+        ("simulate", "steps_1e20", {**SIM, "N": 1e20}),
+        ("simulate", "steps_2e16", {**SIM, "N": 24001854256926364.0}),
+        ("converge", "eps_list_denormal", {**CONVERGE, "eps_list": [0.02, 0.01, 0.005, 1e-320]}),
+        ("converge", "oracle_steps_1e304", {**CONVERGE, "T": 1e300}),
     ]
     out += [(f"misuse/{command}_{name}", command, cfg) for command, name, cfg in misuse]
     return out
