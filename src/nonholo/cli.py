@@ -449,7 +449,8 @@ def cmd_embed(cfg: dict, out_dir: str) -> int:
     except SystemError as exc:
         raise ConfigError(f"cannot split coordinates at q0: {exc}") from None
     scheme = cfg.get("scheme", "vni10")
-    problem = reduced_problem(sys, split, base_step=_positive(cfg, "base_step", 2e-3))
+    base_step = _positive(cfg, "base_step", 2e-3)
+    problem = reduced_problem(sys, split, base_step=base_step)
     if scheme == "exact":
         phi = exact_step_map(problem, p=_integer(cfg, "p", 1, least=1))
     else:
@@ -458,6 +459,7 @@ def cmd_embed(cfg: dict, out_dir: str) -> int:
         except SystemError as exc:
             raise ConfigError(str(exc)) from None
     eps = _positive(cfg, "eps")
+    _check_steps(eps / base_step, "eps / base_step")
     t_frac = _number(cfg, "t_frac", 0.37)
     order_levels = _integer(cfg, "order_levels", 5, least=2)
     summary_path = _out_path(cfg, "summary", "embedding.json", out_dir)

@@ -2,10 +2,12 @@
 
 Potentials, constraint coefficients and deformation functions enter the
 library as strings like ``"-y"`` or ``"v_x*v_y/(1+y^2)"``.  This module
-parses them into immutable ASTs and evaluates them with one float tree
-walk.  `derivative` differentiates a tree into another tree, with
-constants folded; `gradient` and `hessian` build those trees once per
-expression object and evaluate them with the same walk.
+parses them into immutable ASTs.  `derivative` differentiates a tree into
+another tree, with constants folded.  `evaluate`, `gradient` and `hessian`
+compile an expression (or a tuple of them) together with its derivative
+trees into one straight-line Python function, built on first use and
+cached, whose doubles and errors are those of the reference tree walk
+`_eval_node`.
 
 Grammar (EBNF, also reproduced in the README):
 
@@ -102,12 +104,82 @@ class Call:
 
 Expression = Num | Var | Neg | Add | Sub | Mul | Div | Pow | Call
 
+
+# --- guarded primitives -----------------------------------------------------------
+# Every domain check of the language lives in these helpers.  The tree walk
+# and the compiled kernels both call them, so both raise the same EvalErrors.
+
+
+def _check_fn_domain(func: str, x: float) -> None:
+    if func == "log" and x <= 0.0:
+        raise EvalError(f"log of non-positive value {x!r}")
+    if func == "sqrt" and x < 0.0:
+        raise EvalError(f"sqrt of negative value {x!r}")
+    if func in ("tan", "cot") and not math.isfinite(x):
+        raise EvalError(f"{func} of non-finite value")
+    if func == "cot" and math.sin(x) == 0.0:
+        raise EvalError(f"cot undefined at {x!r} (sin is zero)")
+
+
+def _guard(func: str, fn):
+    """fn with the domain check of `func`, overflow and math errors as EvalErrors."""
+    checked = func in ("tan", "log", "sqrt", "cot")
+
+    def guarded(x):
+        if checked:
+            _check_fn_domain(func, x)
+        try:
+            return fn(x)
+        except OverflowError:
+            raise EvalError(f"overflow in {func}") from None
+        except ValueError:
+            raise EvalError(f"{func} undefined at {x!r}") from None
+
+    return guarded
+
+
 # cot's zero divisor, like every domain error, is caught by `_check_fn_domain`
 _FUNCS = {
-    "sin": math.sin, "cos": math.cos, "tan": math.tan, "exp": math.exp, "log": math.log,
-    "tanh": math.tanh, "sqrt": math.sqrt, "cot": lambda x: math.cos(x) / math.sin(x),
+    name: _guard(name, fn)
+    for name, fn in {
+        "sin": math.sin, "cos": math.cos, "tan": math.tan, "exp": math.exp, "log": math.log,
+        "tanh": math.tanh, "sqrt": math.sqrt, "cot": lambda x: math.cos(x) / math.sin(x),
+    }.items()
 }
 FUNCTION_NAMES = tuple(_FUNCS)
+
+
+def _div(num: float, den: float) -> float:
+    if den == 0.0:
+        raise EvalError("division by zero")
+    return num / den
+
+
+def _ipow(base: float, n: int) -> float:
+    """base^n for a literal integer exponent with |n| > 8."""
+    try:
+        return math.pow(base, n)
+    except OverflowError:
+        raise EvalError("overflow in power evaluation") from None
+    except ValueError:  # math.pow of a zero base to a negative power
+        raise EvalError("division by zero") from None
+
+
+def _pow(base: float, expo: float) -> float:
+    """base^expo for any other exponent, as exp(log(base) * expo)."""
+    if base <= 0.0:
+        raise EvalError(f"power with non-positive base {base!r} requires an integer exponent")
+    try:
+        return math.exp(math.log(base) * expo)
+    except OverflowError:
+        raise EvalError("overflow in power evaluation") from None
+
+
+def _check_finite(value: float) -> float:
+    if not math.isfinite(value):
+        raise EvalError(f"evaluation produced a non-finite value ({value!r})")
+    return value
+
 
 _NUMBER_RE = re.compile(r"(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?")
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
@@ -210,6 +282,7 @@ def parse(text: str) -> Expression:
 
 
 def _eval_node(node: Expression, env: dict) -> float:
+    """The reference tree walk; the compiled kernels reproduce it bit for bit."""
     if isinstance(node, Num):
         return node.value
     if isinstance(node, Var):
@@ -226,34 +299,12 @@ def _eval_node(node: Expression, env: dict) -> float:
     if isinstance(node, Mul):
         return _eval_node(node.left, env) * _eval_node(node.right, env)
     if isinstance(node, Div):
-        num = _eval_node(node.left, env)
-        den = _eval_node(node.right, env)
-        if den == 0.0:
-            raise EvalError("division by zero")
-        return num / den
+        return _div(_eval_node(node.left, env), _eval_node(node.right, env))
     if isinstance(node, Pow):
         return _eval_pow(node, env)
     if isinstance(node, Call):
-        arg = _eval_node(node.arg, env)
-        _check_fn_domain(node.func, arg)
-        try:
-            return _FUNCS[node.func](arg)
-        except OverflowError:
-            raise EvalError(f"overflow in {node.func}") from None
-        except ValueError:
-            raise EvalError(f"{node.func} undefined at {arg!r}") from None
+        return _FUNCS[node.func](_eval_node(node.arg, env))
     raise TypeError(f"not an expression node: {node!r}")
-
-
-def _check_fn_domain(func: str, x: float) -> None:
-    if func == "log" and x <= 0.0:
-        raise EvalError(f"log of non-positive value {x!r}")
-    if func == "sqrt" and x < 0.0:
-        raise EvalError(f"sqrt of negative value {x!r}")
-    if func in ("tan", "cot") and not math.isfinite(x):
-        raise EvalError(f"{func} of non-finite value")
-    if func == "cot" and math.sin(x) == 0.0:
-        raise EvalError(f"cot undefined at {x!r} (sin is zero)")
 
 
 def _literal_int_exponent(node: Expression):
@@ -273,39 +324,16 @@ def _eval_pow(node: Pow, env: dict) -> float:
     # polynomial data stays exact; larger ones through math.pow.  Both
     # accept negative bases.
     n = _literal_int_exponent(node.exponent)
-    if n is not None and abs(n) <= 8:
-        if n == 0:
-            return 1.0
-        acc = base
-        for _ in range(abs(n) - 1):
-            acc = acc * base
-        if n < 0:
-            if acc == 0.0:
-                raise EvalError("division by zero")
-            return 1.0 / acc
-        return acc
     if n is None:
-        expo = _eval_node(node.exponent, env)
-        if base <= 0.0:
-            raise EvalError(f"power with non-positive base {base!r} requires an integer exponent")
-    try:
-        return math.exp(math.log(base) * expo) if n is None else math.pow(base, n)
-    except OverflowError:
-        raise EvalError("overflow in power evaluation") from None
-    except ValueError:  # math.pow of a zero base to a negative power
-        raise EvalError("division by zero") from None
-
-
-def _check_finite(value: float) -> float:
-    if not math.isfinite(value):
-        raise EvalError(f"evaluation produced a non-finite value ({value!r})")
-    return value
-
-
-def evaluate(expr: Expression, ctx: dict) -> float:
-    """Evaluate `expr` with every free variable bound in `ctx` (name -> float)."""
-    out = _eval_node(expr, {k: float(v) for k, v in ctx.items()})
-    return _check_finite(float(out))
+        return _pow(base, _eval_node(node.exponent, env))
+    if abs(n) > 8:
+        return _ipow(base, n)
+    if n == 0:
+        return 1.0
+    acc = base
+    for _ in range(abs(n) - 1):
+        acc = acc * base
+    return acc if n > 0 else _div(1.0, acc)
 
 
 # --- symbolic derivatives --------------------------------------------------------
@@ -410,50 +438,165 @@ def derivative(expr: Expression, name: str) -> Expression:
     return _quotient(a, b, da, db)
 
 
-# (tree, derivative) by (id of the tree, name).  Each entry keeps its tree
-# alive, so the id is never reused; keying by value would hash the whole
-# tree on every call.
-_DERIVATIVES: dict[tuple[int, str], tuple[Expression, Expression]] = {}
+# --- compiled kernels ------------------------------------------------------------
+# `evaluate`, `gradient` and `hessian` run straight-line Python generated
+# from the expression and its derivative trees (source-transformation
+# differentiation).  Each node becomes one statement over the same guarded
+# helpers, in the tree walk's order, so a kernel gives the walk's doubles
+# and raises its EvalErrors at the same points.  Identical subtrees, within
+# one tree or across the value and the derivatives, are computed once.
+
+_KERNEL_GLOBALS = {
+    "EvalError": EvalError, "_check_finite": _check_finite,
+    "_div": _div, "_ipow": _ipow, "_pow": _pow,
+    **{f"_{name}": fn for name, fn in _FUNCS.items()},
+}
 
 
-def _cached_derivative(expr: Expression, name: str) -> Expression:
-    hit = _DERIVATIVES.get((id(expr), name))
+def _kernel_source(kind: str, exprs: tuple, wrt: tuple) -> tuple[str, dict]:
+    """Source of `kind` ("value", "gradient" or "hessian") of each of exprs, and its globals.
+
+    The kernel takes the bindings (name -> number) and returns the flat
+    tuple of results: per expression its value, its gradient over wrt, or
+    its Hessian over wrt row by row, the lower triangle mirrored from the
+    upper.
+    """
+    namespace = dict(_KERNEL_GLOBALS)
+    lines: list[str] = []
+    temps: dict[str, str] = {}  # right-hand side -> the local holding it
+
+    def emit(node: Expression) -> str:
+        """A literal or a local holding node's value, after the statements computing it."""
+        if isinstance(node, Num):
+            v = node.value
+            if type(v) is not float or not math.isfinite(v):  # no exact literal
+                name = f"_k{len(namespace)}"
+                namespace[name] = v
+                return name
+            return f"({v!r})" if math.copysign(1.0, v) < 0.0 else repr(v)
+        if isinstance(node, Var):
+            rhs = f"float(ctx[{node.name!r}])"
+        elif isinstance(node, Neg):
+            rhs = f"-{emit(node.operand)}"
+        elif isinstance(node, Call):
+            rhs = f"_{node.func}({emit(node.arg)})"
+        elif isinstance(node, Pow):
+            base, n = emit(node.base), _literal_int_exponent(node.exponent)
+            if n is None:
+                rhs = f"_pow({base}, {emit(node.exponent)})"
+            elif abs(n) > 8:
+                rhs = f"_ipow({base}, {n})"
+            elif n in (0, 1):
+                return "1.0" if n == 0 else base
+            else:
+                product = " * ".join([base] * abs(n))  # left to right, as the walk multiplies
+                rhs = product if n > 0 else f"_div(1.0, {product})"
+        else:
+            left, right = emit(node.left), emit(node.right)
+            if isinstance(node, Div):
+                # a nonzero float literal needs no zero test
+                d = node.right
+                plain = isinstance(d, Num) and type(d.value) is float and d.value != 0.0
+                rhs = f"{left} / {right}" if plain else f"_div({left}, {right})"
+            else:
+                op = {Add: "+", Sub: "-", Mul: "*"}[type(node)]
+                rhs = f"{left} {op} {right}"
+        if rhs not in temps:
+            temps[rhs] = f"t{len(temps)}"
+            lines.append(f"{temps[rhs]} = {rhs}")
+        return temps[rhs]
+
+    def check(outs: list[str], message: str) -> None:
+        # x - x is 0.0 for a finite x and nan, which is true, otherwise;
+        # literals are finite and need no test
+        computed = set(temps.values()).union(namespace)
+        live = [o for o in outs if o in computed]
+        if live:
+            test = " or ".join(f"{o} - {o}" for o in live)
+            lines.append(f"if {test}: {message}")
+
+    if exprs:  # an unbound name in wrt fails before anything is evaluated
+        for name in wrt:
+            emit(Var(name))
+    results: list[str] = []
+    for expr in exprs:
+        value = emit(expr)
+        check([value], f"_check_finite({value})")
+        if kind == "value":
+            results.append(value)
+        elif kind == "gradient":
+            grad = [emit(derivative(expr, name)) for name in wrt]
+            check(grad, "raise EvalError('gradient produced a non-finite value')")
+            results += grad
+        else:
+            k = len(wrt)
+            firsts = [derivative(expr, name) for name in wrt]
+            upper = {(i, j): emit(derivative(firsts[i], wrt[j])) for i in range(k) for j in range(i, k)}
+            check(list(upper.values()), "raise EvalError('hessian produced a non-finite value')")
+            results += [upper[min(i, j), max(i, j)] for i in range(k) for j in range(k)]
+    body = "".join(f"    {line}\n" for line in lines)
+    return f"def kernel(ctx):\n{body}    return ({''.join(r + ', ' for r in results)})\n", namespace
+
+
+def _compile(kind: str, exprs: tuple, wrt: tuple):
+    source, namespace = _kernel_source(kind, exprs, wrt)
+    exec(compile(source, f"<exprdiff {kind} kernel>", "exec"), namespace)
+    return namespace["kernel"]
+
+
+# Kernels by (kind, id of the expression or tuple, wrt), oldest first.  Each
+# entry holds the object whose id it is keyed on, so the id cannot be reused
+# while the entry lives; keying by value would hash the whole tree per call.
+# The cache is bounded because a process may build systems without end.
+KERNEL_CACHE_SIZE = 32
+_KERNELS: dict[tuple, tuple] = {}
+
+
+def _run(kind: str, expr, wrt, ctx: dict) -> tuple:
+    """Flat results of the cached kernel of `kind` for expr (or a tuple of them) at ctx."""
+    wrt = tuple(wrt)
+    key = (kind, id(expr), wrt)
+    hit = _KERNELS.get(key)
     if hit is None:
-        hit = _DERIVATIVES[id(expr), name] = (expr, derivative(expr, name))
-    return hit[1]
+        exprs = expr if isinstance(expr, tuple) else (expr,)
+        if len(_KERNELS) >= KERNEL_CACHE_SIZE:
+            del _KERNELS[next(iter(_KERNELS))]
+        hit = _KERNELS[key] = (expr, _compile(kind, exprs, wrt))
+    try:
+        return hit[1](ctx)
+    except KeyError as exc:  # the first name the walk would have looked up in vain
+        raise EvalError(f"unbound variable {exc.args[0]!r}") from None
 
 
-def _checked_env(expr: Expression, wrt: list[str], ctx: dict) -> dict:
-    """Float bindings of ctx, after `expr` itself evaluated to a finite value there."""
-    env = {k: float(v) for k, v in ctx.items()}
-    for name in wrt:
-        if name not in env:
-            raise EvalError(f"unbound variable {name!r}")
-    _check_finite(_eval_node(expr, env))
-    return env
+def evaluate(expr, ctx: dict):
+    """Value of `expr` with every free variable bound in `ctx` (name -> float).
+
+    A tuple of expressions gives the array of their values.  Kernels are
+    cached per object, so a caller that evaluates the same tuple again
+    should pass the same tuple object.
+    """
+    out = _run("value", expr, (), ctx)
+    return np.array(out, dtype=float) if isinstance(expr, tuple) else float(out[0])
 
 
-def gradient(expr: Expression, wrt: list[str], ctx: dict) -> np.ndarray:
-    """First derivatives of `expr` with respect to the listed names, at `ctx`."""
-    env = _checked_env(expr, wrt, ctx)
-    out = [_eval_node(_cached_derivative(expr, name), env) for name in wrt]
-    if not all(map(math.isfinite, out)):
-        raise EvalError("gradient produced a non-finite value")
-    return np.array(out, dtype=float)
+def gradient(expr, wrt: list[str], ctx: dict) -> np.ndarray:
+    """First derivatives of `expr` with respect to the listed names, at `ctx`.
+
+    `expr` is evaluated first, so a derivative never hides a domain error of
+    the value.  A tuple of expressions gives one row per expression.
+    """
+    out = np.array(_run("gradient", expr, wrt, ctx), dtype=float)
+    return out.reshape(len(expr), len(wrt)) if isinstance(expr, tuple) else out
 
 
-def hessian(expr: Expression, wrt: list[str], ctx: dict) -> np.ndarray:
-    """Second-derivative matrix of `expr`: the upper triangle, mirrored."""
-    env = _checked_env(expr, wrt, ctx)
+def hessian(expr, wrt: list[str], ctx: dict) -> np.ndarray:
+    """Second-derivative matrix of `expr`: the upper triangle, mirrored.
+
+    A tuple of expressions gives one matrix per expression.
+    """
     k = len(wrt)
-    out = np.empty((k, k))
-    for i in range(k):
-        first = _cached_derivative(expr, wrt[i])
-        for j in range(i, k):
-            out[i, j] = out[j, i] = _eval_node(_cached_derivative(first, wrt[j]), env)
-    if not np.all(np.isfinite(out)):
-        raise EvalError("hessian produced a non-finite value")
-    return out
+    out = np.array(_run("hessian", expr, wrt, ctx), dtype=float)
+    return out.reshape(len(expr), k, k) if isinstance(expr, tuple) else out.reshape(k, k)
 
 
 def free_variables(expr: Expression) -> set[str]:

@@ -238,17 +238,18 @@ class DeformedConstraint:
     g: Sequence[Expression]
     delta: float
 
+    def __post_init__(self):
+        # one tuple for the object's life, so exprdiff reuses its kernels
+        object.__setattr__(self, "g", tuple(self.g))
+
     def g_at(self, sys: MechanicalSystem, x: StatePoint) -> np.ndarray:
-        ctx = sys.qv_ctx(x.q, x.v)
-        return np.array([exprdiff.evaluate(e, ctx) for e in self.g])
+        return exprdiff.evaluate(self.g, sys.qv_ctx(x.q, x.v))
 
     def g_grad_q(self, sys: MechanicalSystem, x: StatePoint) -> np.ndarray:
-        ctx = sys.qv_ctx(x.q, x.v)
-        return np.array([exprdiff.gradient(e, sys.names, ctx) for e in self.g])
+        return exprdiff.gradient(self.g, sys.names, sys.qv_ctx(x.q, x.v))
 
     def g_grad_v(self, sys: MechanicalSystem, x: StatePoint) -> np.ndarray:
-        ctx = sys.qv_ctx(x.q, x.v)
-        return np.array([exprdiff.gradient(e, sys.vnames, ctx) for e in self.g])
+        return exprdiff.gradient(self.g, sys.vnames, sys.qv_ctx(x.q, x.v))
 
 
 def deformed_c_matrix(sys: MechanicalSystem, dc: DeformedConstraint, x: StatePoint) -> CMatrix:

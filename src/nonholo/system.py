@@ -125,29 +125,25 @@ class MechanicalSystem:
                 raise SystemError(f"each constraint row must have {self.n} entries")
         allowed = set(self.names)
         for e in [self.V, *itertools.chain.from_iterable(self.mu)]:
-            extra = exprdiff.free_variables(e) - allowed
-            if extra:
-                raise SystemError(f"unknown variables in system data: {sorted(extra)}")
-
-        # Constraint entries and potentials are evaluated inside integrator
-        # loops, so constant entries are folded once here and derivative
-        # work is restricted to the variables an entry actually mentions.
-        self._mu_const = np.zeros((self.m, self.n))
-        self._mu_var_entries = []
-        for a, row in enumerate(self.mu):
-            for i, e in enumerate(row):
-                free = sorted(exprdiff.free_variables(e))
-                if free:
-                    idx = np.array([self.names.index(nm) for nm in free])
-                    self._mu_var_entries.append((a, i, e, free, idx))
-                else:
-                    self._mu_const[a, i] = exprdiff.evaluate(e, {})
-        self._v_free = sorted(exprdiff.free_variables(self.V))
-        self._v_free_idx = np.array([self.names.index(nm) for nm in self._v_free], dtype=int)
-        self._v_const = exprdiff.evaluate(self.V, {}) if not self._v_free else None
+            free = exprdiff.free_variables(e)
+            if free - allowed:
+                raise SystemError(f"unknown variables in system data: {sorted(free - allowed)}")
+            if not free:
+                # a constant that does not evaluate is bad data; the tree walk
+                # finds it here without compiling a kernel
+                exprdiff._check_finite(exprdiff._eval_node(e, {}))
+        # Each accessor is one exprdiff call over all its entries and names,
+        # which runs one compiled kernel.
+        self._mu_entries = tuple(itertools.chain.from_iterable(self.mu))
+        # hess V takes mixed partials in sorted-name order, so that its last
+        # bits do not depend on the order of the names; _unsort puts the
+        # rows and columns back in the names' order
+        self._sorted_names = sorted(self.names)
+        unsort = [self._sorted_names.index(nm) for nm in self.names]
+        self._unsort = np.ix_(unsort, unsort)
 
     def q_ctx(self, q: np.ndarray) -> dict:
-        return {nm: float(val) for nm, val in zip(self.names, q)}
+        return dict(zip(self.names, np.asarray(q, dtype=float).tolist()))
 
     def qv_ctx(self, q: np.ndarray, v: np.ndarray) -> dict:
         ctx = self.q_ctx(q)
@@ -155,39 +151,21 @@ class MechanicalSystem:
         return ctx
 
     def mu_at(self, q: np.ndarray) -> np.ndarray:
-        out = self._mu_const.copy()
-        if self._mu_var_entries:
-            ctx = self.q_ctx(q)
-            for a, i, e, _, _ in self._mu_var_entries:
-                out[a, i] = exprdiff.evaluate(e, ctx)
-        return out
+        return exprdiff.evaluate(self._mu_entries, self.q_ctx(q)).reshape(self.m, self.n)
 
     def mu_jac_at(self, q: np.ndarray) -> np.ndarray:
         """d mu[a, i] / d q[j], shape (m, n, n)."""
-        out = np.zeros((self.m, self.n, self.n))
-        if self._mu_var_entries:
-            ctx = self.q_ctx(q)
-            for a, i, e, free, idx in self._mu_var_entries:
-                out[a, i, idx] = exprdiff.gradient(e, free, ctx)
-        return out
+        jac = exprdiff.gradient(self._mu_entries, self.names, self.q_ctx(q))
+        return jac.reshape(self.m, self.n, self.n)
 
     def v_at(self, q: np.ndarray) -> float:
-        if self._v_const is not None:
-            return self._v_const
         return exprdiff.evaluate(self.V, self.q_ctx(q))
 
     def grad_v_at(self, q: np.ndarray) -> np.ndarray:
-        out = np.zeros(self.n)
-        if self._v_free:
-            out[self._v_free_idx] = exprdiff.gradient(self.V, self._v_free, self.q_ctx(q))
-        return out
+        return exprdiff.gradient(self.V, self.names, self.q_ctx(q))
 
     def hess_v_at(self, q: np.ndarray) -> np.ndarray:
-        out = np.zeros((self.n, self.n))
-        if self._v_free:
-            block = exprdiff.hessian(self.V, self._v_free, self.q_ctx(q))
-            out[np.ix_(self._v_free_idx, self._v_free_idx)] = block
-        return out
+        return exprdiff.hessian(self.V, self._sorted_names, self.q_ctx(q))[self._unsort]
 
     def rank_check(self, q: np.ndarray) -> None:
         if self.m and np.linalg.matrix_rank(self.mu_at(q)) != self.m:
@@ -210,11 +188,17 @@ def _gram_solve(sys: MechanicalSystem, mu: np.ndarray, rhs: np.ndarray, q: np.nd
     """Solve (mu M^-1 mu') x = rhs for the constraint rows mu taken at q.
 
     This is the integrator hot path, so it skips the conditioning
-    certificate that `c_matrix` provides and lets LAPACK object to an
-    outright singular Gram matrix instead.
+    certificate that `c_matrix` provides and rejects only an outright
+    singular Gram matrix: an exactly zero 1x1 one, or one LAPACK objects to.
     """
+    C = mu @ sys.M_inv @ mu.T
+    if C.shape == (1, 1):
+        # a 1x1 solve is this division, bit for bit, at a fraction of the cost
+        if C[0, 0] == 0.0:
+            raise SystemError(f"constraint Gram matrix singular at q={q!r}")
+        return rhs / C[0, 0]
     try:
-        return np.linalg.solve(mu @ sys.M_inv @ mu.T, rhs)
+        return np.linalg.solve(C, rhs)
     except np.linalg.LinAlgError:
         raise SystemError(f"constraint Gram matrix singular at q={q!r}") from None
 

@@ -386,6 +386,7 @@ INTERP = {
         ("converge", dict(CONVERGE, system=LOG_MU, **LOG_MU_START)),
         ("converge", dict(CONVERGE, eps_list=[0.02, 0.01, 0.005, 1e-320])),  # T / eps overflows
         ("converge", dict(CONVERGE, T=1e300)),  # the reference oracle's step count
+        ("embed", dict(EMBED, base_step=1e-300)),  # eps / base_step flow steps
     ],
 )
 def test_other_command_config_errors(tmp_path, capsys, command, cfg):

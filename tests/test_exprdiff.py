@@ -311,3 +311,120 @@ def test_derivatives_fail_wherever_the_value_fails(tree, y):
             gradient(tree, VARIABLES, ctx)
         with pytest.raises(EvalError):
             hessian(tree, VARIABLES, ctx)
+
+
+# --- compiled kernels against the reference tree walk ---------------------------
+# The walk below is the evaluator the kernels replace: the value first, then
+# each derivative tree, with the same finiteness checks.
+
+
+def _walk_env(wrt, ctx):
+    env = {k: float(v) for k, v in ctx.items()}
+    for name in wrt:
+        if name not in env:
+            raise EvalError(f"unbound variable {name!r}")
+    return env
+
+
+def _walk_value(expr, ctx):
+    return exprdiff._check_finite(float(exprdiff._eval_node(expr, _walk_env((), ctx))))
+
+
+def _walk_gradient(expr, wrt, ctx):
+    env = _walk_env(wrt, ctx)
+    exprdiff._check_finite(exprdiff._eval_node(expr, env))
+    out = np.array([exprdiff._eval_node(derivative(expr, name), env) for name in wrt])
+    if not np.all(np.isfinite(out)):
+        raise EvalError("gradient produced a non-finite value")
+    return out
+
+
+def _walk_hessian(expr, wrt, ctx):
+    env = _walk_env(wrt, ctx)
+    exprdiff._check_finite(exprdiff._eval_node(expr, env))
+    k = len(wrt)
+    out = np.empty((k, k))
+    for i in range(k):
+        first = derivative(expr, wrt[i])
+        for j in range(i, k):
+            out[i, j] = out[j, i] = exprdiff._eval_node(derivative(first, wrt[j]), env)
+    if not np.all(np.isfinite(out)):
+        raise EvalError("hessian produced a non-finite value")
+    return out
+
+
+def _outcome(fn, *args):
+    """The result's bytes (sign of zero included), or the EvalError's message."""
+    try:
+        return np.asarray(fn(*args), dtype=float).tobytes()
+    except EvalError as exc:
+        return f"EvalError: {exc}"
+
+
+# z is left unbound in the last one, so unbound-variable errors are compared too
+_CONTEXTS = [
+    {"x": 0.7, "y": 1.3, "z": 0.45},
+    {"x": -1.3, "y": 0.0, "z": 2.0},
+    {"x": 0.0, "y": -0.0, "z": 1e-3},
+    {"x": 3.5, "y": -2.25, "z": -0.5},
+    {"x": 0.7, "y": -2.5},
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_trees, st.sampled_from(_CONTEXTS), st.permutations(VARIABLES))
+def test_kernels_match_the_tree_walk_bit_for_bit(tree, ctx, wrt):
+    assert _outcome(evaluate, tree, ctx) == _outcome(_walk_value, tree, ctx)
+    assert _outcome(gradient, tree, wrt, ctx) == _outcome(_walk_gradient, tree, wrt, ctx)
+    assert _outcome(hessian, tree, wrt, ctx) == _outcome(_walk_hessian, tree, wrt, ctx)
+
+
+def test_kernels_match_the_tree_walk_on_the_sample_expressions():
+    # mixed partials depend on the order of differentiation in the last bits,
+    # so both orders of wrt are compared
+    rng = np.random.default_rng(11)
+    for text in SAMPLE_EXPRESSIONS:
+        tree = parse(text)
+        for _ in range(4):
+            ctx = {nm: float(rng.uniform(0.2, 1.8)) for nm in VARIABLES}
+            for wrt in (VARIABLES, VARIABLES[::-1]):
+                assert _outcome(gradient, tree, wrt, ctx) == _outcome(_walk_gradient, tree, wrt, ctx)
+                assert _outcome(hessian, tree, wrt, ctx) == _outcome(_walk_hessian, tree, wrt, ctx)
+
+
+def _stacked(fn, trees, *args):
+    """The scalar calls in order: their stacked results, or the first EvalError."""
+    try:
+        return np.array([fn(tree, *args) for tree in trees], dtype=float).tobytes()
+    except EvalError as exc:
+        return f"EvalError: {exc}"
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_trees, min_size=1, max_size=4), st.sampled_from(_CONTEXTS))
+def test_tuple_form_equals_the_scalar_calls_stacked(trees, ctx):
+    trees = tuple(trees)
+    assert _outcome(evaluate, trees, ctx) == _stacked(evaluate, trees, ctx)
+    assert _outcome(gradient, trees, VARIABLES, ctx) == _stacked(gradient, trees, VARIABLES, ctx)
+    assert _outcome(hessian, trees, VARIABLES, ctx) == _stacked(hessian, trees, VARIABLES, ctx)
+
+
+def test_tuple_form_shapes():
+    trees = (parse("x*y"), parse("3"))
+    ctx = {"x": 2.0, "y": 5.0}
+    assert evaluate(trees, ctx).tolist() == [10.0, 3.0]
+    assert gradient(trees, ["x", "y"], ctx).tolist() == [[5.0, 2.0], [0.0, 0.0]]
+    assert hessian(trees, ["x", "y"], ctx).shape == (2, 2, 2)
+    assert evaluate((), ctx).shape == (0,)
+    assert gradient((), ["x", "y"], ctx).shape == (0, 2)
+
+
+def test_kernel_keeps_signed_zeros_and_constant_literals():
+    # folded derivative trees hold -0.0 as a number, which the parser never
+    # makes; it must stay distinct from 0.0 in one kernel
+    tree = Add(Mul(Num(-0.0), Var("x")), Mul(Num(0.0), Var("y")))
+    assert np.copysign(1.0, evaluate(tree, {"x": 1.0, "y": 1.0})) == 1.0
+    assert np.copysign(1.0, evaluate(tree, {"x": 1.0, "y": -1.0})) == -1.0
+    # 1e400 is no literal: it is bound by name and still caught as non-finite
+    with pytest.raises(EvalError, match="non-finite"):
+        evaluate(parse("1e400*x"), {"x": 1.0})

@@ -20,9 +20,11 @@ integrator (``dla`` with beta in {0, 0.3, 0.5, 1} on both node policies)
 at eps = 0.01, plus ``vni20``, ``original_node`` and ``dla`` at eps = 0.1;
 the reference flow on a deformed constraint set and with ``project_each_step``;
 one run each of ``converge``, ``interp`` and ``embed``; a potential with an
-integer power above 8 at a negative base; then runs that fail at runtime and
-configs that misuse a key, ask for a huge step count or start outside the
-system's domain.
+integer power above 8 at a negative base; a system whose ``V`` and ``mu`` use
+every function and a non-integer power, run by ``reference``, ``vni20`` and
+``dla``; then runs that fail at runtime and configs that misuse a key, ask
+for a huge step count or start outside the system's domain.  A config that
+runs longer than ``TIMEOUT_S`` is stopped and printed as ``exit timeout``.
 """
 from __future__ import annotations
 
@@ -33,6 +35,9 @@ import os
 import subprocess
 import sys
 import tempfile
+
+# Seconds one config may run; the slowest takes a few seconds.
+TIMEOUT_S = 60
 
 PARTICLE = {"system": "nonholonomic_particle", "q": [0.0, 1.0, 0.0], "v": [1.0, 1.0, 1.0]}
 
@@ -81,6 +86,16 @@ CONVERGE = {**PARTICLE, "integrator": "vni10", "T": 0.25, "eps_list": [0.02, 0.0
 # mu v + delta v_x v_y = 0 holds at this start
 DEFORMED = {**PARTICLE, "integrator": "reference", "v": [1.0, 1.0, 0.95], "eps": 0.01, "N": 200,
             "deformation": {"g": ["v_x*v_y"], "delta": 0.05}}
+# Every function of the language and a non-integer power, in V and in mu,
+# so that the byte comparison reaches every branch of the kernel generator.
+FUNCS_SYSTEM = {
+    "names": ["x", "y", "z"],
+    "M": [[1.0, 0.0, 0.0], [0.0, 2.0, 0.0], [0.0, 0.0, 1.0]],
+    "V": "log(1 + x^2)/2 + 0.1*tanh(y) + 0.05*exp(0.2*z) + 0.01*(2 + x^2)^1.5",
+    "mu": [["0.1*tan(0.3*x)", "cot(1 + 0.1*y^2)", "sqrt(1 + z^2)"]],
+}
+FUNCS_START = {"system": FUNCS_SYSTEM, "q": [0.2, 0.3, 0.1], "v": [0.5, -0.4, 0.3],
+               "project_initial": True, "eps": 0.01, "N": 200}
 # log(x) in mu is undefined at the start q = (-1, 0)
 LOG_MU = {"names": ["x", "y"], "M": [[1.0, 0.0], [0.0, 1.0]], "V": "0", "mu": [["log(x)", "1"]]}
 LOG_MU_START = {"q": [-1.0, 0.0], "v": [0.0, 0.0]}
@@ -118,6 +133,8 @@ def configs() -> list[tuple[str, str, dict]]:
             for system, start in (("particle", PARTICLE), ("disk_off_d", DISK_OFF_D))]
     out += [(f"other/power10_{name}", "simulate", {**POWER10, "integrator": name})
             for name in ("reference", "vni20")]
+    out += [(f"other/funcs_{name}", "simulate", {**FUNCS_START, "integrator": name, **extra})
+            for name, extra in (("reference", {}), ("vni20", {}), ("dla", {"beta": 0.5}))]
 
     quartic = [("reference", {}), ("vni10", {}), ("vni20", {}), ("original_node", {}),
                ("dla", {"beta": 0.5})]
@@ -168,6 +185,7 @@ def configs() -> list[tuple[str, str, dict]]:
         ("simulate", "steps_2e16", {**SIM, "N": 24001854256926364.0}),
         ("converge", "eps_list_denormal", {**CONVERGE, "eps_list": [0.02, 0.01, 0.005, 1e-320]}),
         ("converge", "oracle_steps_1e304", {**CONVERGE, "T": 1e300}),
+        ("embed", "base_step_1e-300", {**EMBED, "base_step": 1e-300}),
     ]
     out += [(f"misuse/{command}_{name}", command, cfg) for command, name, cfg in misuse]
     return out
@@ -199,10 +217,17 @@ def main(argv: list[str]) -> int:
             out_dir = os.path.join(work, str(i))
             with open(cfg_path, "w") as fh:
                 json.dump(cfg, fh)
-            proc = subprocess.run(
-                [sys.executable, "-m", "nonholo.cli", command, "--config", cfg_path, "--out", out_dir],
-                env=env, cwd=work, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
-            )
+            try:
+                proc = subprocess.run(
+                    [sys.executable, "-m", "nonholo.cli", command, "--config", cfg_path,
+                     "--out", out_dir],
+                    env=env, cwd=work, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+                    timeout=TIMEOUT_S,
+                )
+            except subprocess.TimeoutExpired:
+                # what a stopped run left behind depends on when it stopped
+                print(f"{name} exit timeout")
+                continue
             print(f"{name} exit {proc.returncode}")
             if os.path.isdir(out_dir):
                 for fname in sorted(os.listdir(out_dir)):
