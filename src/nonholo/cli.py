@@ -135,21 +135,29 @@ def _at_start():
         raise ConfigError(f"initial state: {exc}") from None
 
 
-def _initial_state(cfg: dict, sys: MechanicalSystem, deformation=None) -> StatePoint:
-    """(q, v) from the config, admissible for D or for the deformation's set if one is given."""
+def _initial_state(
+    cfg: dict, sys: MechanicalSystem, deformation=None, node_eps: float | None = None
+) -> StatePoint:
+    """(q, v) from the config, admissible for D or for the deformation's set if one is given.
+
+    With `node_eps`, project_initial repairs onto original_node's deformed set at that step.
+    """
     q = _vector(cfg, "q", sys.n)
     v = _vector(cfg, "v", sys.n)
-    x = StatePoint(q, v)
     with _at_start():
         if _flag(cfg, "project_initial"):
-            return StatePoint(q, project_velocity(sys, q, v))
+            v = project_velocity(sys, q, v)
+            if node_eps is not None:
+                v = deformed_admissible_velocity(sys, q, v, node_eps)
+            return StatePoint(q, v)
+        x = np.concatenate([q, v])
         res = deformed_residual(sys, deformation, x) if deformation else constraint_residual(sys, x)
     if sys.m and np.max(np.abs(res)) > ADMISSIBLE_TOL:
         raise ConfigError(
             "initial velocity is not admissible "
             f"(residual {np.max(np.abs(res)):.6g}); set project_initial to repair it"
         )
-    return x
+    return StatePoint(q, v)
 
 
 def _as_number(raw, what: str) -> float:
@@ -278,11 +286,7 @@ def cmd_simulate(cfg: dict, out_dir: str) -> int:
     dc = _deformation(cfg, sys)
     if dc is not None and integ != "reference":
         raise ConfigError("deformed constraints only apply to the reference integrator")
-    x0 = _initial_state(cfg, sys, dc)
-    if integ == "original_node" and _flag(cfg, "project_initial"):
-        # this scheme preserves the deformed set, so repair onto that instead
-        with _at_start():
-            x0 = StatePoint(x0.q, deformed_admissible_velocity(sys, x0.q, x0.v, eps))
+    x0 = _initial_state(cfg, sys, dc, eps if integ == "original_node" else None)
 
     csv_path = _out_path(cfg, "output", "trajectory.csv", out_dir)
     summary_path = _out_path(cfg, "summary", "summary.json", out_dir)
@@ -369,7 +373,7 @@ def convergence_study(cfg: dict, eps_list: list[float], jobs: int = 1) -> StudyR
 
     oracle = reference_flow(sys, x0, T)
     oracle_concat = oracle.concat()
-    oracle_lam = lambda_continuous(sys, oracle, check=False)
+    oracle_lam = lambda_continuous(sys, oracle_concat, check=False)
 
     ordered = sorted(eps_list, reverse=True)
     tasks = [(cfg, e, T, oracle_concat, oracle_lam) for e in ordered]
@@ -473,7 +477,7 @@ def cmd_embed(cfg: dict, out_dir: str) -> int:
             raise ConfigError(f"points[{i}] must be an object with 'q' and 'v'")
         x = _initial_state({**entry, "project_initial": _flag(cfg, "project_initial")}, sys)
         # _initial_state holds x to a tighter residual than reduce_state's check
-        points.append(reduce_state(sys, split, x))
+        points.append(reduce_state(sys, split, x.concat()))
 
     started = time.perf_counter()
     try:
@@ -504,11 +508,12 @@ def cmd_interp(cfg: dict, out_dir: str) -> int:
     b = _initial_state(cfg["x1"], sys)
     eps = _positive(cfg, "eps")
     samples = _integer(cfg, "samples", 101, least=2)
+    _check_steps(samples, "samples")
     csv_path = _out_path(cfg, "output", "interpolation.csv", out_dir)
     q0 = _vector(cfg, "q0", sys.n) if "q0" in cfg else a.q
     try:
         split = derive_connection(sys, q0=q0)
-        curve = interpolate_in_D(sys, split, a, b, eps)
+        curve = interpolate_in_D(sys, split, a.concat(), b.concat(), eps)
     except SystemError as exc:
         raise ConfigError(str(exc)) from None
 
@@ -521,7 +526,7 @@ def cmd_interp(cfg: dict, out_dir: str) -> int:
     rows = []
     for t in np.linspace(0.0, eps, samples):
         x = curve(float(t))
-        rows.append([float(t), *x.q, *x.v, *constraint_residual(sys, x)])
+        rows.append([float(t), *x, *constraint_residual(sys, x)])
     write_csv(csv_path, header, rows)
     return 0
 

@@ -31,7 +31,8 @@ instead reproduces the midpoint-constraint scheme's behaviour.
 
 Multipliers are always reported in the O(1) normalization of the
 continuous reaction force, so they can be compared directly against
-`lambda_continuous` along a reference solution.
+`lambda_continuous` along a reference solution.  Nodes are flat rows
+x = (q, v) of length 2n; only `run_integrator` takes a `StatePoint`.
 """
 from __future__ import annotations
 
@@ -160,7 +161,11 @@ class DiscreteNonholonomicSystem:
         return out
 
     def check_regularity(self, x: np.ndarray, y: np.ndarray) -> float:
-        cond = float(np.linalg.cond(self.regularity_matrix(x, y)))
+        block = self.regularity_matrix(x, y)
+        try:
+            cond = float(np.linalg.cond(block))
+        except np.linalg.LinAlgError:  # the SVD fails on a matrix with NaN entries
+            cond = np.inf
         if not np.isfinite(cond) or cond > REGULARITY_COND_LIMIT:
             raise SystemError(
                 f"discrete step not well posed (regularity condition number {cond:.3e})"
@@ -170,32 +175,41 @@ class DiscreteNonholonomicSystem:
 
 @dataclass(frozen=True)
 class StepResult:
-    """One advance of a scheme: the new state, its multiplier, Newton work.
+    """One advance of a scheme: the new state row, its multiplier, Newton work.
 
     For the two-point scheme the state is (q_{k+1}, (q_{k+1} - q_k) / eps).
     """
 
-    state: StatePoint
+    state: np.ndarray
     lam: np.ndarray
     iters: int
 
 
-def vni10_step(sys: MechanicalSystem, x: StatePoint, eps: float) -> StepResult:
+def _node(q: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The row (q, v) of a new node; a node that overflowed stops the run."""
+    x = np.concatenate([q, v])
+    if not np.all(np.isfinite(x)):
+        raise SystemError("state entries must be finite")
+    return x
+
+
+def vni10_step(sys: MechanicalSystem, x: np.ndarray, eps: float) -> StepResult:
     """First-order scheme: drift the node, then solve the multiplier exactly.
 
     The new velocity is admissible at the new configuration by construction,
     and no iteration is needed: the multiplier system is linear.
     """
-    q1 = x.q + eps * x.v
+    q, v = x[: sys.n], x[sys.n :]
+    q1 = q + eps * v
     mu1 = sys.mu_at(q1)
-    w = x.v - eps * (sys.M_inv @ sys.grad_v_at(q1))
+    w = v - eps * (sys.M_inv @ sys.grad_v_at(q1))
     if sys.m:
         lam = -_gram_solve(sys, mu1, mu1 @ w, q1) / eps
         v1 = w + eps * (sys.M_inv @ (mu1.T @ lam))
     else:
         lam = np.zeros(0)
         v1 = w
-    return StepResult(StatePoint(q1, v1), lam, 0)
+    return StepResult(_node(q1, v1), lam, 0)
 
 
 def _implicit_step(
@@ -236,18 +250,19 @@ def _implicit_step(
     return z[:n], z[n:], iters
 
 
-def vni20_step(sys: MechanicalSystem, x: StatePoint, eps: float) -> StepResult:
+def vni20_step(sys: MechanicalSystem, x: np.ndarray, eps: float) -> StepResult:
     """Second-order scheme: trapezoidal forces, reaction at the half point,
     constraint enforced at the new node q~_{k+1} = q_half + eps/2 v_{k+1}.
     """
-    q_half = x.q + 0.5 * eps * x.v
+    q, v = x[: sys.n], x[sys.n :]
+    q_half = q + 0.5 * eps * v
     v1, lam, iters = _implicit_step(
-        sys, eps, x.v, q_half, 0.5, 0.5, 0.5 * sys.grad_v_at(x.q), sys.mu_at(q_half)
+        sys, eps, v, q_half, 0.5, 0.5, 0.5 * sys.grad_v_at(q), sys.mu_at(q_half)
     )
-    return StepResult(StatePoint(q_half + 0.5 * eps * v1, v1), lam, iters)
+    return StepResult(_node(q_half + 0.5 * eps * v1, v1), lam, iters)
 
 
-def original_node_step(sys: MechanicalSystem, x: StatePoint, eps: float) -> StepResult:
+def original_node_step(sys: MechanicalSystem, x: np.ndarray, eps: float) -> StepResult:
     """Midpoint-constraint scheme on the original nodes (q_k, v_k).
 
     Admissibility here means the *deformed* residual mu(q - eps/2 v) v
@@ -260,16 +275,16 @@ def original_node_step(sys: MechanicalSystem, x: StatePoint, eps: float) -> Step
             "input node violates the deformed constraint "
             f"(residual {np.max(np.abs(res0)):.6g}); repair it with deformed_admissible_velocity"
         )
-    grad_back = sys.grad_v_at(x.q - 0.5 * eps * x.v)
-    v1, lam, iters = _implicit_step(
-        sys, eps, x.v, x.q, 0.5, 0.5, 0.5 * grad_back, sys.mu_at(x.q)
-    )
-    return StepResult(StatePoint(x.q + eps * v1, v1), lam, iters)
+    q, v = x[: sys.n], x[sys.n :]
+    grad_back = sys.grad_v_at(q - 0.5 * eps * v)
+    v1, lam, iters = _implicit_step(sys, eps, v, q, 0.5, 0.5, 0.5 * grad_back, sys.mu_at(q))
+    return StepResult(_node(q + eps * v1, v1), lam, iters)
 
 
-def deformed_node_residual(sys: MechanicalSystem, x: StatePoint, eps: float) -> np.ndarray:
-    """mu(q - eps/2 v) v: the quantity the midpoint-constraint scheme conserves."""
-    return sys.mu_at(x.q - 0.5 * eps * x.v) @ x.v
+def deformed_node_residual(sys: MechanicalSystem, x: np.ndarray, eps: float) -> np.ndarray:
+    """mu(q - eps/2 v) v at the row x = (q, v): what the midpoint-constraint scheme conserves."""
+    q, v = x[: sys.n], x[sys.n :]
+    return sys.mu_at(q - 0.5 * eps * v) @ v
 
 
 def deformed_admissible_velocity(
@@ -318,7 +333,7 @@ def dla_step(
     u_v, lam, iters = _implicit_step(
         sys, eps, v_k, q_cur, beta, 1.0 - beta, beta * grad_back, sys.mu_at(q_cur)
     )
-    return StepResult(StatePoint(q_cur + eps * u_v, u_v), lam, iters)
+    return StepResult(_node(q_cur + eps * u_v, u_v), lam, iters)
 
 
 # benchmarks/tracer.py wraps `discrete.DiscreteTrajectory.to_csv` by name, and
@@ -383,10 +398,10 @@ def run_integrator(
         eps * np.arange(N + 1), states, lambdas, residuals, energies, n, iters, deformed, raw
     )
 
-    def record(k, x: StatePoint, lam, it):
-        states[k] = x.concat()
+    def record(k, x, lam, it):
+        states[k] = x
         lambdas[k] = lam
-        residuals[k] = sys.mu_at(x.q) @ x.v if m else np.zeros(0)
+        residuals[k] = sys.mu_at(x[:n]) @ x[n:] if m else np.zeros(0)
         deformed[k] = deformed_node_residual(sys, x, eps) if m else np.zeros(0)
         energies[k] = energy(sys, x)
         iters[k] = it
@@ -397,22 +412,19 @@ def run_integrator(
         else:
             raw[0], raw[1] = x0.q - eps * x0.v, x0.q
     else:
-        step_fn = {
-            "vni10": vni10_step,
-            "vni20": vni20_step,
-            "original_node": original_node_step,
-        }[scheme]
-    x = x0
+        nodes = {"vni10": vni10_step, "vni20": vni20_step, "original_node": original_node_step}
+        step_fn = nodes[scheme]
+    x = x0.concat()
     k = 0
     try:
-        record(0, x0, _lambda_raw(sys, x0), 0)
+        record(0, x, _lambda_raw(sys, x), 0)
         for k in range(1, N + 1):
             out = dla_step(dsys, raw[k - 1], raw[k]) if scheme == "dla" else step_fn(sys, x, eps)
             x = out.state
             if scheme == "dla":
-                raw[k + 1] = x.q
+                raw[k + 1] = x[:n]
                 if policy is NodePolicy.REDEFINED:
-                    x = StatePoint(*dsys.rho.forward(raw[k], raw[k + 1]))
+                    x = _node(*dsys.rho.forward(raw[k], raw[k + 1]))
             record(k, x, out.lam, out.iters)
     except (NewtonError, SystemError, EvalError) as exc:
         exc.partial = traj.head(k)  # the rows recorded before the failed step

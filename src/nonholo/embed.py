@@ -80,13 +80,9 @@ def chi0_prime(tau: float) -> float:
 
 
 def interpolate_in_D(
-    sys: MechanicalSystem,
-    split: ConnectionSplit,
-    x0,
-    x1,
-    eps: float,
+    sys: MechanicalSystem, split: ConnectionSplit, x0: np.ndarray, x1: np.ndarray, eps: float
 ):
-    """Curve c : [0, eps] -> D joining two admissible states.
+    """Curve c : [0, eps] -> D joining two admissible state rows x = (q, v).
 
     Blending happens in the reduced coordinates and the result is lifted
     through psi, so every sample of the curve satisfies the constraints to

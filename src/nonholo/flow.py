@@ -1,7 +1,7 @@
 """Fixed-step time integration of the continuous dynamics.
 
-Everything here is classic RK4 on a first-order field over the concatenated
-state (q, v).  `integrate` drives a mechanical system and records multiplier,
+Everything here is classic RK4 on a first-order field over the state row
+x = (q, v).  `integrate` drives a mechanical system and records multiplier,
 residual and energy alongside the states; `flow_field` is the bare-bones
 variant for an arbitrary autonomous field on R^d.  Reference solutions use a
 step short enough that their own error sits far below anything the package
@@ -13,6 +13,7 @@ measures against them.
 from __future__ import annotations
 
 import csv
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -26,7 +27,6 @@ from .system import (
     MechanicalSystem,
     StatePoint,
     SystemError,
-    _state_view,
     constraint_residual,
     energy,
     project_velocity,
@@ -172,11 +172,10 @@ def integrate(
     constraint set mu(q) v + delta g(q, v) = 0.
     """
     if deformation is None:
-        field, lambda_at, residual_at = h_field, _lambda_raw, constraint_residual
+        kernels, bound = (h_field, _lambda_raw, constraint_residual), (sys,)
     else:
-        field = lambda s, x: deformed_field(s, deformation, x)
-        lambda_at = lambda s, x: deformed_lambda(s, deformation, x)
-        residual_at = lambda s, x: deformed_residual(s, deformation, x)
+        kernels, bound = (deformed_field, deformed_lambda, deformed_residual), (sys, deformation)
+    field, lambda_at, residual_at = (functools.partial(fn, *bound) for fn in kernels)
 
     K = max(1, abs(round(T / eps_ref))) if T else 0
     h = T / K if K else 0.0
@@ -189,26 +188,23 @@ def integrate(
     energies = np.empty(K + 1)
     traj = Trajectory(times, states, lambdas, residuals, energies, n)
 
-    def record(k, t, x: StatePoint):
+    def record(k, t, x):
         times[k] = t
-        states[k] = x.concat()
-        lambdas[k] = lambda_at(sys, x)
-        residuals[k] = residual_at(sys, x)
+        states[k] = x
+        lambdas[k] = lambda_at(x)
+        residuals[k] = residual_at(x)
         energies[k] = energy(sys, x)
 
-    f_concat = lambda arr: field(sys, _state_view(arr[:n], arr[n:]))
-    x = x0
+    x = x0.concat()
     k = 0
     try:
         record(0, 0.0, x)
         for k in range(1, K + 1):
-            nxt = rk4_step(f_concat, x.concat(), h)
-            if not np.all(np.isfinite(nxt)) or np.linalg.norm(nxt) > BLOWUP_NORM:
+            x = rk4_step(field, x, h)
+            if not np.all(np.isfinite(x)) or np.linalg.norm(x) > BLOWUP_NORM:
                 raise BlowUpError(f"solution blew up at t = {k * h:.6g}")
-            q, v = nxt[:n], nxt[n:]
             if project_each_step:
-                v = project_velocity(sys, q, v)
-            x = StatePoint(q, v)
+                x[n:] = project_velocity(sys, x[:n], x[n:])
             record(k, k * h, x)
     except (BlowUpError, EvalError, SystemError) as exc:
         exc.partial = traj.head(k)  # the rows recorded before the failed one

@@ -8,7 +8,7 @@ with the multiplier chosen so that d/dt [mu(q) v] = 0.  Splitting the
 coordinates with a `ConnectionSplit` eliminates the fiber velocities and
 yields an unconstrained ODE in the flat reduced coordinates
 xi = (q, v_base); `psi_embed` and `psi_pseudo_inverse` convert between the
-two pictures.
+two pictures.  States are flat rows x = (q, v) of length 2n throughout.
 
 Two modified versions of the field live here as well: an order-eps^p
 perturbation restored to tangency by adjusting the multiplier, and the
@@ -29,7 +29,6 @@ from .system import (
     CMatrix,
     ConnectionSplit,
     MechanicalSystem,
-    StatePoint,
     SystemError,
     _checked_gram,
     _gram_solve,
@@ -59,9 +58,10 @@ __all__ = [
 ON_D_TOL = 1e-9
 
 
-def _plain_inputs(sys: MechanicalSystem, x: StatePoint):
+def _plain_inputs(sys: MechanicalSystem, x: np.ndarray):
     """`_solve_field`'s (q, rows, grad_q, qdot, f_v) for phi = mu(q) v at x, f_v = -M^-1 grad V."""
-    return x.q, sys.mu_at(x.q), x.v @ sys.mu_jac_at(x.q), x.v, -(sys.M_inv @ sys.grad_v_at(x.q))
+    q, v = x[: sys.n], x[sys.n :]
+    return q, sys.mu_at(q), v @ sys.mu_jac_at(q), v, -(sys.M_inv @ sys.grad_v_at(q))
 
 
 def _solve_field(sys: MechanicalSystem, q, rows, grad_q, qdot, f_v, checked: bool = False):
@@ -80,41 +80,41 @@ def _solve_field(sys: MechanicalSystem, q, rows, grad_q, qdot, f_v, checked: boo
     return np.concatenate([qdot, f_v + sys.M_inv @ (rows.T @ lam)]), lam
 
 
-def _lambda_raw(sys: MechanicalSystem, x: StatePoint) -> np.ndarray:
+def _lambda_raw(sys: MechanicalSystem, x: np.ndarray) -> np.ndarray:
     if sys.m == 0:
         return np.zeros(0)
     return _solve_field(sys, *_plain_inputs(sys, x))[1]
 
 
-def _require_on_d(sys: MechanicalSystem, x: StatePoint) -> None:
+def _require_on_d(sys: MechanicalSystem, x: np.ndarray) -> None:
     if sys.m:
         res = float(np.max(np.abs(constraint_residual(sys, x))))
         if res > ON_D_TOL:
             raise SystemError(f"state is off D (residual {res:.6g})")
 
 
-def lambda_continuous(sys: MechanicalSystem, x: StatePoint, check: bool = True) -> np.ndarray:
+def lambda_continuous(sys: MechanicalSystem, x: np.ndarray, check: bool = True) -> np.ndarray:
     """Reaction multipliers at x, which must lie on D unless check=False."""
     if check:
         _require_on_d(sys, x)
     return _lambda_raw(sys, x)
 
 
-def h_field(sys: MechanicalSystem, x: StatePoint) -> np.ndarray:
+def h_field(sys: MechanicalSystem, x: np.ndarray) -> np.ndarray:
     """The constrained field (v, -M^-1 grad V + lambda_a M^-1 mu^a), concatenated."""
     if sys.m == 0:
-        return np.concatenate([x.v, -(sys.M_inv @ sys.grad_v_at(x.q))])
+        return np.concatenate([x[sys.n :], -(sys.M_inv @ sys.grad_v_at(x[: sys.n]))])
     return _solve_field(sys, *_plain_inputs(sys, x))[0]
 
 
-def psi_embed(sys: MechanicalSystem, split: ConnectionSplit, xi) -> StatePoint:
-    """Lift xi = (q, v_base) to the unique point of D above it: v_fiber = -A(q) v_base."""
+def psi_embed(sys: MechanicalSystem, split: ConnectionSplit, xi) -> np.ndarray:
+    """Lift xi = (q, v_base) to the row x = (q, v) of D above it: v_fiber = -A(q) v_base."""
     q, v_base = xi[: sys.n], xi[sys.n :]
     v = np.zeros(sys.n)
     v[list(split.base)] = v_base
     if sys.m:
         v[list(split.fiber)] = -split.a_at(sys, q) @ v_base
-    return StatePoint(q, v)
+    return np.concatenate([q, v])
 
 
 def grad_psi(sys: MechanicalSystem, split: ConnectionSplit, xi) -> np.ndarray:
@@ -150,12 +150,12 @@ def psi_pseudo_inverse(sys: MechanicalSystem, split: ConnectionSplit) -> np.ndar
 
 
 def reduce_state(
-    sys: MechanicalSystem, split: ConnectionSplit, x: StatePoint, check: bool = True
+    sys: MechanicalSystem, split: ConnectionSplit, x: np.ndarray, check: bool = True
 ) -> np.ndarray:
-    """Project a point of D to its reduced coordinates xi = (q, v_base)."""
+    """Project a point x = (q, v) of D to its reduced coordinates xi = (q, v_base)."""
     if check:
         _require_on_d(sys, x)
-    return np.concatenate([x.q, x.v[list(split.base)]])
+    return np.concatenate([x[: sys.n], x[sys.n :][list(split.base)]])
 
 
 def reduced_field(sys: MechanicalSystem, split: ConnectionSplit, xi) -> np.ndarray:
@@ -168,37 +168,37 @@ def reduced_field(sys: MechanicalSystem, split: ConnectionSplit, xi) -> np.ndarr
 class PerturbationInput:
     """A perturbation eps^p ghat(x) of the constrained field.
 
-    ghat maps a state to a length-2n array (configuration part first).  The
-    pair (p, eps) fixes the magnitude; eps = 0 switches the perturbation off.
+    ghat maps a row x = (q, v) to a length-2n array (configuration part
+    first).  The pair (p, eps) fixes the magnitude; eps = 0 switches it off.
     """
 
-    ghat: Callable[[StatePoint], np.ndarray]
+    ghat: Callable[[np.ndarray], np.ndarray]
     p: int
     eps: float
 
 
-def _ghat_parts(sys: MechanicalSystem, pert: PerturbationInput, x: StatePoint):
+def _ghat_parts(sys: MechanicalSystem, pert: PerturbationInput, x: np.ndarray):
     g = np.asarray(pert.ghat(x), dtype=float)
     if g.shape != (2 * sys.n,):
         raise SystemError(f"perturbation must return a length-{2 * sys.n} array")
     return g[: sys.n], g[sys.n :]
 
 
-def _perturbed(sys: MechanicalSystem, pert: PerturbationInput, x: StatePoint):
+def _perturbed(sys: MechanicalSystem, pert: PerturbationInput, x: np.ndarray):
     scale = pert.eps**pert.p
     g_q, g_v = _ghat_parts(sys, pert, x)
     q, mu, grad_q, v, f_v = _plain_inputs(sys, x)
     return _solve_field(sys, q, mu, grad_q, v + scale * g_q, f_v + scale * g_v, checked=True)
 
 
-def perturbed_lambda(sys: MechanicalSystem, pert: PerturbationInput, x: StatePoint) -> np.ndarray:
+def perturbed_lambda(sys: MechanicalSystem, pert: PerturbationInput, x: np.ndarray) -> np.ndarray:
     """Multiplier keeping h + eps^p ghat tangent to D."""
     if sys.m == 0 or pert.eps == 0.0:
         return _lambda_raw(sys, x)
     return _perturbed(sys, pert, x)[1]
 
 
-def perturbed_field(sys: MechanicalSystem, pert: PerturbationInput, x: StatePoint) -> np.ndarray:
+def perturbed_field(sys: MechanicalSystem, pert: PerturbationInput, x: np.ndarray) -> np.ndarray:
     """h + eps^p ghat with the multiplier re-solved so D stays invariant."""
     if pert.eps == 0.0:
         return h_field(sys, x)
@@ -206,7 +206,7 @@ def perturbed_field(sys: MechanicalSystem, pert: PerturbationInput, x: StatePoin
 
 
 def perturbed_field_diagnostic(
-    sys: MechanicalSystem, pert: PerturbationInput, x: StatePoint
+    sys: MechanicalSystem, pert: PerturbationInput, x: np.ndarray
 ) -> np.ndarray:
     """Difference against the variant whose multiplier ignores the velocity part.
 
@@ -219,8 +219,8 @@ def perturbed_field_diagnostic(
     if sys.m == 0 or pert.eps == 0.0:
         return np.zeros(2 * sys.n)
     _, g_v = _ghat_parts(sys, pert, x)
-    mu = sys.mu_at(x.q)
-    cm = c_matrix(sys, x.q)
+    mu = sys.mu_at(x[: sys.n])
+    cm = c_matrix(sys, x[: sys.n])
     dlam = -pert.eps**pert.p * (cm.inv @ (mu @ g_v))
     out = np.zeros(2 * sys.n)
     out[sys.n :] = sys.M_inv @ (mu.T @ dlam)
@@ -242,22 +242,23 @@ class DeformedConstraint:
         # one tuple for the object's life, so exprdiff reuses its kernels
         object.__setattr__(self, "g", tuple(self.g))
 
-    def g_at(self, sys: MechanicalSystem, x: StatePoint) -> np.ndarray:
-        return exprdiff.evaluate(self.g, sys.qv_ctx(x.q, x.v))
+    def g_at(self, sys: MechanicalSystem, x: np.ndarray) -> np.ndarray:
+        return exprdiff.evaluate(self.g, sys.qv_ctx(x))
 
-    def g_grad_q(self, sys: MechanicalSystem, x: StatePoint) -> np.ndarray:
-        return exprdiff.gradient(self.g, sys.names, sys.qv_ctx(x.q, x.v))
+    def g_grad_q(self, sys: MechanicalSystem, x: np.ndarray) -> np.ndarray:
+        return exprdiff.gradient(self.g, sys.names, sys.qv_ctx(x))
 
-    def g_grad_v(self, sys: MechanicalSystem, x: StatePoint) -> np.ndarray:
-        return exprdiff.gradient(self.g, sys.vnames, sys.qv_ctx(x.q, x.v))
+    def g_grad_v(self, sys: MechanicalSystem, x: np.ndarray) -> np.ndarray:
+        return exprdiff.gradient(self.g, sys.vnames, sys.qv_ctx(x))
 
 
-def deformed_c_matrix(sys: MechanicalSystem, dc: DeformedConstraint, x: StatePoint) -> CMatrix:
+def deformed_c_matrix(sys: MechanicalSystem, dc: DeformedConstraint, x: np.ndarray) -> CMatrix:
     """Gram matrix of the deformed one-forms mu + delta dg/dv."""
-    return _checked_gram(sys, sys.mu_at(x.q) + dc.delta * dc.g_grad_v(sys, x), x.q)
+    q = x[: sys.n]
+    return _checked_gram(sys, sys.mu_at(q) + dc.delta * dc.g_grad_v(sys, x), q)
 
 
-def deformed_residual(sys: MechanicalSystem, dc: DeformedConstraint, x: StatePoint) -> np.ndarray:
+def deformed_residual(sys: MechanicalSystem, dc: DeformedConstraint, x: np.ndarray) -> np.ndarray:
     """mu(q) v + delta g(q, v) -- the quantity the deformed dynamics conserves."""
     res = constraint_residual(sys, x)
     if sys.m:
@@ -265,21 +266,21 @@ def deformed_residual(sys: MechanicalSystem, dc: DeformedConstraint, x: StatePoi
     return res
 
 
-def _deformed(sys: MechanicalSystem, dc: DeformedConstraint, x: StatePoint):
+def _deformed(sys: MechanicalSystem, dc: DeformedConstraint, x: np.ndarray):
     q, mu, grad_q, v, f_v = _plain_inputs(sys, x)
     rows = mu + dc.delta * dc.g_grad_v(sys, x)
     grad_q = grad_q + dc.delta * dc.g_grad_q(sys, x)
     return _solve_field(sys, q, rows, grad_q, v, f_v, checked=True)
 
 
-def deformed_lambda(sys: MechanicalSystem, dc: DeformedConstraint, x: StatePoint) -> np.ndarray:
+def deformed_lambda(sys: MechanicalSystem, dc: DeformedConstraint, x: np.ndarray) -> np.ndarray:
     """Multiplier of the deformed dynamics (reaction along the deformed one-forms)."""
     if sys.m == 0:
         return np.zeros(0)
     return _deformed(sys, dc, x)[1]
 
 
-def deformed_field(sys: MechanicalSystem, dc: DeformedConstraint, x: StatePoint) -> np.ndarray:
+def deformed_field(sys: MechanicalSystem, dc: DeformedConstraint, x: np.ndarray) -> np.ndarray:
     """Dynamics making the deformed residual a first integral.
 
     With delta = 0 this is the constrained field up to rounding, not bit for

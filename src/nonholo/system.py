@@ -41,7 +41,10 @@ class SystemError(ValueError):
 
 @dataclass(frozen=True)
 class StatePoint:
-    """A point (q, v) of the velocity phase space, not necessarily on D."""
+    """A point (q, v) of the velocity phase space, not necessarily on D.
+
+    The validated state of the public API; every kernel takes its flat row `concat()`.
+    """
 
     q: np.ndarray
     v: np.ndarray
@@ -56,20 +59,6 @@ class StatePoint:
 
     def concat(self) -> np.ndarray:
         return np.concatenate([self.q, self.v])
-
-    @staticmethod
-    def from_concat(arr: np.ndarray) -> "StatePoint":
-        arr = np.asarray(arr, dtype=float)
-        n = arr.size // 2
-        return StatePoint(arr[:n], arr[n:])
-
-
-def _state_view(q: np.ndarray, v: np.ndarray) -> StatePoint:
-    """StatePoint without validation, for hot loops over already-checked arrays."""
-    x = object.__new__(StatePoint)
-    object.__setattr__(x, "q", q)
-    object.__setattr__(x, "v", v)
-    return x
 
 
 def _as_expr(obj) -> Expression:
@@ -145,10 +134,8 @@ class MechanicalSystem:
     def q_ctx(self, q: np.ndarray) -> dict:
         return dict(zip(self.names, np.asarray(q, dtype=float).tolist()))
 
-    def qv_ctx(self, q: np.ndarray, v: np.ndarray) -> dict:
-        ctx = self.q_ctx(q)
-        ctx.update(zip(self.vnames, np.asarray(v, dtype=float)))
-        return ctx
+    def qv_ctx(self, x: np.ndarray) -> dict:
+        return dict(zip(self.names + self.vnames, x.tolist()))
 
     def mu_at(self, q: np.ndarray) -> np.ndarray:
         return exprdiff.evaluate(self._mu_entries, self.q_ctx(q)).reshape(self.m, self.n)
@@ -172,9 +159,9 @@ class MechanicalSystem:
             raise SystemError(f"constraint matrix loses rank at q={np.asarray(q)!r}")
 
 
-def constraint_residual(sys: MechanicalSystem, x: StatePoint) -> np.ndarray:
-    """phi(q, v) = mu(q) . v, one entry per constraint."""
-    return sys.mu_at(x.q) @ x.v
+def constraint_residual(sys: MechanicalSystem, x: np.ndarray) -> np.ndarray:
+    """phi(q, v) = mu(q) . v at the row x = (q, v), one entry per constraint."""
+    return sys.mu_at(x[: sys.n]) @ x[sys.n :]
 
 
 @dataclass(frozen=True)
@@ -312,9 +299,9 @@ def derive_connection(sys: MechanicalSystem, fiber_indices=None, q0=None) -> Con
     return ConnectionSplit(base=base, fiber=fiber)
 
 
-def energy(sys: MechanicalSystem, x: StatePoint) -> float:
-    """E = 1/2 v'Mv + V(q)."""
-    return float(0.5 * x.v @ sys.M @ x.v + sys.v_at(x.q))
+def energy(sys: MechanicalSystem, x: np.ndarray) -> float:
+    """E = 1/2 v'Mv + V(q) at the row x = (q, v)."""
+    return float(0.5 * x[sys.n :] @ sys.M @ x[sys.n :] + sys.v_at(x[: sys.n]))
 
 
 # The builtin systems as config-style field tables, read both by their

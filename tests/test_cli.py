@@ -7,6 +7,7 @@ import subprocess
 import sys
 import tempfile
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -140,6 +141,28 @@ def test_runtime_failure_writes_partial_csv(tmp_path, capsys, cfg, header):
     lines = (out / "trajectory.csv").read_text().splitlines()
     assert lines[0] == header
     assert len(lines) > 2
+
+
+OVERFLOW = {  # one step of eps * v = 1e309 overflows the configuration
+    "system": {"names": ["x", "y"], "M": [[1.0, 0.0], [0.0, 1.0]], "V": "0", "mu": [["1", "-1"]]},
+    "eps": 1000.0,
+    "N": 3,
+    "q": [0.0, 0.0],
+    "v": [1e306, 1e306],
+}
+
+
+@pytest.mark.parametrize("integrator", ["vni10", "vni20", "original_node", "dla"])
+def test_overflowed_node_stops_the_run(tmp_path, capsys, integrator):
+    cfg = dict(OVERFLOW, integrator=integrator)
+    if integrator == "dla":
+        cfg["beta"] = 0.5
+    with np.errstate(over="ignore", invalid="ignore"):
+        code, out = run(tmp_path, "simulate", cfg)
+    assert code == 3
+    assert capsys.readouterr().err.startswith("error:")
+    lines = (out / "trajectory.csv").read_text().splitlines()
+    assert len(lines) == 2  # the header and the initial row
 
 
 def test_converge_failed_oracle_exits_3(tmp_path, capsys):
@@ -387,6 +410,7 @@ INTERP = {
         ("converge", dict(CONVERGE, eps_list=[0.02, 0.01, 0.005, 1e-320])),  # T / eps overflows
         ("converge", dict(CONVERGE, T=1e300)),  # the reference oracle's step count
         ("embed", dict(EMBED, base_step=1e-300)),  # eps / base_step flow steps
+        ("interp", dict(INTERP, samples=1e20)),  # more samples than MAX_STEPS
     ],
 )
 def test_other_command_config_errors(tmp_path, capsys, command, cfg):

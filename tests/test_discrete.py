@@ -18,11 +18,13 @@ from nonholo.discrete import (
     vni10_step,
     vni20_step,
 )
-from nonholo.reduction import lambda_continuous
+from nonholo.flow import integrate
+from nonholo.reduction import lambda_continuous, reduced_field
 from nonholo.system import (
     MechanicalSystem,
     StatePoint,
     SystemError,
+    derive_connection,
     nonholonomic_particle,
     project_velocity,
 )
@@ -39,31 +41,31 @@ def fit_slope(eps_list, errs):
 
 def test_vni10_single_step():
     sys = nonholonomic_particle()
-    out = vni10_step(sys, X0, 0.1)
-    assert np.array_equal(out.state.q, [0.1, 1.1, 0.1])
+    out = vni10_step(sys, X0.concat(), 0.1)
+    assert np.array_equal(out.state[:3], [0.1, 1.1, 0.1])
     assert abs(out.lam[0] - 1.0 / 2.21) < 1e-15
     want_v = [0.9502262443438914, 1.0, 1.0452488687782805]
-    assert np.max(np.abs(out.state.v - want_v)) < 1e-15
+    assert np.max(np.abs(out.state[3:] - want_v)) < 1e-15
     assert out.iters == 0
     # the new node is admissible
-    assert abs(sys.mu_at(out.state.q) @ out.state.v) < 1e-15
+    assert abs(sys.mu_at(out.state[:3]) @ out.state[3:]) < 1e-15
 
 
 def test_vni20_single_step():
     sys = nonholonomic_particle()
-    out = vni20_step(sys, X0, 0.1)
+    out = vni20_step(sys, X0.concat(), 0.1)
     assert abs(out.lam[0] - 1.0 / 2.155) < 1e-12
     want_v = [0.951276102088167, 1.0, 1.0464037122969837]
     want_q = [0.09756380510440835, 1.1, 0.10232018561484918]
-    assert np.max(np.abs(out.state.v - want_v)) < 1e-12
-    assert np.max(np.abs(out.state.q - want_q)) < 1e-12
+    assert np.max(np.abs(out.state[3:] - want_v)) < 1e-12
+    assert np.max(np.abs(out.state[:3] - want_q)) < 1e-12
     assert out.iters >= 1
-    assert abs(sys.mu_at(out.state.q) @ out.state.v) < 1e-12
+    assert abs(sys.mu_at(out.state[:3]) @ out.state[3:]) < 1e-12
 
 
 def test_original_node_single_step():
     sys = nonholonomic_particle()
-    x = StatePoint([0.0, 1.0, 0.0], [1.0, 1.0, 0.95])
+    x = StatePoint([0.0, 1.0, 0.0], [1.0, 1.0, 0.95]).concat()
     assert abs(deformed_node_residual(sys, x, 0.1)[0]) < 1e-15
     out = original_node_step(sys, x, 0.1)
     assert abs(out.lam[0] - 1.0 / 2.05) < 1e-13
@@ -74,7 +76,7 @@ def test_original_node_single_step():
 def test_original_node_rejects_plain_nodes():
     sys = nonholonomic_particle()
     with pytest.raises(SystemError):
-        original_node_step(sys, X0, 0.1)  # on D but not on the deformed set
+        original_node_step(sys, X0.concat(), 0.1)  # on D but not on the deformed set
 
 
 def test_dla_single_step_original_nodes_closed_form():
@@ -177,10 +179,31 @@ def test_newton_step_evaluates_mu_once_per_iterate():
     calls = []
     mu_at = sys.mu_at
     sys.mu_at = lambda q: calls.append(q) or mu_at(q)
-    out = vni20_step(sys, x0, 0.01)
+    out = vni20_step(sys, x0.concat(), 0.01)
     assert out.iters >= 1
     # the reaction row at q_half, then one per iterate: each iteration's and the final one
     assert len(calls) == 1 + out.iters + 1
+
+
+def test_no_state_point_is_built_per_step(monkeypatch):
+    # StatePoint is the validated type of the public API; below it the loops
+    # pass flat (q, v) rows, so their StatePoint count does not grow with steps
+    built = []
+    post_init = StatePoint.__post_init__
+    monkeypatch.setattr(StatePoint, "__post_init__", lambda x: built.append(x) or post_init(x))
+    sys = nonholonomic_particle()
+    split = derive_connection(sys, q0=X0.q)
+    xi = np.array([0.0, 1.0, 0.0, 1.0, 1.0])
+    runs = {
+        "vni20": lambda: run_integrator(sys, "vni20", X0, 0.01, 1000),
+        "dla": lambda: run_integrator(sys, "dla", X0, 0.01, 1000, beta=0.5),
+        "integrate": lambda: integrate(sys, X0, 1.0, 0.01),
+        "reduced_field": lambda: [reduced_field(sys, split, xi) for _ in range(100)],
+    }
+    for name, call in runs.items():
+        built.clear()
+        call()
+        assert len(built) <= 1, f"{name} built {len(built)} StatePoints"
 
 
 # --- invariants over many steps -----------------------------------------------
@@ -226,15 +249,15 @@ def test_unconstrained_vni20_is_trapezoidal_rule():
     sys = MechanicalSystem(["x"], np.eye(1), "0.5*x^2", [])
     x = StatePoint([1.0], [0.5])
     eps = 0.2
-    out = vni20_step(sys, x, eps)
+    out = vni20_step(sys, x.concat(), eps)
     # solve v1 = v0 - eps/2 (q0 + q1), q1 = q0 + eps/2 (v0 + v1) directly
     a = np.array([[1.0 + eps * eps / 4.0, 0.0], [-eps / 2.0, 1.0]])
     rhs = np.array(
         [x.v[0] - 0.5 * eps * (2.0 * x.q[0] + 0.5 * eps * x.v[0]), x.q[0] + 0.5 * eps * x.v[0]]
     )
     v1, q1 = np.linalg.solve(a, rhs)
-    assert abs(out.state.v[0] - v1) < 1e-13
-    assert abs(out.state.q[0] - q1) < 1e-13
+    assert abs(out.state[1] - v1) < 1e-13
+    assert abs(out.state[0] - q1) < 1e-13
 
 
 # --- scheme equivalences through the node redefinition -------------------------
@@ -299,7 +322,7 @@ def test_first_order_state_and_multiplier_convergence(particle, oracle_t05):
     slope = fit_slope(EPS_COARSE, errs)
     assert 0.9 < slope < 1.1, f"state slope {slope} (errors {errs})"
 
-    lam_ref = lambda_continuous(particle, oracle_t05)
+    lam_ref = lambda_continuous(particle, oracle_t05.concat())
     lam_errs = []
     for eps in EPS_COARSE:
         traj = run_integrator(particle, "vni10", X0, eps, round(0.5 / eps))

@@ -66,11 +66,11 @@ def test_interpolation_endpoints_bitwise_and_residual_small():
         x1 = psi_embed(sys, split, rng.normal(size=5))
         c = interpolate_in_D(sys, split, x0, x1, eps)
         a, b = c(0.0), c(eps)
-        assert np.array_equal(a.q, x0.q) and np.array_equal(a.v, x0.v)
-        assert np.array_equal(b.q, x1.q) and np.array_equal(b.v, x1.v)
+        assert np.array_equal(a, x0)
+        assert np.array_equal(b, x1)
         for t in np.linspace(0.0, eps, 101):
             s = c(t)
-            assert np.max(np.abs(sys.mu_at(s.q) @ s.v)) < 1e-13
+            assert np.max(np.abs(sys.mu_at(s[:3]) @ s[3:])) < 1e-13
 
 
 def test_interpolation_is_flat_near_the_ends():
@@ -82,8 +82,8 @@ def test_interpolation_is_flat_near_the_ends():
     c = interpolate_in_D(sys, split, x0, x1, eps)
     early = c(0.01 * eps)
     late = c(0.99 * eps)
-    assert np.array_equal(early.q, x0.q) and np.array_equal(early.v, x0.v)
-    assert np.array_equal(late.q, x1.q) and np.array_equal(late.v, x1.v)
+    assert np.array_equal(early, x0)
+    assert np.array_equal(late, x1)
 
 
 def test_interpolation_rejects_off_d_input():
@@ -92,7 +92,7 @@ def test_interpolation_rejects_off_d_input():
     from nonholo.system import StatePoint
 
     good = psi_embed(sys, split, np.array([0.0, 1.0, 0.0, 1.0, 1.0]))
-    bad = StatePoint([0.0, 1.0, 0.0], [1.0, 0.0, 0.0])
+    bad = StatePoint([0.0, 1.0, 0.0], [1.0, 0.0, 0.0]).concat()
     with pytest.raises(SystemError):
         interpolate_in_D(sys, split, good, bad, 0.1)
 

@@ -59,7 +59,7 @@ def test_residual_and_projection():
     sys = nonholonomic_particle()
     q = np.array([0.0, 1.0, 0.0])
     x = StatePoint(q, np.array([1.0, 0.0, 0.0]))
-    assert np.array_equal(constraint_residual(sys, x), np.array([-1.0]))
+    assert np.array_equal(constraint_residual(sys, x.concat()), np.array([-1.0]))
 
     w = project_velocity(sys, q, x.v)
     assert np.allclose(w, [0.5, 0.0, 0.5], atol=0, rtol=0)
@@ -88,7 +88,7 @@ def test_projection_is_m_orthogonal():
 def test_energy_value():
     sys = nonholonomic_particle()
     x = StatePoint(np.array([0.0, 1.0, 0.0]), np.array([1.0, 1.0, 1.0]))
-    assert energy(sys, x) == 1.5
+    assert energy(sys, x.concat()) == 1.5
 
 
 def test_auto_fiber_prefers_last_tied_block():
@@ -172,8 +172,6 @@ def test_state_validation():
         StatePoint(np.array([np.nan]), np.array([1.0]))
     x = StatePoint([0, 1, 0], [1, 1, 0])
     assert x.q.dtype == float
-    y = StatePoint.from_concat(x.concat())
-    assert np.array_equal(y.q, x.q) and np.array_equal(y.v, x.v)
 
 
 def test_system_validation():
@@ -197,9 +195,9 @@ def test_unconstrained_system_supported():
     sys = MechanicalSystem(["x", "y"], np.eye(2), "x^2 + y^2", [])
     assert sys.m == 0
     x = StatePoint([1.0, 0.0], [0.0, 2.0])
-    assert constraint_residual(sys, x).shape == (0,)
+    assert constraint_residual(sys, x.concat()).shape == (0,)
     assert np.array_equal(project_velocity(sys, x.q, x.v), x.v)
-    assert energy(sys, x) == 3.0
+    assert energy(sys, x.concat()) == 3.0
 
 
 def test_gram_matrix_conditioning_guard():

@@ -22,8 +22,9 @@ the reference flow on a deformed constraint set and with ``project_each_step``;
 one run each of ``converge``, ``interp`` and ``embed``; a potential with an
 integer power above 8 at a negative base; a system whose ``V`` and ``mu`` use
 every function and a non-integer power, run by ``reference``, ``vni20`` and
-``dla``; then runs that fail at runtime and configs that misuse a key, ask
-for a huge step count or start outside the system's domain.  A config that
+``dla``; then runs that fail at runtime, a node that overflows in each
+discrete scheme among them, and configs that misuse a key, ask for a huge
+step or sample count or start outside the system's domain.  A config that
 runs longer than ``TIMEOUT_S`` is stopped and printed as ``exit timeout``.
 """
 from __future__ import annotations
@@ -96,6 +97,11 @@ FUNCS_SYSTEM = {
 }
 FUNCS_START = {"system": FUNCS_SYSTEM, "q": [0.2, 0.3, 0.1], "v": [0.5, -0.4, 0.3],
                "project_initial": True, "eps": 0.01, "N": 200}
+# One step of eps * v = 1e309 overflows the configuration to infinity.
+OVERFLOW = {
+    "system": {"names": ["x", "y"], "M": [[1.0, 0.0], [0.0, 1.0]], "V": "0", "mu": [["1", "-1"]]},
+    "q": [0.0, 0.0], "v": [1e306, 1e306], "eps": 1000.0, "N": 3,
+}
 # log(x) in mu is undefined at the start q = (-1, 0)
 LOG_MU = {"names": ["x", "y"], "M": [[1.0, 0.0], [0.0, 1.0]], "V": "0", "mu": [["log(x)", "1"]]}
 LOG_MU_START = {"q": [-1.0, 0.0], "v": [0.0, 0.0]}
@@ -141,6 +147,8 @@ def configs() -> list[tuple[str, str, dict]]:
     out += [(f"fail/quartic_{name}", "simulate", {**QUARTIC, "integrator": name, **extra})
             for name, extra in quartic]
     out.append(("fail/log_well_reference", "simulate", LOG_WELL))
+    out += [(f"fail/overflow_{name}", "simulate", {**OVERFLOW, "integrator": name, **extra})
+            for name, extra in quartic[1:]]
     out.append(("fail/quartic_converge", "converge",
                 {**QUARTIC, "integrator": "vni10", "eps_list": [0.02, 0.01, 0.005, 0.0025]}))
 
@@ -162,6 +170,7 @@ def configs() -> list[tuple[str, str, dict]]:
         ("embed", "order_levels_0", {**EMBED, "order_levels": 0}),
         ("embed", "p_0", {**EMBED, "scheme": "exact", "p": 0}),
         ("interp", "samples_string", {**INTERP, "samples": "x"}),
+        ("interp", "samples_1e20", {**INTERP, "samples": 1e20}),
         ("converge", "eps_list_string", {**CONVERGE, "eps_list": [0.02, "x", 0.005, 0.0025]}),
         ("converge", "eps_list_true", {**CONVERGE, "eps_list": [0.02, 0.01, 0.005, True]}),
         ("simulate", "start_outside_mu_domain", {**SIM, "system": LOG_MU, **LOG_MU_START}),
