@@ -26,13 +26,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import exprdiff
-from .discrete import (
-    ADMISSIBLE_TOL,
-    NewtonError,
-    NodePolicy,
-    deformed_admissible_velocity,
-    run_integrator,
-)
+from .discrete import ADMISSIBLE_TOL, NodePolicy, deformed_admissible_velocity, run_integrator
 from .embed import (
     exact_step_map,
     interpolate_in_D,
@@ -40,7 +34,7 @@ from .embed import (
     reduced_step_map,
     verify_embedding,
 )
-from .flow import REFERENCE_STEP, BlowUpError, integrate, reference_flow, write_csv
+from .flow import REFERENCE_STEP, RUNTIME_ERRORS, integrate, reference_flow, write_csv
 from .reduction import DeformedConstraint, deformed_residual, lambda_continuous, reduce_state
 from .system import (
     BUILTIN_FIELDS,
@@ -56,8 +50,6 @@ INTEGRATORS = ("reference", "vni10", "vni20", "original_node", "dla")
 # The most steps one run may take (the workloads in use take up to 10^4);
 # larger counts are config errors, refused before any trajectory is allocated.
 MAX_STEPS = 10**7
-# What a run can raise once its config is valid: exit code 3.
-RUNTIME_ERRORS = (BlowUpError, NewtonError, SystemError, exprdiff.EvalError)
 
 
 class ConfigError(Exception):
@@ -131,7 +123,7 @@ def _at_start():
     """A system that cannot be evaluated or repaired at the initial state is a config error."""
     try:
         yield
-    except (SystemError, NewtonError, exprdiff.EvalError) as exc:
+    except RUNTIME_ERRORS as exc:
         raise ConfigError(f"initial state: {exc}") from None
 
 
@@ -297,10 +289,12 @@ def cmd_simulate(cfg: dict, out_dir: str) -> int:
         else:
             traj = run_integrator(sys, integ, x0, eps, N, beta=beta, policy=policy)
     except RUNTIME_ERRORS as exc:
-        partial = getattr(exc, "partial", None)
-        if partial is not None:
-            partial.to_csv(csv_path)
-        print(f"error: {exc}", file=_sys.stderr)
+        # a failure inside the run loop carries its rows and where it stopped
+        where = ""
+        if hasattr(exc, "partial"):
+            exc.partial.to_csv(csv_path)
+            where = f"step {exc.step}, t = {exc.t:.6g}: "
+        print(f"error: {where}{exc}", file=_sys.stderr)
         return 3
 
     traj.to_csv(csv_path)

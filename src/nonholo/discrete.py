@@ -36,16 +36,23 @@ x = (q, v) of length 2n; only `run_integrator` takes a `StatePoint`.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
 
 import numpy as np
 
-from .exprdiff import EvalError
-from .flow import Trajectory
+from .flow import NewtonError, Trajectory, _march
 from .reduction import _lambda_raw
-from .system import MechanicalSystem, StatePoint, SystemError, _gram_solve, energy
+from .system import (
+    MechanicalSystem,
+    StatePoint,
+    SystemError,
+    _gram_solve,
+    _require_finite,
+    constraint_residual,
+)
 
 __all__ = [
     "FiniteDifferenceMap",
@@ -63,19 +70,14 @@ __all__ = [
 ]
 
 NEWTON_TOL = 1e-12
+NEWTON_MAX_ITER = 30
 ADMISSIBLE_TOL = 1e-10
 REGULARITY_COND_LIMIT = 1e12
-
-
-class NewtonError(RuntimeError):
-    """The nonlinear step equations did not converge."""
 
 
 def newton_solve(
     linearize: Callable[[np.ndarray], tuple[np.ndarray, Callable[[], np.ndarray]]],
     u0: np.ndarray,
-    tol: float = NEWTON_TOL,
-    max_iter: int = 30,
 ) -> tuple[np.ndarray, int]:
     """Plain Newton iteration with an exact Jacobian; returns (root, iterations).
 
@@ -83,9 +85,9 @@ def newton_solve(
     so the two share what they evaluate at the iterate.
     """
     u = np.asarray(u0, dtype=float).copy()
-    for it in range(max_iter):
+    for it in range(NEWTON_MAX_ITER):
         r, jacobian = linearize(u)
-        if np.max(np.abs(r)) <= tol:
+        if np.max(np.abs(r)) <= NEWTON_TOL:
             return u, it
         try:
             du = np.linalg.solve(jacobian(), -r)
@@ -94,7 +96,7 @@ def newton_solve(
         u = u + du
         if not np.all(np.isfinite(u)):
             raise NewtonError("step equations diverged to non-finite values")
-    raise NewtonError(f"no convergence after {max_iter} Newton iterations")
+    raise NewtonError(f"no convergence after {NEWTON_MAX_ITER} Newton iterations")
 
 
 @dataclass(frozen=True)
@@ -107,8 +109,7 @@ class FiniteDifferenceMap:
     def __post_init__(self):
         if not 0.0 <= self.beta <= 1.0:
             raise SystemError("beta must lie in [0, 1]")
-        if self.eps <= 0.0:
-            raise SystemError("eps must be positive")
+        _require_finite("eps", self.eps, positive=True)
 
     def forward(self, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return (1.0 - self.beta) * x + self.beta * y, (y - x) / self.eps
@@ -363,8 +364,7 @@ def run_integrator(
     """
     if scheme not in SCHEMES:
         raise SystemError(f"unknown scheme {scheme!r}; pick one of {SCHEMES}")
-    if eps <= 0.0:
-        raise SystemError("eps must be positive")
+    _require_finite("eps", eps, positive=True)
     if scheme == "dla":
         if beta is None:
             raise SystemError("the two-point scheme needs beta")
@@ -384,49 +384,30 @@ def run_integrator(
         if np.max(np.abs(res)) > ADMISSIBLE_TOL:
             raise SystemError(f"initial node {broken} (residual {np.max(np.abs(res)):.6g})")
 
-    N = int(steps)
-    n, m = sys.n, sys.m
-    states = np.empty((N + 1, 2 * n))
-    lambdas = np.empty((N + 1, m))
-    residuals = np.empty((N + 1, m))
-    deformed = np.empty((N + 1, m))
-    energies = np.empty(N + 1)
-    iters = np.zeros(N + 1, dtype=int)
-    # the two-point scheme advances the raw configuration pairs
-    raw = np.empty((N + 2, n)) if scheme == "dla" else None
-    traj = Trajectory(
-        eps * np.arange(N + 1), states, lambdas, residuals, energies, n, iters, deformed, raw
-    )
-
-    def record(k, x, lam, it):
-        states[k] = x
-        lambdas[k] = lam
-        residuals[k] = sys.mu_at(x[:n]) @ x[n:] if m else np.zeros(0)
-        deformed[k] = deformed_node_residual(sys, x, eps) if m else np.zeros(0)
-        energies[k] = energy(sys, x)
-        iters[k] = it
-
     if scheme == "dla":
         if policy is NodePolicy.REDEFINED:
-            raw[0], raw[1] = dsys.rho.inverse(x0.q, x0.v)
+            first_pair = dsys.rho.inverse(x0.q, x0.v)
         else:
-            raw[0], raw[1] = x0.q - eps * x0.v, x0.q
+            first_pair = x0.q - eps * x0.v, x0.q
     else:
-        nodes = {"vni10": vni10_step, "vni20": vni20_step, "original_node": original_node_step}
-        step_fn = nodes[scheme]
-    x = x0.concat()
-    k = 0
-    try:
-        record(0, x, _lambda_raw(sys, x), 0)
-        for k in range(1, N + 1):
-            out = dla_step(dsys, raw[k - 1], raw[k]) if scheme == "dla" else step_fn(sys, x, eps)
-            x = out.state
-            if scheme == "dla":
-                raw[k + 1] = x[:n]
-                if policy is NodePolicy.REDEFINED:
-                    x = _node(*dsys.rho.forward(raw[k], raw[k + 1]))
-            record(k, x, out.lam, out.iters)
-    except (NewtonError, SystemError, EvalError) as exc:
-        exc.partial = traj.head(k)  # the rows recorded before the failed step
-        raise
-    return traj
+        step_fn = {"vni10": vni10_step, "vni20": vni20_step, "original_node": original_node_step}[scheme]
+
+    def row(k, traj):
+        raw = traj.raw_configurations  # the two-point scheme advances the raw pairs
+        if k == 0:
+            if raw is not None:
+                raw[0], raw[1] = first_pair
+            x = x0.concat()
+            return x, _lambda_raw(sys, x), 0
+        if raw is None:
+            out = step_fn(sys, traj.states[k - 1], eps)
+            return out.state, out.lam, out.iters
+        out = dla_step(dsys, raw[k - 1], raw[k])
+        raw[k + 1] = out.state[: sys.n]
+        if policy is NodePolicy.REDEFINED:
+            return _node(*dsys.rho.forward(raw[k], raw[k + 1])), out.lam, out.iters
+        return out.state, out.lam, out.iters
+
+    residual_at = functools.partial(constraint_residual, sys)
+    deformed_at = functools.partial(deformed_node_residual, sys, eps=eps)
+    return _march(sys, int(steps), eps, row, residual_at, deformed_at, raw=scheme == "dla")

@@ -30,7 +30,7 @@ import numpy as np
 from .discrete import NewtonError, original_node_step, vni10_step, vni20_step
 from .flow import flow_field
 from .reduction import psi_embed, reduce_state, reduced_field
-from .system import ConnectionSplit, MechanicalSystem, SystemError
+from .system import ConnectionSplit, MechanicalSystem, SystemError, _require_finite
 
 __all__ = [
     "chi0",
@@ -50,6 +50,13 @@ __all__ = [
 # tanh is indistinguishable from +-1 in double precision long before this,
 # and past it sech^2 underflow would otherwise meet (1 + u^2) overflow
 _SATURATED = 350.0
+# g_eval's inversion of the interpolant: residual tolerance, iteration cap and
+# the half-width of the central differences of its Jacobian
+INVERSION_TOL = 1e-11
+INVERSION_MAX_ITER = 40
+FD_STEP = 1e-6
+# below this worst gap the map and the flow are indistinguishable, and no order is measured
+ORDER_FLOOR = 1e-10
 
 
 def chi0(tau: float) -> float:
@@ -166,8 +173,7 @@ class EvolutionInterpolant:
     """G(t, y): the flow-glued curve through the iterates of a one-step map."""
 
     def __init__(self, problem: EmbeddingProblem, phi: OneStepMap, eps: float):
-        if eps <= 0.0:
-            raise SystemError("eps must be positive")
+        _require_finite("eps", eps, positive=True)
         self.problem = problem
         self.phi = phi
         self.eps = eps
@@ -217,14 +223,7 @@ class EvolutionInterpolant:
 
     # -- the recovered perturbation field --------------------------------------
 
-    def g_eval(
-        self,
-        t: float,
-        z: np.ndarray,
-        tol: float = 1e-11,
-        max_iter: int = 40,
-        fd_step: float = 1e-6,
-    ) -> np.ndarray:
+    def g_eval(self, t: float, z: np.ndarray) -> np.ndarray:
         """The perturbation g(t, z) with d/dt G = f + eps^p g along interpolants.
 
         Only t mod eps matters: the anchor state w with G~(tau, w) = z is
@@ -235,28 +234,28 @@ class EvolutionInterpolant:
         _, tau = self._split_time(t)
         w = z.copy()
         J = None
-        for it in range(max_iter):
+        for it in range(INVERSION_MAX_ITER):
             r = self.g_tilde(tau, w) - z
-            if np.max(np.abs(r)) <= tol:
+            if np.max(np.abs(r)) <= INVERSION_TOL:
                 break
             if J is None or it % 8 == 7:
-                J = self._fd_jacobian(tau, w, fd_step)
+                J = self._fd_jacobian(tau, w)
             try:
                 w = w - np.linalg.solve(J, r)
             except np.linalg.LinAlgError:
                 raise NewtonError("singular Jacobian while inverting the interpolant") from None
         else:
-            raise NewtonError(f"interpolant inversion did not reach {tol:g}")
+            raise NewtonError(f"interpolant inversion did not reach {INVERSION_TOL:g}")
         dG_dt = self.g_tilde_dtau(tau, w) / self.eps
         return (dG_dt - self.problem.field(z)) / self.eps**self.phi.p
 
-    def _fd_jacobian(self, tau: float, w: np.ndarray, h: float) -> np.ndarray:
+    def _fd_jacobian(self, tau: float, w: np.ndarray) -> np.ndarray:
         d = self.problem.dim
         J = np.empty((d, d))
         for j in range(d):
             bump = np.zeros(d)
-            bump[j] = h
-            J[:, j] = (self.g_tilde(tau, w + bump) - self.g_tilde(tau, w - bump)) / (2.0 * h)
+            bump[j] = FD_STEP
+            J[:, j] = (self.g_tilde(tau, w + bump) - self.g_tilde(tau, w - bump)) / (2.0 * FD_STEP)
         return J
 
 
@@ -271,7 +270,6 @@ def verify_embedding(
     points: np.ndarray,
     t_frac: float = 0.37,
     order_levels: int = 5,
-    order_floor: float = 1e-10,
 ) -> dict:
     """Numerical certificate for the embedding at the given base points.
 
@@ -303,7 +301,7 @@ def verify_embedding(
             gap = phi.fn(eps_j, y) - problem.flow(eps_j, y)
             worst = max(worst, float(np.max(np.abs(gap))))
         diffs.append(worst)
-    if max(diffs) <= order_floor:
+    if max(diffs) <= ORDER_FLOOR:
         measured_p = None
     else:
         eps_list = eps * 0.5 ** np.arange(order_levels)

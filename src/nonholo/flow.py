@@ -7,7 +7,8 @@ variant for an arbitrary autonomous field on R^d.  Reference solutions use a
 step short enough that their own error sits far below anything the package
 measures against them.
 
-`Trajectory` is the record of every run, the discrete schemes' included, and
+`Trajectory` is the record of every run, the discrete schemes' included,
+`_march` the one loop that fills it and salvages a failed run, and
 `write_csv` the one writer of the package's CSV tables.
 """
 from __future__ import annotations
@@ -27,6 +28,7 @@ from .system import (
     MechanicalSystem,
     StatePoint,
     SystemError,
+    _require_finite,
     constraint_residual,
     energy,
     project_velocity,
@@ -34,6 +36,8 @@ from .system import (
 
 __all__ = [
     "BlowUpError",
+    "NewtonError",
+    "RUNTIME_ERRORS",
     "Trajectory",
     "write_csv",
     "rk4_step",
@@ -147,13 +151,58 @@ class Trajectory:
 
 
 class BlowUpError(RuntimeError):
-    """Solution norm passed the blow-up threshold.
+    """Solution norm passed the blow-up threshold."""
 
-    Like every failure of a run, `integrate` gives it the rows recorded
-    before the failed step as `partial`.
+
+class NewtonError(RuntimeError):
+    """The nonlinear step equations did not converge."""
+
+
+# What a run can raise once its input is valid: exit code 3 at the command line.
+RUNTIME_ERRORS = (BlowUpError, NewtonError, SystemError, EvalError)
+
+
+def _march(
+    sys: MechanicalSystem,
+    steps: int,
+    h: float,
+    row: Callable[[int, Trajectory], tuple[np.ndarray, np.ndarray, int]],
+    residual_at: Callable[[np.ndarray], np.ndarray],
+    deformed_at: Callable[[np.ndarray], np.ndarray] | None = None,
+    raw: bool = False,
+) -> Trajectory:
+    """The one run loop of `integrate` and `run_integrator`: rows 0..steps at t_k = k h.
+
+    row(k, traj) returns row k's state x, multiplier and Newton iterations,
+    given the rows before k (and, with `raw`, the raw configurations to fill).
+    The loop records each row as it comes: residual_at(x), deformed_at(x) and
+    the Newton count (schemes only), then the energy.  A runtime error leaves
+    with the rows before k as `partial`, and with `step` = k and `t` = t_k.
     """
-
-    partial: Trajectory | None = None
+    n, m = sys.n, sys.m
+    times = h * np.arange(steps + 1) + 0.0  # + 0.0: a backward run starts at t = 0, not -0
+    traj = Trajectory(
+        times, np.empty((steps + 1, 2 * n)), np.empty((steps + 1, m)), np.empty((steps + 1, m)),
+        np.empty(steps + 1), n,
+        newton_iters=np.zeros(steps + 1, dtype=int) if deformed_at is not None else None,
+        deformed_residuals=np.empty((steps + 1, m)) if deformed_at is not None else None,
+        raw_configurations=np.empty((steps + 2, n)) if raw else None,
+    )
+    try:
+        for k in range(steps + 1):
+            x, lam, iters = row(k, traj)
+            traj.states[k] = x
+            traj.lambdas[k] = lam
+            traj.residuals[k] = residual_at(x)
+            if deformed_at is not None:
+                traj.deformed_residuals[k] = deformed_at(x)
+                traj.newton_iters[k] = iters
+            traj.energies[k] = energy(sys, x)
+    except RUNTIME_ERRORS as exc:
+        exc.partial = traj.head(k)  # the rows recorded before the failed one
+        exc.step, exc.t = k, float(traj.times[k])
+        raise
+    return traj
 
 
 def integrate(
@@ -171,6 +220,8 @@ def integrate(
     multiplier and the recorded residual are all those of the deformed
     constraint set mu(q) v + delta g(q, v) = 0.
     """
+    _require_finite("T", T)
+    _require_finite("eps_ref", eps_ref, nonzero=True)  # reference_flow(t < 0) steps backwards
     if deformation is None:
         kernels, bound = (h_field, _lambda_raw, constraint_residual), (sys,)
     else:
@@ -179,41 +230,24 @@ def integrate(
 
     K = max(1, abs(round(T / eps_ref))) if T else 0
     h = T / K if K else 0.0
-    n = sys.n
 
-    times = np.empty(K + 1)
-    states = np.empty((K + 1, 2 * n))
-    lambdas = np.empty((K + 1, sys.m))
-    residuals = np.empty((K + 1, sys.m))
-    energies = np.empty(K + 1)
-    traj = Trajectory(times, states, lambdas, residuals, energies, n)
-
-    def record(k, t, x):
-        times[k] = t
-        states[k] = x
-        lambdas[k] = lambda_at(x)
-        residuals[k] = residual_at(x)
-        energies[k] = energy(sys, x)
-
-    x = x0.concat()
-    k = 0
-    try:
-        record(0, 0.0, x)
-        for k in range(1, K + 1):
-            x = rk4_step(field, x, h)
+    def row(k, traj):
+        if k == 0:
+            x = x0.concat()
+        else:
+            x = rk4_step(field, traj.states[k - 1], h)
             if not np.all(np.isfinite(x)) or np.linalg.norm(x) > BLOWUP_NORM:
                 raise BlowUpError(f"solution blew up at t = {k * h:.6g}")
             if project_each_step:
-                x[n:] = project_velocity(sys, x[:n], x[n:])
-            record(k, k * h, x)
-    except (BlowUpError, EvalError, SystemError) as exc:
-        exc.partial = traj.head(k)  # the rows recorded before the failed one
-        raise
-    return traj
+                x[sys.n :] = project_velocity(sys, x[: sys.n], x[sys.n :])
+        return x, lambda_at(x), 0
+
+    return _march(sys, K, h, row, residual_at)
 
 
 def reference_flow(sys: MechanicalSystem, x0: StatePoint, t: float) -> StatePoint:
     """Endpoint of the flow after time t (either sign), at reference accuracy."""
+    _require_finite("t", t)
     if t == 0.0:
         return x0
     K = max(1, math.ceil(abs(t) / REFERENCE_STEP))
@@ -228,13 +262,15 @@ def flow_field(
     base_step: float = REFERENCE_STEP,
 ) -> np.ndarray:
     """RK4 endpoint for an arbitrary autonomous field on R^d, any sign of t."""
+    _require_finite("t", t)
+    _require_finite("base_step", base_step, positive=True)
     z = np.asarray(z0, dtype=float).copy()
     if t == 0.0:
         return z
     K = max(1, math.ceil(abs(t) / base_step))
     h = t / K
-    for _ in range(K):
+    for k in range(1, K + 1):
         z = rk4_step(f, z, h)
         if not np.all(np.isfinite(z)) or np.linalg.norm(z) > BLOWUP_NORM:
-            raise BlowUpError("flow blew up")
+            raise BlowUpError(f"flow blew up at step {k}, t = {k * h:.6g}")
     return z

@@ -10,6 +10,7 @@ reserved for deformation functions g(q, v).
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,6 +60,14 @@ class StatePoint:
 
     def concat(self) -> np.ndarray:
         return np.concatenate([self.q, self.v])
+
+
+def _require_finite(what: str, value: float, positive: bool = False, nonzero: bool = False):
+    """The one check of a time or step size: finite, and > 0 or != 0 where asked."""
+    ok = math.isfinite(value) and (value > 0.0 or not positive) and (value != 0.0 or not nonzero)
+    if not ok:
+        rule = "positive and finite" if positive else "non-zero and finite" if nonzero else "finite"
+        raise SystemError(f"{what} must be {rule}, got {value!r}")
 
 
 def _as_expr(obj) -> Expression:
@@ -300,8 +309,11 @@ def derive_connection(sys: MechanicalSystem, fiber_indices=None, q0=None) -> Con
 
 
 def energy(sys: MechanicalSystem, x: np.ndarray) -> float:
-    """E = 1/2 v'Mv + V(q) at the row x = (q, v)."""
-    return float(0.5 * x[sys.n :] @ sys.M @ x[sys.n :] + sys.v_at(x[: sys.n]))
+    """E = 1/2 v'Mv + V(q) at the row x = (q, v); an energy that overflows is a SystemError."""
+    value = float(0.5 * x[sys.n :] @ sys.M @ x[sys.n :] + sys.v_at(x[: sys.n]))
+    if not math.isfinite(value):
+        raise SystemError(f"energy is not finite ({value!r})")
+    return value
 
 
 # The builtin systems as config-style field tables, read both by their

@@ -143,26 +143,59 @@ def test_runtime_failure_writes_partial_csv(tmp_path, capsys, cfg, header):
     assert len(lines) > 2
 
 
-OVERFLOW = {  # one step of eps * v = 1e309 overflows the configuration
+# log(x) in mu cannot be evaluated at this start
+LOG_MU = {"names": ["x", "y"], "M": [[1.0, 0.0], [0.0, 1.0]], "V": "0", "mu": [["log(x)", "1"]]}
+LOG_MU_START = {"q": [-1.0, 0.0], "v": [0.0, 0.0]}
+
+
+OVERFLOW = {  # one step of eps * v = 1e310 overflows the configuration
     "system": {"names": ["x", "y"], "M": [[1.0, 0.0], [0.0, 1.0]], "V": "0", "mu": [["1", "-1"]]},
-    "eps": 1000.0,
+    "eps": 1e160,
     "N": 3,
     "q": [0.0, 0.0],
-    "v": [1e306, 1e306],
+    "v": [1e150, 1e150],
 }
 
 
 @pytest.mark.parametrize("integrator", ["vni10", "vni20", "original_node", "dla"])
 def test_overflowed_node_stops_the_run(tmp_path, capsys, integrator):
-    cfg = dict(OVERFLOW, integrator=integrator)
+    # the start (1e150, 1e150) has a finite energy, so its row is written and
+    # the first node stops the run; at (1e306, 1e306) the energy itself
+    # overflows, and the run stops before any row
+    for v, rows in (([1e150, 1e150], 1), ([1e306, 1e306], 0)):
+        cfg = dict(OVERFLOW, integrator=integrator, v=v)
+        if integrator == "dla":
+            cfg["beta"] = 0.5
+        with np.errstate(over="ignore", invalid="ignore"):
+            code, out = run(tmp_path, "simulate", cfg, subdir=f"v{v[0]:g}")
+        assert code == 3
+        assert capsys.readouterr().err.startswith(f"error: step {rows}, t = ")
+        lines = (out / "trajectory.csv").read_text().splitlines()
+        assert len(lines) == 1 + rows  # the header and the rows before the failed one
+        assert all(np.isfinite(float(cell)) for line in lines[1:] for cell in line.split(","))
+
+
+@pytest.mark.parametrize("integrator", ["vni10", "vni20", "original_node", "dla"])
+def test_failure_while_recording_salvages_the_rows_before(tmp_path, capsys, integrator):
+    # the start is admissible, but its deformed residual takes mu at
+    # q - eps/2 v, whose x = -0.001 lies outside the domain of log
+    cfg = {"system": LOG_MU, "integrator": integrator, "q": [0.004, 0.0],
+           "v": [1.0, 5.521460917862246], "eps": 0.01, "N": 5}
     if integrator == "dla":
         cfg["beta"] = 0.5
-    with np.errstate(over="ignore", invalid="ignore"):
-        code, out = run(tmp_path, "simulate", cfg)
+    code, out = run(tmp_path, "simulate", cfg)
     assert code == 3
     assert capsys.readouterr().err.startswith("error:")
     lines = (out / "trajectory.csv").read_text().splitlines()
-    assert len(lines) == 2  # the header and the initial row
+    assert lines == [lines[0]]  # the header: the initial row failed while it was recorded
+
+
+def test_failure_message_names_the_step(tmp_path, capsys):
+    code, out = run(tmp_path, "simulate", dict(QUARTIC, integrator="vni10"))
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: step 98, t = 0.98: ")
+    assert len((out / "trajectory.csv").read_text().splitlines()) == 1 + 98
 
 
 def test_converge_failed_oracle_exits_3(tmp_path, capsys):
@@ -170,11 +203,6 @@ def test_converge_failed_oracle_exits_3(tmp_path, capsys):
     code, _ = run(tmp_path, "converge", cfg)
     assert code == 3
     assert "oracle" in capsys.readouterr().err
-
-
-# log(x) in mu cannot be evaluated at this start
-LOG_MU = {"names": ["x", "y"], "M": [[1.0, 0.0], [0.0, 1.0]], "V": "0", "mu": [["log(x)", "1"]]}
-LOG_MU_START = {"q": [-1.0, 0.0], "v": [0.0, 0.0]}
 
 
 def test_simulate_config_errors(tmp_path, capsys):

@@ -1,9 +1,12 @@
 """Discrete schemes: single-step values, invariants, orders, equivalences."""
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 import pytest
 
+from nonholo import exprdiff
 from nonholo.discrete import (
     DiscreteNonholonomicSystem,
     FiniteDifferenceMap,
@@ -19,17 +22,40 @@ from nonholo.discrete import (
     vni20_step,
 )
 from nonholo.flow import integrate
-from nonholo.reduction import lambda_continuous, reduced_field
+from nonholo.reduction import (
+    DeformedConstraint,
+    deformed_residual,
+    lambda_continuous,
+    reduced_field,
+)
 from nonholo.system import (
     MechanicalSystem,
     StatePoint,
     SystemError,
+    constraint_residual,
     derive_connection,
+    energy,
     nonholonomic_particle,
     project_velocity,
 )
 
 X0 = StatePoint([0.0, 1.0, 0.0], [1.0, 1.0, 1.0])
+
+
+def rolling_disk() -> MechanicalSystem:
+    """A potential with a non-zero Hessian, a non-identity mass matrix and two constraints."""
+    return MechanicalSystem(
+        names=["x", "y", "th", "ph"],
+        M=np.diag([1.0, 1.0, 0.25, 0.5]),
+        V="(x^2+y^2)/2 + 0.1*(1-cos(th))",
+        mu=[["1", "0", "0", "-0.5*cos(th)"], ["0", "1", "0", "-0.5*sin(th)"]],
+    )
+
+
+_TH, _W_TH, _W_PH = 0.7, 0.3, 1.1  # an admissible start: (v_x, v_y) = w_ph (cos th, sin th) / 2
+DISK_X0 = StatePoint(
+    [1.0, 0.0, _TH, 0.0], [0.5 * np.cos(_TH) * _W_PH, 0.5 * np.sin(_TH) * _W_PH, _W_TH, _W_PH]
+)
 
 
 def fit_slope(eps_list, errs):
@@ -160,7 +186,7 @@ def test_regularity_guard_fires_when_constraint_degenerates():
 
 def test_newton_solver_failures():
     with pytest.raises(NewtonError):
-        newton_solve(lambda u: (np.array([1.0]), lambda: np.eye(1)), np.zeros(1), max_iter=5)
+        newton_solve(lambda u: (np.array([1.0]), lambda: np.eye(1)), np.zeros(1))
     with pytest.raises(NewtonError):
         newton_solve(lambda u: (u**2 + 1.0, lambda: np.zeros((1, 1))), np.zeros(1))
 
@@ -282,17 +308,8 @@ def test_dla_beta_half_matches_second_order_scheme():
 
 
 def test_two_point_scheme_matches_node_schemes_on_disk():
-    # criterion 8 where the particle cannot reach: a potential with a
-    # non-zero Hessian, a non-identity mass matrix and two constraints
-    sys = MechanicalSystem(
-        names=["x", "y", "th", "ph"],
-        M=np.diag([1.0, 1.0, 0.25, 0.5]),
-        V="(x^2+y^2)/2 + 0.1*(1-cos(th))",
-        mu=[["1", "0", "0", "-0.5*cos(th)"], ["0", "1", "0", "-0.5*sin(th)"]],
-    )
-    th, w_th, w_ph = 0.7, 0.3, 1.1  # an admissible start: (v_x, v_y) = w_ph (cos th, sin th) / 2
-    v0 = [0.5 * np.cos(th) * w_ph, 0.5 * np.sin(th) * w_ph, w_th, w_ph]
-    x0 = StatePoint([1.0, 0.0, th, 0.0], v0)
+    # criterion 8 where the particle cannot reach
+    sys, x0 = rolling_disk(), DISK_X0
     eps, steps = 0.01, 200
     for scheme, beta, tol in (("vni10", 0.0, 1e-11), ("vni20", 0.5, 1e-10)):
         a = run_integrator(sys, scheme, x0, eps, steps)
@@ -416,3 +433,46 @@ def test_discrete_csv(tmp_path):
     assert len(lines) == 5
     data = np.genfromtxt(path, delimiter=",", skip_header=1)
     assert np.array_equal(data[:, 1:7], traj.states)
+
+
+def _bits(value) -> bytes:
+    return np.asarray(value, dtype=float).tobytes()
+
+
+@pytest.mark.parametrize("system", ["particle", "disk"])
+def test_recorded_columns_are_the_diagnostics_of_each_row(system):
+    # the run loop records every row's residuals and energy with the very
+    # functions a caller applies to the recorded state, bit for bit
+    if system == "particle":
+        sys, x0, g = nonholonomic_particle(), X0, ["v_x*v_y"]
+    else:
+        sys, x0, g = rolling_disk(), DISK_X0, ["v_x*v_th", "v_y*v_ph"]
+    eps, steps = 0.01, 40
+    dc = DeformedConstraint(g=[exprdiff.parse(e) for e in g], delta=0.05)
+    on_deformed = StatePoint(x0.q, deformed_admissible_velocity(sys, x0.q, x0.v, eps))
+    plain = functools.partial(constraint_residual, sys)
+    runs = {
+        "reference": (integrate(sys, x0, eps * steps, eps), plain),
+        "deformed_reference": (
+            integrate(sys, x0, eps * steps, eps, dc), functools.partial(deformed_residual, sys, dc)
+        ),
+        "vni10": (run_integrator(sys, "vni10", x0, eps, steps), plain),
+        "vni20": (run_integrator(sys, "vni20", x0, eps, steps), plain),
+        "original_node": (run_integrator(sys, "original_node", on_deformed, eps, steps), plain),
+        "dla_redefined": (run_integrator(sys, "dla", x0, eps, steps, beta=0.5), plain),
+        "dla_original": (
+            run_integrator(
+                sys, "dla", on_deformed, eps, steps, beta=0.5, policy=NodePolicy.ORIGINAL
+            ),
+            plain,
+        ),
+    }
+    for name, (traj, residual_at) in runs.items():
+        assert len(traj) == steps + 1, name
+        for k, x in enumerate(traj.states):
+            assert _bits(traj.residuals[k]) == _bits(residual_at(x)), (name, k)
+            assert _bits(traj.energies[k]) == _bits(energy(sys, x)), (name, k)
+            if traj.deformed_residuals is not None:
+                want = deformed_node_residual(sys, x, eps)
+                assert _bits(traj.deformed_residuals[k]) == _bits(want), (name, k)
+        assert (traj.deformed_residuals is None) == name.endswith("reference"), name

@@ -1,11 +1,15 @@
 """RK4 driver: accuracy order, invariants along the particle flow, blow-up."""
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
+from nonholo.discrete import FiniteDifferenceMap, run_integrator
+from nonholo.embed import EmbeddingProblem, EvolutionInterpolant, OneStepMap
 from nonholo.flow import BlowUpError, flow_field, integrate, reference_flow, rk4_step
-from nonholo.system import MechanicalSystem, StatePoint, nonholonomic_particle
+from nonholo.system import MechanicalSystem, StatePoint, SystemError, nonholonomic_particle
 
 PARTICLE_X0 = StatePoint([0.0, 1.0, 0.0], [1.0, 1.0, 1.0])
 
@@ -116,3 +120,45 @@ def test_projection_option_keeps_d_exactly():
     sys = nonholonomic_particle()
     traj = integrate(sys, PARTICLE_X0, 0.5, 0.01, project_each_step=True)
     assert np.max(np.abs(traj.residuals)) < 1e-14
+
+
+def test_flow_field_blow_up_names_its_step():
+    # z' = z^2 from z = 1 blows up at t = 1
+    with pytest.raises(BlowUpError) as ei:
+        flow_field(lambda z: z * z, np.array([1.0]), 2.0, base_step=1e-3)
+    step, t = re.fullmatch(r"flow blew up at step (\d+), t = (\S+)", str(ei.value)).groups()
+    assert float(t) == pytest.approx(int(step) * 1e-3) and 1.0 < float(t) < 1.01
+
+
+_PARTICLE = nonholonomic_particle()
+_SCALAR = EmbeddingProblem(1, lambda z: z, lambda t, y: np.exp(t) * y)
+_EULER = OneStepMap(lambda eps, y: (1.0 + eps) * y, 1)
+_NAN, _INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize(
+    "entry, call",
+    [
+        ("integrate", lambda: integrate(_PARTICLE, PARTICLE_X0, 1.0, 0.0)),
+        ("integrate", lambda: integrate(_PARTICLE, PARTICLE_X0, 1.0, _NAN)),
+        ("integrate", lambda: integrate(_PARTICLE, PARTICLE_X0, _INF, 0.1)),
+        ("integrate", lambda: integrate(_PARTICLE, PARTICLE_X0, _NAN, 0.1)),
+        ("reference_flow", lambda: reference_flow(_PARTICLE, PARTICLE_X0, _INF)),
+        ("flow_field", lambda: flow_field(lambda z: z, np.ones(1), 1.0, base_step=0.0)),
+        ("flow_field", lambda: flow_field(lambda z: z, np.ones(1), 1.0, base_step=_NAN)),
+        ("flow_field", lambda: flow_field(lambda z: z, np.ones(1), 1.0, base_step=-0.1)),
+        ("flow_field", lambda: flow_field(lambda z: z, np.ones(1), _INF)),
+        ("run_integrator", lambda: run_integrator(_PARTICLE, "vni10", PARTICLE_X0, _NAN, 3)),
+        ("run_integrator", lambda: run_integrator(_PARTICLE, "vni10", PARTICLE_X0, _INF, 3)),
+        ("run_integrator", lambda: run_integrator(_PARTICLE, "vni10", PARTICLE_X0, 0.0, 3)),
+        ("FiniteDifferenceMap", lambda: FiniteDifferenceMap(0.5, _NAN)),
+        ("FiniteDifferenceMap", lambda: FiniteDifferenceMap(0.5, _INF)),
+        ("EvolutionInterpolant", lambda: EvolutionInterpolant(_SCALAR, _EULER, _NAN)),
+        ("EvolutionInterpolant", lambda: EvolutionInterpolant(_SCALAR, _EULER, 0.0)),
+    ],
+)
+def test_times_and_step_sizes_are_checked(entry, call):
+    # every entry point takes a finite time and a finite step, positive where
+    # it must be, and refuses anything else with a SystemError
+    with pytest.raises(SystemError, match="must be"):
+        call()

@@ -22,10 +22,14 @@ the reference flow on a deformed constraint set and with ``project_each_step``;
 one run each of ``converge``, ``interp`` and ``embed``; a potential with an
 integer power above 8 at a negative base; a system whose ``V`` and ``mu`` use
 every function and a non-integer power, run by ``reference``, ``vni20`` and
-``dla``; then runs that fail at runtime, a node that overflows in each
-discrete scheme among them, and configs that misuse a key, ask for a huge
-step or sample count or start outside the system's domain.  A config that
-runs longer than ``TIMEOUT_S`` is stopped and printed as ``exit timeout``.
+``dla``; then runs that fail at runtime, and configs that misuse a key, ask
+for a huge step or sample count or start outside the system's domain.  Each
+discrete scheme meets three runtime failures that stop at a fixed row: a start
+whose energy overflows (no row), a start of finite energy whose first node
+overflows (one row), and a start whose initial row fails while it is recorded,
+because its deformed residual evaluates ``log`` outside its domain (no row).
+A config that runs longer than ``TIMEOUT_S`` is stopped and printed as
+``exit timeout``.
 """
 from __future__ import annotations
 
@@ -97,14 +101,21 @@ FUNCS_SYSTEM = {
 }
 FUNCS_START = {"system": FUNCS_SYSTEM, "q": [0.2, 0.3, 0.1], "v": [0.5, -0.4, 0.3],
                "project_initial": True, "eps": 0.01, "N": 200}
-# One step of eps * v = 1e309 overflows the configuration to infinity.
+# One step of eps * v = 1e309 overflows the configuration to infinity; so
+# does the kinetic energy 1/2 |v|^2 of the start.
 OVERFLOW = {
     "system": {"names": ["x", "y"], "M": [[1.0, 0.0], [0.0, 1.0]], "V": "0", "mu": [["1", "-1"]]},
     "q": [0.0, 0.0], "v": [1e306, 1e306], "eps": 1000.0, "N": 3,
 }
+# The start's energy 1e300 is finite; one step of eps * v = 1e310 overflows.
+OVERFLOW_FINITE_ENERGY = {**OVERFLOW, "v": [1e150, 1e150], "eps": 1e160}
 # log(x) in mu is undefined at the start q = (-1, 0)
 LOG_MU = {"names": ["x", "y"], "M": [[1.0, 0.0], [0.0, 1.0]], "V": "0", "mu": [["log(x)", "1"]]}
 LOG_MU_START = {"q": [-1.0, 0.0], "v": [0.0, 0.0]}
+# An admissible start where log(x) in mu is defined, but not at q - eps/2 v,
+# where the initial row's deformed residual evaluates it.
+RECORD_LOG_MU = {"system": LOG_MU, "q": [0.004, 0.0], "v": [1.0, 5.521460917862246],
+                 "eps": 0.01, "N": 5}
 
 
 def _runs(start: dict) -> list[tuple[str, dict]]:
@@ -147,8 +158,10 @@ def configs() -> list[tuple[str, str, dict]]:
     out += [(f"fail/quartic_{name}", "simulate", {**QUARTIC, "integrator": name, **extra})
             for name, extra in quartic]
     out.append(("fail/log_well_reference", "simulate", LOG_WELL))
-    out += [(f"fail/overflow_{name}", "simulate", {**OVERFLOW, "integrator": name, **extra})
-            for name, extra in quartic[1:]]
+    for label, start in (("overflow", OVERFLOW), ("overflow_finite_energy", OVERFLOW_FINITE_ENERGY),
+                         ("record_log_mu", RECORD_LOG_MU)):
+        out += [(f"fail/{label}_{name}", "simulate", {**start, "integrator": name, **extra})
+                for name, extra in quartic[1:]]
     out.append(("fail/quartic_converge", "converge",
                 {**QUARTIC, "integrator": "vni10", "eps_list": [0.02, 0.01, 0.005, 0.0025]}))
 
