@@ -38,6 +38,7 @@ from .flow import REFERENCE_STEP, RUNTIME_ERRORS, integrate, reference_flow, wri
 from .reduction import DeformedConstraint, deformed_residual, lambda_continuous, reduce_state
 from .system import (
     BUILTIN_FIELDS,
+    MAX_STEPS,
     MechanicalSystem,
     StatePoint,
     SystemError,
@@ -47,9 +48,6 @@ from .system import (
 )
 
 INTEGRATORS = ("reference", "vni10", "vni20", "original_node", "dla")
-# The most steps one run may take (the workloads in use take up to 10^4);
-# larger counts are config errors, refused before any trajectory is allocated.
-MAX_STEPS = 10**7
 
 
 class ConfigError(Exception):
@@ -208,6 +206,7 @@ def _out_path(cfg: dict, key: str, default: str, out_dir: str) -> str:
 
 
 def _check_steps(steps: float, what: str) -> None:
+    """A config asking for more than MAX_STEPS steps is refused before anything is allocated."""
     if not steps <= MAX_STEPS:
         raise ConfigError(f"{what} asks for {steps!r} steps, more than MAX_STEPS = {MAX_STEPS}")
 

@@ -384,19 +384,16 @@ def run_integrator(
         if np.max(np.abs(res)) > ADMISSIBLE_TOL:
             raise SystemError(f"initial node {broken} (residual {np.max(np.abs(res)):.6g})")
 
-    if scheme == "dla":
-        if policy is NodePolicy.REDEFINED:
-            first_pair = dsys.rho.inverse(x0.q, x0.v)
-        else:
-            first_pair = x0.q - eps * x0.v, x0.q
-    else:
+    if scheme != "dla":
         step_fn = {"vni10": vni10_step, "vni20": vni20_step, "original_node": original_node_step}[scheme]
 
     def row(k, traj):
         raw = traj.raw_configurations  # the two-point scheme advances the raw pairs
-        if k == 0:
-            if raw is not None:
-                raw[0], raw[1] = first_pair
+        if k == 0:  # the pair before the start may overflow: build it under the loop's checks
+            if raw is not None and policy is NodePolicy.REDEFINED:
+                raw[0], raw[1] = dsys.rho.inverse(x0.q, x0.v)
+            elif raw is not None:
+                raw[0], raw[1] = x0.q - eps * x0.v, x0.q
             x = x0.concat()
             return x, _lambda_raw(sys, x), 0
         if raw is None:

@@ -17,10 +17,14 @@ packages the checks that make the construction trustworthy numerically.
 
 Everything operates on plain R^d vectors through an `EmbeddingProblem`
 (field plus flow), so the machinery applies equally to the reduced
-constrained dynamics and to scalar toy problems.
+constrained dynamics and to scalar toy problems.  The field and the flow
+take stacks (..., d) of states, so `g_eval` inverts many points, and every
+finite-difference column of their Jacobians, with one stacked flow per
+Newton iteration; the one-step map still takes one state at a time.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -125,9 +129,17 @@ class OneStepMap:
         return out
 
 
+def _each_row(fn: Callable[[np.ndarray], np.ndarray], y: np.ndarray) -> np.ndarray:
+    """fn on each row of the stack y (..., d), stacked back into y's shape."""
+    return np.reshape([fn(row) for row in y.reshape(-1, y.shape[-1])], y.shape)
+
+
 @dataclass(frozen=True)
 class EmbeddingProblem:
-    """The continuous side of the construction: a field and its flow on R^d."""
+    """The continuous side of the construction: a field and its flow on R^d.
+
+    Both take a state (d,) or a stack (..., d) and act on each row alone.
+    """
 
     dim: int
     field: Callable[[np.ndarray], np.ndarray]
@@ -179,6 +191,10 @@ class EvolutionInterpolant:
         self.eps = eps
 
     # -- the single-interval interpolant and its tau-derivative ---------------
+    # y is a state (d,) or a stack (..., d); the step map sees one row at a time
+
+    def _stepped(self, y: np.ndarray) -> np.ndarray:
+        return _each_row(functools.partial(self.phi.fn, self.eps), y)
 
     def g_tilde(self, tau: float, y: np.ndarray) -> np.ndarray:
         y = np.asarray(y, dtype=float)
@@ -188,9 +204,9 @@ class EvolutionInterpolant:
         if w1 == 0.0:
             return w0 * self.problem.flow(self.eps * tau, y)
         if w0 == 0.0:
-            return w1 * self.problem.flow(self.eps * (tau - 1.0), self.phi.fn(self.eps, y))
+            return w1 * self.problem.flow(self.eps * (tau - 1.0), self._stepped(y))
         a = self.problem.flow(self.eps * tau, y)
-        b = self.problem.flow(self.eps * (tau - 1.0), self.phi.fn(self.eps, y))
+        b = self.problem.flow(self.eps * (tau - 1.0), self._stepped(y))
         return w0 * a + w1 * b
 
     def g_tilde_dtau(self, tau: float, y: np.ndarray) -> np.ndarray:
@@ -198,12 +214,12 @@ class EvolutionInterpolant:
         w0 = chi0(tau)
         w1 = chi1(tau)
         d0 = chi0_prime(tau)
-        out = np.zeros(self.problem.dim)
+        out = np.zeros(y.shape)
         if w0 != 0.0 or d0 != 0.0:
             a = self.problem.flow(self.eps * tau, y)
             out += d0 * a + self.eps * w0 * self.problem.field(a)
         if w1 != 0.0 or d0 != 0.0:
-            b = self.problem.flow(self.eps * (tau - 1.0), self.phi.fn(self.eps, y))
+            b = self.problem.flow(self.eps * (tau - 1.0), self._stepped(y))
             out += -d0 * b + self.eps * w1 * self.problem.field(b)
         return out
 
@@ -228,35 +244,44 @@ class EvolutionInterpolant:
 
         Only t mod eps matters: the anchor state w with G~(tau, w) = z is
         found by a Newton iteration on a finite-difference Jacobian, seeded
-        at z itself (the interpolant stays eps-close to the identity).
+        at z itself (the interpolant stays eps-close to the identity).  A
+        stack z (..., d) is inverted in lockstep: a row leaves the iteration
+        once its residual meets the tolerance, and every row still in it
+        refreshes its Jacobian at the same iterations, so row b of the result
+        is g_eval(t, z[b]) bit for bit.
         """
         z = np.asarray(z, dtype=float)
         _, tau = self._split_time(t)
-        w = z.copy()
-        J = None
+        d = self.problem.dim
+        zs = z.reshape(-1, d)
+        w = zs.copy()
+        J = np.empty((len(zs), d, d))
+        live = np.arange(len(zs))  # the rows not yet converged
         for it in range(INVERSION_MAX_ITER):
-            r = self.g_tilde(tau, w) - z
-            if np.max(np.abs(r)) <= INVERSION_TOL:
+            r = self.g_tilde(tau, w[live]) - zs[live]
+            going = ~(np.max(np.abs(r), axis=-1) <= INVERSION_TOL)
+            live, r = live[going], r[going]
+            if not live.size:
                 break
-            if J is None or it % 8 == 7:
-                J = self._fd_jacobian(tau, w)
+            if it == 0 or it % 8 == 7:
+                J[live] = self._fd_jacobian(tau, w[live])
             try:
-                w = w - np.linalg.solve(J, r)
+                w[live] = w[live] - np.linalg.solve(J[live], r[..., None])[..., 0]
             except np.linalg.LinAlgError:
                 raise NewtonError("singular Jacobian while inverting the interpolant") from None
         else:
             raise NewtonError(f"interpolant inversion did not reach {INVERSION_TOL:g}")
         dG_dt = self.g_tilde_dtau(tau, w) / self.eps
-        return (dG_dt - self.problem.field(z)) / self.eps**self.phi.p
+        return ((dG_dt - self.problem.field(zs)) / self.eps**self.phi.p).reshape(z.shape)
 
     def _fd_jacobian(self, tau: float, w: np.ndarray) -> np.ndarray:
-        d = self.problem.dim
-        J = np.empty((d, d))
-        for j in range(d):
-            bump = np.zeros(d)
-            bump[j] = FD_STEP
-            J[:, j] = (self.g_tilde(tau, w + bump) - self.g_tilde(tau, w - bump)) / (2.0 * FD_STEP)
-        return J
+        """Central-difference Jacobians of G~(tau, .) at the rows of w (B, d), shape (B, d, d).
+
+        The 2 d B bumped rows go through one g_tilde call.
+        """
+        bumps = FD_STEP * np.eye(self.problem.dim)  # row j bumps coordinate j
+        g = self.g_tilde(tau, np.stack([w[:, None, :] + bumps, w[:, None, :] - bumps]))
+        return ((g[0] - g[1]) / (2.0 * FD_STEP)).mT
 
 
 def build_G(problem: EmbeddingProblem, phi: OneStepMap, eps: float) -> EvolutionInterpolant:
@@ -287,20 +312,15 @@ def verify_embedding(
         endpoint = max(endpoint, float(np.max(np.abs(gap))))
 
     t0 = t_frac * eps
-    periodicity = 0.0
-    for y in points:
-        g_a = interp.g_eval(t0, y)
-        g_b = interp.g_eval(t0 + eps, y)
-        periodicity = max(periodicity, float(np.max(np.abs(g_a - g_b))))
+    g_a = interp.g_eval(t0, points)
+    g_b = interp.g_eval(t0 + eps, points)
+    periodicity = float(np.max(np.abs(g_a - g_b), initial=0.0))
 
     diffs = []
     for j in range(order_levels):
         eps_j = eps * 0.5**j
-        worst = 0.0
-        for y in points:
-            gap = phi.fn(eps_j, y) - problem.flow(eps_j, y)
-            worst = max(worst, float(np.max(np.abs(gap))))
-        diffs.append(worst)
+        gap = _each_row(functools.partial(phi.fn, eps_j), points) - problem.flow(eps_j, points)
+        diffs.append(float(np.max(np.abs(gap), initial=0.0)))
     if max(diffs) <= ORDER_FLOOR:
         measured_p = None
     else:

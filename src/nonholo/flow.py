@@ -29,6 +29,7 @@ from .system import (
     StatePoint,
     SystemError,
     _require_finite,
+    _require_steps,
     constraint_residual,
     energy,
     project_velocity,
@@ -178,6 +179,11 @@ def _march(
     The loop records each row as it comes: residual_at(x), deformed_at(x) and
     the Newton count (schemes only), then the energy.  A runtime error leaves
     with the rows before k as `partial`, and with `step` = k and `t` = t_k.
+
+    numpy's overflow and invalid-value warnings are off inside the loop: each
+    row is checked after it is computed (the node and blow-up tests, the
+    finite multiplier here, the energy), so a run that overflows ends in its
+    one typed error instead of warnings on stderr.
     """
     n, m = sys.n, sys.m
     times = h * np.arange(steps + 1) + 0.0  # + 0.0: a backward run starts at t = 0, not -0
@@ -189,15 +195,18 @@ def _march(
         raw_configurations=np.empty((steps + 2, n)) if raw else None,
     )
     try:
-        for k in range(steps + 1):
-            x, lam, iters = row(k, traj)
-            traj.states[k] = x
-            traj.lambdas[k] = lam
-            traj.residuals[k] = residual_at(x)
-            if deformed_at is not None:
-                traj.deformed_residuals[k] = deformed_at(x)
-                traj.newton_iters[k] = iters
-            traj.energies[k] = energy(sys, x)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for k in range(steps + 1):
+                x, lam, iters = row(k, traj)
+                if not all(map(math.isfinite, lam.tolist())):
+                    raise SystemError(f"multiplier is not finite ({lam!r})")
+                traj.states[k] = x
+                traj.lambdas[k] = lam
+                traj.residuals[k] = residual_at(x)
+                if deformed_at is not None:
+                    traj.deformed_residuals[k] = deformed_at(x)
+                    traj.newton_iters[k] = iters
+                traj.energies[k] = energy(sys, x)
     except RUNTIME_ERRORS as exc:
         exc.partial = traj.head(k)  # the rows recorded before the failed one
         exc.step, exc.t = k, float(traj.times[k])
@@ -228,6 +237,7 @@ def integrate(
         kernels, bound = (deformed_field, deformed_lambda, deformed_residual), (sys, deformation)
     field, lambda_at, residual_at = (functools.partial(fn, *bound) for fn in kernels)
 
+    _require_steps("T / eps_ref", T / eps_ref)
     K = max(1, abs(round(T / eps_ref))) if T else 0
     h = T / K if K else 0.0
 
@@ -250,6 +260,7 @@ def reference_flow(sys: MechanicalSystem, x0: StatePoint, t: float) -> StatePoin
     _require_finite("t", t)
     if t == 0.0:
         return x0
+    _require_steps("t / REFERENCE_STEP", t / REFERENCE_STEP)
     K = max(1, math.ceil(abs(t) / REFERENCE_STEP))
     traj = integrate(sys, x0, t, t / K)
     return traj.state(len(traj) - 1)
@@ -261,16 +272,22 @@ def flow_field(
     t: float,
     base_step: float = REFERENCE_STEP,
 ) -> np.ndarray:
-    """RK4 endpoint for an arbitrary autonomous field on R^d, any sign of t."""
+    """RK4 endpoint for an arbitrary autonomous field on R^d, any sign of t.
+
+    z0 may be one state (d,) or a stack (..., d) that f maps row by row; every
+    row takes the same steps, and one row that fails the blow-up test stops
+    the whole stack.
+    """
     _require_finite("t", t)
     _require_finite("base_step", base_step, positive=True)
     z = np.asarray(z0, dtype=float).copy()
     if t == 0.0:
         return z
+    _require_steps("t / base_step", t / base_step)
     K = max(1, math.ceil(abs(t) / base_step))
     h = t / K
     for k in range(1, K + 1):
         z = rk4_step(f, z, h)
-        if not np.all(np.isfinite(z)) or np.linalg.norm(z) > BLOWUP_NORM:
+        if not np.all(np.isfinite(z)) or (np.linalg.norm(z, axis=-1) > BLOWUP_NORM).any():
             raise BlowUpError(f"flow blew up at step {k}, t = {k * h:.6g}")
     return z

@@ -9,6 +9,10 @@ coordinates with a `ConnectionSplit` eliminates the fiber velocities and
 yields an unconstrained ODE in the flat reduced coordinates
 xi = (q, v_base); `psi_embed` and `psi_pseudo_inverse` convert between the
 two pictures.  States are flat rows x = (q, v) of length 2n throughout.
+The plain field, the lift and the reduced field also take a stack (..., d)
+of rows: every product is a stacked `np.matvec`, `np.vecmat`, matmul or
+solve, which gives row b of a stack bit for bit as the call on row b alone
+(and as `@` on one row), so one code path serves both.
 
 Two modified versions of the field live here as well: an order-eps^p
 perturbation restored to tangency by adjusting the multiplier, and the
@@ -60,8 +64,10 @@ ON_D_TOL = 1e-9
 
 def _plain_inputs(sys: MechanicalSystem, x: np.ndarray):
     """`_solve_field`'s (q, rows, grad_q, qdot, f_v) for phi = mu(q) v at x, f_v = -M^-1 grad V."""
-    q, v = x[: sys.n], x[sys.n :]
-    return q, sys.mu_at(q), v @ sys.mu_jac_at(q), v, -(sys.M_inv @ sys.grad_v_at(q))
+    q, v = x[..., : sys.n], x[..., sys.n :]
+    mu, dmu = sys.mu_at(q), sys.mu_jac_at(q)
+    grad_q = np.vecmat(v[..., None, :], dmu)  # v @ dmu for each constraint row
+    return q, mu, grad_q, v, -np.matvec(sys.M_inv, sys.grad_v_at(q))
 
 
 def _solve_field(sys: MechanicalSystem, q, rows, grad_q, qdot, f_v, checked: bool = False):
@@ -70,14 +76,16 @@ def _solve_field(sys: MechanicalSystem, q, rows, grad_q, qdot, f_v, checked: boo
     lambda solves (rows M^-1 rows') lambda = -(grad_q . qdot + rows . f_v), the
     condition d/dt phi = 0 for a constraint phi with d phi/dq = grad_q and
     d phi/dv = rows.  The plain field takes the unchecked hot-path Gram solve;
-    `checked` takes the Cholesky- and condition-checked inverse instead.
+    `checked` takes the Cholesky- and condition-checked inverse instead (one
+    row only).
     """
-    rhs = grad_q @ qdot + rows @ f_v
+    rhs = np.matvec(grad_q, qdot) + np.matvec(rows, f_v)
     if checked:
-        lam = -(_checked_gram(sys, rows, q).inv @ rhs)
+        lam = -np.matvec(_checked_gram(sys, rows, q).inv, rhs)
     else:
         lam = -_gram_solve(sys, rows, rhs, q)
-    return np.concatenate([qdot, f_v + sys.M_inv @ (rows.T @ lam)]), lam
+    force = np.matvec(sys.M_inv, np.matvec(rows.mT, lam))
+    return np.concatenate([qdot, f_v + force], axis=-1), lam
 
 
 def _lambda_raw(sys: MechanicalSystem, x: np.ndarray) -> np.ndarray:
@@ -101,20 +109,25 @@ def lambda_continuous(sys: MechanicalSystem, x: np.ndarray, check: bool = True) 
 
 
 def h_field(sys: MechanicalSystem, x: np.ndarray) -> np.ndarray:
-    """The constrained field (v, -M^-1 grad V + lambda_a M^-1 mu^a), concatenated."""
+    """The constrained field (v, -M^-1 grad V + lambda_a M^-1 mu^a) at a row or a stack of rows."""
     if sys.m == 0:
-        return np.concatenate([x[sys.n :], -(sys.M_inv @ sys.grad_v_at(x[: sys.n]))])
+        f_v = -np.matvec(sys.M_inv, sys.grad_v_at(x[..., : sys.n]))
+        return np.concatenate([x[..., sys.n :], f_v], axis=-1)
     return _solve_field(sys, *_plain_inputs(sys, x))[0]
 
 
 def psi_embed(sys: MechanicalSystem, split: ConnectionSplit, xi) -> np.ndarray:
-    """Lift xi = (q, v_base) to the row x = (q, v) of D above it: v_fiber = -A(q) v_base."""
-    q, v_base = xi[: sys.n], xi[sys.n :]
-    v = np.zeros(sys.n)
-    v[list(split.base)] = v_base
+    """Lift xi = (q, v_base) to the row x = (q, v) of D above it: v_fiber = -A(q) v_base.
+
+    A stack of xi (..., 2n - m) lifts row by row to (..., 2n).
+    """
+    xi = np.asarray(xi, dtype=float)
+    q, v_base = xi[..., : sys.n], xi[..., sys.n :]
+    v = np.zeros(xi.shape[:-1] + (sys.n,))
+    v[..., list(split.base)] = v_base
     if sys.m:
-        v[list(split.fiber)] = -split.a_at(sys, q) @ v_base
-    return np.concatenate([q, v])
+        v[..., list(split.fiber)] = np.matvec(-split.a_at(sys, q), v_base)
+    return np.concatenate([q, v], axis=-1)
 
 
 def grad_psi(sys: MechanicalSystem, split: ConnectionSplit, xi) -> np.ndarray:
@@ -159,9 +172,12 @@ def reduce_state(
 
 
 def reduced_field(sys: MechanicalSystem, split: ConnectionSplit, xi) -> np.ndarray:
-    """The unconstrained ODE in xi = (q, v_base): the q and v_base rows of h along the lift."""
+    """The unconstrained ODE in xi = (q, v_base): the q and v_base rows of h along the lift.
+
+    A stack of xi (..., 2n - m) gives the field of each row, (..., 2n - m).
+    """
     h = h_field(sys, psi_embed(sys, split, xi))
-    return np.concatenate([h[: sys.n], h[sys.n :][list(split.base)]])
+    return np.concatenate([h[..., : sys.n], h[..., sys.n :][..., list(split.base)]], axis=-1)
 
 
 @dataclass(frozen=True)

@@ -34,6 +34,9 @@ __all__ = [
 
 MAX_DIM = 12
 COND_LIMIT = 1e12
+# The most steps one run, flow or sample table may take (the workloads in use
+# take up to 10^4); `_require_steps` and the command line's config checks refuse more.
+MAX_STEPS = 10**7
 
 
 class SystemError(ValueError):
@@ -68,6 +71,22 @@ def _require_finite(what: str, value: float, positive: bool = False, nonzero: bo
     if not ok:
         rule = "positive and finite" if positive else "non-zero and finite" if nonzero else "finite"
         raise SystemError(f"{what} must be {rule}, got {value!r}")
+
+
+def _require_steps(what: str, steps: float) -> None:
+    """The one cap on a step count: |steps| at most MAX_STEPS, NaN and infinity rejected."""
+    if not abs(steps) <= MAX_STEPS:
+        raise SystemError(f"{what} asks for {steps!r} steps, more than MAX_STEPS = {MAX_STEPS}")
+
+
+def _first_row(q, bad) -> np.ndarray:
+    """The configuration of the first row of a stack q (..., n) where `bad` holds.
+
+    A single configuration is the stack of one row, so an error raised from a
+    stack names the same q as the unbatched call on the failing row.
+    """
+    q = np.asarray(q, dtype=float)
+    return q.reshape(-1, q.shape[-1])[int(np.argmax(bad))]
 
 
 def _as_expr(obj) -> Expression:
@@ -146,19 +165,44 @@ class MechanicalSystem:
     def qv_ctx(self, x: np.ndarray) -> dict:
         return dict(zip(self.names + self.vnames, x.tolist()))
 
+    def _each_q(self, q: np.ndarray, shape: tuple, kernel, *args) -> np.ndarray:
+        """kernel(*args, ctx) at each row of a stack q (..., n), shaped (..., *shape).
+
+        The compiled kernel runs once per row in Python floats (numpy's exp,
+        log, tan, tanh and ** differ from math's in the last bits), so row b
+        of a stack is the unbatched call on row b, bit for bit.  The accessors
+        call the kernel directly on one configuration, the integrators' hot
+        path, which this loop would slow down.
+        """
+        rows = [kernel(*args, dict(zip(self.names, r))) for r in q.reshape(-1, self.n).tolist()]
+        return np.reshape(rows, q.shape[:-1] + shape)
+
     def mu_at(self, q: np.ndarray) -> np.ndarray:
-        return exprdiff.evaluate(self._mu_entries, self.q_ctx(q)).reshape(self.m, self.n)
+        """mu(q), shape (m, n); a stack q (..., n) gives (..., m, n)."""
+        q = np.asarray(q, dtype=float)
+        if q.ndim > 1:
+            return self._each_q(q, (self.m, self.n), exprdiff.evaluate, self._mu_entries)
+        ctx = dict(zip(self.names, q.tolist()))
+        return exprdiff.evaluate(self._mu_entries, ctx).reshape(self.m, self.n)
 
     def mu_jac_at(self, q: np.ndarray) -> np.ndarray:
-        """d mu[a, i] / d q[j], shape (m, n, n)."""
-        jac = exprdiff.gradient(self._mu_entries, self.names, self.q_ctx(q))
-        return jac.reshape(self.m, self.n, self.n)
+        """d mu[a, i] / d q[j], shape (m, n, n); a stack q (..., n) gives (..., m, n, n)."""
+        q = np.asarray(q, dtype=float)
+        shape = (self.m, self.n, self.n)
+        if q.ndim > 1:
+            return self._each_q(q, shape, exprdiff.gradient, self._mu_entries, self.names)
+        ctx = dict(zip(self.names, q.tolist()))
+        return exprdiff.gradient(self._mu_entries, self.names, ctx).reshape(shape)
 
     def v_at(self, q: np.ndarray) -> float:
         return exprdiff.evaluate(self.V, self.q_ctx(q))
 
     def grad_v_at(self, q: np.ndarray) -> np.ndarray:
-        return exprdiff.gradient(self.V, self.names, self.q_ctx(q))
+        """grad V(q), shape (n,); a stack q (..., n) gives (..., n)."""
+        q = np.asarray(q, dtype=float)
+        if q.ndim > 1:
+            return self._each_q(q, (self.n,), exprdiff.gradient, self.V, self.names)
+        return exprdiff.gradient(self.V, self.names, dict(zip(self.names, q.tolist())))
 
     def hess_v_at(self, q: np.ndarray) -> np.ndarray:
         return exprdiff.hessian(self.V, self._sorted_names, self.q_ctx(q))[self._unsort]
@@ -186,16 +230,20 @@ def _gram_solve(sys: MechanicalSystem, mu: np.ndarray, rhs: np.ndarray, q: np.nd
     This is the integrator hot path, so it skips the conditioning
     certificate that `c_matrix` provides and rejects only an outright
     singular Gram matrix: an exactly zero 1x1 one, or one LAPACK objects to.
+    Stacks mu (..., m, n), rhs (..., m) and q (..., n) solve row by row; the
+    error names the first singular row's q.
     """
-    C = mu @ sys.M_inv @ mu.T
-    if C.shape == (1, 1):
+    C = mu @ sys.M_inv @ mu.mT
+    if C.shape[-1] == 1:
         # a 1x1 solve is this division, bit for bit, at a fraction of the cost
-        if C[0, 0] == 0.0:
-            raise SystemError(f"constraint Gram matrix singular at q={q!r}")
-        return rhs / C[0, 0]
+        if 0.0 in C.flat:
+            singular = C[..., 0, 0] == 0.0
+            raise SystemError(f"constraint Gram matrix singular at q={_first_row(q, singular)!r}")
+        return rhs / C[..., 0]
     try:
-        return np.linalg.solve(C, rhs)
+        return np.linalg.solve(C, rhs[..., None])[..., 0]
     except np.linalg.LinAlgError:
+        q = _first_row(q, ~(np.linalg.det(C) != 0.0))  # LAPACK fails on an exactly zero pivot
         raise SystemError(f"constraint Gram matrix singular at q={q!r}") from None
 
 
@@ -247,12 +295,13 @@ class ConnectionSplit:
             raise SystemError("base and fiber indices overlap")
 
     def a_at(self, sys: MechanicalSystem, q: np.ndarray) -> np.ndarray:
-        """A(q) = B(q)^-1 mu[:, base], shape (m, n-m)."""
+        """A(q) = B(q)^-1 mu[:, base], shape (m, n-m); a stack q (..., n) gives (..., m, n-m)."""
         mu = sys.mu_at(q)
-        B = mu[:, list(self.fiber)]
-        if abs(np.linalg.det(B)) < 1e-12:
-            raise SystemError(f"fiber block of mu singular at q={q!r}")
-        return np.linalg.solve(B, mu[:, list(self.base)])
+        B = mu[..., list(self.fiber)]
+        singular = np.abs(np.linalg.det(B)) < 1e-12
+        if singular.any():
+            raise SystemError(f"fiber block of mu singular at q={_first_row(q, singular)!r}")
+        return np.linalg.solve(B, mu[..., list(self.base)])
 
     def a_jac_at(self, sys: MechanicalSystem, q: np.ndarray) -> np.ndarray:
         """dA[al, a]/dq[j], shape (m, n-m, n), from A = B^-1 N."""

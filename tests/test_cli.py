@@ -176,6 +176,26 @@ def test_overflowed_node_stops_the_run(tmp_path, capsys, integrator):
 
 
 @pytest.mark.parametrize("integrator", ["vni10", "vni20", "original_node", "dla"])
+def test_overflow_prints_only_its_error_line(tmp_path, capfd, integrator):
+    # the first node overflows; every row is checked after it is computed, so
+    # stderr holds the one typed error and no numpy warning (a fresh
+    # interpreter, where warnings reach stderr as a user sees them)
+    cfg = dict(OVERFLOW, integrator=integrator)
+    if integrator == "dla":
+        cfg["beta"] = 0.5
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(nonholo.__file__)),
+           "PYTHONWARNINGS": "default"}
+    proc = subprocess.run(
+        [sys.executable, "-m", "nonholo.cli", "simulate", "--config", write_config(tmp_path, cfg),
+         "--out", str(tmp_path / "out")],
+        env=env,
+    )
+    assert proc.returncode == 3
+    err = capfd.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error: step 1, t = "), err
+
+
+@pytest.mark.parametrize("integrator", ["vni10", "vni20", "original_node", "dla"])
 def test_failure_while_recording_salvages_the_rows_before(tmp_path, capsys, integrator):
     # the start is admissible, but its deformed residual takes mu at
     # q - eps/2 v, whose x = -0.001 lies outside the domain of log

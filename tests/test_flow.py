@@ -162,3 +162,23 @@ def test_times_and_step_sizes_are_checked(entry, call):
     # it must be, and refuses anything else with a SystemError
     with pytest.raises(SystemError, match="must be"):
         call()
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: integrate(_PARTICLE, PARTICLE_X0, 1e300, 1e-300),  # T / eps_ref overflows
+        lambda: integrate(_PARTICLE, PARTICLE_X0, 1e10, 1e-3),
+        lambda: reference_flow(_PARTICLE, PARTICLE_X0, 1e305),
+        lambda: flow_field(lambda z: z, np.ones(1), 1e300, base_step=1e-300),
+        lambda: flow_field(lambda z: z, np.ones(2), 1e8, base_step=1.0),
+    ],
+    ids=["integrate_overflow", "integrate_1e13", "reference_flow_overflow",
+         "flow_field_overflow", "flow_field_1e8"],
+)
+def test_step_counts_are_capped(call):
+    # a time and a step that are finite alone can still ask for more steps
+    # than MAX_STEPS, or for a count that overflows; both are SystemErrors,
+    # raised before anything is allocated or stepped
+    with pytest.raises(SystemError, match="MAX_STEPS"):
+        call()

@@ -19,7 +19,9 @@ the same disk started off D with ``project_initial``, each run by every
 integrator (``dla`` with beta in {0, 0.3, 0.5, 1} on both node policies)
 at eps = 0.01, plus ``vni20``, ``original_node`` and ``dla`` at eps = 0.1;
 the reference flow on a deformed constraint set and with ``project_each_step``;
-one run each of ``converge``, ``interp`` and ``embed``; a potential with an
+one run each of ``converge`` and ``interp``; three of ``embed``: ``vni10`` at
+one point, then the Newton scheme ``vni20`` and the flow itself as the map
+(``exact``) at five points; a potential with an
 integer power above 8 at a negative base; a system whose ``V`` and ``mu`` use
 every function and a non-integer power, run by ``reference``, ``vni20`` and
 ``dla``; then runs that fail at runtime, and configs that misuse a key, ask
@@ -82,6 +84,14 @@ EMBED = {
     "q0": [0.0, 1.0, 0.0], "points": [{"q": [0.0, 1.0, 0.0], "v": [1.0, 1.0, 1.0]}],
     "order_levels": 3,
 }
+# five admissible particle states, v_z = y v_x exactly
+EMBED_POINTS = {**EMBED, "scheme": "vni20", "points": [
+    {"q": [0.0, 1.0, 0.0], "v": [1.0, 1.0, 1.0]},
+    {"q": [0.2, 0.5, -0.1], "v": [0.5, -1.0, 0.25]},
+    {"q": [-0.3, 1.5, 0.2], "v": [-1.0, 0.5, -1.5]},
+    {"q": [0.1, 2.0, 0.0], "v": [0.25, 0.0, 0.5]},
+    {"q": [0.4, 0.75, 0.3], "v": [2.0, -0.5, 1.5]},
+]}
 INTERP = {
     "system": "nonholonomic_particle", "eps": 0.1,
     "x0": {"q": [0.0, 1.0, 0.0], "v": [1.0, 1.0, 1.0]},
@@ -144,7 +154,10 @@ def configs() -> list[tuple[str, str, dict]]:
     for system, start in (("particle", PARTICLE), ("disk", DISK_ON_D), ("disk_off_d", DISK_OFF_D)):
         out += [(f"{system}/{name}", "simulate", cfg) for name, cfg in _runs(start)]
     out += [("other/converge", "converge", CONVERGE), ("other/interp", "interp", INTERP),
-            ("other/embed", "embed", EMBED), ("other/deformed_reference", "simulate", DEFORMED)]
+            ("other/embed", "embed", EMBED),
+            ("other/embed_vni20_points", "embed", EMBED_POINTS),
+            ("other/embed_exact", "embed", {**EMBED_POINTS, "scheme": "exact", "p": 1}),
+            ("other/deformed_reference", "simulate", DEFORMED)]
     out += [(f"other/{system}_project_each_step", "simulate",
              {**start, "integrator": "reference", "project_each_step": True, "eps": 0.01, "N": 200})
             for system, start in (("particle", PARTICLE), ("disk_off_d", DISK_OFF_D))]
