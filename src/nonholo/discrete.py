@@ -43,7 +43,7 @@ from typing import Callable
 
 import numpy as np
 
-from .flow import NewtonError, Trajectory, _march
+from .flow import _QUIET, NewtonError, Trajectory, _march
 from .reduction import _lambda_raw
 from .system import (
     MechanicalSystem,
@@ -376,7 +376,8 @@ def run_integrator(
     # original_node_step validates its own deformed precondition
     if sys.m and scheme != "original_node":
         if scheme == "dla" and policy is NodePolicy.ORIGINAL:
-            res = sys.mu_at(x0.q - (1.0 - beta) * eps * x0.v) @ x0.v
+            with np.errstate(**_QUIET):  # q - (1 - beta) eps v may overflow, like a step
+                res = sys.mu_at(x0.q - (1.0 - beta) * eps * x0.v) @ x0.v
             broken = "violates the discrete constraint"
         else:
             res = sys.mu_at(x0.q) @ x0.v
@@ -395,16 +396,17 @@ def run_integrator(
             elif raw is not None:
                 raw[0], raw[1] = x0.q - eps * x0.v, x0.q
             x = x0.concat()
-            return x, _lambda_raw(sys, x), 0
-        if raw is None:
+            lam, iters = _lambda_raw(sys, x), 0
+        elif raw is None:
             out = step_fn(sys, traj.states[k - 1], eps)
-            return out.state, out.lam, out.iters
-        out = dla_step(dsys, raw[k - 1], raw[k])
-        raw[k + 1] = out.state[: sys.n]
-        if policy is NodePolicy.REDEFINED:
-            return _node(*dsys.rho.forward(raw[k], raw[k + 1])), out.lam, out.iters
-        return out.state, out.lam, out.iters
+            x, lam, iters = out.state, out.lam, out.iters
+        else:
+            out = dla_step(dsys, raw[k - 1], raw[k])
+            raw[k + 1] = out.state[: sys.n]
+            x, lam, iters = out.state, out.lam, out.iters
+            if policy is NodePolicy.REDEFINED:
+                x = _node(*dsys.rho.forward(raw[k], raw[k + 1]))
+        return x, lam, constraint_residual(sys, x), iters
 
-    residual_at = functools.partial(constraint_residual, sys)
     deformed_at = functools.partial(deformed_node_residual, sys, eps=eps)
-    return _march(sys, int(steps), eps, row, residual_at, deformed_at, raw=scheme == "dla")
+    return _march(sys, int(steps), eps, row, deformed_at, raw=scheme == "dla")

@@ -20,7 +20,8 @@ Everything operates on plain R^d vectors through an `EmbeddingProblem`
 constrained dynamics and to scalar toy problems.  The field and the flow
 take stacks (..., d) of states, so `g_eval` inverts many points, and every
 finite-difference column of their Jacobians, with one stacked flow per
-Newton iteration; the one-step map still takes one state at a time.
+Newton iteration.  The one-step map takes a stack too: the exact map passes
+it to the flow, and a discrete scheme's map steps its rows one by one.
 """
 from __future__ import annotations
 
@@ -113,7 +114,10 @@ def interpolate_in_D(
 
 @dataclass(frozen=True)
 class OneStepMap:
-    """A numerical one-step map y -> fn(eps, y) of consistency order p."""
+    """A numerical one-step map y -> fn(eps, y) of consistency order p.
+
+    fn takes a state (d,) or a stack (..., d) and maps each row alone.
+    """
 
     fn: Callable[[float, np.ndarray], np.ndarray]
     p: int
@@ -169,16 +173,17 @@ def reduced_step_map(sys: MechanicalSystem, split: ConnectionSplit, scheme: str)
         raise SystemError(f"no node scheme named {scheme!r}; pick from {sorted(_NODE_STEPS)}")
     step_fn, p = _NODE_STEPS[scheme]
 
-    def fn(eps: float, xi: np.ndarray) -> np.ndarray:
+    def step(eps: float, xi: np.ndarray) -> np.ndarray:
         out = step_fn(sys, psi_embed(sys, split, xi), eps)
         return reduce_state(sys, split, out.state, check=False)
 
-    return OneStepMap(fn, p)
+    # the node steps take one state, so a stack is stepped row by row
+    return OneStepMap(lambda eps, xi: _each_row(functools.partial(step, eps), xi), p)
 
 
 def exact_step_map(problem: EmbeddingProblem, p: int = 1) -> OneStepMap:
     """The problem's own flow packaged as a one-step map (zero perturbation)."""
-    return OneStepMap(lambda eps, y: problem.flow(eps, y), p)
+    return OneStepMap(problem.flow, p)
 
 
 class EvolutionInterpolant:
@@ -191,10 +196,7 @@ class EvolutionInterpolant:
         self.eps = eps
 
     # -- the single-interval interpolant and its tau-derivative ---------------
-    # y is a state (d,) or a stack (..., d); the step map sees one row at a time
-
-    def _stepped(self, y: np.ndarray) -> np.ndarray:
-        return _each_row(functools.partial(self.phi.fn, self.eps), y)
+    # y is a state (d,) or a stack (..., d)
 
     def g_tilde(self, tau: float, y: np.ndarray) -> np.ndarray:
         y = np.asarray(y, dtype=float)
@@ -204,9 +206,9 @@ class EvolutionInterpolant:
         if w1 == 0.0:
             return w0 * self.problem.flow(self.eps * tau, y)
         if w0 == 0.0:
-            return w1 * self.problem.flow(self.eps * (tau - 1.0), self._stepped(y))
+            return w1 * self.problem.flow(self.eps * (tau - 1.0), self.phi.fn(self.eps, y))
         a = self.problem.flow(self.eps * tau, y)
-        b = self.problem.flow(self.eps * (tau - 1.0), self._stepped(y))
+        b = self.problem.flow(self.eps * (tau - 1.0), self.phi.fn(self.eps, y))
         return w0 * a + w1 * b
 
     def g_tilde_dtau(self, tau: float, y: np.ndarray) -> np.ndarray:
@@ -219,7 +221,7 @@ class EvolutionInterpolant:
             a = self.problem.flow(self.eps * tau, y)
             out += d0 * a + self.eps * w0 * self.problem.field(a)
         if w1 != 0.0 or d0 != 0.0:
-            b = self.problem.flow(self.eps * (tau - 1.0), self._stepped(y))
+            b = self.problem.flow(self.eps * (tau - 1.0), self.phi.fn(self.eps, y))
             out += -d0 * b + self.eps * w1 * self.problem.field(b)
         return out
 
@@ -306,10 +308,8 @@ def verify_embedding(
     points = np.atleast_2d(np.asarray(points, dtype=float))
     interp = build_G(problem, phi, eps)
 
-    endpoint = 0.0
-    for y in points:
-        gap = interp.G(eps, y) - phi.fn(eps, y)
-        endpoint = max(endpoint, float(np.max(np.abs(gap))))
+    gap = interp.G(eps, points) - phi.fn(eps, points)
+    endpoint = float(np.max(np.abs(gap), initial=0.0))
 
     t0 = t_frac * eps
     g_a = interp.g_eval(t0, points)
@@ -319,7 +319,7 @@ def verify_embedding(
     diffs = []
     for j in range(order_levels):
         eps_j = eps * 0.5**j
-        gap = _each_row(functools.partial(phi.fn, eps_j), points) - problem.flow(eps_j, points)
+        gap = phi.fn(eps_j, points) - problem.flow(eps_j, points)
         diffs.append(float(np.max(np.abs(gap), initial=0.0)))
     if max(diffs) <= ORDER_FLOOR:
         measured_p = None

@@ -10,10 +10,13 @@ measures against them.
 `Trajectory` is the record of every run, the discrete schemes' included,
 `_march` the one loop that fills it and salvages a failed run, and
 `write_csv` the one writer of the package's CSV tables.
+
+`integrate` evaluates the field once per recorded row: the multiplier and the
+residual it records come from the same solve as the next step's first stage,
+so K steps take 4K + 1 multiplier solves.
 """
 from __future__ import annotations
 
-import csv
 import functools
 import math
 from dataclasses import dataclass
@@ -22,15 +25,13 @@ from typing import Callable
 import numpy as np
 
 from .exprdiff import EvalError
-from .reduction import DeformedConstraint, _lambda_raw, h_field
-from .reduction import deformed_field, deformed_lambda, deformed_residual
+from .reduction import DeformedConstraint, _recorded_field, deformed_field, h_field
 from .system import (
     MechanicalSystem,
     StatePoint,
     SystemError,
     _require_finite,
     _require_steps,
-    constraint_residual,
     energy,
     project_velocity,
 )
@@ -50,10 +51,14 @@ __all__ = [
 
 BLOWUP_NORM = 1e8
 REFERENCE_STEP = 1e-4
+# numpy's overflow and invalid-value warnings, off where every result is checked after
+_QUIET = {"over": "ignore", "invalid": "ignore"}
 
 
-def rk4_step(f: Callable[[np.ndarray], np.ndarray], x: np.ndarray, h: float) -> np.ndarray:
-    k1 = f(x)
+def rk4_step(
+    f: Callable[[np.ndarray], np.ndarray], x: np.ndarray, h: float, k1: np.ndarray
+) -> np.ndarray:
+    """One classic RK4 step of x' = f(x); the caller gives the first stage k1 = f(x)."""
     k2 = f(x + 0.5 * h * k1)
     k3 = f(x + 0.5 * h * k2)
     k4 = f(x + h * k3)
@@ -63,17 +68,22 @@ def rk4_step(f: Callable[[np.ndarray], np.ndarray], x: np.ndarray, h: float) -> 
 def write_csv(path, header: list[str], rows) -> None:
     """Write an RFC-4180 table: the header, then one line per row of numbers."""
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(_csv_cells(row) for row in rows)
+        fh.writelines(_csv_lines(header, rows))
 
 
-def _csv_cells(row) -> list[str]:
-    """Counts print as integers, reals with the 17 digits that round-trip a double."""
-    return [
-        str(int(val)) if isinstance(val, (int, np.integer)) else format(val, ".17g")
-        for val in row
-    ]
+def _csv_lines(header: list[str], rows):
+    """The table's lines, each ending in CRLF, formatted one row at a time.
+
+    Counts print as integers, reals with the 17 digits that round-trip a
+    double; the first row's cells fix each column's format for the table.
+    """
+    yield ",".join(header) + "\r\n"
+    line = None
+    for row in rows:
+        if line is None:
+            cells = ("%d" if isinstance(val, (int, np.integer)) else "%.17g" for val in row)
+            line = ",".join(cells) + "\r\n"
+        yield line % tuple(row)
 
 
 @dataclass
@@ -138,14 +148,13 @@ class Trajectory:
             header += [f"deformed_residual_{a + 1}" for a in range(m)]
             columns.append(self.deformed_residuals)
         # one row at a time, so a long run's table is never held as Python floats
-        rows = ([val for col in columns for val in col[k].tolist()] for k in range(len(self)))
+        rows = (tuple(val for col in columns for val in col[k].tolist()) for k in range(len(self)))
         return header, rows
 
     def csv_rows(self):
-        header, rows = self._table()
-        yield header
-        for row in rows:
-            yield _csv_cells(row)
+        """The header, then each row's cells as `to_csv` writes them."""
+        for line in _csv_lines(*self._table()):
+            yield line[:-2].split(",")
 
     def to_csv(self, path) -> None:
         write_csv(path, *self._table())
@@ -167,18 +176,18 @@ def _march(
     sys: MechanicalSystem,
     steps: int,
     h: float,
-    row: Callable[[int, Trajectory], tuple[np.ndarray, np.ndarray, int]],
-    residual_at: Callable[[np.ndarray], np.ndarray],
+    row: Callable[[int, Trajectory], tuple[np.ndarray, np.ndarray, np.ndarray, int]],
     deformed_at: Callable[[np.ndarray], np.ndarray] | None = None,
     raw: bool = False,
 ) -> Trajectory:
     """The one run loop of `integrate` and `run_integrator`: rows 0..steps at t_k = k h.
 
-    row(k, traj) returns row k's state x, multiplier and Newton iterations,
-    given the rows before k (and, with `raw`, the raw configurations to fill).
-    The loop records each row as it comes: residual_at(x), deformed_at(x) and
-    the Newton count (schemes only), then the energy.  A runtime error leaves
-    with the rows before k as `partial`, and with `step` = k and `t` = t_k.
+    row(k, traj) returns row k's state x, multiplier, residual and Newton
+    iterations, given the rows before k (and, with `raw`, the raw
+    configurations to fill).  The loop records each row as it comes, with
+    deformed_at(x) and the Newton count (schemes only), then the energy.  A
+    runtime error leaves with the rows before k as `partial`, and with
+    `step` = k and `t` = t_k.
 
     numpy's overflow and invalid-value warnings are off inside the loop: each
     row is checked after it is computed (the node and blow-up tests, the
@@ -195,14 +204,14 @@ def _march(
         raw_configurations=np.empty((steps + 2, n)) if raw else None,
     )
     try:
-        with np.errstate(over="ignore", invalid="ignore"):
+        with np.errstate(**_QUIET):
             for k in range(steps + 1):
-                x, lam, iters = row(k, traj)
+                x, lam, res, iters = row(k, traj)
                 if not all(map(math.isfinite, lam.tolist())):
                     raise SystemError(f"multiplier is not finite ({lam!r})")
                 traj.states[k] = x
                 traj.lambdas[k] = lam
-                traj.residuals[k] = residual_at(x)
+                traj.residuals[k] = res
                 if deformed_at is not None:
                     traj.deformed_residuals[k] = deformed_at(x)
                     traj.newton_iters[k] = iters
@@ -232,27 +241,29 @@ def integrate(
     _require_finite("T", T)
     _require_finite("eps_ref", eps_ref, nonzero=True)  # reference_flow(t < 0) steps backwards
     if deformation is None:
-        kernels, bound = (h_field, _lambda_raw, constraint_residual), (sys,)
+        field = functools.partial(h_field, sys)
     else:
-        kernels, bound = (deformed_field, deformed_lambda, deformed_residual), (sys, deformation)
-    field, lambda_at, residual_at = (functools.partial(fn, *bound) for fn in kernels)
+        field = functools.partial(deformed_field, sys, deformation)
 
     _require_steps("T / eps_ref", T / eps_ref)
     K = max(1, abs(round(T / eps_ref))) if T else 0
     h = T / K if K else 0.0
+    k1 = None  # the field at the last recorded row: the next step's first stage
 
     def row(k, traj):
+        nonlocal k1
         if k == 0:
             x = x0.concat()
         else:
-            x = rk4_step(field, traj.states[k - 1], h)
-            if not np.all(np.isfinite(x)) or np.linalg.norm(x) > BLOWUP_NORM:
+            x = rk4_step(field, traj.states[k - 1], h, k1)
+            if not math.sqrt(x @ x) <= BLOWUP_NORM:  # NaN and infinity fail it too
                 raise BlowUpError(f"solution blew up at t = {k * h:.6g}")
             if project_each_step:
                 x[sys.n :] = project_velocity(sys, x[: sys.n], x[sys.n :])
-        return x, lambda_at(x), 0
+        k1, lam, res = _recorded_field(sys, deformation, x)
+        return x, lam, res, 0
 
-    return _march(sys, K, h, row, residual_at)
+    return _march(sys, K, h, row)
 
 
 def reference_flow(sys: MechanicalSystem, x0: StatePoint, t: float) -> StatePoint:
@@ -287,7 +298,7 @@ def flow_field(
     K = max(1, math.ceil(abs(t) / base_step))
     h = t / K
     for k in range(1, K + 1):
-        z = rk4_step(f, z, h)
+        z = rk4_step(f, z, h, f(z))
         if not np.all(np.isfinite(z)) or (np.linalg.norm(z, axis=-1) > BLOWUP_NORM).any():
             raise BlowUpError(f"flow blew up at step {k}, t = {k * h:.6g}")
     return z

@@ -183,6 +183,23 @@ def test_overflow_prints_only_its_error_line(tmp_path, capfd, integrator):
     cfg = dict(OVERFLOW, integrator=integrator)
     if integrator == "dla":
         cfg["beta"] = 0.5
+    assert _fresh_simulate(tmp_path, cfg) == 3
+    err = capfd.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error: step 1, t = "), err
+
+
+def test_overflowing_discrete_start_check_prints_only_its_error_line(tmp_path, capfd):
+    # with the original nodes, dla checks its start at q - (1 - beta) eps v,
+    # which overflows here; the check passes, and the first step fails
+    cfg = dict(OVERFLOW, integrator="dla", beta=0.5, nodes="original")
+    assert _fresh_simulate(tmp_path, cfg) == 3
+    err = capfd.readouterr().err
+    assert err == ("error: step 1, t = 1e+160: discrete step not well posed "
+                   "(regularity condition number inf)\n")
+
+
+def _fresh_simulate(tmp_path, cfg) -> int:
+    """`simulate`'s exit code in a fresh interpreter, whose warnings reach stderr."""
     env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(nonholo.__file__)),
            "PYTHONWARNINGS": "default"}
     proc = subprocess.run(
@@ -190,9 +207,7 @@ def test_overflow_prints_only_its_error_line(tmp_path, capfd, integrator):
          "--out", str(tmp_path / "out")],
         env=env,
     )
-    assert proc.returncode == 3
-    err = capfd.readouterr().err
-    assert len(err.splitlines()) == 1 and err.startswith("error: step 1, t = "), err
+    return proc.returncode
 
 
 @pytest.mark.parametrize("integrator", ["vni10", "vni20", "original_node", "dla"])

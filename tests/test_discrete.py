@@ -6,7 +6,7 @@ import functools
 import numpy as np
 import pytest
 
-from nonholo import exprdiff
+from nonholo import exprdiff, reduction
 from nonholo.discrete import (
     DiscreteNonholonomicSystem,
     FiniteDifferenceMap,
@@ -24,6 +24,8 @@ from nonholo.discrete import (
 from nonholo.flow import integrate
 from nonholo.reduction import (
     DeformedConstraint,
+    _lambda_raw,
+    deformed_lambda,
     deformed_residual,
     lambda_continuous,
     reduced_field,
@@ -442,7 +444,8 @@ def _bits(value) -> bytes:
 @pytest.mark.parametrize("system", ["particle", "disk"])
 def test_recorded_columns_are_the_diagnostics_of_each_row(system):
     # the run loop records every row's residuals and energy with the very
-    # functions a caller applies to the recorded state, bit for bit
+    # functions a caller applies to the recorded state, bit for bit, and the
+    # reference flow's multipliers too, though they come from its first stage
     if system == "particle":
         sys, x0, g = nonholonomic_particle(), X0, ["v_x*v_y"]
     else:
@@ -467,12 +470,31 @@ def test_recorded_columns_are_the_diagnostics_of_each_row(system):
             plain,
         ),
     }
+    lambda_of = {"reference": functools.partial(_lambda_raw, sys),
+                 "deformed_reference": functools.partial(deformed_lambda, sys, dc)}
     for name, (traj, residual_at) in runs.items():
         assert len(traj) == steps + 1, name
         for k, x in enumerate(traj.states):
+            if name in lambda_of:
+                assert _bits(traj.lambdas[k]) == _bits(lambda_of[name](x)), (name, k)
             assert _bits(traj.residuals[k]) == _bits(residual_at(x)), (name, k)
             assert _bits(traj.energies[k]) == _bits(energy(sys, x)), (name, k)
             if traj.deformed_residuals is not None:
                 want = deformed_node_residual(sys, x, eps)
                 assert _bits(traj.deformed_residuals[k]) == _bits(want), (name, k)
         assert (traj.deformed_residuals is None) == name.endswith("reference"), name
+
+
+@pytest.mark.parametrize("run", ["plain", "deformed", "project_each_step"])
+def test_integrate_makes_four_multiplier_solves_per_step(monkeypatch, run):
+    # each recorded row's one field evaluation gives its multiplier, its
+    # residual and the next step's first stage: 4 K + 1 solves for K steps
+    sys, steps = rolling_disk(), 25
+    solves = []
+    solve = reduction._solve_field
+    monkeypatch.setattr(reduction, "_solve_field",
+                        lambda *args, **kw: solves.append(1) or solve(*args, **kw))
+    dc = DeformedConstraint(g=[exprdiff.parse("v_x*v_th"), exprdiff.parse("v_y*v_ph")], delta=0.05)
+    integrate(sys, DISK_X0, 0.01 * steps, 0.01, deformation=dc if run == "deformed" else None,
+              project_each_step=run == "project_each_step")
+    assert len(solves) == 4 * steps + 1

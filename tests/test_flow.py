@@ -1,14 +1,19 @@
 """RK4 driver: accuracy order, invariants along the particle flow, blow-up."""
 from __future__ import annotations
 
+import csv
+import os
 import re
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nonholo.discrete import FiniteDifferenceMap, run_integrator
 from nonholo.embed import EmbeddingProblem, EvolutionInterpolant, OneStepMap
-from nonholo.flow import BlowUpError, flow_field, integrate, reference_flow, rk4_step
+from nonholo.flow import BlowUpError, flow_field, integrate, reference_flow, rk4_step, write_csv
 from nonholo.system import MechanicalSystem, StatePoint, SystemError, nonholonomic_particle
 
 PARTICLE_X0 = StatePoint([0.0, 1.0, 0.0], [1.0, 1.0, 1.0])
@@ -16,7 +21,8 @@ PARTICLE_X0 = StatePoint([0.0, 1.0, 0.0], [1.0, 1.0, 1.0])
 
 def test_rk4_single_step_value():
     # z' = z over one step of 0.1: the classical quartic Taylor polynomial
-    out = rk4_step(lambda z: z, np.array([1.0]), 0.1)
+    x = np.array([1.0])
+    out = rk4_step(lambda z: z, x, 0.1, x)  # the first stage is f(x) = x
     assert out[0] == 1.1051708333333332
 
 
@@ -182,3 +188,67 @@ def test_step_counts_are_capped(call):
     # raised before anything is allocated or stepped
     with pytest.raises(SystemError, match="MAX_STEPS"):
         call()
+
+
+def _csv_cells(row) -> list[str]:
+    """The cell format `write_csv` keeps: counts as integers, reals in 17 digits."""
+    return [
+        str(int(val)) if isinstance(val, (int, np.integer)) else format(val, ".17g")
+        for val in row
+    ]
+
+
+def _csv_writer_bytes(path, header, rows) -> bytes:
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(_csv_cells(row) for row in rows)
+    with open(path, "rb") as fh:
+        return fh.read()
+
+
+_EDGE_REALS = [-0.0, 0.0, float("nan"), float("inf"), -float("inf"), 5e-324, -2.5e-320,
+               2.2250738585072014e-308, 1e308, -1.7976931348623157e308, 0.1, 1e16, 123456789.0]
+_REALS = st.floats() | st.sampled_from(_EDGE_REALS)
+_CELLS = {
+    "float": _REALS,
+    "float64": _REALS.map(np.float64),
+    "int": st.integers() | st.sampled_from([0, -1, 2**63, -(2**70)]),
+    "int64": st.integers(-(2**63), 2**63 - 1).map(np.int64),
+}
+
+
+@st.composite
+def _tables(draw):
+    """A header and rows whose columns each hold one kind of cell, as tuples or lists."""
+    kinds = draw(st.lists(st.sampled_from(sorted(_CELLS)), max_size=6))
+    rows = draw(st.lists(st.tuples(*(_CELLS[kind] for kind in kinds)), max_size=6))
+    if draw(st.booleans()):
+        rows = [list(row) for row in rows]
+    return [f"c_{i + 1}" for i in range(len(kinds))], rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(_tables())
+def test_write_csv_writes_what_csv_writer_wrote(table):
+    # the one-pass writer is byte for byte csv.writer over the cell format,
+    # CRLF endings included, for every kind of cell a table holds
+    header, rows = table
+    with tempfile.TemporaryDirectory() as work:
+        path = os.path.join(work, "table.csv")
+        write_csv(path, header, iter(rows))
+        with open(path, "rb") as fh:
+            written = fh.read()
+        assert written == _csv_writer_bytes(os.path.join(work, "oracle.csv"), header, rows)
+
+
+def test_csv_rows_are_the_cells_to_csv_writes(tmp_path):
+    # a reference run, and a scheme's run with its Newton counts and deformed residuals
+    runs = [integrate(_PARTICLE, PARTICLE_X0, 0.2, 0.01),
+            run_integrator(_PARTICLE, "vni20", PARTICLE_X0, 0.01, 20)]
+    for i, traj in enumerate(runs):
+        path = tmp_path / f"run{i}.csv"
+        traj.to_csv(path)
+        with open(path, newline="") as fh:
+            assert list(traj.csv_rows()) == list(csv.reader(fh))
+        assert path.read_bytes() == _csv_writer_bytes(tmp_path / "oracle.csv", *traj._table())

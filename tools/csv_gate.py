@@ -18,7 +18,9 @@ The set: the particle, the rolling disk with a potential started on D, and
 the same disk started off D with ``project_initial``, each run by every
 integrator (``dla`` with beta in {0, 0.3, 0.5, 1} on both node policies)
 at eps = 0.01, plus ``vni20``, ``original_node`` and ``dla`` at eps = 0.1;
-the reference flow on a deformed constraint set and with ``project_each_step``;
+the reference flow on a deformed constraint set (the particle's, and the
+disk's with two deformed constraints, started on that set) and with
+``project_each_step``;
 one run each of ``converge`` and ``interp``; three of ``embed``: ``vni10`` at
 one point, then the Newton scheme ``vni20`` and the flow itself as the map
 (``exact``) at five points; a potential with an
@@ -101,6 +103,14 @@ CONVERGE = {**PARTICLE, "integrator": "vni10", "T": 0.25, "eps_list": [0.02, 0.0
 # mu v + delta v_x v_y = 0 holds at this start
 DEFORMED = {**PARTICLE, "integrator": "reference", "v": [1.0, 1.0, 0.95], "eps": 0.01, "N": 200,
             "deformation": {"g": ["v_x*v_y"], "delta": 0.05}}
+# The disk (m = 2) on its deformed set mu v + delta (v_x v_th, v_y v_ph) = 0, solved for (v_x, v_y).
+_DELTA = 0.05
+DISK_DEFORMED = {
+    **DISK_ON_D, "integrator": "reference", "eps": 0.01, "N": 200,
+    "v": [0.5 * math.cos(_TH) * _W_PH / (1.0 + _DELTA * _W_TH),
+          0.5 * math.sin(_TH) * _W_PH / (1.0 + _DELTA * _W_PH), _W_TH, _W_PH],
+    "deformation": {"g": ["v_x*v_th", "v_y*v_ph"], "delta": _DELTA},
+}
 # Every function of the language and a non-integer power, in V and in mu,
 # so that the byte comparison reaches every branch of the kernel generator.
 FUNCS_SYSTEM = {
@@ -157,7 +167,8 @@ def configs() -> list[tuple[str, str, dict]]:
             ("other/embed", "embed", EMBED),
             ("other/embed_vni20_points", "embed", EMBED_POINTS),
             ("other/embed_exact", "embed", {**EMBED_POINTS, "scheme": "exact", "p": 1}),
-            ("other/deformed_reference", "simulate", DEFORMED)]
+            ("other/deformed_reference", "simulate", DEFORMED),
+            ("other/disk_deformed_reference", "simulate", DISK_DEFORMED)]
     out += [(f"other/{system}_project_each_step", "simulate",
              {**start, "integrator": "reference", "project_each_step": True, "eps": 0.01, "N": 200})
             for system, start in (("particle", PARTICLE), ("disk_off_d", DISK_OFF_D))]
