@@ -26,7 +26,13 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import exprdiff
-from .discrete import ADMISSIBLE_TOL, NodePolicy, deformed_admissible_velocity, run_integrator
+from .discrete import (
+    ADMISSIBLE_TOL,
+    SCHEMES,
+    NodePolicy,
+    deformed_admissible_velocity,
+    run_integrator,
+)
 from .embed import (
     exact_step_map,
     interpolate_in_D,
@@ -47,7 +53,7 @@ from .system import (
     project_velocity,
 )
 
-INTEGRATORS = ("reference", "vni10", "vni20", "original_node", "dla")
+INTEGRATORS = ("reference", *SCHEMES)
 
 
 class ConfigError(Exception):
@@ -333,8 +339,8 @@ def _endpoint_errors(args) -> tuple[float, float, float]:
     """Worker: run one step size and return (eps, state error, lambda error)."""
     cfg, eps, T, oracle_concat, oracle_lam = args
     sys = build_system(cfg.get("system", "nonholonomic_particle"))
-    x0 = _initial_state(cfg, sys)
     integ = cfg.get("integrator", "vni10")
+    x0 = _initial_state(cfg, sys, node_eps=eps if integ == "original_node" else None)
     N = max(1, round(T / eps))
     if integ == "reference":
         traj = integrate(sys, x0, T, eps)
@@ -373,7 +379,8 @@ def convergence_study(cfg: dict, eps_list: list[float], jobs: int = 1) -> StudyR
     rows: list[tuple[float, float, float]] = []
     failures: list[dict] = []
     if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        # the pool starts all its workers at the first task, used or not
+        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
             outcomes = list(pool.map(_try_endpoint, tasks))
     else:
         outcomes = [_try_endpoint(t) for t in tasks]

@@ -66,6 +66,7 @@ __all__ = [
     "original_node_step",
     "deformed_admissible_velocity",
     "dla_step",
+    "SCHEMES",
     "run_integrator",
 ]
 
@@ -342,7 +343,17 @@ def dla_step(
 DiscreteTrajectory = Trajectory
 
 
-SCHEMES = ("vni10", "vni20", "original_node", "dla")
+# The one table of schemes: name -> (step function, consistency order).  The
+# node schemes step a state row, (sys, x, eps); the two-point scheme steps a
+# configuration pair, (dsys, q_prev, q_cur), and is of second order only at
+# beta = 1/2.  Callers look a step up when they are called, not at import, so a
+# rebinding of an entry (benchmarks/tracer.py wraps each step) reaches them.
+SCHEMES = {
+    "vni10": (vni10_step, 1),
+    "vni20": (vni20_step, 2),
+    "original_node": (original_node_step, 1),
+    "dla": (dla_step, 1),
+}
 
 
 def run_integrator(
@@ -363,7 +374,8 @@ def run_integrator(
     continuous reaction multiplier, which the discrete ones approximate.
     """
     if scheme not in SCHEMES:
-        raise SystemError(f"unknown scheme {scheme!r}; pick one of {SCHEMES}")
+        raise SystemError(f"unknown scheme {scheme!r}; pick one of {tuple(SCHEMES)}")
+    step_fn = SCHEMES[scheme][0]
     _require_finite("eps", eps, positive=True)
     if scheme == "dla":
         if beta is None:
@@ -385,9 +397,6 @@ def run_integrator(
         if np.max(np.abs(res)) > ADMISSIBLE_TOL:
             raise SystemError(f"initial node {broken} (residual {np.max(np.abs(res)):.6g})")
 
-    if scheme != "dla":
-        step_fn = {"vni10": vni10_step, "vni20": vni20_step, "original_node": original_node_step}[scheme]
-
     def row(k, traj):
         raw = traj.raw_configurations  # the two-point scheme advances the raw pairs
         if k == 0:  # the pair before the start may overflow: build it under the loop's checks
@@ -401,7 +410,7 @@ def run_integrator(
             out = step_fn(sys, traj.states[k - 1], eps)
             x, lam, iters = out.state, out.lam, out.iters
         else:
-            out = dla_step(dsys, raw[k - 1], raw[k])
+            out = step_fn(dsys, raw[k - 1], raw[k])
             raw[k + 1] = out.state[: sys.n]
             x, lam, iters = out.state, out.lam, out.iters
             if policy is NodePolicy.REDEFINED:

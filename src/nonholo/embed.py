@@ -32,7 +32,7 @@ from typing import Callable
 
 import numpy as np
 
-from .discrete import NewtonError, original_node_step, vni10_step, vni20_step
+from .discrete import SCHEMES, NewtonError
 from .flow import flow_field
 from .reduction import psi_embed, reduce_state, reduced_field
 from .system import ConnectionSplit, MechanicalSystem, SystemError, _require_finite
@@ -48,7 +48,6 @@ __all__ = [
     "reduced_step_map",
     "exact_step_map",
     "EvolutionInterpolant",
-    "build_G",
     "verify_embedding",
 ]
 
@@ -164,14 +163,12 @@ def reduced_problem(
     return EmbeddingProblem(dim=2 * sys.n - sys.m, field=field, flow=flow)
 
 
-_NODE_STEPS = {"vni10": (vni10_step, 1), "vni20": (vni20_step, 2), "original_node": (original_node_step, 1)}
-
-
 def reduced_step_map(sys: MechanicalSystem, split: ConnectionSplit, scheme: str) -> OneStepMap:
     """A discrete node scheme viewed as a map on the reduced coordinates."""
-    if scheme not in _NODE_STEPS:
-        raise SystemError(f"no node scheme named {scheme!r}; pick from {sorted(_NODE_STEPS)}")
-    step_fn, p = _NODE_STEPS[scheme]
+    node_schemes = sorted(set(SCHEMES) - {"dla"})  # the two-point scheme steps pairs, not nodes
+    if scheme not in node_schemes:
+        raise SystemError(f"no node scheme named {scheme!r}; pick from {node_schemes}")
+    step_fn, p = SCHEMES[scheme]
 
     def step(eps: float, xi: np.ndarray) -> np.ndarray:
         out = step_fn(sys, psi_embed(sys, split, xi), eps)
@@ -286,10 +283,6 @@ class EvolutionInterpolant:
         return ((g[0] - g[1]) / (2.0 * FD_STEP)).mT
 
 
-def build_G(problem: EmbeddingProblem, phi: OneStepMap, eps: float) -> EvolutionInterpolant:
-    return EvolutionInterpolant(problem, phi, eps)
-
-
 def verify_embedding(
     problem: EmbeddingProblem,
     phi: OneStepMap,
@@ -298,15 +291,27 @@ def verify_embedding(
     t_frac: float = 0.37,
     order_levels: int = 5,
 ) -> dict:
-    """Numerical certificate for the embedding at the given base points.
+    """Numerical checks of the embedding at the given base points.
 
-    Returns a dict with the worst endpoint mismatch ||G(eps, y) - Phi(y)||,
-    the worst periodicity defect ||g(t + eps, z) - g(t, z)||, the measured
-    consistency order of the map against the flow (None when the two are
-    indistinguishable), and the number of sample points used.
+    Returns a dict with:
+
+    - ``endpoint_mismatch``, the worst ||G(eps, y) - Phi(y)||.  G(eps, y) is
+      g_tilde(0, Phi(y)) = Phi(y), so this is zero by construction for every
+      map: it checks the interpolant's bookkeeping, not the map.
+    - ``periodicity_defect``, the worst ||g(t + eps, z) - g(t, z)||.  g_eval
+      reads t only through t/eps mod 1, so this too holds by construction,
+      up to the rounding of that phase.
+    - ``measured_p``, the slope of the worst gap ||Phi(eps_j, y) - F(eps_j, y)||
+      over the order levels, minus one (None when the map and the flow are
+      indistinguishable).  This is the check that catches a wrong map: y -> 5y
+      on z' = z reads about -1 where p = 1 is claimed.
+    - ``samples``, the number of sample points.
+
+    None of them integrates the perturbed field z' = f + eps^p g over one
+    period and compares the result with Phi(y); that certificate is not built.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    interp = build_G(problem, phi, eps)
+    interp = EvolutionInterpolant(problem, phi, eps)
 
     gap = interp.G(eps, points) - phi.fn(eps, points)
     endpoint = float(np.max(np.abs(gap), initial=0.0))

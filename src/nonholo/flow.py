@@ -151,11 +151,6 @@ class Trajectory:
         rows = (tuple(val for col in columns for val in col[k].tolist()) for k in range(len(self)))
         return header, rows
 
-    def csv_rows(self):
-        """The header, then each row's cells as `to_csv` writes them."""
-        for line in _csv_lines(*self._table()):
-            yield line[:-2].split(",")
-
     def to_csv(self, path) -> None:
         write_csv(path, *self._table())
 

@@ -7,36 +7,32 @@ The constrained dynamics on D is the ODE
 with the multiplier chosen so that d/dt [mu(q) v] = 0.  Splitting the
 coordinates with a `ConnectionSplit` eliminates the fiber velocities and
 yields an unconstrained ODE in the flat reduced coordinates
-xi = (q, v_base); `psi_embed` and `psi_pseudo_inverse` convert between the
+xi = (q, v_base); `psi_embed` and `reduce_state` convert between the
 two pictures.  States are flat rows x = (q, v) of length 2n throughout.
 The plain field, the lift and the reduced field also take a stack (..., d)
 of rows: every product is a stacked `np.matvec`, `np.vecmat`, matmul or
 solve, which gives row b of a stack bit for bit as the call on row b alone
 (and as `@` on one row), so one code path serves both.
 
-Two modified versions of the field live here as well: an order-eps^p
-perturbation restored to tangency by adjusting the multiplier, and the
-dynamics of a genuinely deformed constraint mu(q) v + delta g(q, v) = 0.
-All three eliminate the multiplier with the one solve `_solve_field` and
-differ only in the constraint gradients, velocity and force they give it.
+The dynamics of a deformed constraint mu(q) v + delta g(q, v) = 0 lives
+here as well.  Both fields eliminate the multiplier with the one solve
+`_solve_field` and differ only in the constraint gradients they give it.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from . import exprdiff
 from .exprdiff import Expression
 from .system import (
-    CMatrix,
     ConnectionSplit,
     MechanicalSystem,
     SystemError,
     _checked_gram,
     _gram_solve,
-    c_matrix,
     constraint_residual,
 )
 
@@ -44,16 +40,9 @@ __all__ = [
     "lambda_continuous",
     "h_field",
     "psi_embed",
-    "grad_psi",
-    "psi_pseudo_inverse",
     "reduced_field",
     "reduce_state",
-    "PerturbationInput",
-    "perturbed_lambda",
-    "perturbed_field",
-    "perturbed_field_diagnostic",
     "DeformedConstraint",
-    "deformed_c_matrix",
     "deformed_lambda",
     "deformed_field",
     "deformed_residual",
@@ -130,38 +119,6 @@ def psi_embed(sys: MechanicalSystem, split: ConnectionSplit, xi) -> np.ndarray:
     return np.concatenate([q, v], axis=-1)
 
 
-def grad_psi(sys: MechanicalSystem, split: ConnectionSplit, xi) -> np.ndarray:
-    """Jacobian of the lift, shape (2n, n + (n - m)).
-
-    Row blocks are (q, v); column blocks are (q, v_base).  The only
-    non-trivial block is d v_fiber = -(dA/dq . v_base) dq - A dv_base.
-    """
-    n, m = sys.n, sys.m
-    q, v_base = xi[:n], xi[n:]
-    out = np.zeros((2 * n, 2 * n - m))
-    out[:n, :n] = np.eye(n)
-    for r, idx in enumerate(split.base):
-        out[n + idx, n + r] = 1.0
-    if m:
-        A = split.a_at(sys, q)
-        dA = split.a_jac_at(sys, q)
-        dvf_dq = -np.einsum("aij,i->aj", dA, v_base)
-        for r, idx in enumerate(split.fiber):
-            out[n + idx, :n] = dvf_dq[r]
-            out[n + idx, n:] = -A[r]
-    return out
-
-
-def psi_pseudo_inverse(sys: MechanicalSystem, split: ConnectionSplit) -> np.ndarray:
-    """Left inverse of the lift: the constant matrix selecting q and v_base rows."""
-    n, k = sys.n, sys.n - sys.m
-    out = np.zeros((n + k, 2 * n))
-    out[:n, :n] = np.eye(n)
-    for r, idx in enumerate(split.base):
-        out[n + r, n + idx] = 1.0
-    return out
-
-
 def reduce_state(
     sys: MechanicalSystem, split: ConnectionSplit, x: np.ndarray, check: bool = True
 ) -> np.ndarray:
@@ -178,69 +135,6 @@ def reduced_field(sys: MechanicalSystem, split: ConnectionSplit, xi) -> np.ndarr
     """
     h = h_field(sys, psi_embed(sys, split, xi))
     return np.concatenate([h[..., : sys.n], h[..., sys.n :][..., list(split.base)]], axis=-1)
-
-
-@dataclass(frozen=True)
-class PerturbationInput:
-    """A perturbation eps^p ghat(x) of the constrained field.
-
-    ghat maps a row x = (q, v) to a length-2n array (configuration part
-    first).  The pair (p, eps) fixes the magnitude; eps = 0 switches it off.
-    """
-
-    ghat: Callable[[np.ndarray], np.ndarray]
-    p: int
-    eps: float
-
-
-def _ghat_parts(sys: MechanicalSystem, pert: PerturbationInput, x: np.ndarray):
-    g = np.asarray(pert.ghat(x), dtype=float)
-    if g.shape != (2 * sys.n,):
-        raise SystemError(f"perturbation must return a length-{2 * sys.n} array")
-    return g[: sys.n], g[sys.n :]
-
-
-def _perturbed(sys: MechanicalSystem, pert: PerturbationInput, x: np.ndarray):
-    scale = pert.eps**pert.p
-    g_q, g_v = _ghat_parts(sys, pert, x)
-    q, mu, grad_q, v, f_v = _plain_inputs(sys, x)
-    return _solve_field(sys, q, mu, grad_q, v + scale * g_q, f_v + scale * g_v, checked=True)
-
-
-def perturbed_lambda(sys: MechanicalSystem, pert: PerturbationInput, x: np.ndarray) -> np.ndarray:
-    """Multiplier keeping h + eps^p ghat tangent to D."""
-    if sys.m == 0 or pert.eps == 0.0:
-        return _lambda_raw(sys, x)
-    return _perturbed(sys, pert, x)[1]
-
-
-def perturbed_field(sys: MechanicalSystem, pert: PerturbationInput, x: np.ndarray) -> np.ndarray:
-    """h + eps^p ghat with the multiplier re-solved so D stays invariant."""
-    if pert.eps == 0.0:
-        return h_field(sys, x)
-    return _perturbed(sys, pert, x)[0]
-
-
-def perturbed_field_diagnostic(
-    sys: MechanicalSystem, pert: PerturbationInput, x: np.ndarray
-) -> np.ndarray:
-    """Difference against the variant whose multiplier ignores the velocity part.
-
-    Dropping the mu . ghat_v term from the multiplier correction leaves a
-    field that is tangent to D only when ghat_v is itself admissible; the
-    returned difference vanishes exactly in that case and is otherwise a
-    useful measure of how much the velocity perturbation fights the
-    constraints.
-    """
-    if sys.m == 0 or pert.eps == 0.0:
-        return np.zeros(2 * sys.n)
-    _, g_v = _ghat_parts(sys, pert, x)
-    mu = sys.mu_at(x[: sys.n])
-    cm = c_matrix(sys, x[: sys.n])
-    dlam = -pert.eps**pert.p * (cm.inv @ (mu @ g_v))
-    out = np.zeros(2 * sys.n)
-    out[sys.n :] = sys.M_inv @ (mu.T @ dlam)
-    return out
 
 
 @dataclass(frozen=True)
@@ -266,12 +160,6 @@ class DeformedConstraint:
 
     def g_grad_v(self, sys: MechanicalSystem, x: np.ndarray) -> np.ndarray:
         return exprdiff.gradient(self.g, sys.vnames, sys.qv_ctx(x))
-
-
-def deformed_c_matrix(sys: MechanicalSystem, dc: DeformedConstraint, x: np.ndarray) -> CMatrix:
-    """Gram matrix of the deformed one-forms mu + delta dg/dv."""
-    q = x[: sys.n]
-    return _checked_gram(sys, sys.mu_at(q) + dc.delta * dc.g_grad_v(sys, x), q)
 
 
 def deformed_residual(sys: MechanicalSystem, dc: DeformedConstraint, x: np.ndarray) -> np.ndarray:

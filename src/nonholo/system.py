@@ -207,10 +207,6 @@ class MechanicalSystem:
     def hess_v_at(self, q: np.ndarray) -> np.ndarray:
         return exprdiff.hessian(self.V, self._sorted_names, self.q_ctx(q))[self._unsort]
 
-    def rank_check(self, q: np.ndarray) -> None:
-        if self.m and np.linalg.matrix_rank(self.mu_at(q)) != self.m:
-            raise SystemError(f"constraint matrix loses rank at q={np.asarray(q)!r}")
-
 
 def constraint_residual(sys: MechanicalSystem, x: np.ndarray) -> np.ndarray:
     """phi(q, v) = mu(q) . v at the row x = (q, v), one entry per constraint."""
@@ -302,29 +298,6 @@ class ConnectionSplit:
         if singular.any():
             raise SystemError(f"fiber block of mu singular at q={_first_row(q, singular)!r}")
         return np.linalg.solve(B, mu[..., list(self.base)])
-
-    def a_jac_at(self, sys: MechanicalSystem, q: np.ndarray) -> np.ndarray:
-        """dA[al, a]/dq[j], shape (m, n-m, n), from A = B^-1 N."""
-        mu = sys.mu_at(q)
-        dmu = sys.mu_jac_at(q)
-        B = mu[:, list(self.fiber)]
-        A = np.linalg.solve(B, mu[:, list(self.base)])
-        out = np.empty((sys.m, sys.n - sys.m, sys.n))
-        for j in range(sys.n):
-            dB = dmu[:, list(self.fiber), j]
-            dN = dmu[:, list(self.base), j]
-            out[:, :, j] = np.linalg.solve(B, dN - dB @ A)
-        return out
-
-    def mu_tilde_at(self, sys: MechanicalSystem, q: np.ndarray) -> np.ndarray:
-        """Row-normalized constraints: A in the base columns, identity in the fiber."""
-        out = np.zeros((sys.m, sys.n))
-        A = self.a_at(sys, q)
-        for k, idx in enumerate(self.base):
-            out[:, idx] = A[:, k]
-        for k, idx in enumerate(self.fiber):
-            out[k, idx] = 1.0
-        return out
 
 
 def derive_connection(sys: MechanicalSystem, fiber_indices=None, q0=None) -> ConnectionSplit:

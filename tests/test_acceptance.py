@@ -15,7 +15,7 @@ from nonholo.discrete import (
     run_integrator,
 )
 from nonholo.embed import (
-    build_G,
+    EvolutionInterpolant,
     exact_step_map,
     interpolate_in_D,
     reduced_problem,
@@ -221,7 +221,7 @@ def test_criterion_7_embedding(particle):
 
     # finer flow for the g == 0 claim, which has no discretization error to hide in
     problem_exact = reduced_problem(particle, split, base_step=4e-3)
-    interp = build_G(problem_exact, exact_step_map(problem_exact), eps)
+    interp = EvolutionInterpolant(problem_exact, exact_step_map(problem_exact), eps)
     g_worst = 0.0
     for pt in points[:4]:
         g = interp.g_eval(0.37 * eps, pt)

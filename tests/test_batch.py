@@ -19,8 +19,8 @@ from test_discrete import DISK_X0, rolling_disk
 from nonholo.discrete import NewtonError
 from nonholo.embed import (
     EmbeddingProblem,
+    EvolutionInterpolant,
     OneStepMap,
-    build_G,
     exact_step_map,
     reduced_problem,
     reduced_step_map,
@@ -73,7 +73,7 @@ def test_stacked_g_eval_equals_pointwise(scheme):
     sys, split, _ = _SYSTEMS["particle"]
     problem = reduced_problem(sys, split, base_step=0.01)
     phi = exact_step_map(problem) if scheme == "exact" else reduced_step_map(sys, split, scheme)
-    interp = build_G(problem, phi, 0.1)
+    interp = EvolutionInterpolant(problem, phi, 0.1)
     rng = np.random.default_rng(3)
     xi = rng.normal(scale=0.5, size=(4, 5)) + [0.0, 1.0, 0.0, 0.0, 0.0]
     points = np.array([reduce_state(sys, split, x) for x in psi_embed(sys, split, xi)])
@@ -133,7 +133,7 @@ def test_newton_failure_in_a_stack_is_a_newton_failure():
     # flat there, so only the negative row has a singular Jacobian
     problem = EmbeddingProblem(1, lambda z: z.copy(), lambda t, y: np.exp(t) * y)
     phi = OneStepMap(lambda eps, y: np.where(y > 0.0, y, 0.0), 1)
-    interp = build_G(problem, phi, 0.1)
+    interp = EvolutionInterpolant(problem, phi, 0.1)
     assert np.isfinite(interp.g_eval(0.099, np.array([1.0]))).all()
     for z in (np.array([-1.0]), np.array([[1.0], [-1.0]])):
         with pytest.raises(NewtonError):

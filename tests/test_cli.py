@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nonholo
+from nonholo import cli
 from nonholo.cli import INTEGRATORS, ConfigError, build_parser, convergence_study, main
 
 PARTICLE_SIM = {
@@ -388,6 +389,41 @@ def test_converge_pool_matches_serial(tmp_path):
     a = (out_a / "convergence.csv").read_bytes()
     b = (out_b / "convergence.csv").read_bytes()
     assert a == b, "worker pool changed the numbers or their order"
+
+
+def test_converge_pool_starts_no_more_workers_than_step_sizes(tmp_path, monkeypatch):
+    # the pool starts all its workers at once, so --jobs above the number of
+    # step sizes would fork workers that get no task
+    sizes = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", InProcessPool)
+    code, _ = run(tmp_path, "converge", CONVERGE, "--jobs", "6", subdir="capped")
+    assert code == 0
+    assert sizes == [len(CONVERGE["eps_list"])]
+
+
+def test_converge_original_node_repairs_each_start(tmp_path, capsys):
+    # project_initial puts each step size's start on original_node's deformed set
+    cfg = dict(CONVERGE, integrator="original_node", T=0.2, project_initial=True,
+               eps_list=[0.02, 0.01, 0.005, 0.0025])
+    code, out = run(tmp_path, "converge", cfg, subdir="original_node")
+    assert code == 0, capsys.readouterr().err
+    study = json.loads((out / "study.json").read_text())
+    assert study["failures"] == []
+    assert 0.9 <= study["state_slope"] <= 1.1, study["state_slope"]
 
 
 def test_converge_needs_enough_step_sizes(tmp_path, capsys):

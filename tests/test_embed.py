@@ -8,8 +8,8 @@ import pytest
 
 from nonholo.embed import (
     EmbeddingProblem,
+    EvolutionInterpolant,
     OneStepMap,
-    build_G,
     chi0,
     chi0_prime,
     chi1,
@@ -138,7 +138,7 @@ def scalar_g_closed_form(tau: float, z: float, eps: float, p: int, amp: float) -
 
 def test_scalar_interpolant_hits_endpoints_exactly():
     eps = 0.1
-    interp = build_G(scalar_problem(), euler_map(), eps)
+    interp = EvolutionInterpolant(scalar_problem(), euler_map(), eps)
     for y in (np.array([0.7]), np.array([-1.3])):
         assert np.array_equal(interp.G(0.0, y), y)
         assert np.array_equal(interp.G(eps, y), euler_map().fn(eps, y))
@@ -148,7 +148,7 @@ def test_scalar_interpolant_hits_endpoints_exactly():
 
 def test_scalar_g_matches_closed_form():
     eps = 0.1
-    interp = build_G(scalar_problem(), euler_map(), eps)
+    interp = EvolutionInterpolant(scalar_problem(), euler_map(), eps)
     for tau in (0.2, 0.37, 0.5, 0.8):
         for z in (0.6, 1.0, 1.7):
             got = interp.g_eval(tau * eps, np.array([z]))[0]
@@ -158,7 +158,7 @@ def test_scalar_g_matches_closed_form():
 
 def test_scalar_g_is_bounded_and_periodic():
     eps = 0.1
-    interp = build_G(scalar_problem(), euler_map(), eps)
+    interp = EvolutionInterpolant(scalar_problem(), euler_map(), eps)
     vals = []
     for tau in np.linspace(0.05, 0.95, 7):
         for z in (0.5, 1.0, 2.0):
@@ -185,11 +185,19 @@ def test_scalar_verify_report():
     assert abs(report2["measured_p"] - 2.0) < 0.15
 
 
+def test_verify_report_flags_a_wrong_map_through_its_order():
+    # y -> 5 y is no consistent map of z' = z: its gap to the flow does not
+    # shrink with eps, so the measured order is far from the claimed p = 1
+    wrong = OneStepMap(lambda eps, y: 5.0 * np.asarray(y, dtype=float), 1)
+    report = verify_embedding(scalar_problem(), wrong, 0.1, np.array([[0.6], [1.0], [1.5]]))
+    assert abs(report["measured_p"] - 1.0) > 1.0
+
+
 def test_exact_flow_map_has_no_perturbation():
     eps = 0.1
     problem = scalar_problem()
     phi = exact_step_map(problem)
-    interp = build_G(problem, phi, eps)
+    interp = EvolutionInterpolant(problem, phi, eps)
     for tau in (0.2, 0.5, 0.8):
         g = interp.g_eval(tau * eps, np.array([1.1]))
         assert abs(g[0]) < 1e-8
@@ -199,7 +207,7 @@ def test_exact_flow_map_has_no_perturbation():
 
 
 def test_interpolant_rejects_negative_time_and_bad_order():
-    interp = build_G(scalar_problem(), euler_map(), 0.1)
+    interp = EvolutionInterpolant(scalar_problem(), euler_map(), 0.1)
     with pytest.raises(SystemError):
         interp.G(-0.01, np.array([1.0]))
     with pytest.raises(SystemError):
@@ -228,7 +236,7 @@ def test_reduced_step_map_endpoints_and_order():
     xi0 = np.array([0.0, 1.0, 0.0, 1.0, 1.0])
 
     phi1 = reduced_step_map(sys, split, "vni10")
-    interp = build_G(problem, phi1, eps)
+    interp = EvolutionInterpolant(problem, phi1, eps)
     assert np.array_equal(interp.G(0.0, xi0), xi0)
     assert np.array_equal(interp.G(eps, xi0), phi1.fn(eps, xi0))
 
@@ -258,3 +266,5 @@ def test_reduced_step_map_rejects_unknown_scheme():
     split = derive_connection(sys, q0=np.array([0.0, 1.0, 0.0]))
     with pytest.raises(SystemError):
         reduced_step_map(sys, split, "rk4")
+    with pytest.raises(SystemError):  # the two-point scheme steps pairs, not nodes
+        reduced_step_map(sys, split, "dla")

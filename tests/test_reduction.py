@@ -1,4 +1,4 @@
-"""Multiplier, constrained field, reduction identities, perturbed/deformed variants."""
+"""Multiplier, constrained field, reduction identities, deformed variant."""
 from __future__ import annotations
 
 import numpy as np
@@ -7,18 +7,11 @@ import pytest
 from nonholo import exprdiff
 from nonholo.reduction import (
     DeformedConstraint,
-    PerturbationInput,
-    deformed_c_matrix,
     deformed_field,
     deformed_residual,
-    grad_psi,
     h_field,
     lambda_continuous,
-    perturbed_field,
-    perturbed_field_diagnostic,
-    perturbed_lambda,
     psi_embed,
-    psi_pseudo_inverse,
     reduce_state,
     reduced_field,
 )
@@ -136,91 +129,36 @@ def test_reduce_state_rejects_off_d():
         reduce_state(sys, split, StatePoint([0.0, 1.0, 0.0], [1.0, 0.0, 0.0]).concat())
 
 
-def test_lift_jacobian_value_and_fd():
-    sys = nonholonomic_particle()
-    split = derive_connection(sys, q0=np.array([0.0, 1.0, 0.0]))
-    xi = np.array([0.0, 1.0, 0.0, 1.0, 1.0])
-    J = grad_psi(sys, split, xi)
-    # v_z = y v_x, so d v_z/dy = v_x = 1 and d v_z/dv_x = y = 1
-    want = np.zeros((6, 5))
-    want[:3, :3] = np.eye(3)
-    want[3, 3] = 1.0
-    want[4, 4] = 1.0
-    want[5, 1] = 1.0
-    want[5, 3] = 1.0
-    assert np.array_equal(J, want)
-
-    h = 1e-6
-    rng = np.random.default_rng(5)
-    xi = rng.normal(size=5)
-    J = grad_psi(sys, split, xi)
-    for col in range(5):
-        bump = np.zeros(5)
-        bump[col] = h
-        up, dn = xi + bump, xi - bump
-        fd = (psi_embed(sys, split, up) - psi_embed(sys, split, dn)) / (2 * h)
-        assert np.max(np.abs(J[:, col] - fd)) < 1e-9
-
-
-def test_pseudo_inverse_is_left_inverse_of_lift_jacobian():
-    sys = nonholonomic_particle()
-    split = derive_connection(sys, q0=np.array([0.0, 1.0, 0.0]))
-    S = psi_pseudo_inverse(sys, split)
-    xi = np.array([0.3, -0.7, 2.0, 0.4, -1.1])
-    assert np.array_equal(S @ grad_psi(sys, split, xi), np.eye(5))
-
-
 def test_reduced_field_value_and_consistency():
     sys = nonholonomic_particle()
     split = derive_connection(sys, q0=np.array([0.0, 1.0, 0.0]))
     xi = np.array([0.0, 1.0, 0.0, 1.0, 1.0])
     assert np.array_equal(reduced_field(sys, split, xi), [1.0, 1.0, 1.0, -0.5, 0.0])
 
-    # the full field along the lift factors through the lift's Jacobian:
-    # h(psi(xi)) = grad_psi(xi) . xi'
+    # the full field along the lift is the lift's derivative along the reduced
+    # field, h(psi(xi)) = d/ds psi(xi + s xi') at s = 0, by central differences
     rng = np.random.default_rng(6)
+    s = 1e-6
     for sys_k in (nonholonomic_particle(), heavy_particle()):
         split_k = derive_connection(sys_k, q0=np.array([0.0, 1.0, 0.0]))
         for _ in range(25):
             xi = rng.normal(size=5)
             lhs = h_field(sys_k, psi_embed(sys_k, split_k, xi))
-            rhs = grad_psi(sys_k, split_k, xi) @ reduced_field(sys_k, split_k, xi)
-            assert np.max(np.abs(lhs - rhs)) < 1e-12
-            # selecting rows of h is the pseudo-inverse applied to it
-            selected = psi_pseudo_inverse(sys_k, split_k) @ lhs
+            dxi = reduced_field(sys_k, split_k, xi)
+            up, dn = psi_embed(sys_k, split_k, xi + s * dxi), psi_embed(sys_k, split_k, xi - s * dxi)
+            assert np.max(np.abs(lhs - (up - dn) / (2 * s))) < 1e-8
+            # the reduced field is the (q, v_base) rows of h
+            selected = reduce_state(sys_k, split_k, lhs, check=False)
             assert np.array_equal(reduced_field(sys_k, split_k, xi), selected)
 
 
-# --- perturbations -----------------------------------------------------------
-
-
-def _random_ghat(rng, n):
-    g = rng.normal(size=2 * n)
-    return lambda x: g
-
-
-def test_perturbed_field_stays_tangent():
-    sys = heavy_particle()
-    rng = np.random.default_rng(7)
-    for x in random_on_d(sys, rng, 40):
-        pert = PerturbationInput(_random_ghat(rng, 3), p=2, eps=0.1)
-        f = perturbed_field(sys, pert, x.concat())
-        fq, fv = f[:3], f[3:]
-        ddt = -x.v[0] * fq[1] + (-x.q[1] * fv[0] + fv[2])
-        assert abs(ddt) < 1e-10
-
-
 def test_perturbed_lambda_against_direct_solve():
-    # independent route: require d/dt(mu v) = 0 along the perturbed motion and
-    # solve the m x m system from scratch
+    # independent route, with zero perturbation: require d/dt(mu v) = 0 along
+    # the motion and solve the m x m system from scratch
     sys = heavy_particle()
     rng = np.random.default_rng(8)
     h = 1e-7
     for x in random_on_d(sys, rng, 25):
-        pert = PerturbationInput(_random_ghat(rng, 3), p=3, eps=0.2)
-        g = pert.ghat(x.concat())
-        scale = pert.eps**pert.p
-        qdot = x.v + scale * g[:3]
         mu = sys.mu_at(x.q)
         dmu_v = np.empty((1, 3))
         for j in range(3):
@@ -228,35 +166,10 @@ def test_perturbed_lambda_against_direct_solve():
             qp[j] += h
             qm[j] -= h
             dmu_v[:, j] = (sys.mu_at(qp) - sys.mu_at(qm)) @ x.v / (2 * h)
-        rhs = dmu_v @ qdot + mu @ (-sys.M_inv @ sys.grad_v_at(x.q) + scale * g[3:])
+        rhs = dmu_v @ x.v + mu @ (-sys.M_inv @ sys.grad_v_at(x.q))
         lam_direct = np.linalg.solve(mu @ sys.M_inv @ mu.T, -rhs)
-        lam = perturbed_lambda(sys, pert, x.concat())
+        lam = lambda_continuous(sys, x.concat())
         assert np.max(np.abs(lam - lam_direct)) < 1e-6
-
-
-def test_perturbation_switches_off():
-    sys = heavy_particle()
-    x = StatePoint([0.0, 1.0, 0.0], [1.0, 1.0, 1.0]).concat()
-    pert = PerturbationInput(_random_ghat(np.random.default_rng(9), 3), p=2, eps=0.0)
-    assert np.array_equal(perturbed_field(sys, pert, x), h_field(sys, x))
-    assert np.array_equal(perturbed_lambda(sys, pert, x), lambda_continuous(sys, x, check=False))
-    assert np.array_equal(perturbed_field_diagnostic(sys, pert, x), np.zeros(6))
-
-
-def test_diagnostic_vanishes_iff_velocity_part_admissible():
-    sys = nonholonomic_particle()
-    rng = np.random.default_rng(10)
-    x = next(iter(random_on_d(sys, rng, 1)))
-
-    raw = rng.normal(size=3)
-    g_ok = np.concatenate([rng.normal(size=3), project_velocity(sys, x.q, raw)])
-    pert = PerturbationInput(lambda _: g_ok, p=2, eps=0.1)
-    assert np.max(np.abs(perturbed_field_diagnostic(sys, pert, x.concat()))) < 1e-15
-
-    g_bad = np.concatenate([np.zeros(3), raw])
-    if abs(sys.mu_at(x.q) @ raw) > 1e-6:
-        pert = PerturbationInput(lambda _: g_bad, p=2, eps=0.1)
-        assert np.max(np.abs(perturbed_field_diagnostic(sys, pert, x.concat()))) > 1e-8
 
 
 # --- deformed constraints ----------------------------------------------------
@@ -270,8 +183,9 @@ def test_deformed_gram_matrix_value():
     sys = nonholonomic_particle()
     dc = product_deformation(0.05)
     x = StatePoint([0.0, 1.0, 0.0], [1.0, 1.0, 1.0]).concat()
-    cm = deformed_c_matrix(sys, dc, x)
-    assert abs(cm.C[0, 0] - 1.905) < 1e-15
+    # the deformed one-form mu + delta dg/dv is (-0.95, 0.05, 1) here
+    rows = sys.mu_at(x[:3]) + dc.delta * dc.g_grad_v(sys, x)
+    assert abs((rows @ sys.M_inv @ rows.T)[0, 0] - 1.905) < 1e-15
 
 
 def test_deformed_residual_value():

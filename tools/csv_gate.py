@@ -21,7 +21,9 @@ at eps = 0.01, plus ``vni20``, ``original_node`` and ``dla`` at eps = 0.1;
 the reference flow on a deformed constraint set (the particle's, and the
 disk's with two deformed constraints, started on that set) and with
 ``project_each_step``;
-one run each of ``converge`` and ``interp``; three of ``embed``: ``vni10`` at
+two runs of ``converge`` (``vni10``, and ``original_node``, whose
+``project_initial`` repairs the start at each step size); one of ``interp``;
+three of ``embed``: ``vni10`` at
 one point, then the Newton scheme ``vni20`` and the flow itself as the map
 (``exact``) at five points; a potential with an
 integer power above 8 at a negative base; a system whose ``V`` and ``mu`` use
@@ -100,6 +102,8 @@ INTERP = {
     "x1": {"q": [0.1, 1.1, 0.1], "v": [1.0, 1.0, 1.1]},
 }
 CONVERGE = {**PARTICLE, "integrator": "vni10", "T": 0.25, "eps_list": [0.02, 0.01, 0.005, 0.0025]}
+CONVERGE_ORIGINAL_NODE = {**CONVERGE, "integrator": "original_node", "project_initial": True,
+                          "T": 0.2}
 # mu v + delta v_x v_y = 0 holds at this start
 DEFORMED = {**PARTICLE, "integrator": "reference", "v": [1.0, 1.0, 0.95], "eps": 0.01, "N": 200,
             "deformation": {"g": ["v_x*v_y"], "delta": 0.05}}
@@ -163,7 +167,9 @@ def configs() -> list[tuple[str, str, dict]]:
     out = []
     for system, start in (("particle", PARTICLE), ("disk", DISK_ON_D), ("disk_off_d", DISK_OFF_D)):
         out += [(f"{system}/{name}", "simulate", cfg) for name, cfg in _runs(start)]
-    out += [("other/converge", "converge", CONVERGE), ("other/interp", "interp", INTERP),
+    out += [("other/converge", "converge", CONVERGE),
+            ("other/converge_original_node", "converge", CONVERGE_ORIGINAL_NODE),
+            ("other/interp", "interp", INTERP),
             ("other/embed", "embed", EMBED),
             ("other/embed_vni20_points", "embed", EMBED_POINTS),
             ("other/embed_exact", "embed", {**EMBED_POINTS, "scheme": "exact", "p": 1}),
