@@ -148,10 +148,11 @@ def _initial_state(
             return StatePoint(q, v)
         x = np.concatenate([q, v])
         res = deformed_residual(sys, deformation, x) if deformation else constraint_residual(sys, x)
-    if sys.m and np.max(np.abs(res)) > ADMISSIBLE_TOL:
+    res = np.max(np.abs(res), initial=0.0)
+    if res > ADMISSIBLE_TOL:
         raise ConfigError(
-            "initial velocity is not admissible "
-            f"(residual {np.max(np.abs(res)):.6g}); set project_initial to repair it"
+            f"initial velocity is not admissible (residual {res:.6g}); "
+            "set project_initial to repair it"
         )
     return StatePoint(q, v)
 
@@ -311,8 +312,8 @@ def cmd_simulate(cfg: dict, out_dir: str) -> int:
         "energy_min": float(np.min(traj.energies)),
         "energy_max": float(np.max(traj.energies)),
         "energy_drift": float(np.max(np.abs(traj.energies - traj.energies[0]))),
-        "max_abs_residual": float(np.max(np.abs(traj.residuals))) if sys.m else 0.0,
-        "max_abs_lambda": float(np.max(np.abs(traj.lambdas))) if sys.m else 0.0,
+        "max_abs_residual": float(np.max(np.abs(traj.residuals), initial=0.0)),
+        "max_abs_lambda": float(np.max(np.abs(traj.lambdas), initial=0.0)),
         "csv": os.path.basename(csv_path),
         "runtime_seconds": time.perf_counter() - started,
     }
@@ -349,7 +350,7 @@ def _endpoint_errors(args) -> tuple[float, float, float]:
             sys, integ, x0, eps, N, beta=_beta(cfg, integ), policy=_nodes_policy(cfg)
         )
     state_err = float(np.max(np.abs(traj.states[-1] - oracle_concat)))
-    lam_err = float(np.max(np.abs(traj.lambdas[-1] - oracle_lam))) if len(oracle_lam) else 0.0
+    lam_err = float(np.max(np.abs(traj.lambdas[-1] - oracle_lam), initial=0.0))
     return eps, state_err, lam_err
 
 
@@ -398,7 +399,7 @@ def convergence_study(cfg: dict, eps_list: list[float], jobs: int = 1) -> StudyR
         logs = np.log(eps_ok)
         if min(state) > 0.0:
             state_slope = float(np.polyfit(logs, np.log(state), 1)[0])
-        if sys.m and min(lam) > 0.0:
+        if min(lam) > 0.0:
             lambda_slope = float(np.polyfit(logs, np.log(lam), 1)[0])
     return StudyResult(eps_ok, state, lam, state_slope, lambda_slope, failures)
 
@@ -445,8 +446,6 @@ def cmd_converge(cfg: dict, out_dir: str, eps_list: list[float] | None, jobs: in
 
 def cmd_embed(cfg: dict, out_dir: str) -> int:
     sys = build_system(cfg.get("system", "nonholonomic_particle"))
-    if sys.m == 0:
-        raise ConfigError("the embedding report needs a constrained system")
     q0 = _vector(cfg, "q0", sys.n) if "q0" in cfg else _vector(cfg, "q", sys.n)
     try:
         split = derive_connection(sys, q0=q0)
@@ -499,8 +498,6 @@ def cmd_embed(cfg: dict, out_dir: str) -> int:
 
 def cmd_interp(cfg: dict, out_dir: str) -> int:
     sys = build_system(cfg.get("system", "nonholonomic_particle"))
-    if sys.m == 0:
-        raise ConfigError("interpolation needs a constrained system")
     for key in ("x0", "x1"):
         if not isinstance(cfg.get(key), dict):
             raise ConfigError(f"config needs {key!r} as an object with 'q' and 'v'")
@@ -550,14 +547,6 @@ def _parse_eps_list(text: str) -> list[float]:
     return values
 
 
-def _default_jobs() -> int:
-    raw = os.environ.get("NONHOLO_JOBS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="nonholo",
@@ -582,8 +571,8 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument(
                 "--jobs",
                 type=int,
-                default=_default_jobs(),
-                help="worker processes for per-step-size runs (env NONHOLO_JOBS)",
+                default=1,
+                help="worker processes for per-step-size runs (default 1)",
             )
     return parser
 

@@ -88,7 +88,7 @@ def newton_solve(
     u = np.asarray(u0, dtype=float).copy()
     for it in range(NEWTON_MAX_ITER):
         r, jacobian = linearize(u)
-        if np.max(np.abs(r)) <= NEWTON_TOL:
+        if np.max(np.abs(r), initial=0.0) <= NEWTON_TOL:  # a repair at m = 0 has no equations
             return u, it
         try:
             du = np.linalg.solve(jacobian(), -r)
@@ -205,12 +205,8 @@ def vni10_step(sys: MechanicalSystem, x: np.ndarray, eps: float) -> StepResult:
     q1 = q + eps * v
     mu1 = sys.mu_at(q1)
     w = v - eps * (sys.M_inv @ sys.grad_v_at(q1))
-    if sys.m:
-        lam = -_gram_solve(sys, mu1, mu1 @ w, q1) / eps
-        v1 = w + eps * (sys.M_inv @ (mu1.T @ lam))
-    else:
-        lam = np.zeros(0)
-        v1 = w
+    lam = -_gram_solve(sys, mu1, mu1 @ w, q1) / eps
+    v1 = w + eps * (sys.M_inv @ (mu1.T @ lam))
     return StepResult(_node(q1, v1), lam, 0)
 
 
@@ -271,11 +267,11 @@ def original_node_step(sys: MechanicalSystem, x: np.ndarray, eps: float) -> Step
     vanishes; the step requires it of its input and then conserves it.  The
     new configuration is q + eps v_{k+1}.
     """
-    res0 = deformed_node_residual(sys, x, eps)
-    if sys.m and np.max(np.abs(res0)) > ADMISSIBLE_TOL:
+    res0 = np.max(np.abs(deformed_node_residual(sys, x, eps)), initial=0.0)
+    if res0 > ADMISSIBLE_TOL:
         raise SystemError(
             "input node violates the deformed constraint "
-            f"(residual {np.max(np.abs(res0)):.6g}); repair it with deformed_admissible_velocity"
+            f"(residual {res0:.6g}); repair it with deformed_admissible_velocity"
         )
     q, v = x[: sys.n], x[sys.n :]
     grad_back = sys.grad_v_at(q - 0.5 * eps * v)
@@ -298,8 +294,6 @@ def deformed_admissible_velocity(
     m coefficients c; the correction is O(eps) when v is admissible in the
     plain sense.
     """
-    if sys.m == 0:
-        return np.asarray(v, dtype=float).copy()
     q = np.asarray(q, dtype=float)
     v = np.asarray(v, dtype=float)
     lift = sys.M_inv @ sys.mu_at(q).T  # (n, m)
@@ -386,7 +380,7 @@ def run_integrator(
         raise SystemError(f"beta only applies to the two-point scheme, not {scheme!r}")
 
     # original_node_step validates its own deformed precondition
-    if sys.m and scheme != "original_node":
+    if scheme != "original_node":
         if scheme == "dla" and policy is NodePolicy.ORIGINAL:
             with np.errstate(**_QUIET):  # q - (1 - beta) eps v may overflow, like a step
                 res = sys.mu_at(x0.q - (1.0 - beta) * eps * x0.v) @ x0.v
@@ -394,8 +388,9 @@ def run_integrator(
         else:
             res = sys.mu_at(x0.q) @ x0.v
             broken = "is off D"
-        if np.max(np.abs(res)) > ADMISSIBLE_TOL:
-            raise SystemError(f"initial node {broken} (residual {np.max(np.abs(res)):.6g})")
+        res = np.max(np.abs(res), initial=0.0)
+        if res > ADMISSIBLE_TOL:
+            raise SystemError(f"initial node {broken} (residual {res:.6g})")
 
     def row(k, traj):
         raw = traj.raw_configurations  # the two-point scheme advances the raw pairs

@@ -164,10 +164,15 @@ def reduced_problem(
 
 
 def reduced_step_map(sys: MechanicalSystem, split: ConnectionSplit, scheme: str) -> OneStepMap:
-    """A discrete node scheme viewed as a map on the reduced coordinates."""
-    node_schemes = sorted(set(SCHEMES) - {"dla"})  # the two-point scheme steps pairs, not nodes
-    if scheme not in node_schemes:
-        raise SystemError(f"no node scheme named {scheme!r}; pick from {node_schemes}")
+    """A discrete scheme that keeps D, viewed as a map on the reduced coordinates.
+
+    The two-point scheme steps configuration pairs, not nodes, and
+    original_node keeps a deformed set, not D, so a node lifted onto D fails
+    its precondition; neither is a map on the reduced coordinates.
+    """
+    schemes_on_d = sorted(set(SCHEMES) - {"dla", "original_node"})
+    if scheme not in schemes_on_d:
+        raise SystemError(f"no scheme named {scheme!r} that keeps D; pick from {schemes_on_d}")
     step_fn, p = SCHEMES[scheme]
 
     def step(eps: float, xi: np.ndarray) -> np.ndarray:

@@ -12,7 +12,8 @@ two pictures.  States are flat rows x = (q, v) of length 2n throughout.
 The plain field, the lift and the reduced field also take a stack (..., d)
 of rows: every product is a stacked `np.matvec`, `np.vecmat`, matmul or
 solve, which gives row b of a stack bit for bit as the call on row b alone
-(and as `@` on one row), so one code path serves both.
+(and as `@` on one row), so one code path serves both.  An unconstrained
+system (m = 0) takes the same path on zero-row arrays: lambda is empty.
 
 The dynamics of a deformed constraint mu(q) v + delta g(q, v) = 0 lives
 here as well.  Both fields eliminate the multiplier with the one solve
@@ -70,7 +71,7 @@ def _solve_field(sys: MechanicalSystem, q, rows, grad_q, qdot, f_v, checked: boo
     """
     rhs = np.matvec(grad_q, qdot) + np.matvec(rows, f_v)
     if checked:
-        lam = -np.matvec(_checked_gram(sys, rows, q).inv, rhs)
+        lam = -np.matvec(_checked_gram(sys, rows, q), rhs)
     else:
         lam = -_gram_solve(sys, rows, rhs, q)
     force = np.matvec(sys.M_inv, np.matvec(rows.mT, lam))
@@ -78,16 +79,13 @@ def _solve_field(sys: MechanicalSystem, q, rows, grad_q, qdot, f_v, checked: boo
 
 
 def _lambda_raw(sys: MechanicalSystem, x: np.ndarray) -> np.ndarray:
-    if sys.m == 0:
-        return np.zeros(0)
     return _solve_field(sys, *_plain_inputs(sys, x))[1]
 
 
 def _require_on_d(sys: MechanicalSystem, x: np.ndarray) -> None:
-    if sys.m:
-        res = float(np.max(np.abs(constraint_residual(sys, x))))
-        if res > ON_D_TOL:
-            raise SystemError(f"state is off D (residual {res:.6g})")
+    res = float(np.max(np.abs(constraint_residual(sys, x)), initial=0.0))
+    if res > ON_D_TOL:
+        raise SystemError(f"state is off D (residual {res:.6g})")
 
 
 def lambda_continuous(sys: MechanicalSystem, x: np.ndarray, check: bool = True) -> np.ndarray:
@@ -99,9 +97,6 @@ def lambda_continuous(sys: MechanicalSystem, x: np.ndarray, check: bool = True) 
 
 def h_field(sys: MechanicalSystem, x: np.ndarray) -> np.ndarray:
     """The constrained field (v, -M^-1 grad V + lambda_a M^-1 mu^a) at a row or a stack of rows."""
-    if sys.m == 0:
-        f_v = -np.matvec(sys.M_inv, sys.grad_v_at(x[..., : sys.n]))
-        return np.concatenate([x[..., sys.n :], f_v], axis=-1)
     return _solve_field(sys, *_plain_inputs(sys, x))[0]
 
 
@@ -114,8 +109,7 @@ def psi_embed(sys: MechanicalSystem, split: ConnectionSplit, xi) -> np.ndarray:
     q, v_base = xi[..., : sys.n], xi[..., sys.n :]
     v = np.zeros(xi.shape[:-1] + (sys.n,))
     v[..., list(split.base)] = v_base
-    if sys.m:
-        v[..., list(split.fiber)] = np.matvec(-split.a_at(sys, q), v_base)
+    v[..., list(split.fiber)] = np.matvec(-split.a_at(sys, q), v_base)
     return np.concatenate([q, v], axis=-1)
 
 
@@ -164,10 +158,7 @@ class DeformedConstraint:
 
 def deformed_residual(sys: MechanicalSystem, dc: DeformedConstraint, x: np.ndarray) -> np.ndarray:
     """mu(q) v + delta g(q, v) -- the quantity the deformed dynamics conserves."""
-    res = constraint_residual(sys, x)
-    if sys.m:
-        res = res + dc.delta * dc.g_at(sys, x)
-    return res
+    return constraint_residual(sys, x) + dc.delta * dc.g_at(sys, x)
 
 
 def _deformed(sys: MechanicalSystem, dc: DeformedConstraint, x: np.ndarray, q, mu, grad_q, v, f_v):
@@ -179,8 +170,6 @@ def _deformed(sys: MechanicalSystem, dc: DeformedConstraint, x: np.ndarray, q, m
 
 def deformed_lambda(sys: MechanicalSystem, dc: DeformedConstraint, x: np.ndarray) -> np.ndarray:
     """Multiplier of the deformed dynamics (reaction along the deformed one-forms)."""
-    if sys.m == 0:
-        return np.zeros(0)
     return _deformed(sys, dc, x, *_plain_inputs(sys, x))[1]
 
 
@@ -191,8 +180,6 @@ def deformed_field(sys: MechanicalSystem, dc: DeformedConstraint, x: np.ndarray)
     bit: the multiplier goes through the checked Gram inverse where `h_field`
     uses the unchecked solve.  Acceptance criterion 9 bounds the gap at 1e-13.
     """
-    if sys.m == 0:
-        return h_field(sys, x)
     return _deformed(sys, dc, x, *_plain_inputs(sys, x))[0]
 
 
@@ -204,8 +191,6 @@ def _recorded_field(sys: MechanicalSystem, dc: DeformedConstraint | None, x: np.
     deformed_residual), bit for bit, for one multiplier solve instead of two
     and one evaluation of mu instead of three.
     """
-    if sys.m == 0:
-        return h_field(sys, x), np.zeros(0), np.zeros(0)
     q, mu, grad_q, v, f_v = _plain_inputs(sys, x)
     if dc is None:
         return *_solve_field(sys, q, mu, grad_q, v, f_v), mu @ v

@@ -21,7 +21,6 @@ from .exprdiff import Expression
 __all__ = [
     "StatePoint",
     "MechanicalSystem",
-    "CMatrix",
     "ConnectionSplit",
     "SystemError",
     "constraint_residual",
@@ -213,13 +212,6 @@ def constraint_residual(sys: MechanicalSystem, x: np.ndarray) -> np.ndarray:
     return sys.mu_at(x[: sys.n]) @ x[sys.n :]
 
 
-@dataclass(frozen=True)
-class CMatrix:
-    C: np.ndarray
-    inv: np.ndarray
-    cond: float
-
-
 def _gram_solve(sys: MechanicalSystem, mu: np.ndarray, rhs: np.ndarray, q: np.ndarray):
     """Solve (mu M^-1 mu') x = rhs for the constraint rows mu taken at q.
 
@@ -243,35 +235,30 @@ def _gram_solve(sys: MechanicalSystem, mu: np.ndarray, rhs: np.ndarray, q: np.nd
         raise SystemError(f"constraint Gram matrix singular at q={q!r}") from None
 
 
-def _checked_gram(sys: MechanicalSystem, mu: np.ndarray, q: np.ndarray) -> CMatrix:
-    """C = mu M^-1 mu' for the rows mu taken at q, with Cholesky and conditioning checks."""
+def _checked_gram(sys: MechanicalSystem, mu: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """C^-1 for C = mu M^-1 mu' of the rows mu at q, after Cholesky and conditioning checks."""
     C = mu @ sys.M_inv @ mu.T
     C = 0.5 * (C + C.T)
-    if sys.m == 0:
-        return CMatrix(C, C.copy(), 1.0)
     try:
         np.linalg.cholesky(C)
     except np.linalg.LinAlgError:
         raise SystemError(f"constraint Gram matrix not positive definite at q={q!r}") from None
     C_inv = np.linalg.inv(C)
-    cond = float(np.linalg.cond(C))
+    cond = float(np.linalg.cond(C)) if C.size else 1.0  # cond raises on the 0x0 matrix of m = 0
     if cond > COND_LIMIT:
         raise SystemError(f"constraint Gram matrix ill-conditioned (cond={cond:.3e}) at q={q!r}")
-    return CMatrix(C, C_inv, cond)
+    return C_inv
 
 
-def c_matrix(sys: MechanicalSystem, q: np.ndarray) -> CMatrix:
-    """C = mu M^-1 mu', SPD whenever mu(q) has full rank; inverse via Cholesky."""
+def c_matrix(sys: MechanicalSystem, q: np.ndarray) -> np.ndarray:
+    """The inverse of C = mu M^-1 mu', which is SPD whenever mu(q) has full rank."""
     return _checked_gram(sys, sys.mu_at(q), q)
 
 
 def project_velocity(sys: MechanicalSystem, q: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """M-orthogonal projection of v onto the admissible set at q."""
-    if sys.m == 0:
-        return np.asarray(v, dtype=float).copy()
+    """M-orthogonal projection of v onto the admissible set at q (a copy of v when m = 0)."""
     mu = sys.mu_at(q)
-    cm = c_matrix(sys, q)
-    return v - sys.M_inv @ mu.T @ (cm.inv @ (mu @ v))
+    return v - sys.M_inv @ mu.T @ (c_matrix(sys, q) @ (mu @ v))
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 import nonholo
 from nonholo import cli
-from nonholo.cli import INTEGRATORS, ConfigError, build_parser, convergence_study, main
+from nonholo.cli import INTEGRATORS, ConfigError, convergence_study, main
 
 PARTICLE_SIM = {
     "system": "nonholonomic_particle",
@@ -510,6 +510,7 @@ INTERP = {
         ("converge", dict(CONVERGE, T=1e300)),  # the reference oracle's step count
         ("embed", dict(EMBED, base_step=1e-300)),  # eps / base_step flow steps
         ("interp", dict(INTERP, samples=1e20)),  # more samples than MAX_STEPS
+        ("embed", dict(EMBED, scheme="original_node")),  # keeps a deformed set, not D
     ],
 )
 def test_other_command_config_errors(tmp_path, capsys, command, cfg):
@@ -569,13 +570,25 @@ def test_interp_curve(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_jobs_default_comes_from_environment(monkeypatch):
-    monkeypatch.setenv("NONHOLO_JOBS", "3")
-    args = build_parser().parse_args(["converge", "--config", "x.json"])
-    assert args.jobs == 3
-    monkeypatch.setenv("NONHOLO_JOBS", "not-a-number")
-    args = build_parser().parse_args(["converge", "--config", "x.json"])
-    assert args.jobs == 1
+def test_embed_and_interp_take_an_unconstrained_system(tmp_path, capsys):
+    # m = 0: D is all of TQ, the split has no fiber and xi is the whole state
+    oscillator = {"names": ["x", "y"], "M": [[1.0, 0.0], [0.0, 1.0]], "V": "(x^2+y^2)/2",
+                  "mu": []}
+    start = {"q": [1.0, 0.5], "v": [0.0, 1.0]}
+    cfg = dict(EMBED, system=oscillator, q0=start["q"], points=[start])
+    code, out = run(tmp_path, "embed", cfg)
+    assert code == 0, capsys.readouterr().err
+    report = json.loads((out / "embedding.json").read_text())
+    assert abs(report["measured_p"] - 1.0) < 0.15
+
+    cfg = {"system": oscillator, "eps": 0.1, "samples": 11, "x0": start,
+           "x1": {"q": [1.5, 0.0], "v": [-1.0, 2.0]}}
+    code, out = run(tmp_path, "interp", cfg)
+    assert code == 0, capsys.readouterr().err
+    rows = (out / "interpolation.csv").read_text().splitlines()
+    assert rows[0] == "t,q_1,q_2,v_1,v_2"  # no residual columns
+    assert [float(x) for x in rows[1].split(",")[1:]] == [1.0, 0.5, 0.0, 1.0]
+    assert [float(x) for x in rows[-1].split(",")[1:]] == [1.5, 0.0, -1.0, 2.0]
 
 
 def test_module_entry_point_prints_no_warning(tmp_path):

@@ -271,6 +271,16 @@ def test_deformed_velocity_repair():
         assert np.max(np.abs(sys.M_inv @ sys.mu_at(q).T @ coeff - (w - v))) < 1e-12
 
 
+def test_unconstrained_vni10_is_symplectic_euler():
+    # m = 0: drift q1 = q + eps v, then kick v1 = v - eps M^-1 grad V(q1); D is all of TQ
+    sys = MechanicalSystem(["x", "y"], np.diag([1.0, 2.0]), "(x^2+y^2)/2", [])
+    q, v = np.array([1.0, -2.0]), np.array([0.5, 3.0])
+    out = vni10_step(sys, np.concatenate([q, v]), 0.25)
+    assert np.array_equal(out.state, [1.125, -1.25, 0.21875, 3.15625])
+    assert out.lam.shape == (0,) and out.iters == 0
+    assert np.array_equal(deformed_admissible_velocity(sys, q, v, 0.25), v)
+
+
 def test_unconstrained_vni20_is_trapezoidal_rule():
     # harmonic oscillator: the m = 0 step equations reduce to the implicit
     # trapezoidal rule, solvable in closed form

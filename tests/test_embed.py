@@ -268,3 +268,5 @@ def test_reduced_step_map_rejects_unknown_scheme():
         reduced_step_map(sys, split, "rk4")
     with pytest.raises(SystemError):  # the two-point scheme steps pairs, not nodes
         reduced_step_map(sys, split, "dla")
+    with pytest.raises(SystemError):  # its nodes lie on a deformed set, not on D
+        reduced_step_map(sys, split, "original_node")

@@ -7,6 +7,7 @@ import pytest
 from nonholo import exprdiff
 from nonholo.reduction import (
     DeformedConstraint,
+    _recorded_field,
     deformed_field,
     deformed_residual,
     h_field,
@@ -104,10 +105,19 @@ def test_energy_is_instantaneously_conserved():
 
 
 def test_unconstrained_field():
+    # m = 0 runs the constrained code on zero-row arrays: every field is
+    # (v, -M^-1 grad V), the multiplier and the residual are empty
     sys = MechanicalSystem(["x"], np.eye(1), "x^2", [])
     x = StatePoint([3.0], [2.0]).concat()
     assert np.array_equal(h_field(sys, x), [2.0, -6.0])
+    assert np.array_equal(h_field(sys, np.stack([x, 2.0 * x])), [[2.0, -6.0], [4.0, -12.0]])
     assert lambda_continuous(sys, x).shape == (0,)
+    dc = DeformedConstraint(g=[], delta=0.5)
+    assert np.array_equal(deformed_field(sys, dc, x), [2.0, -6.0])
+    assert deformed_residual(sys, dc, x).shape == (0,)
+    for deformation in (None, dc):
+        field, lam, res = _recorded_field(sys, deformation, x)
+        assert np.array_equal(field, [2.0, -6.0]) and lam.shape == res.shape == (0,)
 
 
 def test_lift_and_projection_round_trip():

@@ -49,10 +49,8 @@ def test_particle_constraint_matrix():
 
 def test_particle_gram_matrix():
     sys = nonholonomic_particle()
-    cm = c_matrix(sys, np.array([0.0, 1.0, 0.0]))
-    assert np.array_equal(cm.C, np.array([[2.0]]))
-    assert np.array_equal(cm.inv, np.array([[0.5]]))
-    assert cm.cond == 1.0
+    # C = mu M^-1 mu' = [[2]] at q = (0, 1, 0); c_matrix returns its inverse
+    assert np.array_equal(c_matrix(sys, np.array([0.0, 1.0, 0.0])), np.array([[0.5]]))
 
 
 def test_residual_and_projection():
@@ -183,6 +181,10 @@ def test_unconstrained_system_supported():
     x = StatePoint([1.0, 0.0], [0.0, 2.0])
     assert constraint_residual(sys, x.concat()).shape == (0,)
     assert np.array_equal(project_velocity(sys, x.q, x.v), x.v)
+    assert c_matrix(sys, x.q).shape == (0, 0)
+    # the empty reaction leaves every entry as it is, signed zeros included
+    w = project_velocity(sys, x.q, np.array([-0.0, 2.0]))
+    assert w.tolist() == [0.0, 2.0] and np.signbit(w[0])
     assert energy(sys, x.concat()) == 3.0
 
 

@@ -25,7 +25,10 @@ two runs of ``converge`` (``vni10``, and ``original_node``, whose
 ``project_initial`` repairs the start at each step size); one of ``interp``;
 three of ``embed``: ``vni10`` at
 one point, then the Newton scheme ``vni20`` and the flow itself as the map
-(``exact``) at five points; a potential with an
+(``exact``) at five points; an unconstrained system (m = 0), the 2-d
+oscillator, run by every integrator (``dla`` at beta 0.5), ``embed``
+(``vni10``) and ``interp``, and by ``reference`` and ``vni10`` from
+v = (-0.0, -0.0), where the sign of each zero reaches the CSV; a potential with an
 integer power above 8 at a negative base; a system whose ``V`` and ``mu`` use
 every function and a non-integer power, run by ``reference``, ``vni20`` and
 ``dla``; then runs that fail at runtime, and configs that misuse a key, ask
@@ -133,6 +136,13 @@ OVERFLOW = {
 }
 # The start's energy 1e300 is finite; one step of eps * v = 1e310 overflows.
 OVERFLOW_FINITE_ENERGY = {**OVERFLOW, "v": [1e150, 1e150], "eps": 1e160}
+# m = 0: the constrained code runs on zero-row arrays, D is all of TQ.
+OSCILLATOR_SYSTEM = {"names": ["x", "y"], "M": [[1.0, 0.0], [0.0, 1.0]], "V": "(x^2+y^2)/2",
+                     "mu": []}
+OSCILLATOR_START = {"q": [1.0, 0.5], "v": [0.0, 1.0]}
+OSCILLATOR = {"system": OSCILLATOR_SYSTEM, **OSCILLATOR_START}
+# y and v_y stay zero from this start, so the CSV shows the sign of every zero they take.
+OSCILLATOR_NEG_ZERO = {**OSCILLATOR, "q": [1.0, 0.0], "v": [-0.0, -0.0]}
 # log(x) in mu is undefined at the start q = (-1, 0)
 LOG_MU = {"names": ["x", "y"], "M": [[1.0, 0.0], [0.0, 1.0]], "V": "0", "mu": [["log(x)", "1"]]}
 LOG_MU_START = {"q": [-1.0, 0.0], "v": [0.0, 0.0]}
@@ -178,20 +188,32 @@ def configs() -> list[tuple[str, str, dict]]:
     out += [(f"other/{system}_project_each_step", "simulate",
              {**start, "integrator": "reference", "project_each_step": True, "eps": 0.01, "N": 200})
             for system, start in (("particle", PARTICLE), ("disk_off_d", DISK_OFF_D))]
+    every_integrator = [("reference", {}), ("vni10", {}), ("vni20", {}), ("original_node", {}),
+                        ("dla", {"beta": 0.5})]
+    out += [(f"oscillator/{name}", "simulate",
+             {**OSCILLATOR, "integrator": name, "eps": 0.01, "N": 200, **extra})
+            for name, extra in every_integrator]
+    out += [(f"oscillator/{name}_negative_zero", "simulate",
+             {**OSCILLATOR_NEG_ZERO, "integrator": name, "eps": 0.01, "N": 200})
+            for name in ("reference", "vni10")]
+    out += [("oscillator/embed", "embed", {**EMBED, "system": OSCILLATOR_SYSTEM,
+                                           "q0": OSCILLATOR_START["q"],
+                                           "points": [OSCILLATOR_START]}),
+            ("oscillator/interp", "interp", {**INTERP, "system": OSCILLATOR_SYSTEM,
+                                             "x0": OSCILLATOR_START,
+                                             "x1": {"q": [1.5, 0.0], "v": [-1.0, 2.0]}})]
     out += [(f"other/power10_{name}", "simulate", {**POWER10, "integrator": name})
             for name in ("reference", "vni20")]
     out += [(f"other/funcs_{name}", "simulate", {**FUNCS_START, "integrator": name, **extra})
             for name, extra in (("reference", {}), ("vni20", {}), ("dla", {"beta": 0.5}))]
 
-    quartic = [("reference", {}), ("vni10", {}), ("vni20", {}), ("original_node", {}),
-               ("dla", {"beta": 0.5})]
     out += [(f"fail/quartic_{name}", "simulate", {**QUARTIC, "integrator": name, **extra})
-            for name, extra in quartic]
+            for name, extra in every_integrator]
     out.append(("fail/log_well_reference", "simulate", LOG_WELL))
     for label, start in (("overflow", OVERFLOW), ("overflow_finite_energy", OVERFLOW_FINITE_ENERGY),
                          ("record_log_mu", RECORD_LOG_MU)):
         out += [(f"fail/{label}_{name}", "simulate", {**start, "integrator": name, **extra})
-                for name, extra in quartic[1:]]
+                for name, extra in every_integrator[1:]]
     out.append(("fail/quartic_converge", "converge",
                 {**QUARTIC, "integrator": "vni10", "eps_list": [0.02, 0.01, 0.005, 0.0025]}))
 
