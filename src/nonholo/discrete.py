@@ -46,6 +46,7 @@ import numpy as np
 from .flow import _QUIET, NewtonError, Trajectory, _march
 from .reduction import _lambda_raw
 from .system import (
+    COND_LIMIT,
     MechanicalSystem,
     StatePoint,
     SystemError,
@@ -73,7 +74,6 @@ __all__ = [
 NEWTON_TOL = 1e-12
 NEWTON_MAX_ITER = 30
 ADMISSIBLE_TOL = 1e-10
-REGULARITY_COND_LIMIT = 1e12
 
 
 def newton_solve(
@@ -137,16 +137,8 @@ class DiscreteNonholonomicSystem:
     sys: MechanicalSystem
     rho: FiniteDifferenceMap
 
-    def lagrangian_d(self, x: np.ndarray, y: np.ndarray) -> float:
-        q, v = self.rho.forward(x, y)
-        return self.rho.eps * (0.5 * v @ self.sys.M @ v - self.sys.v_at(q))
-
-    def phi_d(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """Discrete constraint, scaled so that its y-derivative is O(1)."""
-        q = self.rho.point(x, y)
-        return -(self.sys.mu_at(q) @ (y - x))
-
     def phi_d_jac_y(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """d/dy of the discrete constraint phi_d(x, y) = -mu(rho.point(x, y)) (y - x)."""
         q = self.rho.point(x, y)
         dmu = self.sys.mu_jac_at(q)
         return -self.rho.beta * np.einsum("aij,i->aj", dmu, y - x) - self.sys.mu_at(q)
@@ -168,7 +160,7 @@ class DiscreteNonholonomicSystem:
             cond = float(np.linalg.cond(block))
         except np.linalg.LinAlgError:  # the SVD fails on a matrix with NaN entries
             cond = np.inf
-        if not np.isfinite(cond) or cond > REGULARITY_COND_LIMIT:
+        if not np.isfinite(cond) or cond > COND_LIMIT:
             raise SystemError(
                 f"discrete step not well posed (regularity condition number {cond:.3e})"
             )

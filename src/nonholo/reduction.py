@@ -32,8 +32,8 @@ from .system import (
     ConnectionSplit,
     MechanicalSystem,
     SystemError,
-    _checked_gram,
     _gram_solve,
+    c_matrix,
     constraint_residual,
 )
 
@@ -60,20 +60,17 @@ def _plain_inputs(sys: MechanicalSystem, x: np.ndarray):
     return q, mu, grad_q, v, -np.matvec(sys.M_inv, sys.grad_v_at(q))
 
 
-def _solve_field(sys: MechanicalSystem, q, rows, grad_q, qdot, f_v, checked: bool = False):
+def _solve_field(sys: MechanicalSystem, q, rows, grad_q, qdot, f_v):
     """The one multiplier solve: returns the field (qdot, f_v + M^-1 rows' lambda) and lambda.
 
     lambda solves (rows M^-1 rows') lambda = -(grad_q . qdot + rows . f_v), the
     condition d/dt phi = 0 for a constraint phi with d phi/dq = grad_q and
-    d phi/dv = rows.  The plain field takes the unchecked hot-path Gram solve;
-    `checked` takes the Cholesky- and condition-checked inverse instead (one
-    row only).
+    d phi/dv = rows, by the one Gram solve `_gram_solve`.  The plain and the
+    deformed field both come through here; the deformed one certifies its rows
+    with `c_matrix` first.
     """
     rhs = np.matvec(grad_q, qdot) + np.matvec(rows, f_v)
-    if checked:
-        lam = -np.matvec(_checked_gram(sys, rows, q), rhs)
-    else:
-        lam = -_gram_solve(sys, rows, rhs, q)
+    lam = -_gram_solve(sys, rows, rhs, q)
     force = np.matvec(sys.M_inv, np.matvec(rows.mT, lam))
     return np.concatenate([qdot, f_v + force], axis=-1), lam
 
@@ -165,7 +162,8 @@ def _deformed(sys: MechanicalSystem, dc: DeformedConstraint, x: np.ndarray, q, m
     """The deformed field and multiplier at x, from x's `_plain_inputs`."""
     rows = mu + dc.delta * dc.g_grad_v(sys, x)
     grad_q = grad_q + dc.delta * dc.g_grad_q(sys, x)
-    return _solve_field(sys, q, rows, grad_q, v, f_v, checked=True)
+    c_matrix(sys, rows, q)
+    return _solve_field(sys, q, rows, grad_q, v, f_v)
 
 
 def deformed_lambda(sys: MechanicalSystem, dc: DeformedConstraint, x: np.ndarray) -> np.ndarray:
@@ -176,9 +174,8 @@ def deformed_lambda(sys: MechanicalSystem, dc: DeformedConstraint, x: np.ndarray
 def deformed_field(sys: MechanicalSystem, dc: DeformedConstraint, x: np.ndarray) -> np.ndarray:
     """Dynamics making the deformed residual a first integral.
 
-    With delta = 0 this is the constrained field up to rounding, not bit for
-    bit: the multiplier goes through the checked Gram inverse where `h_field`
-    uses the unchecked solve.  Acceptance criterion 9 bounds the gap at 1e-13.
+    With delta = 0 this is `h_field` byte for byte: both take the one Gram
+    solve, and the certificate `c_matrix` run first only checks the rows.
     """
     return _deformed(sys, dc, x, *_plain_inputs(sys, x))[0]
 

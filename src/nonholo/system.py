@@ -235,30 +235,26 @@ def _gram_solve(sys: MechanicalSystem, mu: np.ndarray, rhs: np.ndarray, q: np.nd
         raise SystemError(f"constraint Gram matrix singular at q={q!r}") from None
 
 
-def _checked_gram(sys: MechanicalSystem, mu: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """C^-1 for C = mu M^-1 mu' of the rows mu at q, after Cholesky and conditioning checks."""
+def c_matrix(sys: MechanicalSystem, mu: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """C = mu M^-1 mu' of the rows mu at q, certified positive definite and conditioned.
+
+    One eigvalsh gives both checks; the 0x0 matrix of m = 0 has no eigenvalues and passes.
+    """
     C = mu @ sys.M_inv @ mu.T
-    C = 0.5 * (C + C.T)
-    try:
-        np.linalg.cholesky(C)
-    except np.linalg.LinAlgError:
-        raise SystemError(f"constraint Gram matrix not positive definite at q={q!r}") from None
-    C_inv = np.linalg.inv(C)
-    cond = float(np.linalg.cond(C)) if C.size else 1.0  # cond raises on the 0x0 matrix of m = 0
-    if cond > COND_LIMIT:
-        raise SystemError(f"constraint Gram matrix ill-conditioned (cond={cond:.3e}) at q={q!r}")
-    return C_inv
-
-
-def c_matrix(sys: MechanicalSystem, q: np.ndarray) -> np.ndarray:
-    """The inverse of C = mu M^-1 mu', which is SPD whenever mu(q) has full rank."""
-    return _checked_gram(sys, sys.mu_at(q), q)
+    w = np.linalg.eigvalsh(C)
+    lo, hi = np.min(w, initial=np.inf), np.max(w, initial=0.0)
+    if not lo > 0.0:
+        raise SystemError(f"constraint Gram matrix not positive definite at q={q!r}")
+    if not hi <= COND_LIMIT * lo:
+        raise SystemError(f"constraint Gram matrix ill-conditioned (cond={hi / lo:.3e}) at q={q!r}")
+    return C
 
 
 def project_velocity(sys: MechanicalSystem, q: np.ndarray, v: np.ndarray) -> np.ndarray:
     """M-orthogonal projection of v onto the admissible set at q (a copy of v when m = 0)."""
     mu = sys.mu_at(q)
-    return v - sys.M_inv @ mu.T @ (c_matrix(sys, q) @ (mu @ v))
+    c_matrix(sys, mu, q)
+    return v - sys.M_inv @ mu.T @ _gram_solve(sys, mu, mu @ v, q)
 
 
 @dataclass(frozen=True)

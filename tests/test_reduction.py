@@ -227,5 +227,13 @@ def test_deformation_off_recovers_plain_field():
     dc = DeformedConstraint(g=[exprdiff.parse("v_x*v_y")], delta=0.0)
     rng = np.random.default_rng(12)
     for x in random_on_d(sys, rng, 10):
-        gap = np.max(np.abs(deformed_field(sys, dc, x.concat()) - h_field(sys, x.concat())))
-        assert gap < 1e-13
+        want = h_field(sys, x.concat())
+        assert deformed_field(sys, dc, x.concat()).tobytes() == want.tobytes()
+
+
+def test_deformed_rows_that_vanish_fail_the_certificate():
+    # delta g_v = (y, 0, -1) cancels mu = (-y, 0, 1): the deformed Gram matrix is zero
+    dc = DeformedConstraint(g=[exprdiff.parse("y*v_x - v_z")], delta=1.0)
+    x = StatePoint([0.0, 1.0, 0.0], [1.0, 1.0, 1.0]).concat()
+    with pytest.raises(SystemError, match="not positive definite"):
+        deformed_field(nonholonomic_particle(), dc, x)

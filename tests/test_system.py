@@ -49,8 +49,9 @@ def test_particle_constraint_matrix():
 
 def test_particle_gram_matrix():
     sys = nonholonomic_particle()
-    # C = mu M^-1 mu' = [[2]] at q = (0, 1, 0); c_matrix returns its inverse
-    assert np.array_equal(c_matrix(sys, np.array([0.0, 1.0, 0.0])), np.array([[0.5]]))
+    # C = mu M^-1 mu' = [[2]] at q = (0, 1, 0)
+    q = np.array([0.0, 1.0, 0.0])
+    assert np.array_equal(c_matrix(sys, sys.mu_at(q), q), np.array([[2.0]]))
 
 
 def test_residual_and_projection():
@@ -181,7 +182,7 @@ def test_unconstrained_system_supported():
     x = StatePoint([1.0, 0.0], [0.0, 2.0])
     assert constraint_residual(sys, x.concat()).shape == (0,)
     assert np.array_equal(project_velocity(sys, x.q, x.v), x.v)
-    assert c_matrix(sys, x.q).shape == (0, 0)
+    assert c_matrix(sys, sys.mu_at(x.q), x.q).shape == (0, 0)
     # the empty reaction leaves every entry as it is, signed zeros included
     w = project_velocity(sys, x.q, np.array([-0.0, 2.0]))
     assert w.tolist() == [0.0, 2.0] and np.signbit(w[0])
@@ -196,8 +197,32 @@ def test_gram_matrix_conditioning_guard():
         V="0",
         mu=[["1", "0"], ["1", "1e-8"]],
     )
+    q = np.zeros(2)
     with pytest.raises(SystemError):
-        c_matrix(sys, np.zeros(2))
+        c_matrix(sys, sys.mu_at(q), q)
+
+
+@pytest.mark.parametrize("small, ok", [(1e-10, True), (1e-14, False)])
+def test_gram_certificate_threshold(small, ok):
+    # rows = I against M^-1 = diag(1, small) give C = diag(1, small), of condition 1/small
+    sys = MechanicalSystem(["x", "y"], np.diag([1.0, 1.0 / small]), "0", [])
+    q = np.zeros(2)
+    if ok:
+        assert np.array_equal(c_matrix(sys, np.eye(2), q), sys.M_inv)
+    else:
+        with pytest.raises(SystemError, match="ill-conditioned"):
+            c_matrix(sys, np.eye(2), q)
+
+
+def test_project_velocity_evaluates_mu_once(monkeypatch):
+    sys = rolling_disk()
+    calls = []
+    mu_at = sys.mu_at
+    monkeypatch.setattr(sys, "mu_at", lambda q: calls.append(q) or mu_at(q))
+    q = np.array([1.0, 0.0, 0.3, 0.0])
+    v = project_velocity(sys, q, np.array([0.7, -0.2, 0.4, 1.2]))
+    assert len(calls) == 1
+    assert np.max(np.abs(mu_at(q) @ v)) < 1e-15
 
 
 def test_split_rejects_overlap():

@@ -19,8 +19,9 @@ the same disk started off D with ``project_initial``, each run by every
 integrator (``dla`` with beta in {0, 0.3, 0.5, 1} on both node policies)
 at eps = 0.01, plus ``vni20``, ``original_node`` and ``dla`` at eps = 0.1;
 the reference flow on a deformed constraint set (the particle's, and the
-disk's with two deformed constraints, started on that set) and with
-``project_each_step``;
+disk's with two deformed constraints, started on that set, and the particle's
+with a deformation whose rows cancel mu's, which fails the Gram certificate
+at the start) and with ``project_each_step``;
 two runs of ``converge`` (``vni10``, and ``original_node``, whose
 ``project_initial`` repairs the start at each step size); one of ``interp``;
 three of ``embed``: ``vni10`` at
@@ -118,6 +119,9 @@ DISK_DEFORMED = {
           0.5 * math.sin(_TH) * _W_PH / (1.0 + _DELTA * _W_PH), _W_TH, _W_PH],
     "deformation": {"g": ["v_x*v_th", "v_y*v_ph"], "delta": _DELTA},
 }
+# delta dg/dv = (y, 0, -1) cancels mu = (-y, 0, 1): the deformed Gram matrix is zero.
+DEFORMED_RANK_LOSS = {**DEFORMED, "v": PARTICLE["v"], "N": 20,
+                      "deformation": {"g": ["y*v_x - v_z"], "delta": 1.0}}
 # Every function of the language and a non-integer power, in V and in mu,
 # so that the byte comparison reaches every branch of the kernel generator.
 FUNCS_SYSTEM = {
@@ -184,7 +188,8 @@ def configs() -> list[tuple[str, str, dict]]:
             ("other/embed_vni20_points", "embed", EMBED_POINTS),
             ("other/embed_exact", "embed", {**EMBED_POINTS, "scheme": "exact", "p": 1}),
             ("other/deformed_reference", "simulate", DEFORMED),
-            ("other/disk_deformed_reference", "simulate", DISK_DEFORMED)]
+            ("other/disk_deformed_reference", "simulate", DISK_DEFORMED),
+            ("other/deformed_rank_loss", "simulate", DEFORMED_RANK_LOSS)]
     out += [(f"other/{system}_project_each_step", "simulate",
              {**start, "integrator": "reference", "project_each_step": True, "eps": 0.01, "N": 200})
             for system, start in (("particle", PARTICLE), ("disk_off_d", DISK_OFF_D))]
