@@ -7,7 +7,10 @@ another tree, with constants folded.  `evaluate`, `gradient` and `hessian`
 compile an expression (or a tuple of them) together with its derivative
 trees into one straight-line Python function, built on first use and
 cached, whose doubles and errors are those of the reference tree walk
-`_eval_node`.
+`_eval_node`.  `stacked` evaluates a stack of bindings: in one numpy pass
+(the column kernel) when every operation is in the exact subset that numpy
+computes to math's bits, and with the per-row function on each row
+otherwise, with the same doubles and errors either way.
 
 Grammar (EBNF, also reproduced in the README):
 
@@ -23,6 +26,7 @@ tighter than unary minus (so ``-y^2`` is ``-(y^2)`` and ``y^-2`` is
 """
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass
@@ -32,7 +36,8 @@ import numpy as np
 __all__ = [
     "Expression", "Num", "Var", "Neg", "Add", "Sub", "Mul", "Div", "Pow", "Call",
     "ExprSyntaxError", "EvalError", "FUNCTION_NAMES",
-    "parse", "evaluate", "derivative", "gradient", "hessian", "free_variables", "to_string",
+    "parse", "evaluate", "derivative", "gradient", "hessian", "stacked",
+    "free_variables", "to_string",
 ]
 
 
@@ -445,25 +450,94 @@ def derivative(expr: Expression, name: str) -> Expression:
 # helpers, in the tree walk's order, so a kernel gives the walk's doubles
 # and raises its EvalErrors at the same points.  Identical subtrees, within
 # one tree or across the value and the derivatives, are computed once.
+#
+# `stacked` compiles the same statements a second time as a column kernel,
+# each name bound to a numpy column of a stack of bindings (vector-mode
+# source transformation).  numpy gives math's bits only on an exact subset:
+# + - * /, literal integer powers |n| <= 8 (unrolled to products), and sin,
+# cos, sqrt and cot where the probe below finds numpy equal to math.  A tree
+# outside the subset (exp, log, tan, tanh, other powers) has no column
+# kernel and runs the per-row kernel on each row.
+
+# Probe points of the numpy/math comparison: signed zeros, the smallest
+# subnormal and normal, the largest double, one point every five decades
+# and a sweep over the first ten periods.  Python floats, so that importing
+# this module runs no numpy loop.
+_PROBE = [0.0, 5e-324, 2.2250738585072014e-308, 1e22, 1.7976931348623157e308,
+          *(10.0**k for k in range(-300, 301, 5)), *(k / 4.0 for k in range(257))]
+_PROBE += [-v for v in _PROBE]
+
+
+def _column_functions(numpy_fns: dict) -> frozenset:
+    """The functions (name -> numpy ufunc) that give math's bits at every probe point.
+
+    sqrt is probed where it is defined, -0.0 included; cot = cos / sin
+    joins when both sin and cos do.
+    """
+    same = set()
+    for name, fn in numpy_fns.items():
+        x = [v for v in _PROBE if v >= 0.0] if name == "sqrt" else _PROBE
+        want = np.array([getattr(math, name)(v) for v in x])
+        if fn(np.array(x)).tobytes() == want.tobytes():
+            same.add(name)
+    return frozenset(same | ({"cot"} if {"sin", "cos"} <= same else set()))
+
+
+@functools.cache
+def _column_funcs() -> frozenset:
+    """The functions with a column form, probed once, when the first column kernel is built.
+
+    A process that evaluates no stack never loads numpy's sin, cos and sqrt loops.
+    """
+    return _column_functions({"sin": np.sin, "cos": np.cos, "sqrt": np.sqrt})
+
+
+class _Inexact(Exception):
+    """A tree outside the exact subset of the column kernel."""
+
 
 _KERNEL_GLOBALS = {
     "EvalError": EvalError, "_check_finite": _check_finite,
-    "_div": _div, "_ipow": _ipow, "_pow": _pow,
+    "_div": _div, "_ipow": _ipow, "_pow": _pow, "np": np,
     **{f"_{name}": fn for name, fn in _FUNCS.items()},
 }
 
 
-def _kernel_source(kind: str, exprs: tuple, wrt: tuple) -> tuple[str, dict]:
+def _kernel_source(kind: str, exprs: tuple, wrt: tuple, names=None) -> tuple[str, dict]:
     """Source of `kind` ("value", "gradient" or "hessian") of each of exprs, and its globals.
 
     The kernel takes the bindings (name -> number) and returns the flat
     tuple of results: per expression its value, its gradient over wrt, or
     its Hessian over wrt row by row, the lower triangle mirrored from the
     upper.
+
+    With `names`, the column kernel instead: it takes a stack Q (B, len(names)),
+    binds each name to its column and returns the (B, k) array of the same
+    results.  It raises nothing.  It returns None where any row would raise
+    in the per-row kernel: a zero divisor, or a checked local that is not
+    finite (the value a gradient checks but does not return, and the base
+    of a ^0, included).  Every other failure of the per-row kernel makes a
+    NaN, which reaches one of those locals.  A tree outside the exact
+    subset, or a name outside `names`, raises _Inexact.
     """
+    columns = names is not None
     namespace = dict(_KERNEL_GLOBALS)
     lines: list[str] = []
     temps: dict[str, str] = {}  # right-hand side -> the local holding it
+    divisors: list[str] = []  # column kernel: each must be nonzero in every row
+    checked: list[str] = []  # column kernel: each must be finite in every row
+
+    def local(rhs: str) -> str:
+        if rhs not in temps:
+            temps[rhs] = f"t{len(temps)}"
+            lines.append(f"{temps[rhs]} = {rhs}")
+        return temps[rhs]
+
+    def divide(num: str, den: str) -> str:
+        if not columns:
+            return f"_div({num}, {den})"
+        divisors.append(den)
+        return f"np.divide({num}, {den})"  # no ZeroDivisionError where both are Python floats
 
     def emit(node: Expression) -> str:
         """A literal or a local holding node's value, after the statements computing it."""
@@ -475,47 +549,63 @@ def _kernel_source(kind: str, exprs: tuple, wrt: tuple) -> tuple[str, dict]:
                 return name
             return f"({v!r})" if math.copysign(1.0, v) < 0.0 else repr(v)
         if isinstance(node, Var):
-            rhs = f"float(ctx[{node.name!r}])"
+            if not columns:
+                rhs = f"float(ctx[{node.name!r}])"
+            elif node.name in names:
+                rhs = f"Q[:, {names.index(node.name)}]"
+            else:  # the per-row kernel raises the unbound name
+                raise _Inexact(node.name)
         elif isinstance(node, Neg):
             rhs = f"-{emit(node.operand)}"
         elif isinstance(node, Call):
-            rhs = f"_{node.func}({emit(node.arg)})"
+            arg = emit(node.arg)
+            if not columns:
+                rhs = f"_{node.func}({arg})"
+            elif node.func not in _column_funcs():
+                raise _Inexact(node.func)
+            elif node.func == "cot":
+                rhs = divide(local(f"np.cos({arg})"), local(f"np.sin({arg})"))
+            else:
+                rhs = f"np.{node.func}({arg})"
         elif isinstance(node, Pow):
             base, n = emit(node.base), _literal_int_exponent(node.exponent)
-            if n is None:
-                rhs = f"_pow({base}, {emit(node.exponent)})"
-            elif abs(n) > 8:
-                rhs = f"_ipow({base}, {n})"
+            if n is None or abs(n) > 8:
+                if columns:
+                    raise _Inexact("power")
+                rhs = f"_pow({base}, {emit(node.exponent)})" if n is None else f"_ipow({base}, {n})"
             elif n in (0, 1):
+                if n == 0 and columns:  # the per-row kernel evaluates the base it drops
+                    check([base], None)
                 return "1.0" if n == 0 else base
             else:
                 product = " * ".join([base] * abs(n))  # left to right, as the walk multiplies
-                rhs = product if n > 0 else f"_div(1.0, {product})"
+                rhs = product if n > 0 else divide("1.0", local(product))
         else:
             left, right = emit(node.left), emit(node.right)
             if isinstance(node, Div):
                 # a nonzero float literal needs no zero test
                 d = node.right
                 plain = isinstance(d, Num) and type(d.value) is float and d.value != 0.0
-                rhs = f"{left} / {right}" if plain else f"_div({left}, {right})"
+                rhs = f"{left} / {right}" if plain else divide(left, right)
             else:
                 op = {Add: "+", Sub: "-", Mul: "*"}[type(node)]
                 rhs = f"{left} {op} {right}"
-        if rhs not in temps:
-            temps[rhs] = f"t{len(temps)}"
-            lines.append(f"{temps[rhs]} = {rhs}")
-        return temps[rhs]
+        return local(rhs)
 
-    def check(outs: list[str], message: str) -> None:
+    def check(outs: list[str], message: str | None) -> None:
         # x - x is 0.0 for a finite x and nan, which is true, otherwise;
         # literals are finite and need no test
         computed = set(temps.values()).union(namespace)
         live = [o for o in outs if o in computed]
-        if live:
+        if columns:
+            checked.extend(live)
+        elif live:
             test = " or ".join(f"{o} - {o}" for o in live)
             lines.append(f"if {test}: {message}")
 
-    if exprs:  # an unbound name in wrt fails before anything is evaluated
+    if columns and not set(wrt) <= set(names):
+        raise _Inexact("wrt")
+    if exprs and not columns:  # an unbound name in wrt fails before anything is evaluated
         for name in wrt:
             emit(Var(name))
     results: list[str] = []
@@ -534,38 +624,83 @@ def _kernel_source(kind: str, exprs: tuple, wrt: tuple) -> tuple[str, dict]:
             upper = {(i, j): emit(derivative(firsts[i], wrt[j])) for i in range(k) for j in range(i, k)}
             check(list(upper.values()), "raise EvalError('hessian produced a non-finite value')")
             results += [upper[min(i, j), max(i, j)] for i in range(k) for j in range(k)]
+    if not columns:
+        lines.append(f"return ({''.join(r + ', ' for r in results)})")
+    else:
+        # One array holds the results, then the checked locals the kernel
+        # does not return (every returned local is checked), so that one
+        # test covers them all; the literals (a float's repr, a negative one
+        # in parentheses) go in by one broadcast of a constant row.
+        computed = set(temps.values()).union(namespace)
+        cells = results + [c for c in dict.fromkeys(checked) if c not in results]
+        namespace["_row"] = np.array([0.0 if c in computed else float(c.strip("()")) for c in cells])
+        lines.append(f"out = np.empty((len(Q), {len(cells)}))")
+        lines.append("out[:] = _row")
+        lines += [f"out[:, {j}] = {c}" for j, c in enumerate(cells) if c in computed]
+        tests = ["np.isfinite(out).all()", *(f"np.all({d})" for d in dict.fromkeys(divisors))]
+        view = "out" if len(cells) == len(results) else f"out[:, :{len(results)}]"
+        lines.append(f"return {view} if {' and '.join(tests)} else None")
     body = "".join(f"    {line}\n" for line in lines)
-    return f"def kernel(ctx):\n{body}    return ({''.join(r + ', ' for r in results)})\n", namespace
+    return f"def kernel({'Q' if columns else 'ctx'}):\n{body}", namespace
 
 
-def _compile(kind: str, exprs: tuple, wrt: tuple):
-    source, namespace = _kernel_source(kind, exprs, wrt)
-    exec(compile(source, f"<exprdiff {kind} kernel>", "exec"), namespace)
+def _compile(kind: str, exprs: tuple, wrt: tuple, names=None):
+    """The kernel, or with `names` the column kernel, None outside the exact subset."""
+    try:
+        source, namespace = _kernel_source(kind, exprs, wrt, names)
+    except _Inexact:
+        return None
+    label = "column kernel" if names is not None else "kernel"
+    exec(compile(source, f"<exprdiff {kind} {label}>", "exec"), namespace)
     return namespace["kernel"]
 
 
-# Kernels by (kind, id of the expression or tuple, wrt), oldest first.  Each
-# entry holds the object whose id it is keyed on, so the id cannot be reused
-# while the entry lives; keying by value would hash the whole tree per call.
-# The cache is bounded because a process may build systems without end.
+# Kernels by (kind, id of the expression or tuple, wrt, names), oldest first;
+# names is None for a per-row kernel.  Each entry holds the object whose id
+# it is keyed on, so the id cannot be reused while the entry lives; keying
+# by value would hash the whole tree per call.  The cache is bounded because
+# a process may build systems without end.
 KERNEL_CACHE_SIZE = 32
 _KERNELS: dict[tuple, tuple] = {}
 
 
-def _run(kind: str, expr, wrt, ctx: dict) -> tuple:
-    """Flat results of the cached kernel of `kind` for expr (or a tuple of them) at ctx."""
-    wrt = tuple(wrt)
-    key = (kind, id(expr), wrt)
+def _kernel(kind: str, expr, wrt: tuple, names=None):
+    """The cached kernel of `kind` for expr (or a tuple of them), see `_compile`."""
+    key = (kind, id(expr), wrt, names)
     hit = _KERNELS.get(key)
     if hit is None:
         exprs = expr if isinstance(expr, tuple) else (expr,)
         if len(_KERNELS) >= KERNEL_CACHE_SIZE:
             del _KERNELS[next(iter(_KERNELS))]
-        hit = _KERNELS[key] = (expr, _compile(kind, exprs, wrt))
+        hit = _KERNELS[key] = (expr, _compile(kind, exprs, wrt, names))
+    return hit[1]
+
+
+def _run(kind: str, expr, wrt, ctx: dict) -> tuple:
+    """Flat results of the cached per-row kernel of `kind` for expr at ctx."""
     try:
-        return hit[1](ctx)
+        return _kernel(kind, expr, tuple(wrt))(ctx)
     except KeyError as exc:  # the first name the walk would have looked up in vain
         raise EvalError(f"unbound variable {exc.args[0]!r}") from None
+
+
+def stacked(kind: str, expr, wrt, names, Q: np.ndarray) -> np.ndarray:
+    """Flat results of `kind` for expr (or a tuple of them) at each row of a stack Q.
+
+    Q has shape (B, len(names)).  Row b is the single call at the bindings
+    dict(zip(names, Q[b])), bit for bit, shaped (B, k).  The column kernel computes the whole stack at once
+    when every tree is in the exact subset.  Otherwise, and whenever some row
+    would fail, the per-row kernel runs on each row in turn and raises the
+    first failing row's EvalError.
+    """
+    wrt, names = tuple(wrt), tuple(names)
+    column = _kernel(kind, expr, wrt, names)
+    if column is not None:
+        with np.errstate(all="ignore"):
+            out = column(Q)
+        if out is not None:
+            return out
+    return np.array([_run(kind, expr, wrt, dict(zip(names, r))) for r in Q.tolist()], dtype=float)
 
 
 def evaluate(expr, ctx: dict):

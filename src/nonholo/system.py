@@ -164,23 +164,23 @@ class MechanicalSystem:
     def qv_ctx(self, x: np.ndarray) -> dict:
         return dict(zip(self.names + self.vnames, x.tolist()))
 
-    def _each_q(self, q: np.ndarray, shape: tuple, kernel, *args) -> np.ndarray:
-        """kernel(*args, ctx) at each row of a stack q (..., n), shaped (..., *shape).
+    def _stacked(self, kind: str, expr, wrt, q: np.ndarray, shape: tuple) -> np.ndarray:
+        """exprdiff's `kind` of expr at each row of a stack q (..., n), shaped (..., *shape).
 
-        The compiled kernel runs once per row in Python floats (numpy's exp,
-        log, tan, tanh and ** differ from math's in the last bits), so row b
-        of a stack is the unbatched call on row b, bit for bit.  The accessors
-        call the kernel directly on one configuration, the integrators' hot
-        path, which this loop would slow down.
+        `exprdiff.stacked` runs one column kernel over the whole stack where
+        numpy gives math's bits, and the per-row kernel otherwise; either
+        way row b of a stack is the unbatched call on row b, bit for bit,
+        and an error is the first failing row's.  The accessors call the
+        kernel directly on one configuration, the integrators' hot path.
         """
-        rows = [kernel(*args, dict(zip(self.names, r))) for r in q.reshape(-1, self.n).tolist()]
-        return np.reshape(rows, q.shape[:-1] + shape)
+        flat = exprdiff.stacked(kind, expr, wrt, self.names, q.reshape(-1, self.n))
+        return np.reshape(flat, q.shape[:-1] + shape)
 
     def mu_at(self, q: np.ndarray) -> np.ndarray:
         """mu(q), shape (m, n); a stack q (..., n) gives (..., m, n)."""
         q = np.asarray(q, dtype=float)
         if q.ndim > 1:
-            return self._each_q(q, (self.m, self.n), exprdiff.evaluate, self._mu_entries)
+            return self._stacked("value", self._mu_entries, (), q, (self.m, self.n))
         ctx = dict(zip(self.names, q.tolist()))
         return exprdiff.evaluate(self._mu_entries, ctx).reshape(self.m, self.n)
 
@@ -189,7 +189,7 @@ class MechanicalSystem:
         q = np.asarray(q, dtype=float)
         shape = (self.m, self.n, self.n)
         if q.ndim > 1:
-            return self._each_q(q, shape, exprdiff.gradient, self._mu_entries, self.names)
+            return self._stacked("gradient", self._mu_entries, self.names, q, shape)
         ctx = dict(zip(self.names, q.tolist()))
         return exprdiff.gradient(self._mu_entries, self.names, ctx).reshape(shape)
 
@@ -200,7 +200,7 @@ class MechanicalSystem:
         """grad V(q), shape (n,); a stack q (..., n) gives (..., n)."""
         q = np.asarray(q, dtype=float)
         if q.ndim > 1:
-            return self._each_q(q, (self.n,), exprdiff.gradient, self.V, self.names)
+            return self._stacked("gradient", self.V, self.names, q, (self.n,))
         return exprdiff.gradient(self.V, self.names, dict(zip(self.names, q.tolist())))
 
     def hess_v_at(self, q: np.ndarray) -> np.ndarray:

@@ -4,9 +4,14 @@ Derivatives are validated against central finite differences at random
 points, round-tripping is validated structurally and bit-exactly on
 generated trees, the error paths are pinned down to byte offsets, and
 derivative trees are checked for folded constants and for failing
-wherever the expression itself fails.
+wherever the expression itself fails.  Stacked evaluation, through the
+numpy column kernels or the per-row fallback, is checked against the
+single calls bit for bit, errors included.
 """
 from __future__ import annotations
+
+import functools
+import math
 
 import numpy as np
 import pytest
@@ -231,21 +236,30 @@ _leaf = st.one_of(
 )
 
 
-def _branch(children):
+def _branch(children, funcs=tuple(sorted(exprdiff.FUNCTION_NAMES)), exponents=None):
     return st.one_of(
         st.tuples(children, children).map(lambda ab: Add(*ab)),
         st.tuples(children, children).map(lambda ab: Sub(*ab)),
         st.tuples(children, children).map(lambda ab: Mul(*ab)),
         st.tuples(children, children).map(lambda ab: Div(*ab)),
-        st.tuples(children, children).map(lambda ab: Pow(*ab)),
-        children.map(Neg),
-        st.tuples(st.sampled_from(sorted(exprdiff.FUNCTION_NAMES)), children).map(
-            lambda fa: Call(*fa)
+        st.tuples(children, children if exponents is None else exponents).map(
+            lambda ab: Pow(*ab)
         ),
+        children.map(Neg),
+        st.tuples(st.sampled_from(funcs), children).map(lambda fa: Call(*fa)),
     )
 
 
 _trees = st.recursive(_leaf, _branch, max_leaves=12)
+# trees inside the column kernel's exact subset: integer powers |n| <= 8 and
+# the functions numpy evaluates to math's bits (pinned below)
+_EXACT_FUNCS = ("cos", "cot", "sin", "sqrt")
+_small_exponents = st.integers(-8, 8).map(lambda n: Neg(Num(float(-n))) if n < 0 else Num(float(n)))
+_exact_trees = st.recursive(
+    _leaf,
+    functools.partial(_branch, funcs=_EXACT_FUNCS, exponents=_small_exponents),
+    max_leaves=12,
+)
 
 
 @settings(max_examples=200, deadline=None)
@@ -428,3 +442,145 @@ def test_kernel_keeps_signed_zeros_and_constant_literals():
     # 1e400 is no literal: it is bound by name and still caught as non-finite
     with pytest.raises(EvalError, match="non-finite"):
         evaluate(parse("1e400*x"), {"x": 1.0})
+
+
+# --- stacked evaluation against the per-row kernels -----------------------------
+# exprdiff.stacked runs one column kernel over a stack where every tree is in
+# the exact subset, and the per-row kernel otherwise; either way it must give
+# the single calls' bits and their first error.
+
+_EDGE_VALUES = [0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300, 0.7, -1.3, 2.0, math.pi, 1e-3]
+_edge_stacks = st.lists(
+    st.lists(st.sampled_from(_EDGE_VALUES), min_size=3, max_size=3), min_size=1, max_size=6
+).map(np.array)
+
+
+def _in_exact_subset(node) -> bool:
+    """No exp, log, tan or tanh, no power but a literal integer |n| <= 8."""
+    if isinstance(node, (Num, Var)):
+        return True
+    if isinstance(node, Neg):
+        return _in_exact_subset(node.operand)
+    if isinstance(node, Call):
+        return node.func in _EXACT_FUNCS and _in_exact_subset(node.arg)
+    if isinstance(node, Pow):
+        n = exprdiff._literal_int_exponent(node.exponent)
+        return n is not None and abs(n) <= 8 and _in_exact_subset(node.base)
+    return _in_exact_subset(node.left) and _in_exact_subset(node.right)
+
+
+def _wrt(kind):
+    return VARIABLES if kind == "gradient" else ()
+
+
+def _single_calls(kind, tree, Q):
+    """The single call at each row in turn: the results stacked, or the first EvalError."""
+    if kind == "value":
+        return _outcome(lambda: [evaluate(tree, dict(zip(VARIABLES, r))) for r in Q.tolist()])
+    return _outcome(
+        lambda: [gradient(tree, VARIABLES, dict(zip(VARIABLES, r))) for r in Q.tolist()]
+    )
+
+
+def _stacked_outcome(kind, tree, Q):
+    return _outcome(exprdiff.stacked, kind, tree, _wrt(kind), VARIABLES, Q)
+
+
+def _column_kernel(kind, tree):
+    return exprdiff._kernel(kind, tree, tuple(_wrt(kind)), tuple(VARIABLES))
+
+
+def _check_stacked(kind, tree, Q):
+    want = _single_calls(kind, tree, Q)
+    assert _stacked_outcome(kind, tree, Q) == want
+    column = _column_kernel(kind, tree)
+    assert (column is not None) == _in_exact_subset(tree)
+    if column is not None:
+        with np.errstate(all="ignore"):
+            out = column(Q)
+        # a stack with a failing row never takes the column kernel's result
+        assert out is None or out.tobytes() == want
+
+
+@pytest.mark.parametrize("kind", ["value", "gradient"])
+@settings(max_examples=300, deadline=None)
+@given(tree=st.one_of(_exact_trees, _trees), Q=_edge_stacks)
+def test_stacked_equals_the_per_row_kernels_bit_for_bit(kind, tree, Q):
+    _check_stacked(kind, tree, Q)
+
+
+@pytest.mark.parametrize("kind", ["value", "gradient"])
+def test_stacked_paths_on_fixed_trees(kind):
+    Q = np.array([[0.7, 1.3, 0.45], [-0.0, 2.0, 5e-324], [1e300, -1.3, 0.0]])
+    for text in ["x*y - z/2", "x^-2 + y^8", "sqrt(y)*cot(x)", "sin(x)^0 + cos(y)", "x/z"]:
+        tree = parse(text)
+        assert _in_exact_subset(tree)
+        _check_stacked(kind, tree, Q)
+        _check_stacked(kind, tree, Q[:1])
+    for text in ["exp(x)", "log(1 + y^2)", "tan(x)", "tanh(y)", "x^1.5", "x^9", "y^x"]:
+        tree = parse(text)
+        assert not _in_exact_subset(tree)
+        _check_stacked(kind, tree, Q[:1])
+
+
+def test_stacked_error_is_the_first_failing_rows():
+    # row 0 alone is fine; rows 1 and 2 fail, each with its own message
+    Q = np.array([[0.7, 1.3, 0.45], [1.0, -2.0, 0.0], [0.5, -1.0, -0.0]])
+    cases = [
+        ("x/z", "division by zero"),
+        ("sin(x)/z", "division by zero"),
+        ("exp(x)/z", "division by zero"),
+        # 1/(1/z) is 0.0 at z = 0, so only the zero divisor shows the failure
+        ("1/(1/z) + x", "division by zero"),
+        # the NaN of sqrt(-2) is dropped by ^0, so only the checked base shows it
+        ("sqrt(y)^0 + x", "sqrt of negative value -2.0"),
+    ]
+    for text, message in cases:
+        tree = parse(text)
+        for kind in ("value", "gradient"):
+            want = _single_calls(kind, tree, Q)
+            assert want == f"EvalError: {message}"
+            assert _stacked_outcome(kind, tree, Q) == want
+            assert _stacked_outcome(kind, tree, Q[:1]) == _single_calls(kind, tree, Q[:1])
+    # a name outside the stack's columns fails at the first row, as a single call does
+    for kind, wrt in (("value", ()), ("gradient", ["x", "w"])):
+        tree = parse("x + w") if kind == "value" else parse("x*y")
+        assert exprdiff._kernel(kind, tree, tuple(wrt), tuple(VARIABLES)) is None
+        message = _outcome(exprdiff.stacked, kind, tree, wrt, VARIABLES, Q)
+        assert message == "EvalError: unbound variable 'w'"
+
+
+def test_numpy_sin_cos_sqrt_give_maths_bits():
+    # The column kernel binds np.sin, np.cos and np.sqrt where the probe finds
+    # them equal to math; this pins that on the probe points and
+    # on a seeded sample of about 10^5 values.
+    assert exprdiff._column_funcs() == set(_EXACT_FUNCS)
+    rng = np.random.default_rng(2024)
+    sample = np.concatenate([
+        exprdiff._PROBE,
+        rng.uniform(-10.0, 10.0, 40_000),
+        rng.standard_normal(30_000) * 1e4,
+        np.exp(rng.uniform(-700.0, 700.0, 30_000)) * rng.choice([-1.0, 1.0], 30_000),
+    ])
+    for name, x in (("sin", sample), ("cos", sample), ("sqrt", np.abs(sample))):
+        want = np.array([getattr(math, name)(v) for v in x.tolist()])
+        assert getattr(np, name)(x).tobytes() == want.tobytes(), name
+
+
+def test_a_probe_mismatch_sends_sin_to_the_per_row_path(monkeypatch):
+    def sin_one_ulp_up(x):
+        return np.nextafter(np.sin(x), np.inf)
+
+    funcs = exprdiff._column_functions({"sin": sin_one_ulp_up, "cos": np.cos, "sqrt": np.sqrt})
+    assert funcs == {"cos", "sqrt"}  # cot = cos / sin leaves with sin
+    monkeypatch.setattr(exprdiff, "_column_funcs", lambda: funcs)
+    monkeypatch.setattr(exprdiff, "_KERNELS", {})
+    Q = np.array([[0.7, 1.3, 0.45], [-0.0, 2.0, 3.0], [1e3, -1.3, 0.25]])
+    # (text, has a value column kernel, has a gradient one): cos' derivative is -sin
+    cases = [("sin(x)*y", False, False), ("cot(z) + x", False, False), ("cos(x)", True, False),
+             ("x*sqrt(y^2)", True, True)]
+    for text, *columns in cases:
+        tree = parse(text)
+        for kind, column in zip(("value", "gradient"), columns):
+            assert (_column_kernel(kind, tree) is not None) == column
+            assert _stacked_outcome(kind, tree, Q) == _single_calls(kind, tree, Q)

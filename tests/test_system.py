@@ -190,15 +190,16 @@ def test_unconstrained_system_supported():
 
 
 def test_gram_matrix_conditioning_guard():
-    # two nearly parallel constraint rows blow up the Gram condition number
+    # two nearly parallel constraint rows blow up the Gram condition number:
+    # C = [[1, 1], [1, 1 + 1e-12]] has eigenvalues 5.0e-13 and 2, cond 4.0e12
     sys = MechanicalSystem(
         names=["x", "y"],
         M=np.eye(2),
         V="0",
-        mu=[["1", "0"], ["1", "1e-8"]],
+        mu=[["1", "0"], ["1", "1e-6"]],
     )
     q = np.zeros(2)
-    with pytest.raises(SystemError):
+    with pytest.raises(SystemError, match="ill-conditioned"):
         c_matrix(sys, sys.mu_at(q), q)
 
 

@@ -24,15 +24,17 @@ with a deformation whose rows cancel mu's, which fails the Gram certificate
 at the start) and with ``project_each_step``;
 two runs of ``converge`` (``vni10``, and ``original_node``, whose
 ``project_initial`` repairs the start at each step size); one of ``interp``;
-three of ``embed``: ``vni10`` at
+four of ``embed``: ``vni10`` at
 one point, then the Newton scheme ``vni20`` and the flow itself as the map
-(``exact``) at five points; an unconstrained system (m = 0), the 2-d
-oscillator, run by every integrator (``dla`` at beta 0.5), ``embed``
+(``exact``) at five points, and ``vni10`` at one point of the disk, whose
+stacked ``sin``/``cos`` evaluation takes the column kernels; an
+unconstrained system (m = 0), the 2-d oscillator, run by every integrator (``dla`` at beta 0.5), ``embed``
 (``vni10``) and ``interp``, and by ``reference`` and ``vni10`` from
 v = (-0.0, -0.0), where the sign of each zero reaches the CSV; a potential with an
 integer power above 8 at a negative base; a system whose ``V`` and ``mu`` use
 every function and a non-integer power, run by ``reference``, ``vni20`` and
-``dla``; then runs that fail at runtime, and configs that misuse a key, ask
+``dla`` and by ``embed`` (``vni10``, from its projected start), which keeps
+the per-row kernels; then runs that fail at runtime, and configs that misuse a key, ask
 for a huge step or sample count or start outside the system's domain.  Each
 discrete scheme meets three runtime failures that stop at a fixed row: a start
 whose energy overflows (no row), a start of finite energy whose first node
@@ -132,6 +134,13 @@ FUNCS_SYSTEM = {
 }
 FUNCS_START = {"system": FUNCS_SYSTEM, "q": [0.2, 0.3, 0.1], "v": [0.5, -0.4, 0.3],
                "project_initial": True, "eps": 0.01, "N": 200}
+# `embed` evaluates stacks of configurations: the disk's sin and cos take
+# the column kernels, the functions system's tan, cot, log, tanh, exp and
+# non-integer power the per-row kernels.
+DISK_EMBED = {**EMBED, "system": DISK_SYSTEM, "q0": DISK_ON_D["q"],
+              "points": [{"q": DISK_ON_D["q"], "v": DISK_ON_D["v"]}]}
+FUNCS_EMBED = {**EMBED, "system": FUNCS_SYSTEM, "q0": FUNCS_START["q"], "project_initial": True,
+               "points": [{"q": FUNCS_START["q"], "v": FUNCS_START["v"]}]}
 # One step of eps * v = 1e309 overflows the configuration to infinity; so
 # does the kinetic energy 1/2 |v|^2 of the start.
 OVERFLOW = {
@@ -187,6 +196,7 @@ def configs() -> list[tuple[str, str, dict]]:
             ("other/embed", "embed", EMBED),
             ("other/embed_vni20_points", "embed", EMBED_POINTS),
             ("other/embed_exact", "embed", {**EMBED_POINTS, "scheme": "exact", "p": 1}),
+            ("disk/embed", "embed", DISK_EMBED),
             ("other/deformed_reference", "simulate", DEFORMED),
             ("other/disk_deformed_reference", "simulate", DISK_DEFORMED),
             ("other/deformed_rank_loss", "simulate", DEFORMED_RANK_LOSS)]
@@ -211,6 +221,7 @@ def configs() -> list[tuple[str, str, dict]]:
             for name in ("reference", "vni20")]
     out += [(f"other/funcs_{name}", "simulate", {**FUNCS_START, "integrator": name, **extra})
             for name, extra in (("reference", {}), ("vni20", {}), ("dla", {"beta": 0.5}))]
+    out.append(("other/funcs_embed", "embed", FUNCS_EMBED))
 
     out += [(f"fail/quartic_{name}", "simulate", {**QUARTIC, "integrator": name, **extra})
             for name, extra in every_integrator]
