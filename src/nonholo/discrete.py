@@ -33,6 +33,12 @@ Multipliers are always reported in the O(1) normalization of the
 continuous reaction force, so they can be compared directly against
 `lambda_continuous` along a reference solution.  Nodes are flat rows
 x = (q, v) of length 2n; only `run_integrator` takes a `StatePoint`.
+``vni10_step`` and ``vni20_step`` also step a stack of rows (..., 2n) in one
+call, the one-step map of `embed` on many points: ``vni10_step``'s products
+are stacked, and ``vni20_step``'s rows run the Newton iteration in lockstep,
+each retiring once it converges.  Row b of a stacked step is the step of
+row b alone, bit for bit; a stack with a failing row raises the first
+failing row's error.  ``original_node_step`` and ``dla_step`` take one state.
 """
 from __future__ import annotations
 
@@ -43,6 +49,7 @@ from typing import Callable
 
 import numpy as np
 
+from .exprdiff import EvalError
 from .flow import _QUIET, NewtonError, Trajectory, _march
 from .reduction import _lambda_raw
 from .system import (
@@ -50,6 +57,7 @@ from .system import (
     MechanicalSystem,
     StatePoint,
     SystemError,
+    _gram,
     _gram_solve,
     _require_finite,
     constraint_residual,
@@ -77,27 +85,75 @@ ADMISSIBLE_TOL = 1e-10
 
 
 def newton_solve(
-    linearize: Callable[[np.ndarray], tuple[np.ndarray, Callable[[], np.ndarray]]],
+    linearize: Callable[..., tuple[np.ndarray, Callable[[], np.ndarray]]],
     u0: np.ndarray,
+    *rows: np.ndarray,
 ) -> tuple[np.ndarray, int]:
     """Plain Newton iteration with an exact Jacobian; returns (root, iterations).
 
-    linearize(u) returns the residual at u and a thunk for the Jacobian there,
-    so the two share what they evaluate at the iterate.
+    linearize(u, *rows) returns the residual at u and a thunk for the
+    Jacobian there, so the two share what they evaluate at the iterate.  A
+    stack u0 (..., k), each of `rows` stacked alike, is solved in lockstep
+    (`_lockstep`), with one iteration count per row.
     """
-    u = np.asarray(u0, dtype=float).copy()
+    u = np.array(u0, dtype=float)
+    if u.ndim > 1:
+        return _lockstep(linearize, u, rows)
     for it in range(NEWTON_MAX_ITER):
-        r, jacobian = linearize(u)
+        r, jacobian = linearize(u, *rows)
         if np.max(np.abs(r), initial=0.0) <= NEWTON_TOL:  # a repair at m = 0 has no equations
             return u, it
-        try:
-            du = np.linalg.solve(jacobian(), -r)
-        except np.linalg.LinAlgError:
-            raise NewtonError("singular Jacobian in step equations") from None
-        u = u + du
-        if not np.all(np.isfinite(u)):
-            raise NewtonError("step equations diverged to non-finite values")
+        u = _newton_update(u, r, jacobian())
     raise NewtonError(f"no convergence after {NEWTON_MAX_ITER} Newton iterations")
+
+
+def _newton_update(u: np.ndarray, r: np.ndarray, J: np.ndarray) -> np.ndarray:
+    """u + du with J du = -r, for one row or a stack (stacked solves give each row's bits)."""
+    try:
+        du = np.linalg.solve(J, -r[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        raise NewtonError("singular Jacobian in step equations") from None
+    u = u + du
+    if not np.all(np.isfinite(u)):
+        raise NewtonError("step equations diverged to non-finite values")
+    return u
+
+
+def _lockstep(linearize, u: np.ndarray, rows) -> tuple[np.ndarray, np.ndarray]:
+    """newton_solve on each row of the stack u (..., k) at once: (roots, iterations per row).
+
+    Every row still iterating takes its Newton step in the same stacked
+    calls.  A row retires with its own iteration count once its residual
+    meets NEWTON_TOL; only then are the rows still going picked out.  Row b
+    is newton_solve on row b alone, bit for bit.  If any row fails, every
+    row is solved alone in turn, so the error raised is the first failing
+    row's.
+    """
+    lead, k = u.shape[:-1], u.shape[-1]
+    start = u.reshape(-1, k)
+    rows = [np.reshape(a, (len(start), *np.shape(a)[len(lead):])) for a in rows]
+    out, iters = np.empty_like(start), np.zeros(len(start), dtype=int)
+    z, data, live = start, rows, np.arange(len(start))  # live: the rows still going
+    try:
+        for it in range(NEWTON_MAX_ITER):
+            r, jacobian = linearize(z, *data)
+            going = ~(np.max(np.abs(r), axis=-1, initial=0.0) <= NEWTON_TOL)
+            if going.all():
+                J = jacobian()
+            else:
+                out[live[~going]], iters[live[~going]] = z[~going], it
+                if not going.any():
+                    return out.reshape(u.shape), iters.reshape(lead)
+                J = jacobian()[going]
+                z, r, live = z[going], r[going], live[going]
+                data = [a[going] for a in data]
+            z = _newton_update(z, r, J)
+    except (NewtonError, SystemError, EvalError):
+        pass
+    # a row failed or did not converge: solving each alone raises the first failing row's error
+    solved = [newton_solve(linearize, start[b], *(a[b] for a in rows)) for b in range(len(start))]
+    return (np.reshape([root for root, _ in solved], u.shape),
+            np.reshape([it for _, it in solved], lead))
 
 
 @dataclass(frozen=True)
@@ -172,6 +228,8 @@ class StepResult:
     """One advance of a scheme: the new state row, its multiplier, Newton work.
 
     For the two-point scheme the state is (q_{k+1}, (q_{k+1} - q_k) / eps).
+    A step of a stack of rows gives the stacked states and multipliers, and
+    one iteration count per row.
     """
 
     state: np.ndarray
@@ -180,8 +238,8 @@ class StepResult:
 
 
 def _node(q: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """The row (q, v) of a new node; a node that overflowed stops the run."""
-    x = np.concatenate([q, v])
+    """The row (q, v) of a new node, or a stack of them; a node that overflowed stops the run."""
+    x = np.concatenate([q, v], axis=-1)
     if not np.all(np.isfinite(x)):
         raise SystemError("state entries must be finite")
     return x
@@ -191,15 +249,17 @@ def vni10_step(sys: MechanicalSystem, x: np.ndarray, eps: float) -> StepResult:
     """First-order scheme: drift the node, then solve the multiplier exactly.
 
     The new velocity is admissible at the new configuration by construction,
-    and no iteration is needed: the multiplier system is linear.
+    and no iteration is needed: the multiplier system is linear.  A stack of
+    rows (..., 2n) steps in one pass; row b is the step of row b, bit for bit.
     """
-    q, v = x[: sys.n], x[sys.n :]
+    q, v = x[..., : sys.n], x[..., sys.n :]
     q1 = q + eps * v
     mu1 = sys.mu_at(q1)
-    w = v - eps * (sys.M_inv @ sys.grad_v_at(q1))
-    lam = -_gram_solve(sys, mu1, mu1 @ w, q1) / eps
-    v1 = w + eps * (sys.M_inv @ (mu1.T @ lam))
-    return StepResult(_node(q1, v1), lam, 0)
+    w = v - eps * np.matvec(sys.M_inv, sys.grad_v_at(q1))
+    lam = -_gram_solve(_gram(sys, mu1), np.matvec(mu1, w), q1) / eps
+    v1 = w + eps * np.matvec(sys.M_inv, np.matvec(mu1.mT, lam))
+    iters = np.zeros(x.shape[:-1], dtype=int) if x.ndim > 1 else 0
+    return StepResult(_node(q1, v1), lam, iters)
 
 
 def _implicit_step(
@@ -216,35 +276,41 @@ def _implicit_step(
 
     The first block is the discrete Euler-Lagrange equation divided by eps,
     so its residual is O(1) and the Newton tolerance means the same at every
-    step size.  Returns (u, lambda, Newton iterations).
+    step size.  Returns (u, lambda, Newton iterations).  Stacks of node data
+    v0, q_base, fixed_force (..., n) and mu_react (..., m, n) solve in
+    lockstep, one iteration count per row.
     """
     n = sys.n
 
-    def linearize(z):
-        u, lam = z[:n], z[n:]
+    def linearize(z, v0, q_base, fixed_force, mu_react):
+        u, lam = z[..., :n], z[..., n:]
         q = q_base + c * eps * u
         mu = sys.mu_at(q)
-        r1 = sys.M @ (u - v0) + eps * (w * sys.grad_v_at(q) + fixed_force)
-        r1 = r1 - eps * (mu_react.T @ lam)
+        r1 = np.matvec(sys.M, u - v0) + eps * (w * sys.grad_v_at(q) + fixed_force)
+        r1 = r1 - eps * np.matvec(mu_react.mT, lam)
 
         def jacobian():
-            J = np.zeros((n + sys.m, n + sys.m))
-            J[:n, :n] = sys.M + eps * eps * c * w * sys.hess_v_at(q)
-            J[:n, n:] = -eps * mu_react.T
-            J[n:, :n] = mu + c * eps * np.einsum("aij,i->aj", sys.mu_jac_at(q), u)
+            J = np.zeros(z.shape[:-1] + (n + sys.m, n + sys.m))
+            J[..., :n, :n] = sys.M + eps * eps * c * w * sys.hess_v_at(q)
+            J[..., :n, n:] = -eps * mu_react.mT
+            J[..., n:, :n] = mu + c * eps * np.einsum("...aij,...i->...aj", sys.mu_jac_at(q), u)
             return J
 
-        return np.concatenate([r1, mu @ u]), jacobian
+        return np.concatenate([r1, np.matvec(mu, u)], axis=-1), jacobian
 
-    z, iters = newton_solve(linearize, np.concatenate([v0, np.zeros(sys.m)]))
-    return z[:n], z[n:], iters
+    z0 = np.concatenate([v0, np.zeros(v0.shape[:-1] + (sys.m,))], axis=-1)
+    z, iters = newton_solve(linearize, z0, v0, q_base, fixed_force, mu_react)
+    return z[..., :n], z[..., n:], iters
 
 
 def vni20_step(sys: MechanicalSystem, x: np.ndarray, eps: float) -> StepResult:
     """Second-order scheme: trapezoidal forces, reaction at the half point,
     constraint enforced at the new node q~_{k+1} = q_half + eps/2 v_{k+1}.
+
+    A stack of rows (..., 2n) steps in lockstep Newton; row b is the step of
+    row b, bit for bit, Newton count included.
     """
-    q, v = x[: sys.n], x[sys.n :]
+    q, v = x[..., : sys.n], x[..., sys.n :]
     q_half = q + 0.5 * eps * v
     v1, lam, iters = _implicit_step(
         sys, eps, v, q_half, 0.5, 0.5, 0.5 * sys.grad_v_at(q), sys.mu_at(q_half)

@@ -21,11 +21,11 @@ constrained dynamics and to scalar toy problems.  The field and the flow
 take stacks (..., d) of states, so `g_eval` inverts many points, and every
 finite-difference column of their Jacobians, with one stacked flow per
 Newton iteration.  The one-step map takes a stack too: the exact map passes
-it to the flow, and a discrete scheme's map steps its rows one by one.
+it to the flow, and a discrete scheme's map passes it to the node step,
+which steps every row in one call (`vni20` by lockstep Newton).
 """
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -132,11 +132,6 @@ class OneStepMap:
         return out
 
 
-def _each_row(fn: Callable[[np.ndarray], np.ndarray], y: np.ndarray) -> np.ndarray:
-    """fn on each row of the stack y (..., d), stacked back into y's shape."""
-    return np.reshape([fn(row) for row in y.reshape(-1, y.shape[-1])], y.shape)
-
-
 @dataclass(frozen=True)
 class EmbeddingProblem:
     """The continuous side of the construction: a field and its flow on R^d.
@@ -179,8 +174,7 @@ def reduced_step_map(sys: MechanicalSystem, split: ConnectionSplit, scheme: str)
         out = step_fn(sys, psi_embed(sys, split, xi), eps)
         return reduce_state(sys, split, out.state, check=False)
 
-    # the node steps take one state, so a stack is stepped row by row
-    return OneStepMap(lambda eps, xi: _each_row(functools.partial(step, eps), xi), p)
+    return OneStepMap(step, p)
 
 
 def exact_step_map(problem: EmbeddingProblem, p: int = 1) -> OneStepMap:

@@ -7,10 +7,12 @@ another tree, with constants folded.  `evaluate`, `gradient` and `hessian`
 compile an expression (or a tuple of them) together with its derivative
 trees into one straight-line Python function, built on first use and
 cached, whose doubles and errors are those of the reference tree walk
-`_eval_node`.  `stacked` evaluates a stack of bindings: in one numpy pass
-(the column kernel) when every operation is in the exact subset that numpy
-computes to math's bits, and with the per-row function on each row
-otherwise, with the same doubles and errors either way.
+`_eval_node`.  The same three functions take the bindings of a stack of
+points, `Columns` (each name bound to a column of values), and give each
+point's result on a leading axis: in one numpy pass (the column kernel)
+when every operation is in the exact subset that numpy computes to math's
+bits, and with the per-row function on each row otherwise, with the same
+doubles and errors either way.
 
 Grammar (EBNF, also reproduced in the README):
 
@@ -35,8 +37,8 @@ import numpy as np
 
 __all__ = [
     "Expression", "Num", "Var", "Neg", "Add", "Sub", "Mul", "Div", "Pow", "Call",
-    "ExprSyntaxError", "EvalError", "FUNCTION_NAMES",
-    "parse", "evaluate", "derivative", "gradient", "hessian", "stacked",
+    "ExprSyntaxError", "EvalError", "FUNCTION_NAMES", "Columns",
+    "parse", "evaluate", "derivative", "gradient", "hessian",
     "free_variables", "to_string",
 ]
 
@@ -451,8 +453,8 @@ def derivative(expr: Expression, name: str) -> Expression:
 # and raises its EvalErrors at the same points.  Identical subtrees, within
 # one tree or across the value and the derivatives, are computed once.
 #
-# `stacked` compiles the same statements a second time as a column kernel,
-# each name bound to a numpy column of a stack of bindings (vector-mode
+# At `Columns`, the same statements are compiled a second time as a column
+# kernel, each name bound to a numpy column of a stack of bindings (vector-mode
 # source transformation).  numpy gives math's bits only on an exact subset:
 # + - * /, literal integer powers |n| <= 8 (unrolled to products), and sin,
 # cos, sqrt and cot where the probe below finds numpy equal to math.  A tree
@@ -503,7 +505,7 @@ _KERNEL_GLOBALS = {
 }
 
 
-def _kernel_source(kind: str, exprs: tuple, wrt: tuple, names=None) -> tuple[str, dict]:
+def _kernel_source(kind: str, exprs: tuple, wrt: tuple, columns: bool = False) -> tuple[str, dict]:
     """Source of `kind` ("value", "gradient" or "hessian") of each of exprs, and its globals.
 
     The kernel takes the bindings (name -> number) and returns the flat
@@ -511,16 +513,15 @@ def _kernel_source(kind: str, exprs: tuple, wrt: tuple, names=None) -> tuple[str
     its Hessian over wrt row by row, the lower triangle mirrored from the
     upper.
 
-    With `names`, the column kernel instead: it takes a stack Q (B, len(names)),
-    binds each name to its column and returns the (B, k) array of the same
-    results.  It raises nothing.  It returns None where any row would raise
-    in the per-row kernel: a zero divisor, or a checked local that is not
-    finite (the value a gradient checks but does not return, and the base
-    of a ^0, included).  Every other failure of the per-row kernel makes a
-    NaN, which reaches one of those locals.  A tree outside the exact
-    subset, or a name outside `names`, raises _Inexact.
+    With `columns`, the column kernel instead: it takes the `Columns` of a
+    stack of B points and returns the (B, k) array of the same results.  It
+    raises no EvalError, only the KeyError of a name the stack does not
+    bind.  It returns None where any row would raise in the per-row kernel:
+    a zero divisor, or a checked local that is not finite (the value a
+    gradient checks but does not return, and the base of a ^0, included).
+    Every other failure of the per-row kernel makes a NaN, which reaches one
+    of those locals.  A tree outside the exact subset raises _Inexact.
     """
-    columns = names is not None
     namespace = dict(_KERNEL_GLOBALS)
     lines: list[str] = []
     temps: dict[str, str] = {}  # right-hand side -> the local holding it
@@ -549,12 +550,7 @@ def _kernel_source(kind: str, exprs: tuple, wrt: tuple, names=None) -> tuple[str
                 return name
             return f"({v!r})" if math.copysign(1.0, v) < 0.0 else repr(v)
         if isinstance(node, Var):
-            if not columns:
-                rhs = f"float(ctx[{node.name!r}])"
-            elif node.name in names:
-                rhs = f"Q[:, {names.index(node.name)}]"
-            else:  # the per-row kernel raises the unbound name
-                raise _Inexact(node.name)
+            rhs = f"ctx[{node.name!r}]" if columns else f"float(ctx[{node.name!r}])"
         elif isinstance(node, Neg):
             rhs = f"-{emit(node.operand)}"
         elif isinstance(node, Call):
@@ -603,9 +599,7 @@ def _kernel_source(kind: str, exprs: tuple, wrt: tuple, names=None) -> tuple[str
             test = " or ".join(f"{o} - {o}" for o in live)
             lines.append(f"if {test}: {message}")
 
-    if columns and not set(wrt) <= set(names):
-        raise _Inexact("wrt")
-    if exprs and not columns:  # an unbound name in wrt fails before anything is evaluated
+    if exprs:  # an unbound name in wrt fails before anything is evaluated
         for name in wrt:
             emit(Var(name))
     results: list[str] = []
@@ -634,29 +628,29 @@ def _kernel_source(kind: str, exprs: tuple, wrt: tuple, names=None) -> tuple[str
         computed = set(temps.values()).union(namespace)
         cells = results + [c for c in dict.fromkeys(checked) if c not in results]
         namespace["_row"] = np.array([0.0 if c in computed else float(c.strip("()")) for c in cells])
-        lines.append(f"out = np.empty((len(Q), {len(cells)}))")
+        lines.append(f"out = np.empty((len(ctx.rows), {len(cells)}))")
         lines.append("out[:] = _row")
         lines += [f"out[:, {j}] = {c}" for j, c in enumerate(cells) if c in computed]
         tests = ["np.isfinite(out).all()", *(f"np.all({d})" for d in dict.fromkeys(divisors))]
         view = "out" if len(cells) == len(results) else f"out[:, :{len(results)}]"
         lines.append(f"return {view} if {' and '.join(tests)} else None")
     body = "".join(f"    {line}\n" for line in lines)
-    return f"def kernel({'Q' if columns else 'ctx'}):\n{body}", namespace
+    return f"def kernel(ctx):\n{body}", namespace
 
 
-def _compile(kind: str, exprs: tuple, wrt: tuple, names=None):
-    """The kernel, or with `names` the column kernel, None outside the exact subset."""
+def _compile(kind: str, exprs: tuple, wrt: tuple, columns: bool = False):
+    """The kernel, or with `columns` the column kernel, None outside the exact subset."""
     try:
-        source, namespace = _kernel_source(kind, exprs, wrt, names)
+        source, namespace = _kernel_source(kind, exprs, wrt, columns)
     except _Inexact:
         return None
-    label = "column kernel" if names is not None else "kernel"
+    label = "column kernel" if columns else "kernel"
     exec(compile(source, f"<exprdiff {kind} {label}>", "exec"), namespace)
     return namespace["kernel"]
 
 
-# Kernels by (kind, id of the expression or tuple, wrt, names), oldest first;
-# names is None for a per-row kernel.  Each entry holds the object whose id
+# Kernels by (kind, id of the expression or tuple, wrt, columns), oldest
+# first.  Each entry holds the object whose id
 # it is keyed on, so the id cannot be reused while the entry lives; keying
 # by value would hash the whole tree per call.  The cache is bounded because
 # a process may build systems without end.
@@ -664,16 +658,31 @@ KERNEL_CACHE_SIZE = 32
 _KERNELS: dict[tuple, tuple] = {}
 
 
-def _kernel(kind: str, expr, wrt: tuple, names=None):
+def _kernel(kind: str, expr, wrt: tuple, columns: bool = False):
     """The cached kernel of `kind` for expr (or a tuple of them), see `_compile`."""
-    key = (kind, id(expr), wrt, names)
+    key = (kind, id(expr), wrt, columns)
     hit = _KERNELS.get(key)
     if hit is None:
         exprs = expr if isinstance(expr, tuple) else (expr,)
         if len(_KERNELS) >= KERNEL_CACHE_SIZE:
             del _KERNELS[next(iter(_KERNELS))]
-        hit = _KERNELS[key] = (expr, _compile(kind, exprs, wrt, names))
+        hit = _KERNELS[key] = (expr, _compile(kind, exprs, wrt, columns))
     return hit[1]
+
+
+class Columns(dict):
+    """The bindings of a stack of points: each name -> the column of its values.
+
+    Q (B, len(names)) holds one point per row.  `evaluate`, `gradient` and
+    `hessian` take a Columns where they take a dict of numbers, and give
+    each point's result on a leading axis of length B: row b is the call at
+    dict(zip(names, Q[b])), bit for bit, and an error is the first failing
+    row's.
+    """
+
+    def __init__(self, names, Q: np.ndarray):
+        super().__init__(zip(names, Q.T))
+        self.rows = Q
 
 
 def _run(kind: str, expr, wrt, ctx: dict) -> tuple:
@@ -684,23 +693,27 @@ def _run(kind: str, expr, wrt, ctx: dict) -> tuple:
         raise EvalError(f"unbound variable {exc.args[0]!r}") from None
 
 
-def stacked(kind: str, expr, wrt, names, Q: np.ndarray) -> np.ndarray:
-    """Flat results of `kind` for expr (or a tuple of them) at each row of a stack Q.
+def _run_columns(kind: str, expr, wrt, ctx: Columns, shape: tuple) -> np.ndarray:
+    """Results of `kind` for expr at each point of ctx, shaped (B, *shape).
 
-    Q has shape (B, len(names)).  Row b is the single call at the bindings
-    dict(zip(names, Q[b])), bit for bit, shaped (B, k).  The column kernel computes the whole stack at once
-    when every tree is in the exact subset.  Otherwise, and whenever some row
-    would fail, the per-row kernel runs on each row in turn and raises the
-    first failing row's EvalError.
+    The column kernel computes the whole stack at once when every tree is in
+    the exact subset.  Otherwise, and whenever some row would fail, the
+    per-row kernel runs on each row in turn and raises the first failing
+    row's EvalError.
     """
-    wrt, names = tuple(wrt), tuple(names)
-    column = _kernel(kind, expr, wrt, names)
+    wrt = tuple(wrt)
+    column = _kernel(kind, expr, wrt, columns=True)
+    out = None
     if column is not None:
-        with np.errstate(all="ignore"):
-            out = column(Q)
-        if out is not None:
-            return out
-    return np.array([_run(kind, expr, wrt, dict(zip(names, r))) for r in Q.tolist()], dtype=float)
+        try:
+            with np.errstate(all="ignore"):
+                out = column(ctx)
+        except KeyError:  # a name the stack does not bind: the per-row kernel names it
+            pass
+    if out is None:
+        names = list(ctx)
+        out = [_run(kind, expr, wrt, dict(zip(names, r))) for r in ctx.rows.tolist()]
+    return np.reshape(np.asarray(out, dtype=float), (len(ctx.rows), *shape))
 
 
 def evaluate(expr, ctx: dict):
@@ -708,8 +721,11 @@ def evaluate(expr, ctx: dict):
 
     A tuple of expressions gives the array of their values.  Kernels are
     cached per object, so a caller that evaluates the same tuple again
-    should pass the same tuple object.
+    should pass the same tuple object.  At `Columns`, the values of each
+    point stack on a leading axis.
     """
+    if type(ctx) is Columns:
+        return _run_columns("value", expr, (), ctx, (len(expr),) if isinstance(expr, tuple) else ())
     out = _run("value", expr, (), ctx)
     return np.array(out, dtype=float) if isinstance(expr, tuple) else float(out[0])
 
@@ -718,8 +734,12 @@ def gradient(expr, wrt: list[str], ctx: dict) -> np.ndarray:
     """First derivatives of `expr` with respect to the listed names, at `ctx`.
 
     `expr` is evaluated first, so a derivative never hides a domain error of
-    the value.  A tuple of expressions gives one row per expression.
+    the value.  A tuple of expressions gives one row per expression.  At
+    `Columns`, the gradients of each point stack on a leading axis.
     """
+    if type(ctx) is Columns:
+        shape = (len(expr), len(wrt)) if isinstance(expr, tuple) else (len(wrt),)
+        return _run_columns("gradient", expr, wrt, ctx, shape)
     out = np.array(_run("gradient", expr, wrt, ctx), dtype=float)
     return out.reshape(len(expr), len(wrt)) if isinstance(expr, tuple) else out
 
@@ -727,11 +747,14 @@ def gradient(expr, wrt: list[str], ctx: dict) -> np.ndarray:
 def hessian(expr, wrt: list[str], ctx: dict) -> np.ndarray:
     """Second-derivative matrix of `expr`: the upper triangle, mirrored.
 
-    A tuple of expressions gives one matrix per expression.
+    A tuple of expressions gives one matrix per expression.  At `Columns`,
+    the matrices of each point stack on a leading axis.
     """
     k = len(wrt)
-    out = np.array(_run("hessian", expr, wrt, ctx), dtype=float)
-    return out.reshape(len(expr), k, k) if isinstance(expr, tuple) else out.reshape(k, k)
+    shape = (len(expr), k, k) if isinstance(expr, tuple) else (k, k)
+    if type(ctx) is Columns:
+        return _run_columns("hessian", expr, wrt, ctx, shape)
+    return np.array(_run("hessian", expr, wrt, ctx), dtype=float).reshape(shape)
 
 
 def free_variables(expr: Expression) -> set[str]:

@@ -32,6 +32,7 @@ from .system import (
     ConnectionSplit,
     MechanicalSystem,
     SystemError,
+    _gram,
     _gram_solve,
     c_matrix,
     constraint_residual,
@@ -53,36 +54,46 @@ ON_D_TOL = 1e-9
 
 
 def _plain_inputs(sys: MechanicalSystem, x: np.ndarray):
-    """`_solve_field`'s (q, rows, grad_q, qdot, f_v) for phi = mu(q) v at x, f_v = -M^-1 grad V."""
+    """`_solve_field`'s (q, rows, grad_q, qdot, f_v) for phi = mu(q) v at x, f_v = -M^-1 grad V.
+
+    C is left to the caller: `_plain_field` forms it, `_deformed` certifies its own.
+    """
     q, v = x[..., : sys.n], x[..., sys.n :]
     mu, dmu = sys.mu_at(q), sys.mu_jac_at(q)
     grad_q = np.vecmat(v[..., None, :], dmu)  # v @ dmu for each constraint row
     return q, mu, grad_q, v, -np.matvec(sys.M_inv, sys.grad_v_at(q))
 
 
-def _solve_field(sys: MechanicalSystem, q, rows, grad_q, qdot, f_v):
+def _solve_field(sys: MechanicalSystem, q, rows, C, grad_q, qdot, f_v):
     """The one multiplier solve: returns the field (qdot, f_v + M^-1 rows' lambda) and lambda.
 
-    lambda solves (rows M^-1 rows') lambda = -(grad_q . qdot + rows . f_v), the
-    condition d/dt phi = 0 for a constraint phi with d phi/dq = grad_q and
+    lambda solves C lambda = -(grad_q . qdot + rows . f_v), C = rows M^-1 rows',
+    the condition d/dt phi = 0 for a constraint phi with d phi/dq = grad_q and
     d phi/dv = rows, by the one Gram solve `_gram_solve`.  The plain and the
-    deformed field both come through here; the deformed one certifies its rows
-    with `c_matrix` first.
+    deformed field both come through here; the plain one forms C with
+    `_gram`, the deformed one takes the C that `c_matrix` certified.
     """
     rhs = np.matvec(grad_q, qdot) + np.matvec(rows, f_v)
-    lam = -_gram_solve(sys, rows, rhs, q)
+    lam = -_gram_solve(C, rhs, q)
     force = np.matvec(sys.M_inv, np.matvec(rows.mT, lam))
     return np.concatenate([qdot, f_v + force], axis=-1), lam
 
 
+def _plain_field(sys: MechanicalSystem, q, mu, grad_q, v, f_v):
+    """The plain field and multiplier from x's `_plain_inputs`."""
+    return _solve_field(sys, q, mu, _gram(sys, mu), grad_q, v, f_v)
+
+
 def _lambda_raw(sys: MechanicalSystem, x: np.ndarray) -> np.ndarray:
-    return _solve_field(sys, *_plain_inputs(sys, x))[1]
+    return _plain_field(sys, *_plain_inputs(sys, x))[1]
 
 
 def _require_on_d(sys: MechanicalSystem, x: np.ndarray) -> None:
-    res = float(np.max(np.abs(constraint_residual(sys, x)), initial=0.0))
-    if res > ON_D_TOL:
-        raise SystemError(f"state is off D (residual {res:.6g})")
+    """Refuse a row x off D; a stack of rows names the first one off D."""
+    res = np.max(np.abs(constraint_residual(sys, x)), axis=-1, initial=0.0)
+    off = res > ON_D_TOL
+    if off.any():
+        raise SystemError(f"state is off D (residual {float(res.flat[np.argmax(off)]):.6g})")
 
 
 def lambda_continuous(sys: MechanicalSystem, x: np.ndarray, check: bool = True) -> np.ndarray:
@@ -94,7 +105,7 @@ def lambda_continuous(sys: MechanicalSystem, x: np.ndarray, check: bool = True) 
 
 def h_field(sys: MechanicalSystem, x: np.ndarray) -> np.ndarray:
     """The constrained field (v, -M^-1 grad V + lambda_a M^-1 mu^a) at a row or a stack of rows."""
-    return _solve_field(sys, *_plain_inputs(sys, x))[0]
+    return _plain_field(sys, *_plain_inputs(sys, x))[0]
 
 
 def psi_embed(sys: MechanicalSystem, split: ConnectionSplit, xi) -> np.ndarray:
@@ -113,10 +124,13 @@ def psi_embed(sys: MechanicalSystem, split: ConnectionSplit, xi) -> np.ndarray:
 def reduce_state(
     sys: MechanicalSystem, split: ConnectionSplit, x: np.ndarray, check: bool = True
 ) -> np.ndarray:
-    """Project a point x = (q, v) of D to its reduced coordinates xi = (q, v_base)."""
+    """Project a point x = (q, v) of D to its reduced coordinates xi = (q, v_base).
+
+    A stack of rows (..., 2n) projects row by row to (..., 2n - m).
+    """
     if check:
         _require_on_d(sys, x)
-    return np.concatenate([x[: sys.n], x[sys.n :][list(split.base)]])
+    return np.concatenate([x[..., : sys.n], x[..., sys.n :][..., list(split.base)]], axis=-1)
 
 
 def reduced_field(sys: MechanicalSystem, split: ConnectionSplit, xi) -> np.ndarray:
@@ -162,8 +176,7 @@ def _deformed(sys: MechanicalSystem, dc: DeformedConstraint, x: np.ndarray, q, m
     """The deformed field and multiplier at x, from x's `_plain_inputs`."""
     rows = mu + dc.delta * dc.g_grad_v(sys, x)
     grad_q = grad_q + dc.delta * dc.g_grad_q(sys, x)
-    c_matrix(sys, rows, q)
-    return _solve_field(sys, q, rows, grad_q, v, f_v)
+    return _solve_field(sys, q, rows, c_matrix(sys, rows, q), grad_q, v, f_v)
 
 
 def deformed_lambda(sys: MechanicalSystem, dc: DeformedConstraint, x: np.ndarray) -> np.ndarray:
@@ -190,5 +203,5 @@ def _recorded_field(sys: MechanicalSystem, dc: DeformedConstraint | None, x: np.
     """
     q, mu, grad_q, v, f_v = _plain_inputs(sys, x)
     if dc is None:
-        return *_solve_field(sys, q, mu, grad_q, v, f_v), mu @ v
+        return *_plain_field(sys, q, mu, grad_q, v, f_v), mu @ v
     return *_deformed(sys, dc, x, q, mu, grad_q, v, f_v), mu @ v + dc.delta * dc.g_at(sys, x)

@@ -164,23 +164,24 @@ class MechanicalSystem:
     def qv_ctx(self, x: np.ndarray) -> dict:
         return dict(zip(self.names + self.vnames, x.tolist()))
 
-    def _stacked(self, kind: str, expr, wrt, q: np.ndarray, shape: tuple) -> np.ndarray:
-        """exprdiff's `kind` of expr at each row of a stack q (..., n), shaped (..., *shape).
+    def _columns(self, q: np.ndarray) -> exprdiff.Columns:
+        """exprdiff's bindings of a stack q (..., n): each name bound to its column.
 
-        `exprdiff.stacked` runs one column kernel over the whole stack where
-        numpy gives math's bits, and the per-row kernel otherwise; either
-        way row b of a stack is the unbatched call on row b, bit for bit,
-        and an error is the first failing row's.  The accessors call the
-        kernel directly on one configuration, the integrators' hot path.
+        At these bindings exprdiff runs one column kernel over the whole
+        stack where numpy gives math's bits, and the per-row kernel
+        otherwise; either way row b of a stack is the unbatched call on row
+        b, bit for bit, and an error is the first failing row's.  The
+        accessors bind one configuration as a dict of numbers, the
+        integrators' hot path.
         """
-        flat = exprdiff.stacked(kind, expr, wrt, self.names, q.reshape(-1, self.n))
-        return np.reshape(flat, q.shape[:-1] + shape)
+        return exprdiff.Columns(self.names, q.reshape(-1, self.n))
 
     def mu_at(self, q: np.ndarray) -> np.ndarray:
         """mu(q), shape (m, n); a stack q (..., n) gives (..., m, n)."""
         q = np.asarray(q, dtype=float)
         if q.ndim > 1:
-            return self._stacked("value", self._mu_entries, (), q, (self.m, self.n))
+            mu = exprdiff.evaluate(self._mu_entries, self._columns(q))
+            return mu.reshape(q.shape[:-1] + (self.m, self.n))
         ctx = dict(zip(self.names, q.tolist()))
         return exprdiff.evaluate(self._mu_entries, ctx).reshape(self.m, self.n)
 
@@ -189,7 +190,8 @@ class MechanicalSystem:
         q = np.asarray(q, dtype=float)
         shape = (self.m, self.n, self.n)
         if q.ndim > 1:
-            return self._stacked("gradient", self._mu_entries, self.names, q, shape)
+            dmu = exprdiff.gradient(self._mu_entries, self.names, self._columns(q))
+            return dmu.reshape(q.shape[:-1] + shape)
         ctx = dict(zip(self.names, q.tolist()))
         return exprdiff.gradient(self._mu_entries, self.names, ctx).reshape(shape)
 
@@ -200,28 +202,41 @@ class MechanicalSystem:
         """grad V(q), shape (n,); a stack q (..., n) gives (..., n)."""
         q = np.asarray(q, dtype=float)
         if q.ndim > 1:
-            return self._stacked("gradient", self.V, self.names, q, (self.n,))
+            return exprdiff.gradient(self.V, self.names, self._columns(q)).reshape(q.shape)
         return exprdiff.gradient(self.V, self.names, dict(zip(self.names, q.tolist())))
 
     def hess_v_at(self, q: np.ndarray) -> np.ndarray:
-        return exprdiff.hessian(self.V, self._sorted_names, self.q_ctx(q))[self._unsort]
+        """hess V(q), shape (n, n); a stack q (..., n) gives (..., n, n)."""
+        q = np.asarray(q, dtype=float)
+        if q.ndim > 1:
+            hess = exprdiff.hessian(self.V, self._sorted_names, self._columns(q))
+            return hess[(Ellipsis, *self._unsort)].reshape(q.shape + (self.n,))
+        ctx = dict(zip(self.names, q.tolist()))
+        return exprdiff.hessian(self.V, self._sorted_names, ctx)[self._unsort]
 
 
 def constraint_residual(sys: MechanicalSystem, x: np.ndarray) -> np.ndarray:
-    """phi(q, v) = mu(q) . v at the row x = (q, v), one entry per constraint."""
-    return sys.mu_at(x[: sys.n]) @ x[sys.n :]
+    """phi(q, v) = mu(q) . v at the row x = (q, v), one entry per constraint.
+
+    A stack of rows (..., 2n) gives (..., m).
+    """
+    return np.matvec(sys.mu_at(x[..., : sys.n]), x[..., sys.n :])
 
 
-def _gram_solve(sys: MechanicalSystem, mu: np.ndarray, rhs: np.ndarray, q: np.ndarray):
-    """Solve (mu M^-1 mu') x = rhs for the constraint rows mu taken at q.
+def _gram(sys: MechanicalSystem, mu: np.ndarray) -> np.ndarray:
+    """The Gram matrix C = mu M^-1 mu' of the constraint rows mu (..., m, n)."""
+    return mu @ sys.M_inv @ mu.mT
+
+
+def _gram_solve(C: np.ndarray, rhs: np.ndarray, q: np.ndarray):
+    """Solve C x = rhs for the Gram matrix C of the constraint rows taken at q.
 
     This is the integrator hot path, so it skips the conditioning
     certificate that `c_matrix` provides and rejects only an outright
     singular Gram matrix: an exactly zero 1x1 one, or one LAPACK objects to.
-    Stacks mu (..., m, n), rhs (..., m) and q (..., n) solve row by row; the
+    Stacks C (..., m, m), rhs (..., m) and q (..., n) solve row by row; the
     error names the first singular row's q.
     """
-    C = mu @ sys.M_inv @ mu.mT
     if C.shape[-1] == 1:
         # a 1x1 solve is this division, bit for bit, at a fraction of the cost
         if 0.0 in C.flat:
@@ -240,7 +255,7 @@ def c_matrix(sys: MechanicalSystem, mu: np.ndarray, q: np.ndarray) -> np.ndarray
 
     One eigvalsh gives both checks; the 0x0 matrix of m = 0 has no eigenvalues and passes.
     """
-    C = mu @ sys.M_inv @ mu.T
+    C = _gram(sys, mu)
     w = np.linalg.eigvalsh(C)
     lo, hi = np.min(w, initial=np.inf), np.max(w, initial=0.0)
     if not lo > 0.0:
@@ -253,8 +268,7 @@ def c_matrix(sys: MechanicalSystem, mu: np.ndarray, q: np.ndarray) -> np.ndarray
 def project_velocity(sys: MechanicalSystem, q: np.ndarray, v: np.ndarray) -> np.ndarray:
     """M-orthogonal projection of v onto the admissible set at q (a copy of v when m = 0)."""
     mu = sys.mu_at(q)
-    c_matrix(sys, mu, q)
-    return v - sys.M_inv @ mu.T @ _gram_solve(sys, mu, mu @ v, q)
+    return v - sys.M_inv @ mu.T @ _gram_solve(c_matrix(sys, mu, q), mu @ v, q)
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,10 @@
 """The batch axis: a stack of states gives each row's unbatched result, bit for bit.
 
 The reduced-field stack (system accessors, Gram and fiber solves, the field,
-the lift, the RK4 flow) and the embedding's Newton inversion take a leading
-batch axis.  Row b of every stacked call must equal the call on row b alone,
-and an error raised from a stack must be the single call's error on the
-first failing row.
+the lift, the RK4 flow), the node steps (vni20's in lockstep Newton) and the
+embedding's Newton inversion take a leading batch axis.  Row b of every
+stacked call must equal the call on row b alone, and an error raised from a
+stack must be the single call's error on the first failing row.
 """
 from __future__ import annotations
 
@@ -16,7 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_discrete import DISK_X0, rolling_disk
 
-from nonholo.discrete import NewtonError
+from nonholo import discrete
+from nonholo.discrete import SCHEMES, NewtonError, newton_solve, vni20_step
 from nonholo.embed import (
     EmbeddingProblem,
     EvolutionInterpolant,
@@ -27,7 +28,14 @@ from nonholo.embed import (
 )
 from nonholo.flow import BlowUpError, flow_field
 from nonholo.reduction import h_field, psi_embed, reduce_state, reduced_field
-from nonholo.system import MechanicalSystem, SystemError, derive_connection, nonholonomic_particle
+from nonholo.exprdiff import EvalError
+from nonholo.system import (
+    MechanicalSystem,
+    SystemError,
+    constraint_residual,
+    derive_connection,
+    nonholonomic_particle,
+)
 
 _PARTICLE = nonholonomic_particle()
 _DISK = rolling_disk()
@@ -138,3 +146,90 @@ def test_newton_failure_in_a_stack_is_a_newton_failure():
     for z in (np.array([-1.0]), np.array([[1.0], [-1.0]])):
         with pytest.raises(NewtonError):
             interp.g_eval(0.099, z)
+
+
+# --- node steps and the accessors they use, on stacks ---------------------------
+
+
+def _admissible_nodes(name: str, shape: tuple, seed: int) -> np.ndarray:
+    """Rows of D (shape + (2n,)): random reduced states, some at rest, some fast, lifted by psi."""
+    sys, split, dim = _SYSTEMS[name]
+    rng = np.random.default_rng(seed)
+    xi = rng.normal(scale=0.5, size=shape + (dim,))
+    xi[..., sys.n:] *= rng.choice([0.0, 0.2, 1.0, 5.0], size=shape + (1,))
+    return psi_embed(sys, split, xi)
+
+
+def _rows(a: np.ndarray, lead: tuple) -> list:
+    return list(np.reshape(a, (-1, *np.shape(a)[len(lead):])))
+
+
+@pytest.mark.parametrize("scheme", ["vni10", "vni20"])
+@pytest.mark.parametrize("name", sorted(_SYSTEMS))
+def test_stacked_node_step_rows_equal_single_steps(monkeypatch, name, scheme):
+    sys = _SYSTEMS[name][0]
+    step = SCHEMES[scheme][0]
+    solves = []
+    monkeypatch.setattr(discrete, "newton_solve",
+                        lambda *args: solves.append(1) or newton_solve(*args))
+    mixed = False  # some stack's rows took different Newton counts
+    for seed, shape in ((0, (9,)), (1, (2, 4)), (2, (1,))):
+        x = _admissible_nodes(name, shape, seed)
+        solves.clear()
+        out = step(sys, x, 0.3)
+        # one lockstep solve for the whole stack, no rerun row by row
+        assert len(solves) == (scheme == "vni20")
+        assert out.state.shape == x.shape and np.shape(out.iters) == shape
+        singles = [step(sys, row, 0.3) for row in _rows(x, shape)]
+        for b, one in enumerate(singles):
+            assert _rows(out.state, shape)[b].tobytes() == one.state.tobytes(), f"state {b}"
+            assert _rows(out.lam, shape)[b].tobytes() == one.lam.tobytes(), f"lambda {b}"
+            assert np.ravel(out.iters)[b] == one.iters and isinstance(one.iters, int)
+        assert all(one.iters == 0 for one in singles) or scheme == "vni20"
+        mixed |= len({one.iters for one in singles}) > 1
+    # vni20's rows retire from the lockstep Newton at different iterations
+    assert mixed == (scheme == "vni20")
+
+
+@pytest.mark.parametrize("name", sorted(_SYSTEMS))
+def test_stacked_accessors_of_the_step_equal_single_calls(name):
+    sys, split, _ = _SYSTEMS[name]
+    x = _admissible_nodes(name, (5,), 4)
+    x[2, sys.n] += 1.0  # one row off D
+    _assert_rows_equal(sys.hess_v_at, x[:, : sys.n])
+    _assert_rows_equal(functools.partial(constraint_residual, sys), x)
+    _assert_rows_equal(functools.partial(reduce_state, sys, split, check=False), x)
+    # reduce_state's check names the first row off D, as the single call does
+    _assert_rows_equal(functools.partial(reduce_state, sys, split), x[:2])
+    kind, message = _raised(lambda: reduce_state(sys, split, x))
+    assert (kind, message) == _raised(lambda: reduce_state(sys, split, x[2]))
+    assert kind is SystemError and "off D" in message
+
+
+# V = y^8 + exp(z) and mu = (x, 0, 0): at eps = 0.1 each row below meets its
+# own failure in vni20's Newton iteration (q_half_x = 0 takes the reaction
+# column out of the Jacobian; exp overflows past z = 709.78).
+_FAILING = MechanicalSystem(["x", "y", "z"], np.eye(3), "y^8 + exp(z)", [["x", "0", "0"]])
+_NODES = {
+    "good": [1.0, 1.0, 0.0, 0.0, 1.0, 1.0],
+    "no_convergence": [1.0, 1000.0, 0.0, 0.0, 1.0, 1.0],
+    "singular": [-0.05, 0.0, 0.0, 1.0, 0.0, 0.0],
+    "overflow": [1.0, 0.0, 709.7, 0.0, 0.0, 1.0],
+}
+_ERRORS = {
+    "no_convergence": (NewtonError, "no convergence after 30 Newton iterations"),
+    "singular": (NewtonError, "singular Jacobian in step equations"),
+    "overflow": (EvalError, "overflow in exp"),
+}
+
+
+@pytest.mark.parametrize("order", [("no_convergence", "singular"), ("singular", "no_convergence"),
+                                   ("singular", "overflow"), ("overflow", "singular")],
+                         ids="-".join)
+def test_a_failing_row_in_a_stepped_stack_raises_its_single_error(order):
+    assert vni20_step(_FAILING, np.array(_NODES["good"]), 0.1).iters > 0
+    for name, want in _ERRORS.items():
+        assert _raised(lambda: vni20_step(_FAILING, np.array(_NODES[name]), 0.1)) == want
+    # the first failing row's error, whichever failure the lockstep meets first
+    x = np.array([_NODES["good"], _NODES[order[0]], _NODES["good"], _NODES[order[1]]])
+    assert _raised(lambda: vni20_step(_FAILING, x, 0.1)) == _ERRORS[order[0]]

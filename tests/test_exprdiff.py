@@ -445,9 +445,10 @@ def test_kernel_keeps_signed_zeros_and_constant_literals():
 
 
 # --- stacked evaluation against the per-row kernels -----------------------------
-# exprdiff.stacked runs one column kernel over a stack where every tree is in
-# the exact subset, and the per-row kernel otherwise; either way it must give
-# the single calls' bits and their first error.
+# At the Columns of a stack, evaluate, gradient and hessian run one column
+# kernel where every tree is in the exact subset, and the per-row kernel
+# otherwise; either way they must give the single calls' bits and their
+# first error.
 
 _EDGE_VALUES = [0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300, 0.7, -1.3, 2.0, math.pi, 1e-3]
 _edge_stacks = st.lists(
@@ -470,24 +471,29 @@ def _in_exact_subset(node) -> bool:
 
 
 def _wrt(kind):
-    return VARIABLES if kind == "gradient" else ()
+    return () if kind == "value" else VARIABLES
+
+
+def _call(kind, tree, wrt, ctx):
+    """evaluate, gradient or hessian of tree at ctx (a dict of numbers or Columns)."""
+    if kind == "value":
+        return evaluate(tree, ctx)
+    return {"gradient": gradient, "hessian": hessian}[kind](tree, wrt, ctx)
 
 
 def _single_calls(kind, tree, Q):
     """The single call at each row in turn: the results stacked, or the first EvalError."""
-    if kind == "value":
-        return _outcome(lambda: [evaluate(tree, dict(zip(VARIABLES, r))) for r in Q.tolist()])
-    return _outcome(
-        lambda: [gradient(tree, VARIABLES, dict(zip(VARIABLES, r))) for r in Q.tolist()]
-    )
+    rows = [dict(zip(VARIABLES, r)) for r in Q.tolist()]
+    return _outcome(lambda: [_call(kind, tree, _wrt(kind), ctx) for ctx in rows])
 
 
-def _stacked_outcome(kind, tree, Q):
-    return _outcome(exprdiff.stacked, kind, tree, _wrt(kind), VARIABLES, Q)
+def _stacked_outcome(kind, tree, Q, wrt=None):
+    wrt = _wrt(kind) if wrt is None else wrt
+    return _outcome(_call, kind, tree, wrt, exprdiff.Columns(VARIABLES, Q))
 
 
 def _column_kernel(kind, tree):
-    return exprdiff._kernel(kind, tree, tuple(_wrt(kind)), tuple(VARIABLES))
+    return exprdiff._kernel(kind, tree, tuple(_wrt(kind)), columns=True)
 
 
 def _check_stacked(kind, tree, Q):
@@ -497,19 +503,19 @@ def _check_stacked(kind, tree, Q):
     assert (column is not None) == _in_exact_subset(tree)
     if column is not None:
         with np.errstate(all="ignore"):
-            out = column(Q)
+            out = column(exprdiff.Columns(VARIABLES, Q))
         # a stack with a failing row never takes the column kernel's result
         assert out is None or out.tobytes() == want
 
 
-@pytest.mark.parametrize("kind", ["value", "gradient"])
+@pytest.mark.parametrize("kind", ["value", "gradient", "hessian"])
 @settings(max_examples=300, deadline=None)
 @given(tree=st.one_of(_exact_trees, _trees), Q=_edge_stacks)
 def test_stacked_equals_the_per_row_kernels_bit_for_bit(kind, tree, Q):
     _check_stacked(kind, tree, Q)
 
 
-@pytest.mark.parametrize("kind", ["value", "gradient"])
+@pytest.mark.parametrize("kind", ["value", "gradient", "hessian"])
 def test_stacked_paths_on_fixed_trees(kind):
     Q = np.array([[0.7, 1.3, 0.45], [-0.0, 2.0, 5e-324], [1e300, -1.3, 0.0]])
     for text in ["x*y - z/2", "x^-2 + y^8", "sqrt(y)*cot(x)", "sin(x)^0 + cos(y)", "x/z"]:
@@ -537,17 +543,20 @@ def test_stacked_error_is_the_first_failing_rows():
     ]
     for text, message in cases:
         tree = parse(text)
-        for kind in ("value", "gradient"):
+        for kind in ("value", "gradient", "hessian"):
             want = _single_calls(kind, tree, Q)
             assert want == f"EvalError: {message}"
             assert _stacked_outcome(kind, tree, Q) == want
             assert _stacked_outcome(kind, tree, Q[:1]) == _single_calls(kind, tree, Q[:1])
     # a name outside the stack's columns fails at the first row, as a single call does
-    for kind, wrt in (("value", ()), ("gradient", ["x", "w"])):
+    for kind, wrt in (("value", ()), ("gradient", ["x", "w"]), ("hessian", ["w", "x"])):
         tree = parse("x + w") if kind == "value" else parse("x*y")
-        assert exprdiff._kernel(kind, tree, tuple(wrt), tuple(VARIABLES)) is None
-        message = _outcome(exprdiff.stacked, kind, tree, wrt, VARIABLES, Q)
-        assert message == "EvalError: unbound variable 'w'"
+        assert _stacked_outcome(kind, tree, Q, wrt) == "EvalError: unbound variable 'w'"
+    # the per-row kernel's first error wins over a name the stack does not bind
+    # (row 1 divides by z = 0 before it looks w up)
+    tree = parse("x/z + w")
+    assert _stacked_outcome("value", tree, Q[1:]) == _single_calls("value", tree, Q[1:])
+    assert _single_calls("value", tree, Q[1:]) == "EvalError: division by zero"
 
 
 def test_numpy_sin_cos_sqrt_give_maths_bits():

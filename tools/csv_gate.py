@@ -24,18 +24,20 @@ with a deformation whose rows cancel mu's, which fails the Gram certificate
 at the start) and with ``project_each_step``;
 two runs of ``converge`` (``vni10``, and ``original_node``, whose
 ``project_initial`` repairs the start at each step size); one of ``interp``;
-four of ``embed``: ``vni10`` at
+five of ``embed``: ``vni10`` at
 one point, then the Newton scheme ``vni20`` and the flow itself as the map
-(``exact``) at five points, and ``vni10`` at one point of the disk, whose
-stacked ``sin``/``cos`` evaluation takes the column kernels; an
+(``exact``) at five points, and ``vni10`` and ``vni20`` at one point of the
+disk, whose stacked ``sin``/``cos`` evaluation takes the column kernels (with
+``vni20``, for the Hessian of V too, in lockstep Newton with m = 2); an
 unconstrained system (m = 0), the 2-d oscillator, run by every integrator (``dla`` at beta 0.5), ``embed``
 (``vni10``) and ``interp``, and by ``reference`` and ``vni10`` from
 v = (-0.0, -0.0), where the sign of each zero reaches the CSV; a potential with an
 integer power above 8 at a negative base; a system whose ``V`` and ``mu`` use
 every function and a non-integer power, run by ``reference``, ``vni20`` and
-``dla`` and by ``embed`` (``vni10``, from its projected start), which keeps
-the per-row kernels; then runs that fail at runtime, and configs that misuse a key, ask
-for a huge step or sample count or start outside the system's domain.  Each
+``dla`` and by ``embed`` (``vni10`` and ``vni20``, from its projected start),
+which keeps the per-row kernels, the Hessian's included; then runs that fail
+at runtime, and configs that misuse a key, ask for a huge step or sample
+count or start outside the system's domain.  Each
 discrete scheme meets three runtime failures that stop at a fixed row: a start
 whose energy overflows (no row), a start of finite energy whose first node
 overflows (one row), and a start whose initial row fails while it is recorded,
@@ -197,6 +199,7 @@ def configs() -> list[tuple[str, str, dict]]:
             ("other/embed_vni20_points", "embed", EMBED_POINTS),
             ("other/embed_exact", "embed", {**EMBED_POINTS, "scheme": "exact", "p": 1}),
             ("disk/embed", "embed", DISK_EMBED),
+            ("disk/embed_vni20", "embed", {**DISK_EMBED, "scheme": "vni20"}),
             ("other/deformed_reference", "simulate", DEFORMED),
             ("other/disk_deformed_reference", "simulate", DISK_DEFORMED),
             ("other/deformed_rank_loss", "simulate", DEFORMED_RANK_LOSS)]
@@ -221,7 +224,8 @@ def configs() -> list[tuple[str, str, dict]]:
             for name in ("reference", "vni20")]
     out += [(f"other/funcs_{name}", "simulate", {**FUNCS_START, "integrator": name, **extra})
             for name, extra in (("reference", {}), ("vni20", {}), ("dla", {"beta": 0.5}))]
-    out.append(("other/funcs_embed", "embed", FUNCS_EMBED))
+    out += [("other/funcs_embed", "embed", FUNCS_EMBED),
+            ("other/funcs_embed_vni20", "embed", {**FUNCS_EMBED, "scheme": "vni20"})]
 
     out += [(f"fail/quartic_{name}", "simulate", {**QUARTIC, "integrator": name, **extra})
             for name, extra in every_integrator]
