@@ -11,8 +11,11 @@ cached, whose doubles and errors are those of the reference tree walk
 points, `Columns` (each name bound to a column of values), and give each
 point's result on a leading axis: in one numpy pass (the column kernel)
 when every operation is in the exact subset that numpy computes to math's
-bits, and with the per-row function on each row otherwise, with the same
-doubles and errors either way.
+bits, and with the per-row function on each row otherwise and on a stack of
+one row, where the column kernel's fixed cost would exceed it; the doubles
+and errors are the same either way.  `field` is one per-row function for
+the values and gradients of a tuple and the gradient of one more
+expression: a system's mu, dmu and grad V at one point in one call.
 
 Grammar (EBNF, also reproduced in the README):
 
@@ -38,7 +41,7 @@ import numpy as np
 __all__ = [
     "Expression", "Num", "Var", "Neg", "Add", "Sub", "Mul", "Div", "Pow", "Call",
     "ExprSyntaxError", "EvalError", "FUNCTION_NAMES", "Columns",
-    "parse", "evaluate", "derivative", "gradient", "hessian",
+    "parse", "evaluate", "derivative", "gradient", "hessian", "field",
     "free_variables", "to_string",
 ]
 
@@ -459,7 +462,15 @@ def derivative(expr: Expression, name: str) -> Expression:
 # + - * /, literal integer powers |n| <= 8 (unrolled to products), and sin,
 # cos, sqrt and cot where the probe below finds numpy equal to math.  A tree
 # outside the subset (exp, log, tan, tanh, other powers) has no column
-# kernel and runs the per-row kernel on each row.
+# kernel and runs the per-row kernel on each row.  A one-row stack runs the
+# per-row kernel too: one numpy dispatch per statement costs more than one
+# row in Python, so its column kernel is never built.
+#
+# The "field" kernel strings the statements of a "value" kernel, a
+# "gradient" kernel of the same tuple and a "gradient" kernel of one more
+# expression together.  A statement shared with an earlier one is not
+# repeated, nor the check of a local already checked; neither can change a
+# result or the first error, so one call gives the three calls' results.
 
 # Probe points of the numpy/math comparison: signed zeros, the smallest
 # subnormal and normal, the largest double, one point every five decades
@@ -506,12 +517,12 @@ _KERNEL_GLOBALS = {
 
 
 def _kernel_source(kind: str, exprs: tuple, wrt: tuple, columns: bool = False) -> tuple[str, dict]:
-    """Source of `kind` ("value", "gradient" or "hessian") of each of exprs, and its globals.
+    """Source of `kind` ("value", "gradient", "hessian" or "field") of exprs, and its globals.
 
     The kernel takes the bindings (name -> number) and returns the flat
     tuple of results: per expression its value, its gradient over wrt, or
     its Hessian over wrt row by row, the lower triangle mirrored from the
-    upper.
+    upper; "field" the results of `field`.
 
     With `columns`, the column kernel instead: it takes the `Columns` of a
     stack of B points and returns the (B, k) array of the same results.  It
@@ -527,6 +538,7 @@ def _kernel_source(kind: str, exprs: tuple, wrt: tuple, columns: bool = False) -
     temps: dict[str, str] = {}  # right-hand side -> the local holding it
     divisors: list[str] = []  # column kernel: each must be nonzero in every row
     checked: list[str] = []  # column kernel: each must be finite in every row
+    passed: set[str] = set()  # the locals checked so far
 
     def local(rhs: str) -> str:
         if rhs not in temps:
@@ -590,34 +602,48 @@ def _kernel_source(kind: str, exprs: tuple, wrt: tuple, columns: bool = False) -
 
     def check(outs: list[str], message: str | None) -> None:
         # x - x is 0.0 for a finite x and nan, which is true, otherwise;
-        # literals are finite and need no test
+        # literals are finite and need no test, nor a local checked before
         computed = set(temps.values()).union(namespace)
-        live = [o for o in outs if o in computed]
+        live = [o for o in dict.fromkeys(outs) if o in computed and o not in passed]
+        passed.update(live)
         if columns:
             checked.extend(live)
         elif live:
             test = " or ".join(f"{o} - {o}" for o in live)
             lines.append(f"if {test}: {message}")
 
-    if exprs:  # an unbound name in wrt fails before anything is evaluated
-        for name in wrt:
-            emit(Var(name))
-    results: list[str] = []
-    for expr in exprs:
-        value = emit(expr)
-        check([value], f"_check_finite({value})")
-        if kind == "value":
-            results.append(value)
-        elif kind == "gradient":
-            grad = [emit(derivative(expr, name)) for name in wrt]
-            check(grad, "raise EvalError('gradient produced a non-finite value')")
-            results += grad
-        else:
-            k = len(wrt)
+    def values(exprs) -> list[str]:
+        out = []
+        for expr in exprs:
+            out.append(emit(expr))
+            check(out[-1:], f"_check_finite({out[-1]})")
+        return out
+
+    def derivatives(exprs, hessian: bool = False) -> list[str]:
+        if exprs:  # an unbound name in wrt fails before anything is evaluated
+            for name in wrt:
+                emit(Var(name))
+        out = []
+        for expr in exprs:
+            values([expr])
             firsts = [derivative(expr, name) for name in wrt]
+            if not hessian:
+                grad = [emit(d) for d in firsts]
+                check(grad, "raise EvalError('gradient produced a non-finite value')")
+                out += grad
+                continue
+            k = len(wrt)
             upper = {(i, j): emit(derivative(firsts[i], wrt[j])) for i in range(k) for j in range(i, k)}
             check(list(upper.values()), "raise EvalError('hessian produced a non-finite value')")
-            results += [upper[min(i, j), max(i, j)] for i in range(k) for j in range(k)]
+            out += [upper[min(i, j), max(i, j)] for i in range(k) for j in range(k)]
+        return out
+
+    if kind == "value":
+        results = values(exprs)
+    elif kind == "field":
+        results = values(exprs[:-1]) + derivatives(exprs[:-1]) + derivatives(exprs[-1:])
+    else:
+        results = derivatives(exprs, hessian=kind == "hessian")
     if not columns:
         lines.append(f"return ({''.join(r + ', ' for r in results)})")
     else:
@@ -626,7 +652,7 @@ def _kernel_source(kind: str, exprs: tuple, wrt: tuple, columns: bool = False) -
         # test covers them all; the literals (a float's repr, a negative one
         # in parentheses) go in by one broadcast of a constant row.
         computed = set(temps.values()).union(namespace)
-        cells = results + [c for c in dict.fromkeys(checked) if c not in results]
+        cells = results + [c for c in checked if c not in results]
         namespace["_row"] = np.array([0.0 if c in computed else float(c.strip("()")) for c in cells])
         lines.append(f"out = np.empty((len(ctx.rows), {len(cells)}))")
         lines.append("out[:] = _row")
@@ -696,13 +722,14 @@ def _run(kind: str, expr, wrt, ctx: dict) -> tuple:
 def _run_columns(kind: str, expr, wrt, ctx: Columns, shape: tuple) -> np.ndarray:
     """Results of `kind` for expr at each point of ctx, shaped (B, *shape).
 
-    The column kernel computes the whole stack at once when every tree is in
-    the exact subset.  Otherwise, and whenever some row would fail, the
-    per-row kernel runs on each row in turn and raises the first failing
-    row's EvalError.
+    The column kernel computes a stack of two or more rows at once when
+    every tree is in the exact subset.  Otherwise, whenever some row would
+    fail, and for one row, whose column kernel would cost more than the
+    per-row kernel and is never built, the per-row kernel runs on each row
+    in turn and raises the first failing row's EvalError.
     """
     wrt = tuple(wrt)
-    column = _kernel(kind, expr, wrt, columns=True)
+    column = _kernel(kind, expr, wrt, columns=True) if len(ctx.rows) > 1 else None
     out = None
     if column is not None:
         try:
@@ -713,7 +740,7 @@ def _run_columns(kind: str, expr, wrt, ctx: Columns, shape: tuple) -> np.ndarray
     if out is None:
         names = list(ctx)
         out = [_run(kind, expr, wrt, dict(zip(names, r))) for r in ctx.rows.tolist()]
-    return np.reshape(np.asarray(out, dtype=float), (len(ctx.rows), *shape))
+    return np.asarray(out, dtype=float).reshape(len(ctx.rows), *shape)
 
 
 def evaluate(expr, ctx: dict):
@@ -755,6 +782,17 @@ def hessian(expr, wrt: list[str], ctx: dict) -> np.ndarray:
     if type(ctx) is Columns:
         return _run_columns("hessian", expr, wrt, ctx, shape)
     return np.array(_run("hessian", expr, wrt, ctx), dtype=float).reshape(shape)
+
+
+def field(exprs: tuple, wrt: list[str], ctx: dict) -> np.ndarray:
+    """evaluate(exprs[:-1]), gradient(exprs[:-1], wrt) and gradient(exprs[-1], wrt), flat.
+
+    One kernel call at one point (a dict of numbers) gives the three calls'
+    results, bit for bit, one after the other: a system's mu, dmu and grad V.
+    The kernel runs the three kernels' statements in that order, so it
+    raises the first of their errors.
+    """
+    return np.array(_run("field", exprs, wrt, ctx), dtype=float)
 
 
 def free_variables(expr: Expression) -> set[str]:

@@ -59,9 +59,9 @@ def _plain_inputs(sys: MechanicalSystem, x: np.ndarray):
     C is left to the caller: `_plain_field` forms it, `_deformed` certifies its own.
     """
     q, v = x[..., : sys.n], x[..., sys.n :]
-    mu, dmu = sys.mu_at(q), sys.mu_jac_at(q)
+    mu, dmu, grad_v = sys.mu_dmu_grad_v_at(q)
     grad_q = np.vecmat(v[..., None, :], dmu)  # v @ dmu for each constraint row
-    return q, mu, grad_q, v, -np.matvec(sys.M_inv, sys.grad_v_at(q))
+    return q, mu, grad_q, v, -np.matvec(sys.M_inv, grad_v)
 
 
 def _solve_field(sys: MechanicalSystem, q, rows, C, grad_q, qdot, f_v):

@@ -151,6 +151,7 @@ class MechanicalSystem:
         # Each accessor is one exprdiff call over all its entries and names,
         # which runs one compiled kernel.
         self._mu_entries = tuple(itertools.chain.from_iterable(self.mu))
+        self._field_exprs = (*self._mu_entries, self.V)  # mu, dmu and grad V in one call
         # hess V takes mixed partials in sorted-name order, so that its last
         # bits do not depend on the order of the names; _unsort puts the
         # rows and columns back in the names' order
@@ -195,6 +196,19 @@ class MechanicalSystem:
         ctx = dict(zip(self.names, q.tolist()))
         return exprdiff.gradient(self._mu_entries, self.names, ctx).reshape(shape)
 
+    def mu_dmu_grad_v_at(self, q: np.ndarray):
+        """(mu_at(q), mu_jac_at(q), grad_v_at(q)), bit for bit, or the first of their errors.
+
+        One configuration takes one `exprdiff.field` kernel call for all
+        three; a stack (..., n) calls the three accessors.
+        """
+        q = np.asarray(q, dtype=float)
+        if q.ndim > 1:
+            return self.mu_at(q), self.mu_jac_at(q), self.grad_v_at(q)
+        m, n = self.m, self.n
+        flat = exprdiff.field(self._field_exprs, self.names, dict(zip(self.names, q.tolist())))
+        return flat[: m * n].reshape(m, n), flat[m * n : -n].reshape(m, n, n), flat[-n:]
+
     def v_at(self, q: np.ndarray) -> float:
         return exprdiff.evaluate(self.V, self.q_ctx(q))
 
@@ -235,11 +249,13 @@ def _gram_solve(C: np.ndarray, rhs: np.ndarray, q: np.ndarray):
     certificate that `c_matrix` provides and rejects only an outright
     singular Gram matrix: an exactly zero 1x1 one, or one LAPACK objects to.
     Stacks C (..., m, m), rhs (..., m) and q (..., n) solve row by row; the
-    error names the first singular row's q.
+    error names the first singular row's q.  For m = 1 the solve is the
+    division rhs / C, LAPACK's bits for one right-hand side without a LAPACK
+    call, and the zero test is one `count_nonzero` over the stack (-0.0 is
+    zero, NaN is not).
     """
     if C.shape[-1] == 1:
-        # a 1x1 solve is this division, bit for bit, at a fraction of the cost
-        if 0.0 in C.flat:
+        if np.count_nonzero(C) != C.size:
             singular = C[..., 0, 0] == 0.0
             raise SystemError(f"constraint Gram matrix singular at q={_first_row(q, singular)!r}")
         return rhs / C[..., 0]
@@ -288,13 +304,23 @@ class ConnectionSplit:
             raise SystemError("base and fiber indices overlap")
 
     def a_at(self, sys: MechanicalSystem, q: np.ndarray) -> np.ndarray:
-        """A(q) = B(q)^-1 mu[:, base], shape (m, n-m); a stack q (..., n) gives (..., m, n-m)."""
+        """A(q) = B(q)^-1 mu[:, base], shape (m, n-m); a stack q (..., n) gives (..., m, n-m).
+
+        B is singular where |det B| < 1e-12.  For m = 1, B is one entry b: the
+        test is |b| < 1e-12 (numpy's det of a 1x1 matrix goes through a
+        logarithm and can differ from b in the last ulps), and A is LAPACK's
+        solve without a LAPACK call, bit for bit: mu_base / b for one base
+        column, mu_base * (1 / b) for more, as LAPACK scales by the reciprocal.
+        """
         mu = sys.mu_at(q)
-        B = mu[..., list(self.fiber)]
-        singular = np.abs(np.linalg.det(B)) < 1e-12
+        B, base = mu[..., list(self.fiber)], mu[..., list(self.base)]
+        one = len(self.fiber) == 1
+        singular = np.abs(B[..., 0, 0] if one else np.linalg.det(B)) < 1e-12
         if singular.any():
             raise SystemError(f"fiber block of mu singular at q={_first_row(q, singular)!r}")
-        return np.linalg.solve(B, mu[..., list(self.base)])
+        if not one:
+            return np.linalg.solve(B, base)
+        return base / B if len(self.base) == 1 else base * (1.0 / B)
 
 
 def derive_connection(sys: MechanicalSystem, fiber_indices=None, q0=None) -> ConnectionSplit:

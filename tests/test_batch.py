@@ -4,7 +4,8 @@ The reduced-field stack (system accessors, Gram and fiber solves, the field,
 the lift, the RK4 flow), the node steps (vni20's in lockstep Newton) and the
 embedding's Newton inversion take a leading batch axis.  Row b of every
 stacked call must equal the call on row b alone, and an error raised from a
-stack must be the single call's error on the first failing row.
+stack must be the single call's error on the first failing row.  One state's
+field runs one compiled kernel, and a one-row stack runs the per-row kernels.
 """
 from __future__ import annotations
 
@@ -16,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_discrete import DISK_X0, rolling_disk
 
-from nonholo import discrete
+from nonholo import discrete, exprdiff
 from nonholo.discrete import SCHEMES, NewtonError, newton_solve, vni20_step
 from nonholo.embed import (
     EmbeddingProblem,
@@ -233,3 +234,50 @@ def test_a_failing_row_in_a_stepped_stack_raises_its_single_error(order):
     # the first failing row's error, whichever failure the lockstep meets first
     x = np.array([_NODES["good"], _NODES[order[0]], _NODES["good"], _NODES[order[1]]])
     assert _raised(lambda: vni20_step(_FAILING, x, 0.1)) == _ERRORS[order[0]]
+
+
+# --- the fixed cost per call -----------------------------------------------------
+
+
+def _count_kernel_calls(monkeypatch) -> list:
+    """Record the (kind, columns) of every compiled kernel call from now on."""
+    calls = []
+    cached = exprdiff._kernel
+
+    def counting(kind, expr, wrt, columns=False):
+        kernel = cached(kind, expr, wrt, columns)
+        if kernel is None:
+            return None
+        return lambda ctx: calls.append((kind, columns)) or kernel(ctx)
+
+    monkeypatch.setattr(exprdiff, "_kernel", counting)
+    return calls
+
+
+@pytest.mark.parametrize("name", sorted(_SYSTEMS))
+def test_one_state_field_runs_one_kernel(monkeypatch, name):
+    # mu, dmu and grad V of one state come from one fused kernel call
+    sys = _SYSTEMS[name][0]
+    x = _admissible_nodes(name, (), 5)
+    want = h_field(sys, x)
+    calls = _count_kernel_calls(monkeypatch)
+    assert h_field(sys, x).tobytes() == want.tobytes()
+    assert calls == [("field", False)]
+
+
+@pytest.mark.parametrize("name", sorted(_SYSTEMS))
+def test_one_row_stack_builds_no_column_kernel(monkeypatch, name):
+    sys, split, _ = _SYSTEMS[name]
+    x = _admissible_nodes(name, (2,), 6)
+    q, xi = x[:, : sys.n], reduce_state(sys, split, x)
+    monkeypatch.setattr(exprdiff, "_KERNELS", {})
+    accessors = (sys.mu_at, sys.mu_jac_at, sys.grad_v_at, sys.hess_v_at,
+                 functools.partial(h_field, sys), functools.partial(psi_embed, sys, split))
+    for fn, a in zip(accessors, (q, q, q, q, x, xi)):
+        assert fn(a[:1]).tobytes() == fn(a[0]).tobytes()
+    assert not any(columns for _, _, _, columns in exprdiff._KERNELS)
+    # a stack of two rows does take the column kernels (the disk's sin and
+    # cos and the particle's polynomials are all in the exact subset)
+    calls = _count_kernel_calls(monkeypatch)
+    h_field(sys, x)
+    assert calls == [("value", True), ("gradient", True), ("gradient", True)]

@@ -6,7 +6,8 @@ generated trees, the error paths are pinned down to byte offsets, and
 derivative trees are checked for folded constants and for failing
 wherever the expression itself fails.  Stacked evaluation, through the
 numpy column kernels or the per-row fallback, is checked against the
-single calls bit for bit, errors included.
+single calls bit for bit, errors included, and so is a system's fused
+kernel of mu, dmu and grad V against the three accessors.
 """
 from __future__ import annotations
 
@@ -39,6 +40,7 @@ from nonholo.exprdiff import (
     parse,
     to_string,
 )
+from nonholo.system import MechanicalSystem
 
 # A pile of expressions exercising every operator and function, kept to
 # domains where all of them are defined for inputs in (0.2, 1.8).
@@ -593,3 +595,46 @@ def test_a_probe_mismatch_sends_sin_to_the_per_row_path(monkeypatch):
         for kind, column in zip(("value", "gradient"), columns):
             assert (_column_kernel(kind, tree) is not None) == column
             assert _stacked_outcome(kind, tree, Q) == _single_calls(kind, tree, Q)
+
+
+# --- the fused field kernel ------------------------------------------------------
+# A system's mu_dmu_grad_v_at runs one "field" kernel on one configuration; it
+# must give mu_at, mu_jac_at and grad_v_at bit for bit, or raise the first
+# error of the three calls made in that order.
+
+
+def _field_outcome(fn):
+    try:
+        return [(a.shape, a.tobytes()) for a in fn()]
+    except EvalError as exc:
+        return f"EvalError: {exc}"
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.lists(_trees, min_size=3, max_size=3), max_size=2), _trees)
+def test_fused_field_kernel_equals_the_three_accessors(mu, V):
+    try:
+        sys = MechanicalSystem(VARIABLES, np.eye(3), V, mu)
+    except EvalError:  # a constant entry that does not evaluate
+        return
+    for ctx in _CONTEXTS[:4]:
+        q = np.array([ctx[name] for name in VARIABLES])
+        want = _field_outcome(lambda: (sys.mu_at(q), sys.mu_jac_at(q), sys.grad_v_at(q)))
+        assert _field_outcome(lambda: sys.mu_dmu_grad_v_at(q)) == want
+
+
+def test_fused_field_kernel_raises_the_first_accessors_error():
+    # at z = 0 V always fails; mu fails first in the first case, only its
+    # derivative 0.5/sqrt(z) in the second, nothing before V in the third
+    q = np.array([0.7, 1.3, 0.0])
+    V = "log(x - 1)"
+    cases = [
+        ([["log(z - 1)", "1", "0"]], "log of non-positive value -1.0"),
+        ([["sqrt(z)", "1", "0"]], "division by zero"),
+        ([["x", "1", "0"]], "log of non-positive value -0.30000000000000004"),
+    ]
+    for mu, message in cases:
+        sys = MechanicalSystem(VARIABLES, np.eye(3), V, mu)
+        assert _field_outcome(lambda: sys.mu_dmu_grad_v_at(q)) == f"EvalError: {message}"
+        want = _field_outcome(lambda: (sys.mu_at(q), sys.mu_jac_at(q), sys.grad_v_at(q)))
+        assert _field_outcome(lambda: sys.mu_dmu_grad_v_at(q)) == want

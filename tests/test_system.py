@@ -280,6 +280,40 @@ def test_one_row_gram_solve_rejects_a_zero_row():
         _gram_solve(_gram(sys, sys.mu_at(q)), np.array([1.0]), q)
 
 
+@pytest.mark.parametrize("names, mu, fiber", [
+    (["x", "y", "z"], [["-y", "0", "1"]], [0]),  # the particle, v_x as the fiber
+    (["x", "y", "z"], [["x", "y", "z"]], [0]),
+    (["x", "y"], [["x", "y"]], [1]),
+], ids=["particle", "two_base_columns", "one_base_column"])
+def test_one_row_lift_is_the_lapack_solve(names, mu, fiber):
+    # a_at forms A for m = 1 without LAPACK; it must give np.linalg.solve's
+    # bits, a single configuration and a stack alike
+    sys = MechanicalSystem(names, np.eye(len(names)), "0", mu)
+    split = derive_connection(sys, fiber_indices=fiber)
+    rng = np.random.default_rng(2014)
+    Q = rng.normal(size=(10_000, sys.n)) * np.exp(rng.uniform(-20.0, 20.0, size=(10_000, sys.n)))
+    mu_q = sys.mu_at(Q)
+    Q = Q[np.abs(mu_q[:, 0, fiber[0]]) >= 1e-11]
+    mu_q = sys.mu_at(Q)
+    want = np.linalg.solve(mu_q[..., fiber], mu_q[..., list(split.base)])
+    assert split.a_at(sys, Q).tobytes() == want.tobytes()
+    differ = sum(split.a_at(sys, q).tobytes() != w.tobytes() for q, w in zip(Q, want))
+    assert differ == 0
+
+
+def test_singular_fiber_entry_names_its_row():
+    sys = MechanicalSystem(["x", "y"], np.eye(2), "0", [["x", "y"]])
+    split = derive_connection(sys, fiber_indices=[1])
+    Q = np.array([[1.0, 0.5], [2.0, 0.0], [3.0, -0.0], [4.0, 0.25]])
+    with pytest.raises(SystemError, match="fiber block of mu singular") as ei:
+        split.a_at(sys, Q)
+    assert repr(Q[1]) in str(ei.value) and repr(Q[2]) not in str(ei.value)
+    # the threshold is |b| < 1e-12 on the entry itself
+    split.a_at(sys, np.array([1.0, 1e-12]))
+    with pytest.raises(SystemError, match="fiber block of mu singular"):
+        split.a_at(sys, np.array([1.0, np.nextafter(1e-12, 0.0)]))
+
+
 def test_kernel_cache_stays_bounded_over_many_systems():
     q = np.array([1.0, 0.0, 0.3, 0.0])
     try:

@@ -35,7 +35,9 @@ v = (-0.0, -0.0), where the sign of each zero reaches the CSV; a potential with 
 integer power above 8 at a negative base; a system whose ``V`` and ``mu`` use
 every function and a non-integer power, run by ``reference``, ``vni20`` and
 ``dla`` and by ``embed`` (``vni10`` and ``vni20``, from its projected start),
-which keeps the per-row kernels, the Hessian's included; then runs that fail
+which keeps the per-row kernels, the Hessian's included; ``embed`` (``vni10``) on a
+2-d system with one constraint, whose lift A = B^-1 mu_base has one base
+column (n - m = 1, where the particle's has two); then runs that fail
 at runtime, and configs that misuse a key, ask for a huge step or sample
 count or start outside the system's domain.  Each
 discrete scheme meets three runtime failures that stop at a fixed row: a start
@@ -143,6 +145,11 @@ DISK_EMBED = {**EMBED, "system": DISK_SYSTEM, "q0": DISK_ON_D["q"],
               "points": [{"q": DISK_ON_D["q"], "v": DISK_ON_D["v"]}]}
 FUNCS_EMBED = {**EMBED, "system": FUNCS_SYSTEM, "q0": FUNCS_START["q"], "project_initial": True,
                "points": [{"q": FUNCS_START["q"], "v": FUNCS_START["v"]}]}
+# n - m = 1: the fiber is y (its entry of mu is 1), the one base column is x.
+ONE_CONSTRAINT_2D_EMBED = {
+    **EMBED, "system": {"names": ["x", "y"], "M": [[1, 0], [0, 2]], "V": "x^2/2", "mu": [["y", "1"]]},
+    "q0": [0.3, 0.5], "points": [{"q": [0.3, 0.5], "v": [1.0, -0.5]}],
+}
 # One step of eps * v = 1e309 overflows the configuration to infinity; so
 # does the kinetic energy 1/2 |v|^2 of the start.
 OVERFLOW = {
@@ -225,7 +232,8 @@ def configs() -> list[tuple[str, str, dict]]:
     out += [(f"other/funcs_{name}", "simulate", {**FUNCS_START, "integrator": name, **extra})
             for name, extra in (("reference", {}), ("vni20", {}), ("dla", {"beta": 0.5}))]
     out += [("other/funcs_embed", "embed", FUNCS_EMBED),
-            ("other/funcs_embed_vni20", "embed", {**FUNCS_EMBED, "scheme": "vni20"})]
+            ("other/funcs_embed_vni20", "embed", {**FUNCS_EMBED, "scheme": "vni20"}),
+            ("other/one_constraint_2d_embed", "embed", ONE_CONSTRAINT_2D_EMBED)]
 
     out += [(f"fail/quartic_{name}", "simulate", {**QUARTIC, "integrator": name, **extra})
             for name, extra in every_integrator]
