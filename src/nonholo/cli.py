@@ -3,7 +3,7 @@
 Four subcommands share a common shape::
 
     nonholo simulate --config run.json [--out DIR]
-    nonholo converge --config run.json [--out DIR] [--eps-list a,b,c] [--jobs K]
+    nonholo converge --config run.json [--out DIR] [--eps-list a,b,c]
     nonholo embed    --config run.json [--out DIR]
     nonholo interp   --config run.json [--out DIR]
 
@@ -20,7 +20,6 @@ import json
 import os
 import sys as _sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -336,26 +335,13 @@ class StudyResult:
     failures: list[dict] = field(default_factory=list)
 
 
-def _endpoint_errors(args) -> tuple[float, float, float]:
-    """Worker: run one step size and return (eps, state error, lambda error)."""
-    cfg, eps, T, oracle_concat, oracle_lam = args
-    sys = build_system(cfg.get("system", "nonholonomic_particle"))
-    integ = cfg.get("integrator", "vni10")
-    x0 = _initial_state(cfg, sys, node_eps=eps if integ == "original_node" else None)
-    N = max(1, round(T / eps))
-    if integ == "reference":
-        traj = integrate(sys, x0, T, eps)
-    else:
-        traj = run_integrator(
-            sys, integ, x0, eps, N, beta=_beta(cfg, integ), policy=_nodes_policy(cfg)
-        )
-    state_err = float(np.max(np.abs(traj.states[-1] - oracle_concat)))
-    lam_err = float(np.max(np.abs(traj.lambdas[-1] - oracle_lam), initial=0.0))
-    return eps, state_err, lam_err
+def convergence_study(cfg: dict, eps_list: list[float]) -> StudyResult:
+    """Endpoint errors against one high-resolution oracle, across step sizes.
 
-
-def convergence_study(cfg: dict, eps_list: list[float], jobs: int = 1) -> StudyResult:
-    """Endpoint errors against one high-resolution oracle, across step sizes."""
+    The step sizes run one after another, largest first, on the one system
+    built from the config; a step size whose run fails is recorded in
+    `failures` and the study goes on.
+    """
     if len(eps_list) < 4:
         raise ConfigError("a convergence study needs at least 4 step sizes")
     eps_list = [_positive({"eps_list": e}, "eps_list") for e in eps_list]
@@ -363,8 +349,8 @@ def convergence_study(cfg: dict, eps_list: list[float], jobs: int = 1) -> StudyR
     integ = cfg.get("integrator", "vni10")
     if integ not in INTEGRATORS:
         raise ConfigError(f"unknown integrator {integ!r}; pick one of {INTEGRATORS}")
-    _beta(cfg, integ)  # surface pairing errors before forking workers
-    _nodes_policy(cfg)
+    beta = _beta(cfg, integ)
+    policy = _nodes_policy(cfg)
     x0 = _initial_state(cfg, sys)
     T = _positive(cfg, "T")
     _check_steps(T / REFERENCE_STEP, "the reference oracle's T / REFERENCE_STEP")
@@ -375,27 +361,28 @@ def convergence_study(cfg: dict, eps_list: list[float], jobs: int = 1) -> StudyR
     oracle_concat = oracle.concat()
     oracle_lam = lambda_continuous(sys, oracle_concat, check=False)
 
-    ordered = sorted(eps_list, reverse=True)
-    tasks = [(cfg, e, T, oracle_concat, oracle_lam) for e in ordered]
-    rows: list[tuple[float, float, float]] = []
+    eps_ok: list[float] = []
+    state: list[float] = []
+    lam: list[float] = []
     failures: list[dict] = []
-    if jobs > 1:
-        # the pool starts all its workers at the first task, used or not
-        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
-            outcomes = list(pool.map(_try_endpoint, tasks))
-    else:
-        outcomes = [_try_endpoint(t) for t in tasks]
-    for eps, result in zip(ordered, outcomes):
-        if isinstance(result, str):
-            failures.append({"eps": eps, "error": result})
-        else:
-            rows.append(result)
+    for eps in sorted(eps_list, reverse=True):
+        # original_node's project_initial repair depends on the step size
+        start = _initial_state(cfg, sys, node_eps=eps if integ == "original_node" else None)
+        try:
+            if integ == "reference":
+                traj = integrate(sys, start, T, eps)
+            else:
+                traj = run_integrator(sys, integ, start, eps, max(1, round(T / eps)),
+                                      beta=beta, policy=policy)
+        except RUNTIME_ERRORS as exc:
+            failures.append({"eps": eps, "error": f"{type(exc).__name__}: {exc}"})
+            continue
+        eps_ok.append(eps)
+        state.append(float(np.max(np.abs(traj.states[-1] - oracle_concat))))
+        lam.append(float(np.max(np.abs(traj.lambdas[-1] - oracle_lam), initial=0.0)))
 
-    eps_ok = [r[0] for r in rows]
-    state = [r[1] for r in rows]
-    lam = [r[2] for r in rows]
     state_slope = lambda_slope = None
-    if len(rows) >= 4:
+    if len(eps_ok) >= 4:
         logs = np.log(eps_ok)
         if min(state) > 0.0:
             state_slope = float(np.polyfit(logs, np.log(state), 1)[0])
@@ -404,14 +391,7 @@ def convergence_study(cfg: dict, eps_list: list[float], jobs: int = 1) -> StudyR
     return StudyResult(eps_ok, state, lam, state_slope, lambda_slope, failures)
 
 
-def _try_endpoint(args):
-    try:
-        return _endpoint_errors(args)
-    except RUNTIME_ERRORS as exc:
-        return f"{type(exc).__name__}: {exc}"
-
-
-def cmd_converge(cfg: dict, out_dir: str, eps_list: list[float] | None, jobs: int) -> int:
+def cmd_converge(cfg: dict, out_dir: str, eps_list: list[float] | None) -> int:
     if eps_list is None:
         eps_list = cfg.get("eps_list")
     if eps_list is None:
@@ -422,7 +402,7 @@ def cmd_converge(cfg: dict, out_dir: str, eps_list: list[float] | None, jobs: in
     summary_path = _out_path(cfg, "summary", "study.json", out_dir)
     started = time.perf_counter()
     try:
-        study = convergence_study(cfg, eps_list, jobs=jobs)
+        study = convergence_study(cfg, eps_list)
     except RUNTIME_ERRORS as exc:
         print(f"error: the reference oracle failed: {exc}", file=_sys.stderr)
         return 3
@@ -572,7 +552,7 @@ def build_parser() -> argparse.ArgumentParser:
                 "--jobs",
                 type=int,
                 default=1,
-                help="worker processes for per-step-size runs (default 1)",
+                help="accepted and ignored: the step sizes run one after another",
             )
     return parser
 
@@ -589,7 +569,7 @@ def main(argv: list[str] | None = None) -> int:
             return cmd_simulate(cfg, out_dir)
         if args.command == "converge":
             eps_list = _parse_eps_list(args.eps_list) if args.eps_list else None
-            return cmd_converge(cfg, out_dir, eps_list, max(1, args.jobs))
+            return cmd_converge(cfg, out_dir, eps_list)
         if args.command == "embed":
             return cmd_embed(cfg, out_dir)
         return cmd_interp(cfg, out_dir)

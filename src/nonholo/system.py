@@ -328,12 +328,15 @@ def derive_connection(sys: MechanicalSystem, fiber_indices=None, q0=None) -> Con
 
     Without `fiber_indices`, every m-subset of columns is scanned at q0 and
     the one with the largest |det| wins; exact ties go to the
-    lexicographically last index set.
+    lexicographically last index set.  Each row of mu(q0) is first divided
+    by its largest |entry|, so the choice does not depend on the scale of
+    the rows (a row whose largest |entry| is 1 is unchanged); a zero row
+    leaves no invertible block.
     """
     if fiber_indices is None:
         if q0 is None:
             raise SystemError("automatic fiber selection needs the initial configuration q0")
-        mu = sys.mu_at(q0)
+        mu = _row_normalized_mu(sys, q0)
         best = None
         best_det = 0.0
         for subset in itertools.combinations(range(sys.n), sys.m):
@@ -347,10 +350,19 @@ def derive_connection(sys: MechanicalSystem, fiber_indices=None, q0=None) -> Con
         fiber = tuple(int(i) for i in fiber_indices)
         if len(fiber) != sys.m or not all(0 <= i < sys.n for i in fiber):
             raise SystemError("fiber_indices must be m distinct coordinate indices")
-        if q0 is not None and abs(np.linalg.det(sys.mu_at(q0)[:, list(fiber)])) < 1e-8:
-            raise SystemError(f"requested fiber block singular at q0={q0!r}")
+        if q0 is not None:
+            block = _row_normalized_mu(sys, q0)[:, list(fiber)]
+            if abs(np.linalg.det(block)) < 1e-8:
+                raise SystemError(f"requested fiber block singular at q0={q0!r}")
     base = tuple(i for i in range(sys.n) if i not in fiber)
     return ConnectionSplit(base=base, fiber=fiber)
+
+
+def _row_normalized_mu(sys: MechanicalSystem, q0) -> np.ndarray:
+    """mu(q0) with each row divided by its largest |entry|; a zero row stays zero."""
+    mu = sys.mu_at(q0)
+    scale = np.max(np.abs(mu), axis=1, keepdims=True)
+    return mu / np.where(scale > 0.0, scale, 1.0)
 
 
 def energy(sys: MechanicalSystem, x: np.ndarray) -> float:

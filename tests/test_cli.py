@@ -382,37 +382,63 @@ def test_converge_first_order_scheme(tmp_path):
     assert len(rows) == 5
 
 
-def test_converge_pool_matches_serial(tmp_path):
-    code_a, out_a = run(tmp_path, "converge", CONVERGE, subdir="serial")
-    code_b, out_b = run(tmp_path, "converge", CONVERGE, "--jobs", "2", subdir="pool")
-    assert code_a == code_b == 0
-    a = (out_a / "convergence.csv").read_bytes()
-    b = (out_b / "convergence.csv").read_bytes()
-    assert a == b, "worker pool changed the numbers or their order"
+def _study_files(out) -> tuple[bytes, dict]:
+    """convergence.csv's bytes and study.json without its run time."""
+    study = json.loads((out / "study.json").read_text())
+    study.pop("runtime_seconds")
+    return (out / "convergence.csv").read_bytes(), study
 
 
-def test_converge_pool_starts_no_more_workers_than_step_sizes(tmp_path, monkeypatch):
-    # the pool starts all its workers at once, so --jobs above the number of
-    # step sizes would fork workers that get no task
-    sizes = []
-
-    class InProcessPool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, tasks):
-            return map(fn, tasks)
-
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", InProcessPool)
-    code, _ = run(tmp_path, "converge", CONVERGE, "--jobs", "6", subdir="capped")
+def test_converge_jobs_is_accepted_and_ignored(tmp_path):
+    code, out = run(tmp_path, "converge", CONVERGE, subdir="plain")
     assert code == 0
-    assert sizes == [len(CONVERGE["eps_list"])]
+    plain = _study_files(out)
+    for jobs in ("2", "6"):
+        code, out = run(tmp_path, "converge", CONVERGE, "--jobs", jobs, subdir=f"jobs{jobs}")
+        assert code == 0
+        assert _study_files(out) == plain, f"--jobs {jobs} changed the study"
+
+
+def test_converge_jobs_must_be_an_integer(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(tmp_path, "converge", CONVERGE, "--jobs", "x")
+    assert exc.value.code == 2
+    capsys.readouterr()
+
+
+def test_converge_builds_the_system_once(tmp_path, monkeypatch):
+    calls = []
+    build = cli.build_system
+
+    def counting(desc):
+        calls.append(desc)
+        return build(desc)
+
+    monkeypatch.setattr(cli, "build_system", counting)
+    code, _ = run(tmp_path, "converge", CONVERGE, subdir="once")
+    assert code == 0
+    assert len(calls) == 1
+
+
+def test_importing_the_cli_loads_no_process_pool():
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(nonholo.__file__))}
+    probe = ("import sys, nonholo.cli; "
+             "print(sorted({'concurrent.futures', 'multiprocessing'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_converge_records_a_failed_step_size_and_goes_on(tmp_path, capsys):
+    # the oracle reaches T = 0.6; vni20's Newton iteration fails at the largest step only
+    cfg = dict(QUARTIC, integrator="vni20", T=0.6, eps_list=[0.2, 0.1, 0.05, 0.025, 0.0125])
+    code, out = run(tmp_path, "converge", cfg, subdir="partial")
+    assert code == 0, capsys.readouterr().err
+    study = json.loads((out / "study.json").read_text())
+    assert study["failures"] == [
+        {"eps": 0.2, "error": "NewtonError: no convergence after 30 Newton iterations"}]
+    assert study["eps"] == [0.1, 0.05, 0.025, 0.0125]
+    assert len((out / "convergence.csv").read_text().splitlines()) == 1 + 4
 
 
 def test_converge_original_node_repairs_each_start(tmp_path, capsys):

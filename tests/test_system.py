@@ -146,6 +146,26 @@ def test_singular_fiber_request_rejected():
         derive_connection(sys, fiber_indices=[0], q0=np.array([0.0, 0.0, 0.0]))
 
 
+@pytest.mark.parametrize("k", range(-11, 10))
+def test_fiber_choice_does_not_depend_on_the_row_scale(k):
+    # D is the same for every scale of the particle's row; so is the split
+    s = repr(10.0**k)
+    sys = MechanicalSystem(names=["x", "y", "z"], M=np.eye(3), V="0",
+                           mu=[[f"-y*{s}", "0", s]])
+    q0 = np.array([0.0, 1.0, 0.0])
+    unscaled = derive_connection(nonholonomic_particle(), q0=q0)
+    assert derive_connection(sys, q0=q0) == unscaled
+    assert derive_connection(sys, fiber_indices=[0], q0=q0) == ConnectionSplit((1, 2), (0,))
+
+
+def test_zero_constraint_row_has_no_fiber():
+    sys = MechanicalSystem(names=["x", "y"], M=np.eye(2), V="0", mu=[["x", "0"]])
+    with pytest.raises(SystemError, match="no invertible"):
+        derive_connection(sys, q0=np.array([0.0, 1.0]))
+    with pytest.raises(SystemError, match="singular"):
+        derive_connection(sys, fiber_indices=[0], q0=np.array([0.0, 1.0]))
+
+
 def test_auto_fiber_needs_q0():
     with pytest.raises(SystemError):
         derive_connection(nonholonomic_particle())

@@ -12,13 +12,15 @@ _spec = importlib.util.spec_from_file_location("bench_pairs", _PATH)
 bench_pairs = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(bench_pairs)
 
+# (name, better, bound) of each end-to-end metric, from BENCHMARK.json
+_METRICS = {m[0]: m for m in bench_pairs.end_to_end_metrics()}
 _PARENT = [{"wall_s": w, "ops_ok_frac": 1.0} for w in (0.20, 0.18, 0.22, 0.19, 0.21)]
 _CHANGE = [{"wall_s": w, "ops_ok_frac": f}
            for w, f in zip((0.15, 0.19, 0.16, 0.17, 0.23), (1.0, 1.0, 0.9, 1.0, 1.0))]
 
 
 def test_summary_on_fixed_numbers():
-    rows = bench_pairs.summarize(_PARENT, _CHANGE, [("wall_s", "lower"), ("ops_ok_frac", "higher")])
+    rows = bench_pairs.summarize(_PARENT, _CHANGE, [_METRICS["wall_s"], _METRICS["ops_ok_frac"]])
     wall, ok = rows
     assert wall["parent_median"] == 0.20 and wall["change_median"] == 0.17
     assert wall["ratio"] == pytest.approx(0.85)
@@ -27,7 +29,36 @@ def test_summary_on_fixed_numbers():
     assert (wall["won"], wall["pairs"]) == (3, 5)  # a tie or a worse pair is not won
     assert (ok["ratio"], ok["parent_iqr"], ok["won"]) == (1.0, 0.0, 0)
     lines = bench_pairs.format_rows(rows)
-    assert len(lines) == 3 and lines[1].split()[0] == "wall_s" and lines[1].endswith("3/5")
+    assert len(lines) == 3 and lines[1].split()[0] == "wall_s"
+    assert lines[1].split()[-2:] == ["3/5", "ok"]
+
+
+def _verdict(metric, parent, change):
+    name = _METRICS[metric][0]
+    rows = bench_pairs.summarize([{name: x} for x in parent], [{name: x} for x in change],
+                                 [_METRICS[metric]])
+    return rows[0]["verdict"]
+
+
+_WIDE = (0.6, 0.8, 1.0, 1.2, 1.4)  # median 1.0, IQR 0.6
+
+
+def test_verdict_worse_beyond_the_bound():
+    # wall_s's bound is 0.25 of the parent's median, ops_ok_frac's 0.01
+    assert _verdict("wall_s", [1.0] * 5, [1.3] * 5) == "worse"
+    assert _verdict("wall_s", _WIDE, [1.3, 0.5, 1.3, 1.3, 0.5]) == "worse"
+    assert _verdict("ops_ok_frac", [1.0] * 5, [0.98] * 5) == "worse"
+
+
+def test_verdict_unresolved_when_the_parent_spreads_wider_than_the_bound():
+    assert _verdict("wall_s", _WIDE, [0.7, 0.9, 1.0, 1.1, 1.3]) == "unresolved"
+    assert _verdict("wall_s", _WIDE, [0.55, 0.55, 0.55, 0.55, 0.65]) == "unresolved"
+
+
+def test_verdict_ok():
+    assert _verdict("wall_s", [1.0] * 5, [1.2] * 5) == "ok"  # within the bound
+    assert _verdict("wall_s", _WIDE, [0.55] * 5) == "ok"  # beats every parent run
+    assert _verdict("ops_ok_frac", [1.0] * 5, [0.995] * 5) == "ok"
 
 
 def test_the_parent_runs_first_in_odd_pairs(monkeypatch, capsys):
@@ -35,7 +66,7 @@ def test_the_parent_runs_first_in_odd_pairs(monkeypatch, capsys):
 
     def fake_run(checkout, workload, seed, seconds):
         order.append(checkout)
-        return {name: 1.0 for name, _ in bench_pairs.end_to_end_metrics()}
+        return {name: 1.0 for name, *_ in bench_pairs.end_to_end_metrics()}
 
     monkeypatch.setattr(bench_pairs, "run_once", fake_run)
     assert bench_pairs.main(["P", "C", "--workload", "w", "--pairs", "3"]) == 0

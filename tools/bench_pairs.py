@@ -10,8 +10,18 @@ result; a run that fails or reports ``correct: false`` stops the
 comparison.  Every pair's values are printed as it ends, then one line per
 end-to-end metric of ``BENCHMARK.json`` (read next to this script): the
 median of each side, the change/parent ratio of the medians, the parent's
-interquartile range, and how many pairs the change won (strictly better,
-in the metric's direction).  Standard library only.
+interquartile range, how many pairs the change won (strictly better, in
+the metric's direction) and a verdict against the metric's ``bound``, a
+share of the parent's median:
+
+- ``worse``: the change's median is worse than the parent's by more than
+  the bound;
+- ``unresolved``: otherwise, where the parent's IQR exceeds the bound and
+  not every change run beats every parent run, so the runs spread too
+  widely to call the change unchanged;
+- ``ok``: everything else.
+
+Standard library only.
 """
 from __future__ import annotations
 
@@ -25,10 +35,12 @@ import sys
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-def end_to_end_metrics(path: str = os.path.join(ROOT, "BENCHMARK.json")) -> list[tuple[str, str]]:
-    """(name, better) of each end-to-end metric, better being "lower" or "higher"."""
+def end_to_end_metrics(
+    path: str = os.path.join(ROOT, "BENCHMARK.json"),
+) -> list[tuple[str, str, float]]:
+    """(name, better, bound) of each end-to-end metric, better being "lower" or "higher"."""
     with open(path) as fh:
-        return [(m["name"], m["better"]) for m in json.load(fh)["end_to_end"]]
+        return [(m["name"], m["better"], m["bound"]) for m in json.load(fh)["end_to_end"]]
 
 
 def run_once(checkout: str, workload: str, seed: int | None, seconds: float | None) -> dict:
@@ -56,13 +68,30 @@ def _iqr(values: list[float]) -> float:
     return q3 - q1
 
 
-def summarize(parent: list[dict], change: list[dict], metrics: list[tuple[str, str]]) -> list[dict]:
-    """Per metric: both medians, their ratio, the parent's IQR and the pairs the change won.
+def verdict(p: list[float], c: list[float], sign: float, bound: float) -> str:
+    """"worse", "unresolved" or "ok" for parent runs p and change runs c.
+
+    sign is 1 where lower is better, -1 where higher is; bound is a share
+    of the parent's median.
+    """
+    cost_p, cost_c = [sign * x for x in p], [sign * x for x in c]
+    allowed = bound * abs(statistics.median(p))
+    if statistics.median(cost_c) - statistics.median(cost_p) > allowed:
+        return "worse"
+    if _iqr(p) > allowed and not max(cost_c) < min(cost_p):
+        return "unresolved"
+    return "ok"
+
+
+def summarize(
+    parent: list[dict], change: list[dict], metrics: list[tuple[str, str, float]]
+) -> list[dict]:
+    """Per metric: both medians, their ratio, the parent's IQR, the pairs won and the verdict.
 
     parent[i] and change[i] are the metrics of pair i.
     """
     rows = []
-    for name, better in metrics:
+    for name, better, bound in metrics:
         p = [run[name] for run in parent]
         c = [run[name] for run in change]
         sign = 1.0 if better == "lower" else -1.0
@@ -75,16 +104,18 @@ def summarize(parent: list[dict], change: list[dict], metrics: list[tuple[str, s
             "parent_iqr": _iqr(p),
             "won": sum(sign * (b - a) < 0.0 for a, b in zip(p, c)),
             "pairs": len(p),
+            "verdict": verdict(p, c, sign, bound),
         })
     return rows
 
 
 def format_rows(rows: list[dict]) -> list[str]:
-    out = [f"{'metric':<14} {'parent':>12} {'change':>12} {'ratio':>8} {'parent IQR':>12} {'won':>7}"]
+    out = [f"{'metric':<14} {'parent':>12} {'change':>12} {'ratio':>8} {'parent IQR':>12} {'won':>7} "
+           f"{'verdict':>10}"]
     for r in rows:
         won = f"{r['won']}/{r['pairs']}"
         out.append(f"{r['metric']:<14} {r['parent_median']:>12.6g} {r['change_median']:>12.6g} "
-                   f"{r['ratio']:>8.4f} {r['parent_iqr']:>12.6g} {won:>7}")
+                   f"{r['ratio']:>8.4f} {r['parent_iqr']:>12.6g} {won:>7} {r['verdict']:>10}")
     return out
 
 
@@ -108,7 +139,7 @@ def main(argv: list[str] | None = None) -> int:
                 checkout = args.parent if side == "parent" else args.change
                 sides[side].append(run_once(checkout, args.workload, args.seed, args.seconds))
             values = "  ".join(f"{name} {sides['parent'][-1][name]:.6g} -> {sides['change'][-1][name]:.6g}"
-                               for name, _ in metrics)
+                               for name, *_ in metrics)
             print(f"pair {i} ({order[0]} first): {values}", flush=True)
     except RuntimeError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -22,8 +22,9 @@ the reference flow on a deformed constraint set (the particle's, and the
 disk's with two deformed constraints, started on that set, and the particle's
 with a deformation whose rows cancel mu's, which fails the Gram certificate
 at the start) and with ``project_each_step``;
-two runs of ``converge`` (``vni10``, and ``original_node``, whose
-``project_initial`` repairs the start at each step size); one of ``interp``;
+four runs of ``converge`` (``vni10``; ``original_node``, whose
+``project_initial`` repairs the start at each step size; ``reference``; and
+``dla`` at beta 0.5); one of ``interp``;
 five of ``embed``: ``vni10`` at
 one point, then the Newton scheme ``vni20`` and the flow itself as the map
 (``exact``) at five points, and ``vni10`` and ``vni20`` at one point of the
@@ -44,6 +45,8 @@ discrete scheme meets three runtime failures that stop at a fixed row: a start
 whose energy overflows (no row), a start of finite energy whose first node
 overflows (one row), and a start whose initial row fails while it is recorded,
 because its deformed residual evaluates ``log`` outside its domain (no row).
+Two ``converge`` runs of the quartic fail: one whose oracle fails, and one
+whose oracle succeeds while ``vni20`` fails at the largest step size only.
 A config that runs longer than ``TIMEOUT_S`` is stopped and printed as
 ``exit timeout``.
 """
@@ -201,6 +204,8 @@ def configs() -> list[tuple[str, str, dict]]:
         out += [(f"{system}/{name}", "simulate", cfg) for name, cfg in _runs(start)]
     out += [("other/converge", "converge", CONVERGE),
             ("other/converge_original_node", "converge", CONVERGE_ORIGINAL_NODE),
+            ("other/converge_reference", "converge", {**CONVERGE, "integrator": "reference"}),
+            ("other/converge_dla", "converge", {**CONVERGE, "integrator": "dla", "beta": 0.5}),
             ("other/interp", "interp", INTERP),
             ("other/embed", "embed", EMBED),
             ("other/embed_vni20_points", "embed", EMBED_POINTS),
@@ -244,6 +249,9 @@ def configs() -> list[tuple[str, str, dict]]:
                 for name, extra in every_integrator[1:]]
     out.append(("fail/quartic_converge", "converge",
                 {**QUARTIC, "integrator": "vni10", "eps_list": [0.02, 0.01, 0.005, 0.0025]}))
+    out.append(("other/quartic_converge_partial", "converge",
+                {**QUARTIC, "integrator": "vni20", "T": 0.6,
+                 "eps_list": [0.2, 0.1, 0.05, 0.025, 0.0125]}))
 
     misuse = [
         ("simulate", "beta_true", {**DLA, "beta": True}),
