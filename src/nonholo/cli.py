@@ -501,10 +501,15 @@ def cmd_interp(cfg: dict, out_dir: str) -> int:
         + [f"residual_{a_ + 1}" for a_ in range(sys.m)]
     )
     rows = []
-    for t in np.linspace(0.0, eps, samples):
-        x = curve(float(t))
-        rows.append([float(t), *x, *constraint_residual(sys, x)])
-    write_csv(csv_path, header, rows)
+    try:
+        for k, t in enumerate(np.linspace(0.0, eps, samples)):
+            x = curve(float(t))
+            rows.append([float(t), *x, *constraint_residual(sys, x)])
+    except RUNTIME_ERRORS as exc:
+        print(f"error: sample {k}, t = {t:.6g}: {exc}", file=_sys.stderr)
+        return 3
+    finally:
+        write_csv(csv_path, header, rows)  # the rows before a failing sample
     return 0
 
 

@@ -89,12 +89,13 @@ def newton_solve(
     u0: np.ndarray,
     *rows: np.ndarray,
 ) -> tuple[np.ndarray, int]:
-    """Plain Newton iteration with an exact Jacobian; returns (root, iterations).
+    """Newton iteration on linearize's Jacobian; returns (root, iterations).
 
     linearize(u, *rows) returns the residual at u and a thunk for the
-    Jacobian there, so the two share what they evaluate at the iterate.  A
-    stack u0 (..., k), each of `rows` stacked alike, is solved in lockstep
-    (`_lockstep`), with one iteration count per row.
+    Jacobian there, so the two share what they evaluate at the iterate (a
+    thunk may return a Jacobian passed in `rows`, held fixed: the chord
+    method).  A stack u0 (..., k), each of `rows` stacked alike, is solved
+    in lockstep (`_lockstep`), with one iteration count per row.
     """
     u = np.array(u0, dtype=float)
     if u.ndim > 1:

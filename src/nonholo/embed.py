@@ -12,17 +12,18 @@ both ends, so G(k eps, y) visits exactly the iterates of Phi while solving
     dz/dt = f(z) + eps^p g(t/eps, z)
 
 for a bounded, eps-periodic g.  `g_eval` recovers that perturbation field
-pointwise by inverting G(t, .) with a Newton iteration; `verify_embedding`
+pointwise by inverting G(t, .) with `discrete.newton_solve`; `verify_embedding`
 packages the checks that make the construction trustworthy numerically.
 
 Everything operates on plain R^d vectors through an `EmbeddingProblem`
 (field plus flow), so the machinery applies equally to the reduced
 constrained dynamics and to scalar toy problems.  The field and the flow
-take stacks (..., d) of states, so `g_eval` inverts many points, and every
-finite-difference column of their Jacobians, with one stacked flow per
-Newton iteration.  The one-step map takes a stack too: the exact map passes
-it to the flow, and a discrete scheme's map passes it to the node step,
-which steps every row in one call (`vni20` by lockstep Newton).
+take stacks (..., d) of states, so `g_eval` takes every finite-difference
+column of the Jacobians of many points in one stacked flow, then inverts
+them with one stacked flow per Newton iteration.  The one-step map takes a
+stack too: the exact map passes it to the flow, and a discrete scheme's map
+passes it to the node step, which steps every row in one call (`vni20` by
+lockstep Newton).
 """
 from __future__ import annotations
 
@@ -32,7 +33,7 @@ from typing import Callable
 
 import numpy as np
 
-from .discrete import SCHEMES, NewtonError
+from .discrete import SCHEMES, newton_solve
 from .flow import flow_field
 from .reduction import psi_embed, reduce_state, reduced_field
 from .system import ConnectionSplit, MechanicalSystem, SystemError, _require_finite
@@ -54,10 +55,7 @@ __all__ = [
 # tanh is indistinguishable from +-1 in double precision long before this,
 # and past it sech^2 underflow would otherwise meet (1 + u^2) overflow
 _SATURATED = 350.0
-# g_eval's inversion of the interpolant: residual tolerance, iteration cap and
-# the half-width of the central differences of its Jacobian
-INVERSION_TOL = 1e-11
-INVERSION_MAX_ITER = 40
+# the half-width of the central differences of g_eval's Jacobian
 FD_STEP = 1e-6
 # below this worst gap the map and the flow are indistinguishable, and no order is measured
 ORDER_FLOOR = 1e-10
@@ -241,34 +239,19 @@ class EvolutionInterpolant:
         """The perturbation g(t, z) with d/dt G = f + eps^p g along interpolants.
 
         Only t mod eps matters: the anchor state w with G~(tau, w) = z is
-        found by a Newton iteration on a finite-difference Jacobian, seeded
-        at z itself (the interpolant stays eps-close to the identity).  A
-        stack z (..., d) is inverted in lockstep: a row leaves the iteration
-        once its residual meets the tolerance, and every row still in it
-        refreshes its Jacobian at the same iterations, so row b of the result
-        is g_eval(t, z[b]) bit for bit.
+        found by `newton_solve` seeded at z itself (the interpolant stays
+        eps-close to the identity), on the finite-difference Jacobian at the
+        seed, held fixed (the chord method).  A stack z (..., d) is inverted
+        in lockstep, so row b of the result is g_eval(t, z[b]) bit for bit.
         """
         z = np.asarray(z, dtype=float)
         _, tau = self._split_time(t)
-        d = self.problem.dim
-        zs = z.reshape(-1, d)
-        w = zs.copy()
-        J = np.empty((len(zs), d, d))
-        live = np.arange(len(zs))  # the rows not yet converged
-        for it in range(INVERSION_MAX_ITER):
-            r = self.g_tilde(tau, w[live]) - zs[live]
-            going = ~(np.max(np.abs(r), axis=-1) <= INVERSION_TOL)
-            live, r = live[going], r[going]
-            if not live.size:
-                break
-            if it == 0 or it % 8 == 7:
-                J[live] = self._fd_jacobian(tau, w[live])
-            try:
-                w[live] = w[live] - np.linalg.solve(J[live], r[..., None])[..., 0]
-            except np.linalg.LinAlgError:
-                raise NewtonError("singular Jacobian while inverting the interpolant") from None
-        else:
-            raise NewtonError(f"interpolant inversion did not reach {INVERSION_TOL:g}")
+        zs = z.reshape(-1, self.problem.dim)
+
+        def linearize(w, z, J):
+            return self.g_tilde(tau, w) - z, lambda: J
+
+        w, _ = newton_solve(linearize, zs, zs, self._fd_jacobian(tau, zs))
         dG_dt = self.g_tilde_dtau(tau, w) / self.eps
         return ((dG_dt - self.problem.field(zs)) / self.eps**self.phi.p).reshape(z.shape)
 

@@ -306,18 +306,28 @@ class ConnectionSplit:
     def a_at(self, sys: MechanicalSystem, q: np.ndarray) -> np.ndarray:
         """A(q) = B(q)^-1 mu[:, base], shape (m, n-m); a stack q (..., n) gives (..., m, n-m).
 
-        B is singular where |det B| < 1e-12.  For m = 1, B is one entry b: the
-        test is |b| < 1e-12 (numpy's det of a 1x1 matrix goes through a
-        logarithm and can differ from b in the last ulps), and A is LAPACK's
-        solve without a LAPACK call, bit for bit: mu_base / b for one base
-        column, mu_base * (1 / b) for more, as LAPACK scales by the reciprocal.
+        B is singular where |det B| < 1e-12 both on mu and, for a block that
+        fails there, on mu with each row divided by its largest |entry|: a row
+        of any small scale passes, and one scaled up keeps the first test.
+        For m = 1, B is one entry b: the test is |b| < 1e-12 (numpy's det of
+        a 1x1 matrix goes through a logarithm and can differ from b in the
+        last ulps), and A is LAPACK's solve without a LAPACK call, bit for
+        bit: mu_base / b for one base column, mu_base * (1 / b) for more, as
+        LAPACK scales by the reciprocal.
         """
         mu = sys.mu_at(q)
         B, base = mu[..., list(self.fiber)], mu[..., list(self.base)]
         one = len(self.fiber) == 1
-        singular = np.abs(B[..., 0, 0] if one else np.linalg.det(B)) < 1e-12
+
+        def small(B):
+            return np.abs(B[..., 0, 0] if one else np.linalg.det(B)) < 1e-12
+
+        singular = small(B)
         if singular.any():
-            raise SystemError(f"fiber block of mu singular at q={_first_row(q, singular)!r}")
+            still = small(_row_normalized(mu[singular])[..., list(self.fiber)])
+            if still.any():
+                q = _first_row(np.asarray(q)[singular], still)
+                raise SystemError(f"fiber block of mu singular at q={q!r}")
         if not one:
             return np.linalg.solve(B, base)
         return base / B if len(self.base) == 1 else base * (1.0 / B)
@@ -336,7 +346,7 @@ def derive_connection(sys: MechanicalSystem, fiber_indices=None, q0=None) -> Con
     if fiber_indices is None:
         if q0 is None:
             raise SystemError("automatic fiber selection needs the initial configuration q0")
-        mu = _row_normalized_mu(sys, q0)
+        mu = _row_normalized(sys.mu_at(q0))
         best = None
         best_det = 0.0
         for subset in itertools.combinations(range(sys.n), sys.m):
@@ -351,17 +361,16 @@ def derive_connection(sys: MechanicalSystem, fiber_indices=None, q0=None) -> Con
         if len(fiber) != sys.m or not all(0 <= i < sys.n for i in fiber):
             raise SystemError("fiber_indices must be m distinct coordinate indices")
         if q0 is not None:
-            block = _row_normalized_mu(sys, q0)[:, list(fiber)]
+            block = _row_normalized(sys.mu_at(q0))[:, list(fiber)]
             if abs(np.linalg.det(block)) < 1e-8:
                 raise SystemError(f"requested fiber block singular at q0={q0!r}")
     base = tuple(i for i in range(sys.n) if i not in fiber)
     return ConnectionSplit(base=base, fiber=fiber)
 
 
-def _row_normalized_mu(sys: MechanicalSystem, q0) -> np.ndarray:
-    """mu(q0) with each row divided by its largest |entry|; a zero row stays zero."""
-    mu = sys.mu_at(q0)
-    scale = np.max(np.abs(mu), axis=1, keepdims=True)
+def _row_normalized(mu: np.ndarray) -> np.ndarray:
+    """mu (..., m, n) with each row divided by its largest |entry|; a zero row stays zero."""
+    scale = np.max(np.abs(mu), axis=-1, keepdims=True)
     return mu / np.where(scale > 0.0, scale, 1.0)
 
 

@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_discrete import DISK_X0, rolling_disk
 
-from nonholo import discrete, exprdiff
+from nonholo import discrete, embed, exprdiff
 from nonholo.discrete import SCHEMES, NewtonError, newton_solve, vni20_step
 from nonholo.embed import (
     EmbeddingProblem,
@@ -144,9 +144,23 @@ def test_newton_failure_in_a_stack_is_a_newton_failure():
     phi = OneStepMap(lambda eps, y: np.where(y > 0.0, y, 0.0), 1)
     interp = EvolutionInterpolant(problem, phi, 0.1)
     assert np.isfinite(interp.g_eval(0.099, np.array([1.0]))).all()
-    for z in (np.array([-1.0]), np.array([[1.0], [-1.0]])):
-        with pytest.raises(NewtonError):
-            interp.g_eval(0.099, z)
+    kind, message = _raised(lambda: interp.g_eval(0.099, np.array([-1.0])))
+    assert kind is NewtonError
+    for z in (np.array([[1.0], [-1.0]]), np.array([[-1.0], [1.0], [-1.0]])):
+        assert _raised(lambda: interp.g_eval(0.099, z)) == (kind, message)
+
+
+def test_g_eval_inverts_the_interpolant_with_newton_solve(monkeypatch):
+    sys, split, _ = _SYSTEMS["particle"]
+    problem = reduced_problem(sys, split, base_step=0.01)
+    interp = EvolutionInterpolant(problem, reduced_step_map(sys, split, "vni10"), 0.1)
+    solves = []
+    monkeypatch.setattr(embed, "newton_solve",
+                        lambda *args: solves.append(1) or newton_solve(*args))
+    points = np.array([[0.0, 1.0, 0.0, 1.0, 1.0], [0.2, 0.5, -0.1, 0.5, -1.0]])
+    interp.g_eval(0.037, points)
+    interp.g_eval(0.037, points[0])
+    assert len(solves) == 2  # one lockstep solve per call, a stack or a single point
 
 
 # --- node steps and the accessors they use, on stacks ---------------------------

@@ -596,6 +596,42 @@ def test_interp_curve(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_interp_failure_while_sampling_exits_3_with_the_rows_before(tmp_path, capsys):
+    # the fiber entry of v_z is x, which the curve from x = 1 to x = -1
+    # crosses at its midpoint t = eps / 2, the third of five samples
+    cfg = {"system": {"names": ["x", "y", "z"], "M": [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+                      "V": "0", "mu": [["-y", "0", "x"]]},
+           "eps": 0.1, "samples": 5,
+           "x0": {"q": [1.0, 1.0, 0.0], "v": [1.0, 0.0, 1.0]},
+           "x1": {"q": [-1.0, 1.0, 0.0], "v": [1.0, 0.0, -1.0]}}
+    code, out = run(tmp_path, "interp", cfg)
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: sample 2, t = 0.05: fiber block of mu singular")
+    rows = (out / "interpolation.csv").read_text().splitlines()
+    assert [float(r.split(",")[0]) for r in rows[1:]] == [0.0, 0.025]
+
+
+@pytest.fixture(scope="module")
+def unscaled_embed_report(tmp_path_factory):
+    code, out = run(tmp_path_factory.mktemp("unscaled"), "embed", EMBED)
+    assert code == 0
+    return json.loads((out / "embedding.json").read_text())
+
+
+@pytest.mark.parametrize("k", range(-20, 1))
+def test_embed_takes_a_constraint_row_of_any_small_scale(
+    tmp_path, capsys, unscaled_embed_report, k
+):
+    # the particle's row scaled by 10^k: the fiber entry 10^k falls below
+    # 1e-12 from k = -12 on, but it is the row's largest entry
+    scaled = {"builtin": "nonholonomic_particle", "mu": [[f"-y*1e{k}", "0", f"1e{k}"]]}
+    code, out = run(tmp_path, "embed", dict(EMBED, system=scaled))
+    assert code == 0, capsys.readouterr().err
+    report = json.loads((out / "embedding.json").read_text())
+    assert report["measured_p"] == pytest.approx(unscaled_embed_report["measured_p"], rel=1e-12)
+
+
 def test_embed_and_interp_take_an_unconstrained_system(tmp_path, capsys):
     # m = 0: D is all of TQ, the split has no fiber and xi is the whole state
     oscillator = {"names": ["x", "y"], "M": [[1.0, 0.0], [0.0, 1.0]], "V": "(x^2+y^2)/2",
@@ -606,6 +642,8 @@ def test_embed_and_interp_take_an_unconstrained_system(tmp_path, capsys):
     assert code == 0, capsys.readouterr().err
     report = json.loads((out / "embedding.json").read_text())
     assert abs(report["measured_p"] - 1.0) < 0.15
+    # g(t) and g(t + eps) are inverted to the one Newton tolerance alike
+    assert report["periodicity_defect"] <= 1e-12
 
     cfg = {"system": oscillator, "eps": 0.1, "samples": 11, "x0": start,
            "x1": {"q": [1.5, 0.0], "v": [-1.0, 2.0]}}

@@ -334,6 +334,40 @@ def test_singular_fiber_entry_names_its_row():
         split.a_at(sys, np.array([1.0, np.nextafter(1e-12, 0.0)]))
 
 
+@pytest.mark.parametrize("k", range(-20, 1))
+def test_a_small_constraint_row_is_not_a_singular_fiber_block(k):
+    # the absolute test |b| < 1e-12 flags the fiber entry b of a row scaled
+    # by 10^k <= 1e-12; the row's own scale clears it
+    s = 10.0**k
+    sys = MechanicalSystem(["x", "y"], np.eye(2), "0", [[f"{s!r}*x", f"{s!r}*y"]])
+    split = derive_connection(sys, fiber_indices=[1])
+    Q = np.array([[1.0, 0.5], [2.0, -4.0]])
+    assert np.allclose(split.a_at(sys, Q), [[[2.0]], [[-0.5]]], rtol=1e-14, atol=0.0)
+    # a fiber entry small against its own row is still singular, and named
+    Q = np.array([[1.0, 0.5], [2.0, 1e-13], [3.0, 0.0]])
+    with pytest.raises(SystemError, match="fiber block of mu singular") as ei:
+        split.a_at(sys, Q)
+    assert repr(Q[1]) in str(ei.value) and repr(Q[2]) not in str(ei.value)
+
+
+def test_a_small_fiber_block_of_two_rows_is_not_singular():
+    # det B = 1e-14 < 1e-12, but each row's largest entry is its fiber entry
+    sys = MechanicalSystem(["x", "y", "z"], np.eye(3), "0",
+                           [["1e-7", "0", "x"], ["0", "1e-7", "y"]])
+    split = derive_connection(sys, fiber_indices=[0, 1])
+    assert np.array_equal(split.a_at(sys, np.array([0.0, 0.0, 5.0])), [[0.0], [0.0]])
+    with pytest.raises(SystemError, match="fiber block of mu singular"):
+        split.a_at(sys, np.array([1.0, 1.0, 0.0]))  # rows (1e-7, 0, 1) and (0, 1e-7, 1)
+
+
+def test_a_large_constraint_row_keeps_the_absolute_test():
+    # the normalized test only clears rows the absolute test flags: scaled
+    # up by 1e6, a fiber entry 1e-13 of the row's scale is 1e-7 and passes
+    sys = MechanicalSystem(["x", "y"], np.eye(2), "0", [["1e6*x", "1e6*y"]])
+    split = derive_connection(sys, fiber_indices=[1])
+    assert np.isfinite(split.a_at(sys, np.array([1.0, 1e-13]))).all()
+
+
 def test_kernel_cache_stays_bounded_over_many_systems():
     q = np.array([1.0, 0.0, 0.3, 0.0])
     try:

@@ -24,7 +24,8 @@ with a deformation whose rows cancel mu's, which fails the Gram certificate
 at the start) and with ``project_each_step``;
 four runs of ``converge`` (``vni10``; ``original_node``, whose
 ``project_initial`` repairs the start at each step size; ``reference``; and
-``dla`` at beta 0.5); one of ``interp``;
+``dla`` at beta 0.5); two of ``interp``, the second on a curve that meets
+a singular fiber block at its midpoint and stops there;
 five of ``embed``: ``vni10`` at
 one point, then the Newton scheme ``vni20`` and the flow itself as the map
 (``exact``) at five points, and ``vni10`` and ``vni20`` at one point of the
@@ -38,7 +39,9 @@ every function and a non-integer power, run by ``reference``, ``vni20`` and
 ``dla`` and by ``embed`` (``vni10`` and ``vni20``, from its projected start),
 which keeps the per-row kernels, the Hessian's included; ``embed`` (``vni10``) on a
 2-d system with one constraint, whose lift A = B^-1 mu_base has one base
-column (n - m = 1, where the particle's has two); then runs that fail
+column (n - m = 1, where the particle's has two), and on the particle with its
+constraint row scaled by 1e-13, which the fiber block's singularity test
+must not flag; then runs that fail
 at runtime, and configs that misuse a key, ask for a huge step or sample
 count or start outside the system's domain.  Each
 discrete scheme meets three runtime failures that stop at a fixed row: a start
@@ -114,6 +117,19 @@ INTERP = {
     "x0": {"q": [0.0, 1.0, 0.0], "v": [1.0, 1.0, 1.0]},
     "x1": {"q": [0.1, 1.1, 0.1], "v": [1.0, 1.0, 1.1]},
 }
+# The fiber entry of v_z is x, which the curve from x = 1 to x = -1 crosses
+# at its midpoint: the third of five samples fails.
+INTERP_SINGULAR_FIBER = {
+    "system": {"names": ["x", "y", "z"], "M": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]],
+               "V": "0", "mu": [["-y", "0", "x"]]},
+    "eps": 0.1, "samples": 5,
+    "x0": {"q": [1.0, 1.0, 0.0], "v": [1.0, 0.0, 1.0]},
+    "x1": {"q": [-1.0, 1.0, 0.0], "v": [1.0, 0.0, -1.0]},
+}
+# The particle's row scaled by 1e-13: its fiber entry is below 1e-12, but
+# it is the row's largest entry.
+EMBED_TINY_ROW = {**EMBED, "system": {"builtin": "nonholonomic_particle",
+                                      "mu": [["-y*1e-13", "0", "1e-13"]]}}
 CONVERGE = {**PARTICLE, "integrator": "vni10", "T": 0.25, "eps_list": [0.02, 0.01, 0.005, 0.0025]}
 CONVERGE_ORIGINAL_NODE = {**CONVERGE, "integrator": "original_node", "project_initial": True,
                           "T": 0.2}
@@ -207,6 +223,7 @@ def configs() -> list[tuple[str, str, dict]]:
             ("other/converge_reference", "converge", {**CONVERGE, "integrator": "reference"}),
             ("other/converge_dla", "converge", {**CONVERGE, "integrator": "dla", "beta": 0.5}),
             ("other/interp", "interp", INTERP),
+            ("other/interp_singular_fiber", "interp", INTERP_SINGULAR_FIBER),
             ("other/embed", "embed", EMBED),
             ("other/embed_vni20_points", "embed", EMBED_POINTS),
             ("other/embed_exact", "embed", {**EMBED_POINTS, "scheme": "exact", "p": 1}),
@@ -238,7 +255,8 @@ def configs() -> list[tuple[str, str, dict]]:
             for name, extra in (("reference", {}), ("vni20", {}), ("dla", {"beta": 0.5}))]
     out += [("other/funcs_embed", "embed", FUNCS_EMBED),
             ("other/funcs_embed_vni20", "embed", {**FUNCS_EMBED, "scheme": "vni20"}),
-            ("other/one_constraint_2d_embed", "embed", ONE_CONSTRAINT_2D_EMBED)]
+            ("other/one_constraint_2d_embed", "embed", ONE_CONSTRAINT_2D_EMBED),
+            ("other/embed_tiny_row", "embed", EMBED_TINY_ROW)]
 
     out += [(f"fail/quartic_{name}", "simulate", {**QUARTIC, "integrator": name, **extra})
             for name, extra in every_integrator]
