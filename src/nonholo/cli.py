@@ -230,7 +230,12 @@ def _steps_and_eps(cfg: dict) -> tuple[float, int]:
     return eps, N
 
 
-def _nodes_policy(cfg: dict) -> NodePolicy:
+def _nodes_policy(cfg: dict, integ: str) -> NodePolicy:
+    """The two-point scheme's node policy; the default for the other integrators."""
+    if integ != "dla":
+        if cfg.get("nodes") is not None:
+            raise ConfigError(f"'nodes' only applies to the two-point scheme, not {integ!r}")
+        return NodePolicy.REDEFINED
     raw = str(cfg.get("nodes", "redefined")).upper()
     if raw not in NodePolicy.__members__:
         raise ConfigError("'nodes' must be 'redefined' or 'original'")
@@ -277,7 +282,7 @@ def cmd_simulate(cfg: dict, out_dir: str) -> int:
     if integ not in INTEGRATORS:
         raise ConfigError(f"unknown integrator {integ!r}; pick one of {INTEGRATORS}")
     eps, N = _steps_and_eps(cfg)
-    policy = _nodes_policy(cfg)
+    policy = _nodes_policy(cfg, integ)
     beta = _beta(cfg, integ)
     project_each_step = _flag(cfg, "project_each_step")
     dc = _deformation(cfg, sys)
@@ -350,7 +355,7 @@ def convergence_study(cfg: dict, eps_list: list[float]) -> StudyResult:
     if integ not in INTEGRATORS:
         raise ConfigError(f"unknown integrator {integ!r}; pick one of {INTEGRATORS}")
     beta = _beta(cfg, integ)
-    policy = _nodes_policy(cfg)
+    policy = _nodes_policy(cfg, integ)
     x0 = _initial_state(cfg, sys)
     T = _positive(cfg, "T")
     _check_steps(T / REFERENCE_STEP, "the reference oracle's T / REFERENCE_STEP")

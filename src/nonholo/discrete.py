@@ -113,10 +113,10 @@ def _newton_update(u: np.ndarray, r: np.ndarray, J: np.ndarray) -> np.ndarray:
     try:
         du = np.linalg.solve(J, -r[..., None])[..., 0]
     except np.linalg.LinAlgError:
-        raise NewtonError("singular Jacobian in step equations") from None
+        raise NewtonError("singular Jacobian in a Newton iteration") from None
     u = u + du
     if not np.all(np.isfinite(u)):
-        raise NewtonError("step equations diverged to non-finite values")
+        raise NewtonError("Newton iterate is not finite")
     return u
 
 
@@ -170,7 +170,7 @@ class FiniteDifferenceMap:
         _require_finite("eps", self.eps, positive=True)
 
     def forward(self, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return (1.0 - self.beta) * x + self.beta * y, (y - x) / self.eps
+        return self.point(x, y), (y - x) / self.eps
 
     def point(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         return (1.0 - self.beta) * x + self.beta * y
@@ -194,25 +194,17 @@ class DiscreteNonholonomicSystem:
     sys: MechanicalSystem
     rho: FiniteDifferenceMap
 
-    def phi_d_jac_y(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """d/dy of the discrete constraint phi_d(x, y) = -mu(rho.point(x, y)) (y - x)."""
-        q = self.rho.point(x, y)
-        dmu = self.sys.mu_jac_at(q)
-        return -self.rho.beta * np.einsum("aij,i->aj", dmu, y - x) - self.sys.mu_at(q)
+    def check_regularity(self, q_cur: np.ndarray, v_k: np.ndarray, mu_cur: np.ndarray) -> float:
+        """cond of dla's step Jacobian at the Newton seed u = v_k, its first n rows over eps.
 
-    def regularity_matrix(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """Block matrix whose invertibility makes the implicit step well posed."""
+        The paper's [[D1D2 L_d, mu(q_k)'], [D2 phi_d, 0]] at (q_k, q_k + eps v_k)
+        is diag(-I/eps, -I) times that Jacobian, up to the rounding of the
+        point q_k + beta eps v_k, and no row's sign moves a singular value.
+        """
         sys, eps, beta = self.sys, self.rho.eps, self.rho.beta
-        n, m = sys.n, sys.m
-        q = self.rho.point(x, y)
-        out = np.zeros((n + m, n + m))
-        out[:n, :n] = -(1.0 / eps) * sys.M - eps * beta * (1.0 - beta) * sys.hess_v_at(q)
-        out[:n, n:] = sys.mu_at(x).T
-        out[n:, :n] = self.phi_d_jac_y(x, y)
-        return out
-
-    def check_regularity(self, x: np.ndarray, y: np.ndarray) -> float:
-        block = self.regularity_matrix(x, y)
+        q = q_cur + beta * eps * v_k
+        block = _step_jacobian(sys, eps, beta, 1.0 - beta, q, v_k, sys.mu_at(q), mu_cur)
+        block[: sys.n] /= eps
         try:
             cond = float(np.linalg.cond(block))
         except np.linalg.LinAlgError:  # the SVD fails on a matrix with NaN entries
@@ -263,6 +255,19 @@ def vni10_step(sys: MechanicalSystem, x: np.ndarray, eps: float) -> StepResult:
     return StepResult(_node(q1, v1), lam, iters)
 
 
+def _step_jacobian(sys: MechanicalSystem, eps: float, c: float, w: float, q, u, mu, mu_react):
+    """d/d(u, lambda) of the step equations (module docstring) at u, q = q_base + c eps u.
+
+    mu is mu(q); a stack of node data (..., n) gives a stack of Jacobians.
+    """
+    n = sys.n
+    J = np.zeros(q.shape[:-1] + (n + sys.m, n + sys.m))
+    J[..., :n, :n] = sys.M + eps * eps * c * w * sys.hess_v_at(q)
+    J[..., :n, n:] = -eps * mu_react.mT
+    J[..., n:, :n] = mu + c * eps * np.einsum("...aij,...i->...aj", sys.mu_jac_at(q), u)
+    return J
+
+
 def _implicit_step(
     sys: MechanicalSystem,
     eps: float,
@@ -289,14 +294,7 @@ def _implicit_step(
         mu = sys.mu_at(q)
         r1 = np.matvec(sys.M, u - v0) + eps * (w * sys.grad_v_at(q) + fixed_force)
         r1 = r1 - eps * np.matvec(mu_react.mT, lam)
-
-        def jacobian():
-            J = np.zeros(z.shape[:-1] + (n + sys.m, n + sys.m))
-            J[..., :n, :n] = sys.M + eps * eps * c * w * sys.hess_v_at(q)
-            J[..., :n, n:] = -eps * mu_react.mT
-            J[..., n:, :n] = mu + c * eps * np.einsum("...aij,...i->...aj", sys.mu_jac_at(q), u)
-            return J
-
+        jacobian = functools.partial(_step_jacobian, sys, eps, c, w, q, u, mu, mu_react)
         return np.concatenate([r1, np.matvec(mu, u)], axis=-1), jacobian
 
     z0 = np.concatenate([v0, np.zeros(v0.shape[:-1] + (sys.m,))], axis=-1)
@@ -378,15 +376,17 @@ def dla_step(
     """Advance the two-point scheme: (q_{k-1}, q_k) -> q_{k+1}.
 
     The unknowns are the scaled difference u_v = (q_{k+1} - q_k) / eps and
-    the multiplier; the result's state is (q_{k+1}, u_v).
+    the multiplier; the result's state is (q_{k+1}, u_v).  The step is
+    refused where its equations are not regular at the Newton seed.
     """
     sys, rho = dsys.sys, dsys.rho
     eps, beta = rho.eps, rho.beta
     v_k = (q_cur - q_prev) / eps
-    dsys.check_regularity(q_cur, q_cur + eps * v_k)
+    mu_cur = sys.mu_at(q_cur)
+    dsys.check_regularity(q_cur, v_k, mu_cur)
     grad_back = sys.grad_v_at(rho.point(q_prev, q_cur))
     u_v, lam, iters = _implicit_step(
-        sys, eps, v_k, q_cur, beta, 1.0 - beta, beta * grad_back, sys.mu_at(q_cur)
+        sys, eps, v_k, q_cur, beta, 1.0 - beta, beta * grad_back, mu_cur
     )
     return StepResult(_node(q_cur + eps * u_v, u_v), lam, iters)
 
@@ -437,6 +437,8 @@ def run_integrator(
         dsys = DiscreteNonholonomicSystem(sys, rho)
     elif beta is not None:
         raise SystemError(f"beta only applies to the two-point scheme, not {scheme!r}")
+    elif policy is not NodePolicy.REDEFINED:
+        raise SystemError(f"the node policy only applies to the two-point scheme, not {scheme!r}")
 
     # original_node_step validates its own deformed precondition
     if scheme != "original_node":

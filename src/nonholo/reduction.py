@@ -17,7 +17,7 @@ system (m = 0) takes the same path on zero-row arrays: lambda is empty.
 
 The dynamics of a deformed constraint mu(q) v + delta g(q, v) = 0 lives
 here as well.  Both fields eliminate the multiplier with the one solve
-`_solve_field` and differ only in the constraint gradients they give it.
+`_field` and differ only in the constraint gradients they give it.
 """
 from __future__ import annotations
 
@@ -53,39 +53,33 @@ __all__ = [
 ON_D_TOL = 1e-9
 
 
-def _plain_inputs(sys: MechanicalSystem, x: np.ndarray):
-    """`_solve_field`'s (q, rows, grad_q, qdot, f_v) for phi = mu(q) v at x, f_v = -M^-1 grad V.
+def _field(sys: MechanicalSystem, dc: DeformedConstraint | None, x: np.ndarray):
+    """The one multiplier solve: (field, lambda, mu(q)) at a row or a stack of rows x = (q, v).
 
-    C is left to the caller: `_plain_field` forms it, `_deformed` certifies its own.
+    The constraint phi is mu(q) v when dc is None, mu(q) v + delta g(q, v)
+    otherwise.  lambda solves C lambda = -(d phi/dq . v + d phi/dv . f_v),
+    the condition d/dt phi = 0, with f_v = -M^-1 grad V, rows = d phi/dv and
+    C = rows M^-1 rows', by the one Gram solve `_gram_solve`; the field is
+    (v, f_v + M^-1 rows' lambda).  The plain field forms C with `_gram`, the
+    deformed one takes the C that `c_matrix` certified.
     """
     q, v = x[..., : sys.n], x[..., sys.n :]
     mu, dmu, grad_v = sys.mu_dmu_grad_v_at(q)
-    grad_q = np.vecmat(v[..., None, :], dmu)  # v @ dmu for each constraint row
-    return q, mu, grad_q, v, -np.matvec(sys.M_inv, grad_v)
-
-
-def _solve_field(sys: MechanicalSystem, q, rows, C, grad_q, qdot, f_v):
-    """The one multiplier solve: returns the field (qdot, f_v + M^-1 rows' lambda) and lambda.
-
-    lambda solves C lambda = -(grad_q . qdot + rows . f_v), C = rows M^-1 rows',
-    the condition d/dt phi = 0 for a constraint phi with d phi/dq = grad_q and
-    d phi/dv = rows, by the one Gram solve `_gram_solve`.  The plain and the
-    deformed field both come through here; the plain one forms C with
-    `_gram`, the deformed one takes the C that `c_matrix` certified.
-    """
-    rhs = np.matvec(grad_q, qdot) + np.matvec(rows, f_v)
-    lam = -_gram_solve(C, rhs, q)
+    rows, grad_q = mu, np.vecmat(v[..., None, :], dmu)  # v @ dmu for each constraint row
+    f_v = -np.matvec(sys.M_inv, grad_v)
+    if dc is None:
+        C = _gram(sys, mu)
+    else:
+        rows = mu + dc.delta * dc.g_grad_v(sys, x)
+        grad_q = grad_q + dc.delta * dc.g_grad_q(sys, x)
+        C = c_matrix(sys, rows, q)
+    lam = -_gram_solve(C, np.matvec(grad_q, v) + np.matvec(rows, f_v), q)
     force = np.matvec(sys.M_inv, np.matvec(rows.mT, lam))
-    return np.concatenate([qdot, f_v + force], axis=-1), lam
-
-
-def _plain_field(sys: MechanicalSystem, q, mu, grad_q, v, f_v):
-    """The plain field and multiplier from x's `_plain_inputs`."""
-    return _solve_field(sys, q, mu, _gram(sys, mu), grad_q, v, f_v)
+    return np.concatenate([v, f_v + force], axis=-1), lam, mu
 
 
 def _lambda_raw(sys: MechanicalSystem, x: np.ndarray) -> np.ndarray:
-    return _plain_field(sys, *_plain_inputs(sys, x))[1]
+    return _field(sys, None, x)[1]
 
 
 def _require_on_d(sys: MechanicalSystem, x: np.ndarray) -> None:
@@ -105,7 +99,7 @@ def lambda_continuous(sys: MechanicalSystem, x: np.ndarray, check: bool = True) 
 
 def h_field(sys: MechanicalSystem, x: np.ndarray) -> np.ndarray:
     """The constrained field (v, -M^-1 grad V + lambda_a M^-1 mu^a) at a row or a stack of rows."""
-    return _plain_field(sys, *_plain_inputs(sys, x))[0]
+    return _field(sys, None, x)[0]
 
 
 def psi_embed(sys: MechanicalSystem, split: ConnectionSplit, xi) -> np.ndarray:
@@ -172,16 +166,9 @@ def deformed_residual(sys: MechanicalSystem, dc: DeformedConstraint, x: np.ndarr
     return constraint_residual(sys, x) + dc.delta * dc.g_at(sys, x)
 
 
-def _deformed(sys: MechanicalSystem, dc: DeformedConstraint, x: np.ndarray, q, mu, grad_q, v, f_v):
-    """The deformed field and multiplier at x, from x's `_plain_inputs`."""
-    rows = mu + dc.delta * dc.g_grad_v(sys, x)
-    grad_q = grad_q + dc.delta * dc.g_grad_q(sys, x)
-    return _solve_field(sys, q, rows, c_matrix(sys, rows, q), grad_q, v, f_v)
-
-
 def deformed_lambda(sys: MechanicalSystem, dc: DeformedConstraint, x: np.ndarray) -> np.ndarray:
     """Multiplier of the deformed dynamics (reaction along the deformed one-forms)."""
-    return _deformed(sys, dc, x, *_plain_inputs(sys, x))[1]
+    return _field(sys, dc, x)[1]
 
 
 def deformed_field(sys: MechanicalSystem, dc: DeformedConstraint, x: np.ndarray) -> np.ndarray:
@@ -190,7 +177,7 @@ def deformed_field(sys: MechanicalSystem, dc: DeformedConstraint, x: np.ndarray)
     With delta = 0 this is `h_field` byte for byte: both take the one Gram
     solve, and the certificate `c_matrix` run first only checks the rows.
     """
-    return _deformed(sys, dc, x, *_plain_inputs(sys, x))[0]
+    return _field(sys, dc, x)[0]
 
 
 def _recorded_field(sys: MechanicalSystem, dc: DeformedConstraint | None, x: np.ndarray):
@@ -201,7 +188,6 @@ def _recorded_field(sys: MechanicalSystem, dc: DeformedConstraint | None, x: np.
     deformed_residual), bit for bit, for one multiplier solve instead of two
     and one evaluation of mu instead of three.
     """
-    q, mu, grad_q, v, f_v = _plain_inputs(sys, x)
-    if dc is None:
-        return *_plain_field(sys, q, mu, grad_q, v, f_v), mu @ v
-    return *_deformed(sys, dc, x, q, mu, grad_q, v, f_v), mu @ v + dc.delta * dc.g_at(sys, x)
+    field, lam, mu = _field(sys, dc, x)
+    res = mu @ x[sys.n :]
+    return field, lam, res if dc is None else res + dc.delta * dc.g_at(sys, x)

@@ -159,42 +159,34 @@ class MechanicalSystem:
         unsort = [self._sorted_names.index(nm) for nm in self.names]
         self._unsort = np.ix_(unsort, unsort)
 
-    def q_ctx(self, q: np.ndarray) -> dict:
-        return dict(zip(self.names, np.asarray(q, dtype=float).tolist()))
-
     def qv_ctx(self, x: np.ndarray) -> dict:
         return dict(zip(self.names + self.vnames, x.tolist()))
 
-    def _columns(self, q: np.ndarray) -> exprdiff.Columns:
-        """exprdiff's bindings of a stack q (..., n): each name bound to its column.
+    def _bind(self, q) -> tuple[tuple, dict]:
+        """exprdiff's bindings of q and the leading shape of its stack.
 
-        At these bindings exprdiff runs one column kernel over the whole
+        One configuration (n,) binds as a dict of numbers, the integrators'
+        hot path, with leading shape ().  A stack (..., n) binds each name to
+        its column: exprdiff then runs one column kernel over the whole
         stack where numpy gives math's bits, and the per-row kernel
         otherwise; either way row b of a stack is the unbatched call on row
-        b, bit for bit, and an error is the first failing row's.  The
-        accessors bind one configuration as a dict of numbers, the
-        integrators' hot path.
+        b, bit for bit, and an error is the first failing row's.
         """
-        return exprdiff.Columns(self.names, q.reshape(-1, self.n))
+        q = np.asarray(q, dtype=float)
+        if q.ndim > 1:
+            return q.shape[:-1], exprdiff.Columns(self.names, q.reshape(-1, self.n))
+        return (), dict(zip(self.names, q.tolist()))
 
     def mu_at(self, q: np.ndarray) -> np.ndarray:
         """mu(q), shape (m, n); a stack q (..., n) gives (..., m, n)."""
-        q = np.asarray(q, dtype=float)
-        if q.ndim > 1:
-            mu = exprdiff.evaluate(self._mu_entries, self._columns(q))
-            return mu.reshape(q.shape[:-1] + (self.m, self.n))
-        ctx = dict(zip(self.names, q.tolist()))
-        return exprdiff.evaluate(self._mu_entries, ctx).reshape(self.m, self.n)
+        lead, ctx = self._bind(q)
+        return exprdiff.evaluate(self._mu_entries, ctx).reshape(lead + (self.m, self.n))
 
     def mu_jac_at(self, q: np.ndarray) -> np.ndarray:
         """d mu[a, i] / d q[j], shape (m, n, n); a stack q (..., n) gives (..., m, n, n)."""
-        q = np.asarray(q, dtype=float)
-        shape = (self.m, self.n, self.n)
-        if q.ndim > 1:
-            dmu = exprdiff.gradient(self._mu_entries, self.names, self._columns(q))
-            return dmu.reshape(q.shape[:-1] + shape)
-        ctx = dict(zip(self.names, q.tolist()))
-        return exprdiff.gradient(self._mu_entries, self.names, ctx).reshape(shape)
+        lead, ctx = self._bind(q)
+        dmu = exprdiff.gradient(self._mu_entries, self.names, ctx)
+        return dmu.reshape(lead + (self.m, self.n, self.n))
 
     def mu_dmu_grad_v_at(self, q: np.ndarray):
         """(mu_at(q), mu_jac_at(q), grad_v_at(q)), bit for bit, or the first of their errors.
@@ -206,27 +198,22 @@ class MechanicalSystem:
         if q.ndim > 1:
             return self.mu_at(q), self.mu_jac_at(q), self.grad_v_at(q)
         m, n = self.m, self.n
-        flat = exprdiff.field(self._field_exprs, self.names, dict(zip(self.names, q.tolist())))
+        flat = exprdiff.field(self._field_exprs, self.names, self._bind(q)[1])
         return flat[: m * n].reshape(m, n), flat[m * n : -n].reshape(m, n, n), flat[-n:]
 
     def v_at(self, q: np.ndarray) -> float:
-        return exprdiff.evaluate(self.V, self.q_ctx(q))
+        return exprdiff.evaluate(self.V, self._bind(q)[1])
 
     def grad_v_at(self, q: np.ndarray) -> np.ndarray:
         """grad V(q), shape (n,); a stack q (..., n) gives (..., n)."""
-        q = np.asarray(q, dtype=float)
-        if q.ndim > 1:
-            return exprdiff.gradient(self.V, self.names, self._columns(q)).reshape(q.shape)
-        return exprdiff.gradient(self.V, self.names, dict(zip(self.names, q.tolist())))
+        lead, ctx = self._bind(q)
+        return exprdiff.gradient(self.V, self.names, ctx).reshape(lead + (self.n,))
 
     def hess_v_at(self, q: np.ndarray) -> np.ndarray:
         """hess V(q), shape (n, n); a stack q (..., n) gives (..., n, n)."""
-        q = np.asarray(q, dtype=float)
-        if q.ndim > 1:
-            hess = exprdiff.hessian(self.V, self._sorted_names, self._columns(q))
-            return hess[(Ellipsis, *self._unsort)].reshape(q.shape + (self.n,))
-        ctx = dict(zip(self.names, q.tolist()))
-        return exprdiff.hessian(self.V, self._sorted_names, ctx)[self._unsort]
+        lead, ctx = self._bind(q)
+        hess = exprdiff.hessian(self.V, self._sorted_names, ctx)
+        return hess[(Ellipsis, *self._unsort)].reshape(lead + (self.n, self.n))
 
 
 def constraint_residual(sys: MechanicalSystem, x: np.ndarray) -> np.ndarray:

@@ -233,7 +233,7 @@ _NODES = {
 }
 _ERRORS = {
     "no_convergence": (NewtonError, "no convergence after 30 Newton iterations"),
-    "singular": (NewtonError, "singular Jacobian in step equations"),
+    "singular": (NewtonError, "singular Jacobian in a Newton iteration"),
     "overflow": (EvalError, "overflow in exp"),
 }
 

@@ -255,7 +255,10 @@ def test_simulate_config_errors(tmp_path, capsys):
         dict(PARTICLE_SIM, q=[0.0, 1.0]),
         dict(PARTICLE_SIM, system="rolling_disk"),
         dict(PARTICLE_SIM, beta=0.5),  # beta without the two-point scheme
-        dict(PARTICLE_SIM, nodes="midpoint"),
+        dict(PARTICLE_SIM, integrator="dla", beta=0.5, nodes="midpoint"),
+        dict(PARTICLE_SIM, nodes="redefined"),  # nodes without the two-point scheme
+        dict(PARTICLE_SIM, integrator="vni20", nodes="original"),
+        dict(PARTICLE_SIM, integrator="reference", nodes="original"),
         dict(PARTICLE_SIM, deformation={"g": ["v_x*v_y"], "delta": 0.05}),
         dict(PARTICLE_SIM, system={"names": ["x"], "M": [[1.0]], "V": "x +", "mu": []}),
         dict(PARTICLE_SIM, system={"builtin": "nonholonomic_particle", "n": 2}),
@@ -537,6 +540,7 @@ INTERP = {
         ("embed", dict(EMBED, base_step=1e-300)),  # eps / base_step flow steps
         ("interp", dict(INTERP, samples=1e20)),  # more samples than MAX_STEPS
         ("embed", dict(EMBED, scheme="original_node")),  # keeps a deformed set, not D
+        ("converge", dict(CONVERGE, nodes="original")),  # nodes without the two-point scheme
     ],
 )
 def test_other_command_config_errors(tmp_path, capsys, command, cfg):
@@ -718,17 +722,27 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-@st.composite
-def _simulate_configs(draw):
-    cfg = dict(draw(st.sampled_from(_BASES)))
-    for key in draw(st.lists(st.sampled_from(sorted(_MUTATIONS)), max_size=3, unique=True)):
+def _mutate(draw, cfg: dict, mutations: dict) -> dict:
+    """Break at most three keys of cfg: drop each, or give it a plausible or a junk value."""
+    for key in draw(st.lists(st.sampled_from(sorted(mutations)), max_size=3, unique=True)):
         how = draw(st.sampled_from(["drop", "plausible", "junk"]))
         if how == "drop":
             cfg.pop(key, None)
         else:
-            cfg[key] = draw(_MUTATIONS[key] if how == "plausible" else _junk)
-    if _is_number(cfg.get("N")) and cfg["N"] > 3:
-        cfg["N"] = 3
+            cfg[key] = draw(mutations[key] if how == "plausible" else _junk)
+    return cfg
+
+
+def _cap(cfg: dict, key: str, most: float) -> None:
+    """Hold a number at cfg[key] to at most `most`, so that one example stays cheap."""
+    if _is_number(cfg.get(key)) and cfg[key] > most:
+        cfg[key] = most
+
+
+@st.composite
+def _simulate_configs(draw):
+    cfg = _mutate(draw, dict(draw(st.sampled_from(_BASES))), _MUTATIONS)
+    _cap(cfg, "N", 3)
     if "T" in cfg or draw(st.booleans()):
         # a T of at most three steps, in place of N
         cfg.pop("N", None)
@@ -737,11 +751,108 @@ def _simulate_configs(draw):
     return cfg
 
 
-@settings(max_examples=300, deadline=None, derandomize=True)
-@given(_simulate_configs())
-def test_fuzzed_simulate_config_exits_0_2_or_3(cfg):
+def _exit_code(command: str, cfg: dict) -> int:
     with tempfile.TemporaryDirectory() as work:
         path = os.path.join(work, "run.json")
         with open(path, "w") as fh:
             json.dump(cfg, fh)
-        assert main(["simulate", "--config", path, "--out", os.path.join(work, "out")]) in (0, 2, 3)
+        return main([command, "--config", path, "--out", os.path.join(work, "out")])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_simulate_configs())
+def test_fuzzed_simulate_config_exits_0_2_or_3(cfg):
+    assert _exit_code("simulate", cfg) in (0, 2, 3)
+
+
+# Tiny studies: an oracle of at most 100 RK4 steps, at most 50 steps per step size.
+_TINY_EPS_LIST = [0.004, 0.002, 0.001, 0.0005]
+_CONVERGE_BASES = [
+    dict(CONVERGE, integrator=integ, T=0.01, eps_list=_TINY_EPS_LIST, **extra)
+    for integ, extra in (
+        ("reference", {}),
+        ("vni10", {}),
+        ("vni20", {}),
+        ("original_node", {"project_initial": True}),
+        ("dla", {"beta": 0.5}),
+        ("dla", {"beta": 0.0, "nodes": "original"}),
+    )
+] + [dict(QUARTIC, integrator="vni20", T=0.01, eps_list=_TINY_EPS_LIST)]
+_CONVERGE_MUTATIONS = {
+    **{key: _MUTATIONS[key] for key in ("system", "integrator", "beta", "nodes", "q", "v",
+                                        "project_initial", "output", "summary")},
+    "T": st.floats(1e-3, 0.01),
+    "eps_list": st.lists(st.floats(2e-4, 0.02), min_size=3, max_size=5),
+}
+
+
+@st.composite
+def _converge_configs(draw):
+    cfg = _mutate(draw, dict(draw(st.sampled_from(_CONVERGE_BASES))), _CONVERGE_MUTATIONS)
+    _cap(cfg, "T", 0.01)
+    if isinstance(cfg.get("eps_list"), list):  # no step size below 2e-4 but the too small to run
+        cfg["eps_list"] = [max(e, 2e-4) if _is_number(e) and e > 1e-300 else e
+                           for e in cfg["eps_list"]]
+    return cfg
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_converge_configs())
+def test_fuzzed_converge_config_exits_0_2_or_3(cfg):
+    assert _exit_code("converge", cfg) in (0, 2, 3)
+
+
+_POINTS = st.lists(st.fixed_dictionaries({"q": _floats, "v": _floats}), min_size=1, max_size=2)
+_EMBED_BASES = [dict(EMBED, order_levels=2, **extra)
+                for extra in ({}, {"scheme": "vni20"}, {"scheme": "exact", "p": 1})]
+_EMBED_MUTATIONS = {
+    **{key: _MUTATIONS[key] for key in ("system", "project_initial", "summary")},
+    "scheme": st.sampled_from(["vni10", "vni20", "original_node", "dla", "exact", "rk4"]),
+    "p": st.integers(-1, 3),
+    "eps": st.floats(0.01, 0.2),
+    "base_step": st.floats(0.005, 0.05),
+    "t_frac": st.one_of(st.floats(-1.0, 2.0), st.just(1e300)),
+    "order_levels": st.integers(0, 3),
+    "q0": _floats,
+    "points": _POINTS,
+}
+
+
+@st.composite
+def _embed_configs(draw):
+    cfg = _mutate(draw, dict(draw(st.sampled_from(_EMBED_BASES))), _EMBED_MUTATIONS)
+    for key, most in (("eps", 0.2), ("order_levels", 3), ("p", 3)):
+        _cap(cfg, key, most)
+    eps, base_step = cfg.get("eps"), cfg.get("base_step")
+    if _is_number(eps) and _is_number(base_step) and 0.0 < base_step < eps / 20:
+        cfg["base_step"] = eps / 20  # at most 20 flow steps per step of the map
+    return cfg
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(_embed_configs())
+def test_fuzzed_embed_config_exits_0_2_or_3(cfg):
+    assert _exit_code("embed", cfg) in (0, 2, 3)
+
+
+_INTERP_MUTATIONS = {
+    **{key: _MUTATIONS[key] for key in ("system", "output")},
+    "eps": st.one_of(st.floats(0.01, 1.0), st.just(1e308)),
+    "samples": st.integers(0, 8),
+    "x0": _POINTS.map(lambda points: points[0]),
+    "x1": _POINTS.map(lambda points: points[0]),
+    "q0": _floats,
+}
+
+
+@st.composite
+def _interp_configs(draw):
+    cfg = _mutate(draw, dict(INTERP, samples=5), _INTERP_MUTATIONS)
+    _cap(cfg, "samples", 8)
+    return cfg
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_interp_configs())
+def test_fuzzed_interp_config_exits_0_2_or_3(cfg):
+    assert _exit_code("interp", cfg) in (0, 2, 3)

@@ -178,6 +178,51 @@ def test_regularity_guard_fires_when_constraint_degenerates():
         dla_step(dsys, q_cur - 0.01 * np.array([0.0, 1.0]), q_cur)
 
 
+def test_node_schemes_refuse_a_node_policy():
+    sys = nonholonomic_particle()
+    for scheme in ("vni10", "vni20", "original_node"):
+        with pytest.raises(SystemError, match="two-point scheme"):
+            run_integrator(sys, scheme, X0, 0.01, 3, policy=NodePolicy.ORIGINAL)
+
+
+def _paper_regularity_matrix(sys, rho, x, y):
+    """[[D1D2 L_d, mu(x)'], [D2 phi_d, 0]] at the pair (x, y), phi_d(x, y) = -mu(rho(x, y)) (y - x)."""
+    n, eps, beta = sys.n, rho.eps, rho.beta
+    q = (1.0 - beta) * x + beta * y
+    out = np.zeros((n + sys.m, n + sys.m))
+    out[:n, :n] = -(1.0 / eps) * sys.M - eps * beta * (1.0 - beta) * sys.hess_v_at(q)
+    out[:n, n:] = sys.mu_at(x).T
+    out[n:, :n] = -beta * np.einsum("aij,i->aj", sys.mu_jac_at(q), y - x) - sys.mu_at(q)
+    return out
+
+
+@pytest.mark.parametrize("beta", [0.0, 0.3, 0.5, 1.0])
+def test_regularity_certificate_is_the_cond_of_the_paper_matrix(beta):
+    # the certificate is the step Jacobian at the Newton seed, row-scaled;
+    # its cond is that of the paper's block matrix, written out independently
+    sys, rng = rolling_disk(), np.random.default_rng(20)
+    for eps in (0.01, 0.1):
+        dsys = DiscreteNonholonomicSystem(sys, FiniteDifferenceMap(beta=beta, eps=eps))
+        for _ in range(25):
+            q_cur, v_k = rng.uniform(-2.0, 2.0, 4), rng.uniform(-2.0, 2.0, 4)
+            want = np.linalg.cond(_paper_regularity_matrix(sys, dsys.rho, q_cur, q_cur + eps * v_k))
+            got = dsys.check_regularity(q_cur, v_k, sys.mu_at(q_cur))
+            assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+def test_dla_step_evaluates_mu_at_the_current_configuration_once():
+    # the regularity certificate and the step equations share one mu(q_k)
+    sys = rolling_disk()
+    dsys = DiscreteNonholonomicSystem(sys, FiniteDifferenceMap(beta=0.5, eps=0.01))
+    q_prev, q_cur = dsys.rho.inverse(DISK_X0.q, DISK_X0.v)
+    calls = []
+    mu_at = sys.mu_at
+    sys.mu_at = lambda q: calls.append(np.array(q)) or mu_at(q)
+    out = dla_step(dsys, q_prev, q_cur)
+    assert out.iters >= 1
+    assert sum(np.array_equal(q, q_cur) for q in calls) == 1
+
+
 def test_newton_solver_failures():
     with pytest.raises(NewtonError):
         newton_solve(lambda u: (np.array([1.0]), lambda: np.eye(1)), np.zeros(1))
@@ -493,8 +538,8 @@ def test_integrate_makes_four_multiplier_solves_per_step(monkeypatch, run):
     # residual and the next step's first stage: 4 K + 1 solves for K steps
     sys, steps = rolling_disk(), 25
     solves = []
-    solve = reduction._solve_field
-    monkeypatch.setattr(reduction, "_solve_field",
+    solve = reduction._gram_solve
+    monkeypatch.setattr(reduction, "_gram_solve",
                         lambda *args, **kw: solves.append(1) or solve(*args, **kw))
     dc = DeformedConstraint(g=[exprdiff.parse("v_x*v_th"), exprdiff.parse("v_y*v_ph")], delta=0.05)
     integrate(sys, DISK_X0, 0.01 * steps, 0.01, deformation=dc if run == "deformed" else None,

@@ -50,6 +50,9 @@ overflows (one row), and a start whose initial row fails while it is recorded,
 because its deformed residual evaluates ``log`` outside its domain (no row).
 Two ``converge`` runs of the quartic fail: one whose oracle fails, and one
 whose oracle succeeds while ``vni20`` fails at the largest step size only.
+``dla`` on a constraint x v_x = 0 started at x = 1e-9 stops at its first step,
+where the regularity certificate reads a condition number of 1e22; and
+``vni20`` given the two-point scheme's ``nodes`` key is a config error.
 A config that runs longer than ``TIMEOUT_S`` is stopped and printed as
 ``exit timeout``.
 """
@@ -191,6 +194,10 @@ LOG_MU_START = {"q": [-1.0, 0.0], "v": [0.0, 0.0]}
 # where the initial row's deformed residual evaluates it.
 RECORD_LOG_MU = {"system": LOG_MU, "q": [0.004, 0.0], "v": [1.0, 5.521460917862246],
                  "eps": 0.01, "N": 5}
+# mu = (x, 0) nearly vanishes at x = 1e-9: the step equations are not regular there.
+DLA_DEGENERATE = {**DLA, "system": {"names": ["x", "y"], "M": [[1.0, 0.0], [0.0, 1.0]], "V": "0",
+                                    "mu": [["x", "0"]]},
+                  "q": [1e-9, 0.0], "v": [0.0, 1.0]}
 
 
 def _runs(start: dict) -> list[tuple[str, dict]]:
@@ -231,7 +238,8 @@ def configs() -> list[tuple[str, str, dict]]:
             ("disk/embed_vni20", "embed", {**DISK_EMBED, "scheme": "vni20"}),
             ("other/deformed_reference", "simulate", DEFORMED),
             ("other/disk_deformed_reference", "simulate", DISK_DEFORMED),
-            ("other/deformed_rank_loss", "simulate", DEFORMED_RANK_LOSS)]
+            ("other/deformed_rank_loss", "simulate", DEFORMED_RANK_LOSS),
+            ("other/nodes_on_vni20", "simulate", {**SIM, "integrator": "vni20", "nodes": "original"})]
     out += [(f"other/{system}_project_each_step", "simulate",
              {**start, "integrator": "reference", "project_each_step": True, "eps": 0.01, "N": 200})
             for system, start in (("particle", PARTICLE), ("disk_off_d", DISK_OFF_D))]
@@ -261,6 +269,7 @@ def configs() -> list[tuple[str, str, dict]]:
     out += [(f"fail/quartic_{name}", "simulate", {**QUARTIC, "integrator": name, **extra})
             for name, extra in every_integrator]
     out.append(("fail/log_well_reference", "simulate", LOG_WELL))
+    out.append(("fail/dla_regularity_degenerate", "simulate", DLA_DEGENERATE))
     for label, start in (("overflow", OVERFLOW), ("overflow_finite_energy", OVERFLOW_FINITE_ENERGY),
                          ("record_log_mu", RECORD_LOG_MU)):
         out += [(f"fail/{label}_{name}", "simulate", {**start, "integrator": name, **extra})
