@@ -790,7 +790,8 @@ _CONVERGE_MUTATIONS = {
 def _converge_configs(draw):
     cfg = _mutate(draw, dict(draw(st.sampled_from(_CONVERGE_BASES))), _CONVERGE_MUTATIONS)
     _cap(cfg, "T", 0.01)
-    if isinstance(cfg.get("eps_list"), list):  # no step size below 2e-4 but the too small to run
+    if isinstance(cfg.get("eps_list"), list):
+        # at most 50 steps per step size; one at or below 1e-300 stays, for the step cap to refuse
         cfg["eps_list"] = [max(e, 2e-4) if _is_number(e) and e > 1e-300 else e
                            for e in cfg["eps_list"]]
     return cfg
