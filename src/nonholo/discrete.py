@@ -60,7 +60,7 @@ from .system import (
     _gram,
     _gram_solve,
     _require_finite,
-    constraint_residual,
+    deformed_node_residual,
 )
 
 __all__ = [
@@ -194,26 +194,27 @@ class DiscreteNonholonomicSystem:
     sys: MechanicalSystem
     rho: FiniteDifferenceMap
 
-    def check_regularity(self, q_cur: np.ndarray, v_k: np.ndarray, mu_cur: np.ndarray) -> float:
-        """cond of dla's step Jacobian at the Newton seed u = v_k, its first n rows over eps.
+    def check_regularity(self, q_cur: np.ndarray, v_k: np.ndarray, mu_cur: np.ndarray):
+        """(cond, J): dla's step Jacobian J at the Newton seed u = v_k and the cond
+        of J with its multiplier columns over eps, which must not exceed COND_LIMIT.
 
-        The paper's [[D1D2 L_d, mu(q_k)'], [D2 phi_d, 0]] at (q_k, q_k + eps v_k)
-        is diag(-I/eps, -I) times that Jacobian, up to the rounding of the
-        point q_k + beta eps v_k, and no row's sign moves a singular value.
+        The paper's P = [[D1D2 L_d, mu(q_k)'], [D2 phi_d, 0]] at (q_k, q_k + eps v_k)
+        is diag(-I/eps, -I) J, up to the rounding of the point q_k + beta eps v_k,
+        so the cond is that of diag(eps I, I) P diag(I, I/eps): singular where P
+        is, and O(1) as eps shrinks, where P's grows like 1/eps^2.
         """
         sys, eps, beta = self.sys, self.rho.eps, self.rho.beta
         q = q_cur + beta * eps * v_k
-        block = _step_jacobian(sys, eps, beta, 1.0 - beta, q, v_k, sys.mu_at(q), mu_cur)
-        block[: sys.n] /= eps
+        J = _step_jacobian(sys, eps, beta, 1.0 - beta, q, v_k, sys.mu_at(q), mu_cur)
         try:
-            cond = float(np.linalg.cond(block))
+            cond = float(np.linalg.cond(np.hstack([J[:, : sys.n], J[:, sys.n :] / eps])))
         except np.linalg.LinAlgError:  # the SVD fails on a matrix with NaN entries
             cond = np.inf
         if not np.isfinite(cond) or cond > COND_LIMIT:
             raise SystemError(
                 f"discrete step not well posed (regularity condition number {cond:.3e})"
             )
-        return cond
+        return cond, J
 
 
 @dataclass(frozen=True)
@@ -277,6 +278,7 @@ def _implicit_step(
     w: float,
     fixed_force: np.ndarray,
     mu_react: np.ndarray,
+    seed_jacobian: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """Solve the shared step equations (module docstring) for (u, lambda).
 
@@ -284,9 +286,11 @@ def _implicit_step(
     so its residual is O(1) and the Newton tolerance means the same at every
     step size.  Returns (u, lambda, Newton iterations).  Stacks of node data
     v0, q_base, fixed_force (..., n) and mu_react (..., m, n) solve in
-    lockstep, one iteration count per row.
+    lockstep, one iteration count per row.  Newton's first iteration takes
+    `seed_jacobian`, the Jacobian at the seed (v0, 0), where one is given.
     """
     n = sys.n
+    seeds = [] if seed_jacobian is None else [seed_jacobian]
 
     def linearize(z, v0, q_base, fixed_force, mu_react):
         u, lam = z[..., :n], z[..., n:]
@@ -294,7 +298,8 @@ def _implicit_step(
         mu = sys.mu_at(q)
         r1 = np.matvec(sys.M, u - v0) + eps * (w * sys.grad_v_at(q) + fixed_force)
         r1 = r1 - eps * np.matvec(mu_react.mT, lam)
-        jacobian = functools.partial(_step_jacobian, sys, eps, c, w, q, u, mu, mu_react)
+        jacobian = seeds.pop if seeds else functools.partial(
+            _step_jacobian, sys, eps, c, w, q, u, mu, mu_react)
         return np.concatenate([r1, np.matvec(mu, u)], axis=-1), jacobian
 
     z0 = np.concatenate([v0, np.zeros(v0.shape[:-1] + (sys.m,))], axis=-1)
@@ -336,12 +341,6 @@ def original_node_step(sys: MechanicalSystem, x: np.ndarray, eps: float) -> Step
     return StepResult(_node(q + eps * v1, v1), lam, iters)
 
 
-def deformed_node_residual(sys: MechanicalSystem, x: np.ndarray, eps: float) -> np.ndarray:
-    """mu(q - eps/2 v) v at the row x = (q, v): what the midpoint-constraint scheme conserves."""
-    q, v = x[: sys.n], x[sys.n :]
-    return sys.mu_at(q - 0.5 * eps * v) @ v
-
-
 def deformed_admissible_velocity(
     sys: MechanicalSystem, q: np.ndarray, v: np.ndarray, eps: float
 ) -> np.ndarray:
@@ -377,16 +376,17 @@ def dla_step(
 
     The unknowns are the scaled difference u_v = (q_{k+1} - q_k) / eps and
     the multiplier; the result's state is (q_{k+1}, u_v).  The step is
-    refused where its equations are not regular at the Newton seed.
+    refused where its equations are not regular at the Newton seed, whose
+    Jacobian the certificate hands to Newton.
     """
     sys, rho = dsys.sys, dsys.rho
     eps, beta = rho.eps, rho.beta
     v_k = (q_cur - q_prev) / eps
     mu_cur = sys.mu_at(q_cur)
-    dsys.check_regularity(q_cur, v_k, mu_cur)
+    _, seed_jacobian = dsys.check_regularity(q_cur, v_k, mu_cur)
     grad_back = sys.grad_v_at(rho.point(q_prev, q_cur))
     u_v, lam, iters = _implicit_step(
-        sys, eps, v_k, q_cur, beta, 1.0 - beta, beta * grad_back, mu_cur
+        sys, eps, v_k, q_cur, beta, 1.0 - beta, beta * grad_back, mu_cur, seed_jacobian
     )
     return StepResult(_node(q_cur + eps * u_v, u_v), lam, iters)
 
@@ -471,7 +471,6 @@ def run_integrator(
             x, lam, iters = out.state, out.lam, out.iters
             if policy is NodePolicy.REDEFINED:
                 x = _node(*dsys.rho.forward(raw[k], raw[k + 1]))
-        return x, lam, constraint_residual(sys, x), iters
+        return x, lam, iters
 
-    deformed_at = functools.partial(deformed_node_residual, sys, eps=eps)
-    return _march(sys, int(steps), eps, row, deformed_at, raw=scheme == "dla")
+    return _march(sys, int(steps), eps, row, discrete=True, raw=scheme == "dla")

@@ -11,9 +11,10 @@ measures against them.
 `_march` the one loop that fills it and salvages a failed run, and
 `write_csv` the one writer of the package's CSV tables.
 
-`integrate` evaluates the field once per recorded row: the multiplier and the
-residual it records come from the same solve as the next step's first stage,
-so K steps take 4K + 1 multiplier solves.
+`integrate` evaluates the field once per recorded row: the multiplier it
+records comes from the same solve as the next step's first stage, so K
+steps take 4K + 1 multiplier solves.  The recorded residuals and energies
+come from one pass after the march, one stacked call per column.
 """
 from __future__ import annotations
 
@@ -25,13 +26,15 @@ from typing import Callable
 import numpy as np
 
 from .exprdiff import EvalError
-from .reduction import DeformedConstraint, _recorded_field, deformed_field, h_field
+from .reduction import DeformedConstraint, _field, deformed_field, deformed_residual, h_field
 from .system import (
     MechanicalSystem,
     StatePoint,
     SystemError,
     _require_finite,
     _require_steps,
+    constraint_residual,
+    deformed_node_residual,
     energy,
     project_velocity,
 )
@@ -171,50 +174,69 @@ def _march(
     sys: MechanicalSystem,
     steps: int,
     h: float,
-    row: Callable[[int, Trajectory], tuple[np.ndarray, np.ndarray, np.ndarray, int]],
-    deformed_at: Callable[[np.ndarray], np.ndarray] | None = None,
+    row: Callable[[int, Trajectory], tuple[np.ndarray, np.ndarray, int]],
+    dc: DeformedConstraint | None = None,
+    discrete: bool = False,
     raw: bool = False,
 ) -> Trajectory:
     """The one run loop of `integrate` and `run_integrator`: rows 0..steps at t_k = k h.
 
-    row(k, traj) returns row k's state x, multiplier, residual and Newton
-    iterations, given the rows before k (and, with `raw`, the raw
-    configurations to fill).  The loop records each row as it comes, with
-    deformed_at(x) and the Newton count (schemes only), then the energy.  A
-    runtime error leaves with the rows before k as `partial`, and with
-    `step` = k and `t` = t_k.
+    row(k, traj) returns row k's state x, multiplier and Newton iterations
+    (kept for a `discrete` scheme), given the rows before k (and, with `raw`,
+    the raw configurations to fill).  One pass after the march fills the
+    residuals (dc's where given), a scheme's deformed residuals at eps = h and
+    the energies, a stacked call each, redone row by row if it fails.  The
+    first failing row k, a step's or a diagnostic's, ends the run with the
+    rows before k as `partial`, `step` = k and `t` = t_k.
 
-    numpy's overflow and invalid-value warnings are off inside the loop: each
-    row is checked after it is computed (the node and blow-up tests, the
-    finite multiplier here, the energy), so a run that overflows ends in its
-    one typed error instead of warnings on stderr.
+    numpy's overflow and invalid-value warnings are off in the loop and the
+    pass: each row is checked after it is computed (the node and blow-up
+    tests, the finite multiplier here, the energy), so a run that overflows
+    ends in its one typed error instead of warnings on stderr.
     """
     n, m = sys.n, sys.m
     times = h * np.arange(steps + 1) + 0.0  # + 0.0: a backward run starts at t = 0, not -0
     traj = Trajectory(
         times, np.empty((steps + 1, 2 * n)), np.empty((steps + 1, m)), np.empty((steps + 1, m)),
         np.empty(steps + 1), n,
-        newton_iters=np.zeros(steps + 1, dtype=int) if deformed_at is not None else None,
-        deformed_residuals=np.empty((steps + 1, m)) if deformed_at is not None else None,
+        newton_iters=np.zeros(steps + 1, dtype=int) if discrete else None,
+        deformed_residuals=np.empty((steps + 1, m)) if discrete else None,
         raw_configurations=np.empty((steps + 2, n)) if raw else None,
     )
-    try:
-        with np.errstate(**_QUIET):
+
+    def diagnose(at):  # the rows `at`, a slice or one index
+        x = traj.states[at]
+        traj.residuals[at] = (constraint_residual(sys, x) if dc is None
+                              else deformed_residual(sys, dc, x))
+        if discrete:
+            traj.deformed_residuals[at] = deformed_node_residual(sys, x, h)
+        traj.energies[at] = energy(sys, x)
+
+    done, failure = steps + 1, None  # the rows recorded, and the error that stopped the run
+    with np.errstate(**_QUIET):
+        try:
             for k in range(steps + 1):
-                x, lam, res, iters = row(k, traj)
+                x, lam, iters = row(k, traj)
                 if not all(map(math.isfinite, lam.tolist())):
                     raise SystemError(f"multiplier is not finite ({lam!r})")
-                traj.states[k] = x
-                traj.lambdas[k] = lam
-                traj.residuals[k] = res
-                if deformed_at is not None:
-                    traj.deformed_residuals[k] = deformed_at(x)
+                traj.states[k], traj.lambdas[k] = x, lam
+                if discrete:
                     traj.newton_iters[k] = iters
-                traj.energies[k] = energy(sys, x)
-    except RUNTIME_ERRORS as exc:
-        exc.partial = traj.head(k)  # the rows recorded before the failed one
-        exc.step, exc.t = k, float(traj.times[k])
-        raise
+        except RUNTIME_ERRORS as exc:
+            done, failure = k, exc
+        try:
+            diagnose(slice(0, done))
+        except RUNTIME_ERRORS:
+            for k in range(done):
+                try:
+                    diagnose(k)
+                except RUNTIME_ERRORS as exc:
+                    done, failure = k, exc
+                    break
+    if failure is not None:
+        failure.partial = traj.head(done)
+        failure.step, failure.t = done, float(traj.times[done])
+        raise failure
     return traj
 
 
@@ -255,10 +277,10 @@ def integrate(
                 raise BlowUpError(f"solution blew up at t = {k * h:.6g}")
             if project_each_step:
                 x[sys.n :] = project_velocity(sys, x[: sys.n], x[sys.n :])
-        k1, lam, res = _recorded_field(sys, deformation, x)
-        return x, lam, res, 0
+        k1, lam = _field(sys, deformation, x)
+        return x, lam, 0
 
-    return _march(sys, K, h, row)
+    return _march(sys, K, h, row, deformation)
 
 
 def reference_flow(sys: MechanicalSystem, x0: StatePoint, t: float) -> StatePoint:

@@ -54,7 +54,7 @@ ON_D_TOL = 1e-9
 
 
 def _field(sys: MechanicalSystem, dc: DeformedConstraint | None, x: np.ndarray):
-    """The one multiplier solve: (field, lambda, mu(q)) at a row or a stack of rows x = (q, v).
+    """The one multiplier solve: (field, lambda) at a row or a stack of rows x = (q, v).
 
     The constraint phi is mu(q) v when dc is None, mu(q) v + delta g(q, v)
     otherwise.  lambda solves C lambda = -(d phi/dq . v + d phi/dv . f_v),
@@ -75,7 +75,7 @@ def _field(sys: MechanicalSystem, dc: DeformedConstraint | None, x: np.ndarray):
         C = c_matrix(sys, rows, q)
     lam = -_gram_solve(C, np.matvec(grad_q, v) + np.matvec(rows, f_v), q)
     force = np.matvec(sys.M_inv, np.matvec(rows.mT, lam))
-    return np.concatenate([v, f_v + force], axis=-1), lam, mu
+    return np.concatenate([v, f_v + force], axis=-1), lam
 
 
 def _lambda_raw(sys: MechanicalSystem, x: np.ndarray) -> np.ndarray:
@@ -141,7 +141,8 @@ class DeformedConstraint:
     """Constraint set mu(q) v + delta g(q, v) = 0.
 
     Each entry of g is an expression over the configuration names and the
-    derived velocity names; delta scales the deformation.
+    derived velocity names; delta scales the deformation.  g and its
+    gradients take a row x = (q, v) or a stack of rows (..., 2n).
     """
 
     g: Sequence[Expression]
@@ -152,17 +153,20 @@ class DeformedConstraint:
         object.__setattr__(self, "g", tuple(self.g))
 
     def g_at(self, sys: MechanicalSystem, x: np.ndarray) -> np.ndarray:
-        return exprdiff.evaluate(self.g, sys.qv_ctx(x))
+        lead, ctx = sys._bind(x)
+        return exprdiff.evaluate(self.g, ctx).reshape(lead + (len(self.g),))
 
     def g_grad_q(self, sys: MechanicalSystem, x: np.ndarray) -> np.ndarray:
-        return exprdiff.gradient(self.g, sys.names, sys.qv_ctx(x))
+        lead, ctx = sys._bind(x)
+        return exprdiff.gradient(self.g, sys.names, ctx).reshape(lead + (len(self.g), sys.n))
 
     def g_grad_v(self, sys: MechanicalSystem, x: np.ndarray) -> np.ndarray:
-        return exprdiff.gradient(self.g, sys.vnames, sys.qv_ctx(x))
+        lead, ctx = sys._bind(x)
+        return exprdiff.gradient(self.g, sys.vnames, ctx).reshape(lead + (len(self.g), sys.n))
 
 
 def deformed_residual(sys: MechanicalSystem, dc: DeformedConstraint, x: np.ndarray) -> np.ndarray:
-    """mu(q) v + delta g(q, v) -- the quantity the deformed dynamics conserves."""
+    """mu(q) v + delta g(q, v) -- the quantity the deformed dynamics conserves; a stack too."""
     return constraint_residual(sys, x) + dc.delta * dc.g_at(sys, x)
 
 
@@ -179,15 +183,3 @@ def deformed_field(sys: MechanicalSystem, dc: DeformedConstraint, x: np.ndarray)
     """
     return _field(sys, dc, x)[0]
 
-
-def _recorded_field(sys: MechanicalSystem, dc: DeformedConstraint | None, x: np.ndarray):
-    """The field at the row x with the multiplier and the residual its one solve gives.
-
-    Plain (dc None) or deformed, this is (h_field, _lambda_raw,
-    constraint_residual) at x, or (deformed_field, deformed_lambda,
-    deformed_residual), bit for bit, for one multiplier solve instead of two
-    and one evaluation of mu instead of three.
-    """
-    field, lam, mu = _field(sys, dc, x)
-    res = mu @ x[sys.n :]
-    return field, lam, res if dc is None else res + dc.delta * dc.g_at(sys, x)

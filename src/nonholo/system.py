@@ -121,6 +121,7 @@ class MechanicalSystem:
             if nm.startswith("v_"):
                 raise SystemError(f"coordinate name {nm!r} collides with the velocity prefix")
         self.vnames = [f"v_{nm}" for nm in self.names]
+        self._row_names = {self.n: self.names, 2 * self.n: self.names + self.vnames}
 
         self.M = np.asarray(M, dtype=float)
         if self.M.shape != (self.n, self.n):
@@ -159,23 +160,22 @@ class MechanicalSystem:
         unsort = [self._sorted_names.index(nm) for nm in self.names]
         self._unsort = np.ix_(unsort, unsort)
 
-    def qv_ctx(self, x: np.ndarray) -> dict:
-        return dict(zip(self.names + self.vnames, x.tolist()))
-
     def _bind(self, q) -> tuple[tuple, dict]:
         """exprdiff's bindings of q and the leading shape of its stack.
 
-        One configuration (n,) binds as a dict of numbers, the integrators'
-        hot path, with leading shape ().  A stack (..., n) binds each name to
+        q is a configuration (n,) or a row (q, v) of length 2n, which also
+        binds the velocity names.  One binds as a dict of numbers, the
+        integrators' hot path, with leading shape ().  A stack binds each name to
         its column: exprdiff then runs one column kernel over the whole
         stack where numpy gives math's bits, and the per-row kernel
         otherwise; either way row b of a stack is the unbatched call on row
         b, bit for bit, and an error is the first failing row's.
         """
         q = np.asarray(q, dtype=float)
+        names = self._row_names[q.shape[-1]]
         if q.ndim > 1:
-            return q.shape[:-1], exprdiff.Columns(self.names, q.reshape(-1, self.n))
-        return (), dict(zip(self.names, q.tolist()))
+            return q.shape[:-1], exprdiff.Columns(names, q.reshape(-1, q.shape[-1]))
+        return (), dict(zip(names, q.tolist()))
 
     def mu_at(self, q: np.ndarray) -> np.ndarray:
         """mu(q), shape (m, n); a stack q (..., n) gives (..., m, n)."""
@@ -201,8 +201,11 @@ class MechanicalSystem:
         flat = exprdiff.field(self._field_exprs, self.names, self._bind(q)[1])
         return flat[: m * n].reshape(m, n), flat[m * n : -n].reshape(m, n, n), flat[-n:]
 
-    def v_at(self, q: np.ndarray) -> float:
-        return exprdiff.evaluate(self.V, self._bind(q)[1])
+    def v_at(self, q: np.ndarray):
+        """V(q), a float; a stack q (..., n) gives (...,)."""
+        lead, ctx = self._bind(q)
+        value = exprdiff.evaluate(self.V, ctx)
+        return value.reshape(lead) if lead else value
 
     def grad_v_at(self, q: np.ndarray) -> np.ndarray:
         """grad V(q), shape (n,); a stack q (..., n) gives (..., n)."""
@@ -222,6 +225,12 @@ def constraint_residual(sys: MechanicalSystem, x: np.ndarray) -> np.ndarray:
     A stack of rows (..., 2n) gives (..., m).
     """
     return np.matvec(sys.mu_at(x[..., : sys.n]), x[..., sys.n :])
+
+
+def deformed_node_residual(sys: MechanicalSystem, x: np.ndarray, eps: float) -> np.ndarray:
+    """mu(q - eps/2 v) v at a row x = (q, v) or a stack: what `original_node` conserves."""
+    q, v = x[..., : sys.n], x[..., sys.n :]
+    return np.matvec(sys.mu_at(q - 0.5 * eps * v), v)
 
 
 def _gram(sys: MechanicalSystem, mu: np.ndarray) -> np.ndarray:
@@ -361,10 +370,16 @@ def _row_normalized(mu: np.ndarray) -> np.ndarray:
     return mu / np.where(scale > 0.0, scale, 1.0)
 
 
-def energy(sys: MechanicalSystem, x: np.ndarray) -> float:
-    """E = 1/2 v'Mv + V(q) at the row x = (q, v); an energy that overflows is a SystemError."""
-    value = float(0.5 * x[sys.n :] @ sys.M @ x[sys.n :] + sys.v_at(x[: sys.n]))
-    if not math.isfinite(value):
+def energy(sys: MechanicalSystem, x: np.ndarray):
+    """E = 1/2 v'Mv + V(q) at the row x = (q, v); an energy that overflows is a SystemError.
+
+    A stack of rows (..., 2n) gives (...,), row b bit for bit the call on row
+    b (`vecmat` and `vecdot` give `0.5 * v @ M @ v`'s bits); a failing row raises.
+    """
+    v = x[..., sys.n :]
+    value = np.vecdot(np.vecmat(0.5 * v, sys.M), v) + sys.v_at(x[..., : sys.n])
+    value = float(value) if x.ndim == 1 else value
+    if not np.isfinite(value).all():
         raise SystemError(f"energy is not finite ({value!r})")
     return value
 

@@ -28,13 +28,22 @@ from nonholo.embed import (
     reduced_step_map,
 )
 from nonholo.flow import BlowUpError, flow_field
-from nonholo.reduction import h_field, psi_embed, reduce_state, reduced_field
+from nonholo.reduction import (
+    DeformedConstraint,
+    deformed_residual,
+    h_field,
+    psi_embed,
+    reduce_state,
+    reduced_field,
+)
 from nonholo.exprdiff import EvalError
 from nonholo.system import (
     MechanicalSystem,
     SystemError,
     constraint_residual,
+    deformed_node_residual,
     derive_connection,
+    energy,
     nonholonomic_particle,
 )
 
@@ -75,6 +84,43 @@ def test_stacked_field_rows_equal_single_calls(name, data):
     _assert_rows_equal(functools.partial(flow_field, field, t=0.05, base_step=0.01), xi)
     # a second batch axis is the same rows again
     assert np.array_equal(h_field(sys, lifted[None]), h_field(sys, lifted)[None])
+
+
+# A non-diagonal SPD mass matrix, and V, mu and g inside the column kernel's
+# exact subset (+ - * /, sin, cos) or outside it (exp, log).
+_M3 = [[2.0, 0.3, -0.1], [0.3, 1.5, 0.7], [-0.1, 0.7, 3.1]]
+_DIAGNOSED = {
+    "exact": (
+        MechanicalSystem(["x", "y", "z"], _M3, "x*y + sin(z)/2 - cos(x)*y",
+                         [["1", "sin(y)", "-x"], ["cos(z)", "0", "x*y/3"]]),
+        ["v_x*v_y", "sin(x)*v_z - cos(v_y)"],
+    ),
+    "inexact": (
+        MechanicalSystem(["x", "y", "z"], _M3, "exp(0.3*x) + log(2 + y*y)*z",
+                         [["exp(-x*x)", "1", "0"], ["0", "log(3 + z*z)", "x"]]),
+        ["exp(0.1*v_x)*y", "log(1 + v_y*v_y) - v_z"],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_DIAGNOSED))
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_stacked_diagnostics_equal_single_calls(name, data):
+    # energy, the residuals and the deformed residuals of a stack of rows
+    # of any magnitude, against the same calls on each row, bit for bit
+    sys, g = _DIAGNOSED[name]
+    dc = DeformedConstraint(g=[exprdiff.parse(e) for e in g], delta=0.05)
+    rows = data.draw(_stacks(6))
+    x = rows * 10.0 ** np.array(data.draw(st.lists(st.integers(-3, 3), min_size=len(rows),
+                                                   max_size=len(rows))))[:, None]
+    for fn in (functools.partial(energy, sys), functools.partial(constraint_residual, sys),
+               functools.partial(deformed_residual, sys, dc),
+               functools.partial(deformed_node_residual, sys, eps=0.01)):
+        stacked = fn(x)
+        assert stacked.shape[0] == len(x)
+        for b, row in enumerate(x):
+            assert np.asarray(fn(row)).tobytes() == stacked[b].tobytes(), (fn, b)
 
 
 @pytest.mark.parametrize("scheme", ["vni10", "vni20", "exact"])

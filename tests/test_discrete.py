@@ -198,16 +198,54 @@ def _paper_regularity_matrix(sys, rho, x, y):
 
 @pytest.mark.parametrize("beta", [0.0, 0.3, 0.5, 1.0])
 def test_regularity_certificate_is_the_cond_of_the_paper_matrix(beta):
-    # the certificate is the step Jacobian at the Newton seed, row-scaled;
-    # its cond is that of the paper's block matrix, written out independently
+    # the certificate is the step Jacobian at the Newton seed with its
+    # multiplier columns over eps; its cond is that of the paper's block
+    # matrix P, written out independently, scaled as diag(eps I, I) P diag(I, I/eps)
     sys, rng = rolling_disk(), np.random.default_rng(20)
     for eps in (0.01, 0.1):
         dsys = DiscreteNonholonomicSystem(sys, FiniteDifferenceMap(beta=beta, eps=eps))
+        rows = np.diag(np.r_[np.full(sys.n, eps), np.ones(sys.m)])
+        cols = np.diag(np.r_[np.ones(sys.n), np.full(sys.m, 1.0 / eps)])
         for _ in range(25):
             q_cur, v_k = rng.uniform(-2.0, 2.0, 4), rng.uniform(-2.0, 2.0, 4)
-            want = np.linalg.cond(_paper_regularity_matrix(sys, dsys.rho, q_cur, q_cur + eps * v_k))
-            got = dsys.check_regularity(q_cur, v_k, sys.mu_at(q_cur))
+            paper = _paper_regularity_matrix(sys, dsys.rho, q_cur, q_cur + eps * v_k)
+            want = np.linalg.cond(rows @ paper @ cols)
+            got, _ = dsys.check_regularity(q_cur, v_k, sys.mu_at(q_cur))
             assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+def test_regularity_certificate_admits_small_step_sizes():
+    # dividing the Jacobian's first n rows by eps made the certificate's
+    # cond grow like 0.5 / eps^2: dla refused eps = 1e-7 where vni20 runs
+    sys = nonholonomic_particle()
+    dsys = DiscreteNonholonomicSystem(sys, FiniteDifferenceMap(beta=0.5, eps=1e-7))
+    cond, _ = dsys.check_regularity(X0.q, X0.v, sys.mu_at(X0.q))
+    assert cond < 3.0
+    dla = run_integrator(sys, "dla", X0, 1e-7, 10, beta=0.5)
+    vni20 = run_integrator(sys, "vni20", X0, 1e-7, 10)
+    # the same configurations (a velocity read as (q_{k+1} - q_k) / eps
+    # carries their rounding over eps), and each node on D
+    assert len(dla) == len(vni20) == 11
+    assert np.allclose(dla.states[:, :3], vni20.states[:, :3], rtol=0.0, atol=1e-12)
+    assert np.max(np.abs(dla.residuals)) < 1e-12
+
+
+def test_dla_step_builds_the_seed_jacobian_once():
+    # the certificate's Jacobian at the Newton seed q_k + beta eps v_k is
+    # Newton's first one: dmu and hess V are evaluated there once each
+    sys = rolling_disk()
+    dsys = DiscreteNonholonomicSystem(sys, FiniteDifferenceMap(beta=0.5, eps=0.01))
+    q_prev, q_cur = dsys.rho.inverse(DISK_X0.q, DISK_X0.v)
+    seed = q_cur + 0.5 * 0.01 * ((q_cur - q_prev) / 0.01)
+    calls = {"mu_jac_at": [], "hess_v_at": []}
+    for name, seen in calls.items():
+        accessor = getattr(sys, name)
+        setattr(sys, name, lambda q, seen=seen, accessor=accessor: seen.append(np.array(q))
+                or accessor(q))
+    out = dla_step(dsys, q_prev, q_cur)
+    assert out.iters >= 1
+    for name, seen in calls.items():
+        assert sum(np.array_equal(q, seed) for q in seen) == 1, name
 
 
 def test_dla_step_evaluates_mu_at_the_current_configuration_once():

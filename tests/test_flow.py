@@ -13,7 +13,15 @@ from hypothesis import strategies as st
 
 from nonholo.discrete import FiniteDifferenceMap, run_integrator
 from nonholo.embed import EmbeddingProblem, EvolutionInterpolant, OneStepMap
-from nonholo.flow import BlowUpError, flow_field, integrate, reference_flow, rk4_step, write_csv
+from nonholo.flow import (
+    BlowUpError,
+    _march,
+    flow_field,
+    integrate,
+    reference_flow,
+    rk4_step,
+    write_csv,
+)
 from nonholo.system import MechanicalSystem, StatePoint, SystemError, nonholonomic_particle
 
 PARTICLE_X0 = StatePoint([0.0, 1.0, 0.0], [1.0, 1.0, 1.0])
@@ -113,6 +121,31 @@ def test_blow_up_carries_partial_trajectory():
     partial = ei.value.partial
     assert partial is not None and len(partial) >= 1
     assert np.all(np.isfinite(partial.states))
+
+
+@pytest.mark.parametrize("energy_fails", [True, False])
+def test_first_failing_row_wins_between_a_step_and_a_diagnostic(energy_fails):
+    # the step fails at row 6; the energy, filled after the march, fails at
+    # row 3 when that row's kinetic energy overflows
+    sys = MechanicalSystem(["x"], np.eye(1), "0", [["1"]])
+
+    def row(k, traj):
+        if k == 6:
+            raise BlowUpError("step 6 fails")
+        v = 1e200 if energy_fails and k == 3 else 1.0
+        return np.array([0.0, v]), np.array([0.5]), 0
+
+    with pytest.raises((SystemError, BlowUpError)) as ei:
+        _march(sys, 10, 0.1, row)
+    want = 3 if energy_fails else 6
+    assert type(ei.value) is (SystemError if energy_fails else BlowUpError)
+    if energy_fails:
+        assert str(ei.value) == "energy is not finite (inf)"
+    partial = ei.value.partial
+    assert (ei.value.step, ei.value.t, len(partial)) == (want, 0.1 * want, want)
+    # the rows before the failing one carry their diagnostics
+    assert np.array_equal(partial.residuals, np.full((want, 1), 1.0))
+    assert np.array_equal(partial.energies, np.full(want, 0.5))
 
 
 def test_flow_field_generic():

@@ -51,8 +51,11 @@ because its deformed residual evaluates ``log`` outside its domain (no row).
 Two ``converge`` runs of the quartic fail: one whose oracle fails, and one
 whose oracle succeeds while ``vni20`` fails at the largest step size only.
 ``dla`` on a constraint x v_x = 0 started at x = 1e-9 stops at its first step,
-where the regularity certificate reads a condition number of 1e22; and
-``vni20`` given the two-point scheme's ``nodes`` key is a config error.
+where the regularity certificate reads a condition number of 1e18.  ``vni10``
+under a force of 1e300 reaches a velocity whose energy overflows at row 1 and
+fails its step at row 2: the pass that fills the diagnostic columns after the
+march must still report row 1's energy, with one row.  ``vni20`` given the
+two-point scheme's ``nodes`` key is a config error.
 A config that runs longer than ``TIMEOUT_S`` is stopped and printed as
 ``exit timeout``.
 """
@@ -180,6 +183,14 @@ OVERFLOW = {
 }
 # The start's energy 1e300 is finite; one step of eps * v = 1e310 overflows.
 OVERFLOW_FINITE_ENERGY = {**OVERFLOW, "v": [1e150, 1e150], "eps": 1e160}
+# A force of 1e300 along x and y: the first step's velocity (1e300, 1e300)
+# has a kinetic energy that overflows, and the second step's configuration a
+# potential that does, which stops that step in grad V.
+ENERGY_OVERFLOW_MID_RUN = {
+    "system": {"names": ["x", "y"], "M": [[1.0, 0.0], [0.0, 1.0]], "V": "-1e300*x - 1e300*y",
+               "mu": [["1", "-1"]]},
+    "integrator": "vni10", "q": [0.0, 0.0], "v": [0.0, 0.0], "eps": 1.0, "N": 5,
+}
 # m = 0: the constrained code runs on zero-row arrays, D is all of TQ.
 OSCILLATOR_SYSTEM = {"names": ["x", "y"], "M": [[1.0, 0.0], [0.0, 1.0]], "V": "(x^2+y^2)/2",
                      "mu": []}
@@ -270,6 +281,7 @@ def configs() -> list[tuple[str, str, dict]]:
             for name, extra in every_integrator]
     out.append(("fail/log_well_reference", "simulate", LOG_WELL))
     out.append(("fail/dla_regularity_degenerate", "simulate", DLA_DEGENERATE))
+    out.append(("fail/energy_overflow_mid_run", "simulate", ENERGY_OVERFLOW_MID_RUN))
     for label, start in (("overflow", OVERFLOW), ("overflow_finite_energy", OVERFLOW_FINITE_ENERGY),
                          ("record_log_mu", RECORD_LOG_MU)):
         out += [(f"fail/{label}_{name}", "simulate", {**start, "integrator": name, **extra})
