@@ -195,13 +195,12 @@ class DiscreteNonholonomicSystem:
     rho: FiniteDifferenceMap
 
     def check_regularity(self, q_cur: np.ndarray, v_k: np.ndarray, mu_cur: np.ndarray):
-        """(cond, J): dla's step Jacobian J at the Newton seed u = v_k and the cond
-        of J with its multiplier columns over eps, which must not exceed COND_LIMIT.
+        """(cond, J): dla's step Jacobian J at the Newton seed u = v_k, certified by
+        the cond of J with its multiplier columns over eps, at most COND_LIMIT.
 
         The paper's P = [[D1D2 L_d, mu(q_k)'], [D2 phi_d, 0]] at (q_k, q_k + eps v_k)
-        is diag(-I/eps, -I) J, up to the rounding of the point q_k + beta eps v_k,
-        so the cond is that of diag(eps I, I) P diag(I, I/eps): singular where P
-        is, and O(1) as eps shrinks, where P's grows like 1/eps^2.
+        is diag(-I/eps, -I) J, up to the rounding of q_k + beta eps v_k, so this is
+        cond(diag(eps I, I) P diag(I, I/eps)): O(1) as eps shrinks, where P's is 1/eps^2.
         """
         sys, eps, beta = self.sys, self.rho.eps, self.rho.beta
         q = q_cur + beta * eps * v_k
@@ -453,24 +452,23 @@ def run_integrator(
         if res > ADMISSIBLE_TOL:
             raise SystemError(f"initial node {broken} (residual {res:.6g})")
 
-    def row(k, traj):
-        raw = traj.raw_configurations  # the two-point scheme advances the raw pairs
+    raw = np.empty((int(steps) + 2, sys.n)) if scheme == "dla" else None  # dla's pairs
+
+    def row(k, states):
         if k == 0:  # the pair before the start may overflow: build it under the loop's checks
             if raw is not None and policy is NodePolicy.REDEFINED:
                 raw[0], raw[1] = dsys.rho.inverse(x0.q, x0.v)
             elif raw is not None:
                 raw[0], raw[1] = x0.q - eps * x0.v, x0.q
             x = x0.concat()
-            lam, iters = _lambda_raw(sys, x), 0
-        elif raw is None:
-            out = step_fn(sys, traj.states[k - 1], eps)
-            x, lam, iters = out.state, out.lam, out.iters
-        else:
-            out = step_fn(dsys, raw[k - 1], raw[k])
-            raw[k + 1] = out.state[: sys.n]
-            x, lam, iters = out.state, out.lam, out.iters
-            if policy is NodePolicy.REDEFINED:
-                x = _node(*dsys.rho.forward(raw[k], raw[k + 1]))
-        return x, lam, iters
+            return x, _lambda_raw(sys, x), 0
+        if raw is None:
+            out = step_fn(sys, states[k - 1], eps)
+            return out.state, out.lam, out.iters
+        out = step_fn(dsys, raw[k - 1], raw[k])
+        raw[k + 1] = out.state[: sys.n]
+        if policy is NodePolicy.REDEFINED:
+            return _node(*dsys.rho.forward(raw[k], raw[k + 1])), out.lam, out.iters
+        return out.state, out.lam, out.iters
 
-    return _march(sys, int(steps), eps, row, discrete=True, raw=scheme == "dla")
+    return _march(sys, int(steps), eps, row, discrete=True, raw=raw)

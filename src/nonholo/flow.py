@@ -114,24 +114,6 @@ class Trajectory:
     def __len__(self) -> int:
         return self.states.shape[0]
 
-    def head(self, k: int) -> Trajectory:
-        """The first k rows (and k + 1 raw configurations), as views."""
-
-        def cut(arr, upto):
-            return None if arr is None else arr[:upto]
-
-        return Trajectory(
-            times=self.times[:k],
-            states=self.states[:k],
-            lambdas=self.lambdas[:k],
-            residuals=self.residuals[:k],
-            energies=self.energies[:k],
-            n=self.n,
-            newton_iters=cut(self.newton_iters, k),
-            deformed_residuals=cut(self.deformed_residuals, k),
-            raw_configurations=cut(self.raw_configurations, k + 1),
-        )
-
     def _table(self):
         m = self.lambdas.shape[1]
         header = (
@@ -174,68 +156,61 @@ def _march(
     sys: MechanicalSystem,
     steps: int,
     h: float,
-    row: Callable[[int, Trajectory], tuple[np.ndarray, np.ndarray, int]],
+    row: Callable[[int, np.ndarray], tuple[np.ndarray, np.ndarray, int]],
     dc: DeformedConstraint | None = None,
     discrete: bool = False,
-    raw: bool = False,
+    raw: np.ndarray | None = None,
 ) -> Trajectory:
     """The one run loop of `integrate` and `run_integrator`: rows 0..steps at t_k = k h.
 
-    row(k, traj) returns row k's state x, multiplier and Newton iterations
-    (kept for a `discrete` scheme), given the rows before k (and, with `raw`,
-    the raw configurations to fill).  One pass after the march fills the
-    residuals (dc's where given), a scheme's deformed residuals at eps = h and
-    the energies, a stacked call each, redone row by row if it fails.  The
-    first failing row k, a step's or a diagnostic's, ends the run with the
-    rows before k as `partial`, `step` = k and `t` = t_k.
+    row(k, states) returns row k's state x, multiplier and Newton iterations
+    (kept for a `discrete` scheme) given the states before k; the two-point
+    scheme's also fills `raw`, its raw configurations.  One pass after the
+    march gives the rows their residuals (dc's where given), a scheme's
+    deformed residuals at eps = h and energies, a stacked call each, redone
+    row by row if it fails.  The first failing row k (a step or a diagnostic)
+    ends the run with `partial` = the rows before k, `step` = k, `t` = t_k.
 
     numpy's overflow and invalid-value warnings are off in the loop and the
     pass: each row is checked after it is computed (the node and blow-up
     tests, the finite multiplier here, the energy), so a run that overflows
     ends in its one typed error instead of warnings on stderr.
     """
-    n, m = sys.n, sys.m
-    times = h * np.arange(steps + 1) + 0.0  # + 0.0: a backward run starts at t = 0, not -0
-    traj = Trajectory(
-        times, np.empty((steps + 1, 2 * n)), np.empty((steps + 1, m)), np.empty((steps + 1, m)),
-        np.empty(steps + 1), n,
-        newton_iters=np.zeros(steps + 1, dtype=int) if discrete else None,
-        deformed_residuals=np.empty((steps + 1, m)) if discrete else None,
-        raw_configurations=np.empty((steps + 2, n)) if raw else None,
-    )
+    states, lambdas = np.empty((steps + 1, 2 * sys.n)), np.empty((steps + 1, sys.m))
+    iters = np.zeros(steps + 1, dtype=int)
 
-    def diagnose(at):  # the rows `at`, a slice or one index
-        x = traj.states[at]
-        traj.residuals[at] = (constraint_residual(sys, x) if dc is None
-                              else deformed_residual(sys, dc, x))
-        if discrete:
-            traj.deformed_residuals[at] = deformed_node_residual(sys, x, h)
-        traj.energies[at] = energy(sys, x)
+    def diagnose(at):  # the columns of the rows `at`, a slice or one index
+        x = states[at]
+        res = constraint_residual(sys, x) if dc is None else deformed_residual(sys, dc, x)
+        return res, deformed_node_residual(sys, x, h) if discrete else None, energy(sys, x)
 
     done, failure = steps + 1, None  # the rows recorded, and the error that stopped the run
     with np.errstate(**_QUIET):
         try:
             for k in range(steps + 1):
-                x, lam, iters = row(k, traj)
+                x, lam, iters[k] = row(k, states)
                 if not all(map(math.isfinite, lam.tolist())):
                     raise SystemError(f"multiplier is not finite ({lam!r})")
-                traj.states[k], traj.lambdas[k] = x, lam
-                if discrete:
-                    traj.newton_iters[k] = iters
+                states[k], lambdas[k] = x, lam
         except RUNTIME_ERRORS as exc:
             done, failure = k, exc
         try:
-            diagnose(slice(0, done))
+            res, node, energies = diagnose(slice(0, done))
         except RUNTIME_ERRORS:
-            for k in range(done):
-                try:
+            try:
+                for k in range(done):  # the first row that fails alone ends the run there
                     diagnose(k)
-                except RUNTIME_ERRORS as exc:
-                    done, failure = k, exc
-                    break
+            except RUNTIME_ERRORS as exc:
+                done, failure = k, exc
+            res, node, energies = diagnose(slice(0, done))
+    traj = Trajectory(
+        h * np.arange(done) + 0.0,  # + 0.0: a backward run starts at t = 0, not -0
+        states[:done], lambdas[:done], res, energies, sys.n,
+        newton_iters=iters[:done] if discrete else None, deformed_residuals=node,
+        raw_configurations=None if raw is None else raw[: done + 1],
+    )
     if failure is not None:
-        failure.partial = traj.head(done)
-        failure.step, failure.t = done, float(traj.times[done])
+        failure.partial, failure.step, failure.t = traj, done, h * done + 0.0
         raise failure
     return traj
 
@@ -267,12 +242,12 @@ def integrate(
     h = T / K if K else 0.0
     k1 = None  # the field at the last recorded row: the next step's first stage
 
-    def row(k, traj):
+    def row(k, states):
         nonlocal k1
         if k == 0:
             x = x0.concat()
         else:
-            x = rk4_step(field, traj.states[k - 1], h, k1)
+            x = rk4_step(field, states[k - 1], h, k1)
             if not math.sqrt(x @ x) <= BLOWUP_NORM:  # NaN and infinity fail it too
                 raise BlowUpError(f"solution blew up at t = {k * h:.6g}")
             if project_each_step:

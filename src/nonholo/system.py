@@ -121,7 +121,6 @@ class MechanicalSystem:
             if nm.startswith("v_"):
                 raise SystemError(f"coordinate name {nm!r} collides with the velocity prefix")
         self.vnames = [f"v_{nm}" for nm in self.names]
-        self._row_names = {self.n: self.names, 2 * self.n: self.names + self.vnames}
 
         self.M = np.asarray(M, dtype=float)
         if self.M.shape != (self.n, self.n):
@@ -165,14 +164,14 @@ class MechanicalSystem:
 
         q is a configuration (n,) or a row (q, v) of length 2n, which also
         binds the velocity names.  One binds as a dict of numbers, the
-        integrators' hot path, with leading shape ().  A stack binds each name to
-        its column: exprdiff then runs one column kernel over the whole
-        stack where numpy gives math's bits, and the per-row kernel
+        integrators' hot path, with leading shape ().  A stack binds each
+        name to its column: exprdiff then runs one column kernel over the
+        whole stack where numpy gives math's bits, and the per-row kernel
         otherwise; either way row b of a stack is the unbatched call on row
         b, bit for bit, and an error is the first failing row's.
         """
         q = np.asarray(q, dtype=float)
-        names = self._row_names[q.shape[-1]]
+        names = self.names if q.shape[-1] == self.n else self.names + self.vnames
         if q.ndim > 1:
             return q.shape[:-1], exprdiff.Columns(names, q.reshape(-1, q.shape[-1]))
         return (), dict(zip(names, q.tolist()))
@@ -373,8 +372,7 @@ def _row_normalized(mu: np.ndarray) -> np.ndarray:
 def energy(sys: MechanicalSystem, x: np.ndarray):
     """E = 1/2 v'Mv + V(q) at the row x = (q, v); an energy that overflows is a SystemError.
 
-    A stack of rows (..., 2n) gives (...,), row b bit for bit the call on row
-    b (`vecmat` and `vecdot` give `0.5 * v @ M @ v`'s bits); a failing row raises.
+    A stack (..., 2n) gives (...,), row b bit for bit the call on row b; a failing row raises.
     """
     v = x[..., sys.n :]
     value = np.vecdot(np.vecmat(0.5 * v, sys.M), v) + sys.v_at(x[..., : sys.n])

@@ -129,7 +129,7 @@ def test_first_failing_row_wins_between_a_step_and_a_diagnostic(energy_fails):
     # row 3 when that row's kinetic energy overflows
     sys = MechanicalSystem(["x"], np.eye(1), "0", [["1"]])
 
-    def row(k, traj):
+    def row(k, states):
         if k == 6:
             raise BlowUpError("step 6 fails")
         v = 1e200 if energy_fails and k == 3 else 1.0
