@@ -93,9 +93,10 @@ def newton_solve(
 
     linearize(u, *rows) returns the residual at u and a thunk for the
     Jacobian there, so the two share what they evaluate at the iterate (a
-    thunk may return a Jacobian passed in `rows`, held fixed: the chord
-    method).  A stack u0 (..., k), each of `rows` stacked alike, is solved
-    in lockstep (`_lockstep`), with one iteration count per row.
+    thunk may return a Jacobian held fixed, the chord method, picking each
+    row's by data passed in `rows`).  A stack u0 (..., k), each of `rows`
+    stacked alike, is solved in lockstep (`_lockstep`), with one iteration
+    count per row.
     """
     u = np.array(u0, dtype=float)
     if u.ndim > 1:

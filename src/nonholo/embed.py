@@ -12,21 +12,26 @@ both ends, so G(k eps, y) visits exactly the iterates of Phi while solving
     dz/dt = f(z) + eps^p g(t/eps, z)
 
 for a bounded, eps-periodic g.  `g_eval` recovers that perturbation field
-pointwise by inverting G(t, .) with `discrete.newton_solve`; `verify_embedding`
-packages the checks that make the construction trustworthy numerically.
+pointwise by inverting G(t, .) with `discrete.newton_solve`, starting from
+the backward flow F(-eps tau, z), which is within O(eps^(p+1)) of the
+anchor; `verify_embedding` packages the checks that make the construction
+trustworthy numerically.
 
 Everything operates on plain R^d vectors through an `EmbeddingProblem`
 (field plus flow), so the machinery applies equally to the reduced
 constrained dynamics and to scalar toy problems.  The field and the flow
-take stacks (..., d) of states, so `g_eval` takes every finite-difference
-column of the Jacobians of many points in one stacked flow, then inverts
-them with one stacked flow per Newton iteration.  The one-step map takes a
+take stacks (..., d) of states, so `g_eval` flows many points back to their
+predictors in one stacked flow and inverts them with one stacked flow per
+Newton iteration; the first iteration that needs the chord Jacobian takes
+every finite-difference column of it, for all points, in one stacked flow
+more.  The one-step map takes a
 stack too: the exact map passes it to the flow, and a discrete scheme's map
 passes it to the node step, which steps every row in one call (`vni20` by
 lockstep Newton).
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -239,19 +244,25 @@ class EvolutionInterpolant:
         """The perturbation g(t, z) with d/dt G = f + eps^p g along interpolants.
 
         Only t mod eps matters: the anchor state w with G~(tau, w) = z is
-        found by `newton_solve` seeded at z itself (the interpolant stays
-        eps-close to the identity), on the finite-difference Jacobian at the
-        seed, held fixed (the chord method).  A stack z (..., d) is inverted
-        in lockstep, so row b of the result is g_eval(t, z[b]) bit for bit.
+        found by `newton_solve` from the predictor w0 = F(-eps tau, z), the
+        backward flow.  Phi is F(eps, .) up to O(eps^(p+1)), so G~(tau, .) is
+        F(eps tau, .) up to that much and w0 is as close to the anchor.  The
+        chord method holds the finite-difference Jacobian at w0 fixed; it is
+        built, for every row at once, only when some row's residual first
+        misses the tolerance, so at t = k eps, where w0 = z is the anchor, none
+        is.  A stack z (..., d) is inverted in lockstep, so row b of the
+        result is g_eval(t, z[b]) bit for bit.
         """
         z = np.asarray(z, dtype=float)
         _, tau = self._split_time(t)
         zs = z.reshape(-1, self.problem.dim)
+        w0 = self.problem.flow(-self.eps * tau, zs)
+        jacobian = functools.cache(lambda: self._fd_jacobian(tau, w0))
 
-        def linearize(w, z, J):
-            return self.g_tilde(tau, w) - z, lambda: J
+        def linearize(w, z, b):  # b: the rows' indices into w0
+            return self.g_tilde(tau, w) - z, lambda: jacobian()[b]
 
-        w, _ = newton_solve(linearize, zs, zs, self._fd_jacobian(tau, zs))
+        w, _ = newton_solve(linearize, w0, zs, np.arange(len(zs)))
         dG_dt = self.g_tilde_dtau(tau, w) / self.eps
         return ((dG_dt - self.problem.field(zs)) / self.eps**self.phi.p).reshape(z.shape)
 

@@ -14,7 +14,8 @@ measures against them.
 `integrate` evaluates the field once per recorded row: the multiplier it
 records comes from the same solve as the next step's first stage, so K
 steps take 4K + 1 multiplier solves.  The recorded residuals and energies
-come from one pass after the march, one stacked call per column.
+are filled as the march goes, one stacked call per column over blocks of
+rows that double in size.
 """
 from __future__ import annotations
 
@@ -165,26 +166,45 @@ def _march(
 
     row(k, states) returns row k's state x, multiplier and Newton iterations
     (kept for a `discrete` scheme) given the states before k; the two-point
-    scheme's also fills `raw`, its raw configurations.  One pass after the
-    march gives the rows their residuals (dc's where given), a scheme's
-    deformed residuals at eps = h and energies, a stacked call each, redone
-    row by row if it fails.  The first failing row k (a step or a diagnostic)
-    ends the run with `partial` = the rows before k, `step` = k, `t` = t_k.
+    scheme's also fills `raw`, its raw configurations.  The march gives the
+    recorded rows their residuals (dc's where given), a scheme's deformed
+    residuals at eps = h and energies in blocks that double in size, rows
+    0, 1, 2-3, 4-7, ..., and the rows left after the march: a stacked call
+    per column and block, redone row by row if it fails.  The first failing
+    row k (a step or a diagnostic) ends the run with `partial` = the rows
+    before k, `step` = k, `t` = t_k; a diagnostic that fails at row k stops
+    the march by row 2k + 1.
 
     numpy's overflow and invalid-value warnings are off in the loop and the
-    pass: each row is checked after it is computed (the node and blow-up
+    blocks: each row is checked after it is computed (the node and blow-up
     tests, the finite multiplier here, the energy), so a run that overflows
     ends in its one typed error instead of warnings on stderr.
     """
     states, lambdas = np.empty((steps + 1, 2 * sys.n)), np.empty((steps + 1, sys.m))
     iters = np.zeros(steps + 1, dtype=int)
 
-    def diagnose(at):  # the columns of the rows `at`, a slice or one index
+    def columns(at):  # the diagnostics of the rows `at`, a slice or one index
         x = states[at]
         res = constraint_residual(sys, x) if dc is None else deformed_residual(sys, dc, x)
         return res, deformed_node_residual(sys, x, h) if discrete else None, energy(sys, x)
 
     done, failure = steps + 1, None  # the rows recorded, and the error that stopped the run
+    checked, blocks = 0, []  # the rows diagnosed so far, and their columns, a tuple per block
+
+    def diagnose(stop):  # fill rows checked..stop-1; the first that fails alone ends the run
+        nonlocal checked, done, failure
+        try:
+            blocks.append(columns(slice(checked, stop)))
+        except RUNTIME_ERRORS:
+            for j in range(checked, stop):
+                try:
+                    columns(j)
+                except RUNTIME_ERRORS as exc:
+                    done, failure, stop = j, exc, j
+                    break
+            blocks.append(columns(slice(checked, stop)))
+        checked = stop
+
     with np.errstate(**_QUIET):
         try:
             for k in range(steps + 1):
@@ -192,17 +212,15 @@ def _march(
                 if not all(map(math.isfinite, lam.tolist())):
                     raise SystemError(f"multiplier is not finite ({lam!r})")
                 states[k], lambdas[k] = x, lam
+                if k + 1 == max(1, 2 * checked):  # rows 0..k end a block
+                    diagnose(k + 1)
+                    if failure is not None:
+                        break
         except RUNTIME_ERRORS as exc:
             done, failure = k, exc
-        try:
-            res, node, energies = diagnose(slice(0, done))
-        except RUNTIME_ERRORS:
-            try:
-                for k in range(done):  # the first row that fails alone ends the run there
-                    diagnose(k)
-            except RUNTIME_ERRORS as exc:
-                done, failure = k, exc
-            res, node, energies = diagnose(slice(0, done))
+        if checked < done or not blocks:
+            diagnose(done)
+    res, node, energies = (None if col[0] is None else np.concatenate(col) for col in zip(*blocks))
     traj = Trajectory(
         h * np.arange(done) + 0.0,  # + 0.0: a backward run starts at t = 0, not -0
         states[:done], lambdas[:done], res, energies, sys.n,

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from nonholo import embed
 from nonholo.embed import (
     EmbeddingProblem,
     EvolutionInterpolant,
@@ -19,7 +20,7 @@ from nonholo.embed import (
     reduced_step_map,
     verify_embedding,
 )
-from nonholo.reduction import psi_embed
+from nonholo.reduction import psi_embed, reduce_state
 from nonholo.system import SystemError, derive_connection, nonholonomic_particle
 
 # --- the cutoff ---------------------------------------------------------------
@@ -259,6 +260,66 @@ def test_reduced_step_map_endpoints_and_order():
         )
     slope = np.polyfit(np.log(eps * 0.5 ** np.arange(4)), np.log(diffs), 1)[0]
     assert abs(slope - 3.0) < 0.15  # one-step defect of a second-order map
+
+
+def _criterion_7_points(sys, split) -> np.ndarray:
+    rng = np.random.default_rng(7)
+    xi = [np.concatenate([rng.normal(scale=0.5, size=3) + [0.0, 1.0, 0.0], rng.normal(size=2)])
+          for _ in range(20)]
+    return np.array([reduce_state(sys, split, psi_embed(sys, split, x)) for x in xi])
+
+
+@pytest.fixture
+def inversions(monkeypatch):
+    """Each g_eval's Newton iterations per row, and its _fd_jacobian calls."""
+    record = {"iters": [], "jacobians": 0}
+    newton_solve, fd_jacobian = embed.newton_solve, EvolutionInterpolant._fd_jacobian
+
+    def solve(*args):
+        root, iters = newton_solve(*args)
+        record["iters"].append(iters)
+        return root, iters
+
+    def counted(self, *args):
+        record["jacobians"] += 1
+        return fd_jacobian(self, *args)
+
+    monkeypatch.setattr(embed, "newton_solve", solve)
+    monkeypatch.setattr(EvolutionInterpolant, "_fd_jacobian", counted)
+    return record
+
+
+@pytest.mark.parametrize("scheme", ["vni10", "vni20"])
+def test_g_eval_starts_at_the_backward_flow_and_converges_in_two_iterations(scheme, inversions):
+    # the predictor F(-eps tau, z) is O(eps^(p+1)) from the anchor; seeded at z
+    # itself, the same rows took 3 to 8 chord iterations
+    sys = nonholonomic_particle()
+    split = derive_connection(sys, q0=np.array([0.0, 1.0, 0.0]))
+    points = _criterion_7_points(sys, split)
+    problem = reduced_problem(sys, split, base_step=0.01)
+    interp = EvolutionInterpolant(problem, reduced_step_map(sys, split, scheme), 0.1)
+    for tau in (0.05, 0.37, 0.95):
+        interp.g_eval(tau * 0.1, points)
+    assert len(inversions["iters"]) == 3
+    assert all(np.max(iters) <= 2 for iters in inversions["iters"])
+    assert inversions["jacobians"] == 3  # one chord Jacobian per inversion
+
+
+def test_g_eval_builds_no_jacobian_where_the_predictor_is_the_anchor(inversions):
+    # at t = k eps the backward flow is z itself, and under the flow's own
+    # map (here exact, z' = z) it is the anchor at every phase
+    sys = nonholonomic_particle()
+    split = derive_connection(sys, q0=np.array([0.0, 1.0, 0.0]))
+    problem = reduced_problem(sys, split, base_step=0.01)
+    interp = EvolutionInterpolant(problem, reduced_step_map(sys, split, "vni10"), 0.1)
+    points = _criterion_7_points(sys, split)
+    for k in (0, 1, 3):
+        interp.g_eval(k * 0.1, points)
+    scalar = EvolutionInterpolant(scalar_problem(), exact_step_map(scalar_problem()), 0.1)
+    for tau in np.linspace(0.0, 0.95, 20):
+        assert abs(scalar.g_eval(tau * 0.1, np.array([[0.6], [1.7]])).max()) < 1e-8
+    assert inversions["jacobians"] == 0
+    assert all(np.max(iters) == 0 for iters in inversions["iters"])
 
 
 def test_reduced_step_map_rejects_unknown_scheme():

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nonholo import discrete
 from nonholo.discrete import FiniteDifferenceMap, run_integrator
 from nonholo.embed import EmbeddingProblem, EvolutionInterpolant, OneStepMap
 from nonholo.flow import (
@@ -125,8 +126,8 @@ def test_blow_up_carries_partial_trajectory():
 
 @pytest.mark.parametrize("energy_fails", [True, False])
 def test_first_failing_row_wins_between_a_step_and_a_diagnostic(energy_fails):
-    # the step fails at row 6; the energy, filled after the march, fails at
-    # row 3 when that row's kinetic energy overflows
+    # the step fails at row 6; the energy, filled in blocks as the march goes,
+    # fails at row 3 when that row's kinetic energy overflows
     sys = MechanicalSystem(["x"], np.eye(1), "0", [["1"]])
 
     def row(k, states):
@@ -146,6 +147,37 @@ def test_first_failing_row_wins_between_a_step_and_a_diagnostic(energy_fails):
     # the rows before the failing one carry their diagnostics
     assert np.array_equal(partial.residuals, np.full((want, 1), 1.0))
     assert np.array_equal(partial.energies, np.full(want, 0.5))
+
+
+def test_a_diagnostic_that_fails_early_stops_the_march(monkeypatch):
+    # v = 1e200 keeps D and steps finely, but its kinetic energy overflows at
+    # row 0: the run must stop there, not after its 100 000 steps
+    sys = MechanicalSystem(["x", "y"], np.eye(2), "0", [["1", "-1"]])
+    step_fn, p = discrete.SCHEMES["vni10"]
+    calls = []
+    monkeypatch.setitem(discrete.SCHEMES, "vni10",
+                        (lambda *args: calls.append(1) or step_fn(*args), p))
+    with pytest.raises(SystemError) as ei:
+        run_integrator(sys, "vni10", StatePoint([0.0, 0.0], [1e200, 1e200]), 1e-300, 100_000)
+    assert str(ei.value) == "energy is not finite (inf)"
+    assert (ei.value.step, ei.value.t, len(ei.value.partial)) == (0, 0.0, 0)
+    assert len(calls) <= 2
+
+
+@pytest.mark.parametrize("bad", [0, 1, 2, 5, 37, 64])
+def test_a_failing_diagnostic_at_row_k_stops_the_march_by_row_2k_plus_1(bad):
+    sys = MechanicalSystem(["x"], np.eye(1), "0", [["1"]])
+    made = []
+
+    def row(k, states):
+        made.append(k)
+        return np.array([0.0, 1e200 if k == bad else 1.0]), np.array([0.5]), 0
+
+    with pytest.raises(SystemError) as ei:
+        _march(sys, 10_000, 0.1, row)
+    assert (ei.value.step, len(ei.value.partial)) == (bad, bad)
+    assert np.array_equal(ei.value.partial.energies, np.full(bad, 0.5))
+    assert max(made) <= 2 * bad + 1
 
 
 def test_flow_field_generic():

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import importlib.util
+import json
 import os
 
 import pytest
@@ -75,3 +76,29 @@ def test_the_parent_runs_first_in_odd_pairs(monkeypatch, capsys):
     assert "pair 2 (change first)" in out
     assert [line.split()[0] for line in out.splitlines()[-4:]] == [
         "wall_s", "setup_s", "peak_rss_mb", "ops_ok_frac"]
+
+
+def test_save_keeps_the_pairs_and_the_summary_of_each_comparison(monkeypatch, tmp_path, capsys):
+    runs = {"P": iter(_PARENT + _PARENT[:2]), "C": iter(_CHANGE + _CHANGE[:2])}
+    full = {name: 1.0 for name, *_ in bench_pairs.end_to_end_metrics()}
+    monkeypatch.setattr(bench_pairs, "run_once",
+                        lambda checkout, *_: {**full, **next(runs[checkout])})
+    path = tmp_path / "bench.json"
+    argv = ["P", "C", "--workload", "w", "--save", str(path)]
+    assert bench_pairs.main(argv + ["--pairs", "5"]) == 0
+    assert capsys.readouterr().out.splitlines()[-4].split()[-2:] == ["3/5", "ok"]
+    assert bench_pairs.main(argv + ["--pairs", "2", "--seed", "1", "--seconds", "2.5"]) == 0
+    first, second = json.loads(path.read_text())  # the second run appends
+    assert (first["workload"], first["seed"], first["seconds"]) == ("w", None, None)
+    assert (second["seed"], second["seconds"], len(second["pairs"])) == (1, 2.5, 2)
+    assert [p["first"] for p in first["pairs"]] == ["parent", "change"] * 2 + ["parent"]
+    assert [p["parent"]["wall_s"] for p in first["pairs"]] == [0.20, 0.18, 0.22, 0.19, 0.21]
+    assert [p["change"]["ops_ok_frac"] for p in first["pairs"]] == [1.0, 1.0, 0.9, 1.0, 1.0]
+    rows = {r["metric"]: r for r in first["summary"]}
+    assert list(rows) == ["wall_s", "setup_s", "peak_rss_mb", "ops_ok_frac"]
+    wall = rows["wall_s"]
+    assert (wall["parent_median"], wall["change_median"], wall["won"], wall["pairs"]) == (
+        0.20, 0.17, 3, 5)
+    assert (wall["verdict"], rows["setup_s"]["verdict"], rows["setup_s"]["won"]) == ("ok", "ok", 0)
+    assert rows["ops_ok_frac"]["change_median"] == 1.0
+    assert second["summary"][0]["parent_median"] == 0.19  # pairs 0.20 -> 0.15, 0.18 -> 0.19

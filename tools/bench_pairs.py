@@ -1,6 +1,7 @@
 """Compare two checkouts on one benchmark workload by alternating pairs of runs.
 
     python3 tools/bench_pairs.py PARENT CHANGE --workload W --pairs N [--seconds S] [--seed K]
+                                 [--save FILE]
 
 Runs each checkout's own ``benchmarks/run.py --workload W`` from that
 checkout, N times each, in alternation: the parent first in odd pairs
@@ -20,6 +21,12 @@ share of the parent's median:
   not every change run beats every parent run, so the runs spread too
   widely to call the change unchanged;
 - ``ok``: everything else.
+
+``--save FILE`` also keeps the comparison as JSON: the workload, seed and
+seconds asked for (null where run.py's default was used), each pair's order
+and the metrics of its two runs, and the summary rows with their verdicts.
+FILE holds a list of such comparisons, one per ``--save`` run, so one file
+can keep a change's comparisons on several seeds; the first creates it.
 
 Standard library only.
 """
@@ -119,6 +126,21 @@ def format_rows(rows: list[dict]) -> list[str]:
     return out
 
 
+def save(path: str, args: argparse.Namespace, sides: dict, rows: list[dict]) -> None:
+    """Append one comparison to the JSON list in path: what was run, every pair, the summary."""
+    pairs = [{"first": "parent" if i % 2 else "change", "parent": p, "change": c}
+             for i, (p, c) in enumerate(zip(sides["parent"], sides["change"]), start=1)]
+    record = {"workload": args.workload, "seed": args.seed, "seconds": args.seconds,
+              "pairs": pairs, "summary": rows}
+    saved = []
+    if os.path.exists(path):
+        with open(path) as fh:
+            saved = json.load(fh)
+    with open(path, "w") as fh:
+        json.dump(saved + [record], fh, indent=1)
+        fh.write("\n")
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent", help="checkout of the parent commit")
@@ -127,6 +149,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--pairs", type=int, required=True)
     parser.add_argument("--seconds", type=float, help="passed to run.py (default: its own)")
     parser.add_argument("--seed", type=int, help="passed to run.py (default: its main seed)")
+    parser.add_argument("--save", metavar="FILE",
+                        help="also append the comparison to the JSON list in FILE")
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
@@ -144,7 +168,10 @@ def main(argv: list[str] | None = None) -> int:
     except RuntimeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    print("\n".join(format_rows(summarize(sides["parent"], sides["change"], metrics))))
+    rows = summarize(sides["parent"], sides["change"], metrics)
+    print("\n".join(format_rows(rows)))
+    if args.save:
+        save(args.save, args, sides, rows)
     return 0
 
 

@@ -41,7 +41,9 @@ which keeps the per-row kernels, the Hessian's included; ``embed`` (``vni10``) o
 2-d system with one constraint, whose lift A = B^-1 mu_base has one base
 column (n - m = 1, where the particle's has two), and on the particle with its
 constraint row scaled by 1e-13, which the fiber block's singularity test
-must not flag; then runs that fail
+must not flag, and on the particle at phase ``t_frac`` 0, where the
+inversion's predictor is already the anchor and no Jacobian is built; then
+runs that fail
 at runtime, and configs that misuse a key, ask for a huge step or sample
 count or start outside the system's domain.  Each
 discrete scheme meets three runtime failures that stop at a fixed row: a start
@@ -53,8 +55,8 @@ whose oracle succeeds while ``vni20`` fails at the largest step size only.
 ``dla`` on a constraint x v_x = 0 started at x = 1e-9 stops at its first step,
 where the regularity certificate reads a condition number of 1e18.  ``vni10``
 under a force of 1e300 reaches a velocity whose energy overflows at row 1 and
-fails its step at row 2: the pass that fills the diagnostic columns after the
-march must still report row 1's energy, with one row.  ``vni20`` given the
+fails its step at row 2: the blocks that fill the diagnostic columns as the
+march goes must still report row 1's energy, with one row.  ``vni20`` given the
 two-point scheme's ``nodes`` key is a config error.
 A config that runs longer than ``TIMEOUT_S`` is stopped and printed as
 ``exit timeout``.
@@ -275,7 +277,8 @@ def configs() -> list[tuple[str, str, dict]]:
     out += [("other/funcs_embed", "embed", FUNCS_EMBED),
             ("other/funcs_embed_vni20", "embed", {**FUNCS_EMBED, "scheme": "vni20"}),
             ("other/one_constraint_2d_embed", "embed", ONE_CONSTRAINT_2D_EMBED),
-            ("other/embed_tiny_row", "embed", EMBED_TINY_ROW)]
+            ("other/embed_tiny_row", "embed", EMBED_TINY_ROW),
+            ("other/embed_t_frac_0", "embed", {**EMBED, "t_frac": 0})]
 
     out += [(f"fail/quartic_{name}", "simulate", {**QUARTIC, "integrator": name, **extra})
             for name, extra in every_integrator]
