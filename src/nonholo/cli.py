@@ -26,7 +26,6 @@ import numpy as np
 
 from . import exprdiff
 from .discrete import (
-    ADMISSIBLE_TOL,
     SCHEMES,
     NodePolicy,
     deformed_admissible_velocity,
@@ -39,15 +38,17 @@ from .embed import (
     reduced_step_map,
     verify_embedding,
 )
-from .flow import REFERENCE_STEP, RUNTIME_ERRORS, integrate, reference_flow, write_csv
+from .flow import _QUIET, REFERENCE_STEP, RUNTIME_ERRORS, integrate, reference_flow, write_csv
 from .reduction import DeformedConstraint, deformed_residual, lambda_continuous, reduce_state
 from .system import (
     BUILTIN_FIELDS,
-    MAX_STEPS,
     MechanicalSystem,
     StatePoint,
     SystemError,
+    _require_admissible,
+    _require_steps,
     constraint_residual,
+    deformed_node_residual,
     derive_connection,
     project_velocity,
 )
@@ -122,12 +123,16 @@ def _vector(cfg: dict, key: str, n: int) -> np.ndarray:
 
 
 @contextlib.contextmanager
-def _at_start():
-    """A system that cannot be evaluated or repaired at the initial state is a config error."""
+def _set_up(prefix: str = ""):
+    """Set-up of a run: what the library refuses here is a config error, `prefix` + its message.
+
+    numpy's overflow warnings are off: every value computed here is checked afterwards.
+    """
     try:
-        yield
+        with np.errstate(**_QUIET):
+            yield
     except RUNTIME_ERRORS as exc:
-        raise ConfigError(f"initial state: {exc}") from None
+        raise ConfigError(f"{prefix}{exc}") from None
 
 
 def _initial_state(
@@ -135,25 +140,31 @@ def _initial_state(
 ) -> StatePoint:
     """(q, v) from the config, admissible for D or for the deformation's set if one is given.
 
-    With `node_eps`, project_initial repairs onto original_node's deformed set at that step.
+    project_initial repairs v onto D, or with `node_eps` onto original_node's
+    deformed set at that step; the repaired start is checked against that set.
     """
     q = _vector(cfg, "q", sys.n)
     v = _vector(cfg, "v", sys.n)
-    with _at_start():
-        if _flag(cfg, "project_initial"):
+    repair = _flag(cfg, "project_initial")
+    with _set_up("initial state: "):
+        if repair:
             v = project_velocity(sys, q, v)
             if node_eps is not None:
                 v = deformed_admissible_velocity(sys, q, v, node_eps)
-            return StatePoint(q, v)
-        x = np.concatenate([q, v])
-        res = deformed_residual(sys, deformation, x) if deformation else constraint_residual(sys, x)
-    res = np.max(np.abs(res), initial=0.0)
-    if res > ADMISSIBLE_TOL:
-        raise ConfigError(
-            f"initial velocity is not admissible (residual {res:.6g}); "
-            "set project_initial to repair it"
-        )
-    return StatePoint(q, v)
+        x = StatePoint(q, v)
+        if repair and node_eps is not None:
+            res = deformed_node_residual(sys, x.concat(), node_eps)
+        elif deformation is not None and not repair:
+            res = deformed_residual(sys, deformation, x.concat())
+        else:
+            res = constraint_residual(sys, x.concat())
+    with _set_up():
+        if repair:
+            _require_admissible(res, "repaired initial velocity is not admissible")
+        else:
+            _require_admissible(res, "initial velocity is not admissible",
+                                "set project_initial to repair it")
+    return x
 
 
 def _as_number(raw, what: str) -> float:
@@ -211,19 +222,14 @@ def _out_path(cfg: dict, key: str, default: str, out_dir: str) -> str:
     return os.path.join(out_dir, name)
 
 
-def _check_steps(steps: float, what: str) -> None:
-    """A config asking for more than MAX_STEPS steps is refused before anything is allocated."""
-    if not steps <= MAX_STEPS:
-        raise ConfigError(f"{what} asks for {steps!r} steps, more than MAX_STEPS = {MAX_STEPS}")
-
-
 def _steps_and_eps(cfg: dict) -> tuple[float, int]:
     eps = _positive(cfg, "eps")
     has_n, has_t = "N" in cfg, "T" in cfg
     if has_n == has_t:
         raise ConfigError("give exactly one of 'N' (step count) or 'T' (end time)")
     steps = _integer(cfg, "N") if has_n else _positive(cfg, "T") / eps
-    _check_steps(steps, "N" if has_n else "T / eps")
+    with _set_up():
+        _require_steps("N" if has_n else "T / eps", steps)
     N = steps if has_n else max(1, round(steps))
     if not np.isfinite(eps * N):
         raise ConfigError(f"the end time eps * N = {eps!r} * {N!r} overflows")
@@ -358,9 +364,10 @@ def convergence_study(cfg: dict, eps_list: list[float]) -> StudyResult:
     policy = _nodes_policy(cfg, integ)
     x0 = _initial_state(cfg, sys)
     T = _positive(cfg, "T")
-    _check_steps(T / REFERENCE_STEP, "the reference oracle's T / REFERENCE_STEP")
-    for eps in eps_list:
-        _check_steps(T / eps, f"T / eps at eps = {eps!r}")
+    with _set_up():
+        _require_steps("the reference oracle's T / REFERENCE_STEP", T / REFERENCE_STEP)
+        for eps in eps_list:
+            _require_steps(f"T / eps at eps = {eps!r}", T / eps)
 
     oracle = reference_flow(sys, x0, T)
     oracle_concat = oracle.concat()
@@ -432,22 +439,19 @@ def cmd_converge(cfg: dict, out_dir: str, eps_list: list[float] | None) -> int:
 def cmd_embed(cfg: dict, out_dir: str) -> int:
     sys = build_system(cfg.get("system", "nonholonomic_particle"))
     q0 = _vector(cfg, "q0", sys.n) if "q0" in cfg else _vector(cfg, "q", sys.n)
-    try:
-        split = derive_connection(sys, q0=q0)
-    except SystemError as exc:
-        raise ConfigError(f"cannot split coordinates at q0: {exc}") from None
+    with _set_up("cannot split coordinates at q0: "):
+        split = derive_connection(sys, q0)
     scheme = cfg.get("scheme", "vni10")
     base_step = _positive(cfg, "base_step", 2e-3)
     problem = reduced_problem(sys, split, base_step=base_step)
     if scheme == "exact":
         phi = exact_step_map(problem, p=_integer(cfg, "p", 1, least=1))
     else:
-        try:
+        with _set_up():
             phi = reduced_step_map(sys, split, scheme)
-        except SystemError as exc:
-            raise ConfigError(str(exc)) from None
     eps = _positive(cfg, "eps")
-    _check_steps(eps / base_step, "eps / base_step")
+    with _set_up():
+        _require_steps("eps / base_step", eps / base_step)
     t_frac = _number(cfg, "t_frac", 0.37)
     order_levels = _integer(cfg, "order_levels", 5, least=2)
     summary_path = _out_path(cfg, "summary", "embedding.json", out_dir)
@@ -460,8 +464,8 @@ def cmd_embed(cfg: dict, out_dir: str) -> int:
         if not isinstance(entry, dict):
             raise ConfigError(f"points[{i}] must be an object with 'q' and 'v'")
         x = _initial_state({**entry, "project_initial": _flag(cfg, "project_initial")}, sys)
-        # _initial_state holds x to a tighter residual than reduce_state's check
-        points.append(reduce_state(sys, split, x.concat()))
+        # _initial_state has applied reduce_state's own rule to x: it lies on D
+        points.append(reduce_state(sys, split, x.concat(), check=False))
 
     started = time.perf_counter()
     try:
@@ -490,14 +494,13 @@ def cmd_interp(cfg: dict, out_dir: str) -> int:
     b = _initial_state(cfg["x1"], sys)
     eps = _positive(cfg, "eps")
     samples = _integer(cfg, "samples", 101, least=2)
-    _check_steps(samples, "samples")
+    with _set_up():
+        _require_steps("samples", samples)
     csv_path = _out_path(cfg, "output", "interpolation.csv", out_dir)
     q0 = _vector(cfg, "q0", sys.n) if "q0" in cfg else a.q
-    try:
-        split = derive_connection(sys, q0=q0)
+    with _set_up():
+        split = derive_connection(sys, q0)
         curve = interpolate_in_D(sys, split, a.concat(), b.concat(), eps)
-    except SystemError as exc:
-        raise ConfigError(str(exc)) from None
 
     header = (
         ["t"]

@@ -59,6 +59,7 @@ from .system import (
     SystemError,
     _gram,
     _gram_solve,
+    _require_admissible,
     _require_finite,
     deformed_node_residual,
 )
@@ -81,7 +82,6 @@ __all__ = [
 
 NEWTON_TOL = 1e-12
 NEWTON_MAX_ITER = 30
-ADMISSIBLE_TOL = 1e-10
 
 
 def newton_solve(
@@ -329,12 +329,9 @@ def original_node_step(sys: MechanicalSystem, x: np.ndarray, eps: float) -> Step
     vanishes; the step requires it of its input and then conserves it.  The
     new configuration is q + eps v_{k+1}.
     """
-    res0 = np.max(np.abs(deformed_node_residual(sys, x, eps)), initial=0.0)
-    if res0 > ADMISSIBLE_TOL:
-        raise SystemError(
-            "input node violates the deformed constraint "
-            f"(residual {res0:.6g}); repair it with deformed_admissible_velocity"
-        )
+    _require_admissible(deformed_node_residual(sys, x, eps),
+                        "input node violates the deformed constraint",
+                        "repair it with deformed_admissible_velocity")
     q, v = x[: sys.n], x[sys.n :]
     grad_back = sys.grad_v_at(q - 0.5 * eps * v)
     v1, lam, iters = _implicit_step(sys, eps, v, q, 0.5, 0.5, 0.5 * grad_back, sys.mu_at(q))
@@ -442,16 +439,14 @@ def run_integrator(
 
     # original_node_step validates its own deformed precondition
     if scheme != "original_node":
-        if scheme == "dla" and policy is NodePolicy.ORIGINAL:
-            with np.errstate(**_QUIET):  # q - (1 - beta) eps v may overflow, like a step
+        with np.errstate(**_QUIET):  # the start may overflow, like a step; the check refuses it
+            if scheme == "dla" and policy is NodePolicy.ORIGINAL:
                 res = sys.mu_at(x0.q - (1.0 - beta) * eps * x0.v) @ x0.v
-            broken = "violates the discrete constraint"
-        else:
-            res = sys.mu_at(x0.q) @ x0.v
-            broken = "is off D"
-        res = np.max(np.abs(res), initial=0.0)
-        if res > ADMISSIBLE_TOL:
-            raise SystemError(f"initial node {broken} (residual {res:.6g})")
+                broken = "violates the discrete constraint"
+            else:
+                res = sys.mu_at(x0.q) @ x0.v
+                broken = "is off D"
+        _require_admissible(res, f"initial node {broken}")
 
     raw = np.empty((int(steps) + 2, sys.n)) if scheme == "dla" else None  # dla's pairs
 

@@ -31,9 +31,9 @@ from .exprdiff import Expression
 from .system import (
     ConnectionSplit,
     MechanicalSystem,
-    SystemError,
     _gram,
     _gram_solve,
+    _require_admissible,
     c_matrix,
     constraint_residual,
 )
@@ -49,8 +49,6 @@ __all__ = [
     "deformed_field",
     "deformed_residual",
 ]
-
-ON_D_TOL = 1e-9
 
 
 def _field(sys: MechanicalSystem, dc: DeformedConstraint | None, x: np.ndarray):
@@ -82,18 +80,10 @@ def _lambda_raw(sys: MechanicalSystem, x: np.ndarray) -> np.ndarray:
     return _field(sys, None, x)[1]
 
 
-def _require_on_d(sys: MechanicalSystem, x: np.ndarray) -> None:
-    """Refuse a row x off D; a stack of rows names the first one off D."""
-    res = np.max(np.abs(constraint_residual(sys, x)), axis=-1, initial=0.0)
-    off = res > ON_D_TOL
-    if off.any():
-        raise SystemError(f"state is off D (residual {float(res.flat[np.argmax(off)]):.6g})")
-
-
 def lambda_continuous(sys: MechanicalSystem, x: np.ndarray, check: bool = True) -> np.ndarray:
     """Reaction multipliers at x, which must lie on D unless check=False."""
     if check:
-        _require_on_d(sys, x)
+        _require_admissible(constraint_residual(sys, x), "state is off D")
     return _lambda_raw(sys, x)
 
 
@@ -123,7 +113,7 @@ def reduce_state(
     A stack of rows (..., 2n) projects row by row to (..., 2n - m).
     """
     if check:
-        _require_on_d(sys, x)
+        _require_admissible(constraint_residual(sys, x), "state is off D")
     return np.concatenate([x[..., : sys.n], x[..., sys.n :][..., list(split.base)]], axis=-1)
 
 

@@ -29,13 +29,16 @@ __all__ = [
     "derive_connection",
     "energy",
     "nonholonomic_particle",
+    "rolling_disk",
 ]
 
 MAX_DIM = 12
 COND_LIMIT = 1e12
 # The most steps one run, flow or sample table may take (the workloads in use
-# take up to 10^4); `_require_steps` and the command line's config checks refuse more.
+# take up to 10^4); `_require_steps` refuses more, in the library and at the command line.
 MAX_STEPS = 10**7
+# The largest |entry| of the residual of a state on its set, absolute, at every entry point.
+ADMISSIBLE_TOL = 1e-10
 
 
 class SystemError(ValueError):
@@ -76,6 +79,16 @@ def _require_steps(what: str, steps: float) -> None:
     """The one cap on a step count: |steps| at most MAX_STEPS, NaN and infinity rejected."""
     if not abs(steps) <= MAX_STEPS:
         raise SystemError(f"{what} asks for {steps!r} steps, more than MAX_STEPS = {MAX_STEPS}")
+
+
+def _require_admissible(res, what: str, remedy: str | None = None) -> None:
+    """Refuse the first row of a residual stack res (..., m) whose largest |entry| is
+    not <= ADMISSIBLE_TOL, NaN included, with the message "`what` (residual r); `remedy`"."""
+    ok = np.abs(res) <= ADMISSIBLE_TOL
+    if not ok.all():
+        worst = np.max(np.abs(res), axis=-1).flat[np.argmin(ok.all(axis=-1))]
+        hint = f"; {remedy}" if remedy else ""
+        raise SystemError(f"{what} (residual {float(worst):.6g}){hint}")
 
 
 def _first_row(q, bad) -> np.ndarray:
@@ -328,39 +341,26 @@ class ConnectionSplit:
         return base / B if len(self.base) == 1 else base * (1.0 / B)
 
 
-def derive_connection(sys: MechanicalSystem, fiber_indices=None, q0=None) -> ConnectionSplit:
-    """Pick fiber coordinates whose mu-block is invertible and build the split.
+def derive_connection(sys: MechanicalSystem, q0) -> ConnectionSplit:
+    """Pick the fiber coordinates whose mu-block at q0 is invertible and build the split.
 
-    Without `fiber_indices`, every m-subset of columns is scanned at q0 and
-    the one with the largest |det| wins; exact ties go to the
-    lexicographically last index set.  Each row of mu(q0) is first divided
-    by its largest |entry|, so the choice does not depend on the scale of
-    the rows (a row whose largest |entry| is 1 is unchanged); a zero row
-    leaves no invertible block.
+    Every m-subset of columns is scanned at q0 and the one with the largest
+    |det| wins; exact ties go to the lexicographically last index set.  Each
+    row of mu(q0) is first divided by its largest |entry|, so the choice does
+    not depend on the scale of the rows (a row whose largest |entry| is 1 is
+    unchanged); a zero row leaves no invertible block.
     """
-    if fiber_indices is None:
-        if q0 is None:
-            raise SystemError("automatic fiber selection needs the initial configuration q0")
-        mu = _row_normalized(sys.mu_at(q0))
-        best = None
-        best_det = 0.0
-        for subset in itertools.combinations(range(sys.n), sys.m):
-            d = abs(np.linalg.det(mu[:, list(subset)]))
-            if d >= best_det and d > 1e-8:
-                best, best_det = subset, d
-        if best is None:
-            raise SystemError(f"no invertible {sys.m}-column block of mu at q0={q0!r}")
-        fiber = tuple(best)
-    else:
-        fiber = tuple(int(i) for i in fiber_indices)
-        if len(fiber) != sys.m or not all(0 <= i < sys.n for i in fiber):
-            raise SystemError("fiber_indices must be m distinct coordinate indices")
-        if q0 is not None:
-            block = _row_normalized(sys.mu_at(q0))[:, list(fiber)]
-            if abs(np.linalg.det(block)) < 1e-8:
-                raise SystemError(f"requested fiber block singular at q0={q0!r}")
-    base = tuple(i for i in range(sys.n) if i not in fiber)
-    return ConnectionSplit(base=base, fiber=fiber)
+    mu = _row_normalized(sys.mu_at(q0))
+    best = None
+    best_det = 0.0
+    for subset in itertools.combinations(range(sys.n), sys.m):
+        d = abs(np.linalg.det(mu[:, list(subset)]))
+        if d >= best_det and d > 1e-8:
+            best, best_det = subset, d
+    if best is None:
+        raise SystemError(f"no invertible {sys.m}-column block of mu at q0={q0!r}")
+    base = tuple(i for i in range(sys.n) if i not in best)
+    return ConnectionSplit(base=base, fiber=best)
 
 
 def _row_normalized(mu: np.ndarray) -> np.ndarray:
@@ -391,9 +391,21 @@ BUILTIN_FIELDS = {
         "V": "0",
         "mu": [["-y", "0", "1"]],
     },
+    "rolling_disk": {
+        "names": ["x", "y", "th", "ph"],
+        "M": [[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0], [0.0, 0.0, 0.25, 0.0],
+              [0.0, 0.0, 0.0, 0.5]],
+        "V": "(x^2+y^2)/2 + 0.1*(1-cos(th))",
+        "mu": [["1", "0", "0", "-0.5*cos(th)"], ["0", "1", "0", "-0.5*sin(th)"]],
+    },
 }
 
 
 def nonholonomic_particle() -> MechanicalSystem:
     """Free particle in R^3 whose vertical velocity is slaved to y: v_z = y v_x."""
     return MechanicalSystem(**BUILTIN_FIELDS["nonholonomic_particle"])
+
+
+def rolling_disk() -> MechanicalSystem:
+    """Vertical disk of radius 1/2 rolling without slipping in a harmonic well."""
+    return MechanicalSystem(**BUILTIN_FIELDS["rolling_disk"])

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_discrete import DISK_X0, rolling_disk
+from test_discrete import DISK_X0
 
 from nonholo import discrete, embed, exprdiff
 from nonholo.discrete import SCHEMES, NewtonError, newton_solve, vni20_step
@@ -38,6 +38,7 @@ from nonholo.reduction import (
 )
 from nonholo.exprdiff import EvalError
 from nonholo.system import (
+    ConnectionSplit,
     MechanicalSystem,
     SystemError,
     constraint_residual,
@@ -45,6 +46,7 @@ from nonholo.system import (
     derive_connection,
     energy,
     nonholonomic_particle,
+    rolling_disk,
 )
 
 _PARTICLE = nonholonomic_particle()
@@ -153,7 +155,7 @@ def _plane_system(mu) -> MechanicalSystem:
 def test_singular_fiber_block_names_the_first_failing_row():
     # the fiber block of v_z is x: singular at rows 1 and 2, not at row 0
     sys = _plane_system([["-y", "0", "x"]])
-    split = derive_connection(sys, fiber_indices=[2])
+    split = ConnectionSplit((0, 1), (2,))
     xi = np.array([[1.0, 1.0, 0.0, 1.0, 1.0], [0.0, 0.5, 0.0, 1.0, 1.0], [0.0, 2.0, 0.0, 1.0, 1.0]])
     kind, message = _raised(lambda: psi_embed(sys, split, xi))
     assert (kind, message) == _raised(lambda: psi_embed(sys, split, xi[1]))

@@ -15,6 +15,9 @@ from hypothesis import strategies as st
 import nonholo
 from nonholo import cli
 from nonholo.cli import INTEGRATORS, ConfigError, convergence_study, main
+from nonholo.discrete import NodePolicy, original_node_step, run_integrator
+from nonholo.reduction import lambda_continuous, reduce_state
+from nonholo.system import StatePoint, SystemError, derive_connection, nonholonomic_particle
 
 PARTICLE_SIM = {
     "system": "nonholonomic_particle",
@@ -199,12 +202,12 @@ def test_overflowing_discrete_start_check_prints_only_its_error_line(tmp_path, c
                    "(regularity condition number inf)\n")
 
 
-def _fresh_simulate(tmp_path, cfg) -> int:
-    """`simulate`'s exit code in a fresh interpreter, whose warnings reach stderr."""
+def _fresh_simulate(tmp_path, cfg, command="simulate") -> int:
+    """The command's exit code in a fresh interpreter, whose warnings reach stderr."""
     env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(nonholo.__file__)),
            "PYTHONWARNINGS": "default"}
     proc = subprocess.run(
-        [sys.executable, "-m", "nonholo.cli", "simulate", "--config", write_config(tmp_path, cfg),
+        [sys.executable, "-m", "nonholo.cli", command, "--config", write_config(tmp_path, cfg),
          "--out", str(tmp_path / "out")],
         env=env,
     )
@@ -253,7 +256,7 @@ def test_simulate_config_errors(tmp_path, capsys):
         dict(PARTICLE_SIM, N=True),
         {**{k: v for k, v in PARTICLE_SIM.items() if k != "N"}, "T": True},
         dict(PARTICLE_SIM, q=[0.0, 1.0]),
-        dict(PARTICLE_SIM, system="rolling_disk"),
+        dict(PARTICLE_SIM, system="unicycle"),  # no such builtin
         dict(PARTICLE_SIM, beta=0.5),  # beta without the two-point scheme
         dict(PARTICLE_SIM, integrator="dla", beta=0.5, nodes="midpoint"),
         dict(PARTICLE_SIM, nodes="redefined"),  # nodes without the two-point scheme
@@ -318,6 +321,15 @@ def test_missing_or_malformed_config_file(tmp_path, capsys):
     lst.write_text("[1, 2]")
     assert main(["simulate", "--config", str(lst)]) == 2
     capsys.readouterr()
+
+
+def test_rolling_disk_is_a_builtin(tmp_path, capsys):
+    th, w_th, w_ph = 0.3, 0.4, 1.2  # (v_x, v_y) = w_ph (cos th, sin th) / 2 is on D
+    cfg = dict(PARTICLE_SIM, system="rolling_disk", integrator="vni20", N=20, q=[1.0, 0.0, th, 0.0],
+               v=[0.5 * np.cos(th) * w_ph, 0.5 * np.sin(th) * w_ph, w_th, w_ph])
+    code, out = run(tmp_path, "simulate", cfg)
+    assert code == 0, capsys.readouterr().err
+    assert (out / "trajectory.csv").read_text().splitlines()[0].startswith("t,q_1,q_2,q_3,q_4,")
 
 
 def test_builtin_override_field_by_field(tmp_path):
@@ -547,6 +559,110 @@ def test_other_command_config_errors(tmp_path, capsys, command, cfg):
     code, _ = run(tmp_path, command, cfg)
     assert code == 2, f"config should be rejected: {cfg}"
     assert capsys.readouterr().err.startswith("config error:")
+
+
+# A particle start whose projection onto D keeps a residual of 7.5e-9: the
+# product y v_x of v = (0.7, 1.1, 0.3) * 1e8 rounds off what the projection takes out.
+_PROJECTED_1E8 = {"q": [0.3, 1.7, 0.0], "v": [0.7e8, 1.1e8, 0.3e8]}
+
+
+@pytest.mark.parametrize(
+    "command, cfg",
+    [
+        ("embed", dict(EMBED, q0=_PROJECTED_1E8["q"], project_initial=True,
+                       points=[_PROJECTED_1E8])),
+        ("embed", dict(EMBED, system=LOG_MU, q0=LOG_MU_START["q"],
+                       points=[{"q": [1.0, 0.0], "v": [0.0, 0.0]}])),
+        ("interp", dict(INTERP, system=LOG_MU, q0=LOG_MU_START["q"],
+                        x0={"q": [1.0, 0.0], "v": [0.0, 0.0]},
+                        x1={"q": [1.1, 0.0], "v": [0.0, 0.0]})),
+    ],
+    ids=["embed_projected_point", "embed_q0_outside_domain", "interp_q0_outside_domain"],
+)
+def test_set_up_refusals_are_config_errors(tmp_path, capsys, command, cfg):
+    # a repaired point refused by reduce_state, and a q0 where mu cannot be
+    # evaluated, each ended in a traceback
+    code, _ = run(tmp_path, command, cfg)
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert len(err.splitlines()) == 1 and err.startswith("config error:"), err
+    assert "set project_initial" not in err
+
+
+@pytest.mark.parametrize("scale, code", [(1e6, 0), (1e7, 2)])
+def test_a_repaired_start_is_checked_against_its_set(tmp_path, capsys, scale, code):
+    # the projection of a large v keeps a residual that grows with |v|; a
+    # repaired start is held to the one tolerance like any other
+    cfg = dict(PARTICLE_SIM, eps=1e-9, N=5, q=[0.3, 1.7, 0.0], project_initial=True,
+               v=[0.7 * scale, 1.1 * scale, 0.3 * scale])
+    assert run(tmp_path, "simulate", cfg)[0] == code
+    err = capsys.readouterr().err
+    if code:
+        assert err.startswith("config error: repaired initial velocity is not admissible"), err
+        assert "set project_initial" not in err
+
+
+_HUGE_START = {"q": [0.0, 10.0, 0.0], "v": [1e308, 0.0, 0.0]}  # mu v overflows
+
+
+@pytest.mark.parametrize(
+    "command, cfg",
+    [
+        ("simulate", dict(PARTICLE_SIM, **_HUGE_START)),
+        ("simulate", dict(PARTICLE_SIM, **_HUGE_START, project_initial=True)),
+        ("converge", dict(CONVERGE, **_HUGE_START)),
+        ("embed", dict(EMBED, points=[_HUGE_START])),
+        ("interp", dict(INTERP, x0=_HUGE_START)),
+    ],
+    ids=["simulate", "simulate_project_initial", "converge", "embed", "interp"],
+)
+def test_set_up_prints_no_warning_before_a_config_error(tmp_path, capfd, command, cfg):
+    assert _fresh_simulate(tmp_path, cfg, command) == 2
+    err = capfd.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("config error:"), err
+
+
+# --- the one admissibility rule -----------------------------------------------------
+
+_PARTICLE = nonholonomic_particle()
+_SPLIT = derive_connection(_PARTICLE, q0=np.array([0.0, 1.0, 0.0]))
+
+
+def _cli_accepts(tmp_path, x: StatePoint, **extra) -> bool:
+    cfg = dict(PARTICLE_SIM, N=1, q=x.q.tolist(), v=x.v.tolist(), **extra)
+    code, _ = run(tmp_path, "simulate", cfg)
+    assert code in (0, 2)
+    return code == 0
+
+
+# Every entry point that requires a state on its set, as a call that raises
+# SystemError or returns False when it refuses the start x.
+_RULE_SITES = {
+    "simulate": _cli_accepts,
+    "simulate_deformed": lambda tmp_path, x: _cli_accepts(
+        tmp_path, x, integrator="reference", deformation={"g": ["v_x*v_y"], "delta": 0.0}),
+    "run_integrator_vni10": lambda tmp_path, x: run_integrator(_PARTICLE, "vni10", x, 0.01, 1),
+    "run_integrator_dla_original": lambda tmp_path, x: run_integrator(
+        _PARTICLE, "dla", x, 0.01, 1, beta=0.5, policy=NodePolicy.ORIGINAL),
+    "original_node_step": lambda tmp_path, x: original_node_step(_PARTICLE, x.concat(), 0.01),
+    "reduce_state": lambda tmp_path, x: reduce_state(_PARTICLE, _SPLIT, x.concat()),
+    "lambda_continuous": lambda tmp_path, x: lambda_continuous(_PARTICLE, x.concat()),
+}
+
+
+@pytest.mark.parametrize("site", _RULE_SITES)
+@pytest.mark.parametrize("delta, accepted", [(2.0**-34, True), (2.0**-33, False)],
+                         ids=["accepts_2^-34", "refuses_2^-33"])
+def test_every_site_applies_the_one_admissibility_rule(tmp_path, capsys, site, delta, accepted):
+    # at q = (0, 1, 0) the residual of v = (1, 0, 1 + delta) is delta exactly,
+    # on D and on each deformed set alike (v_y = 0 keeps y at every node)
+    x = StatePoint([0.0, 1.0, 0.0], [1.0, 0.0, 1.0 + delta])
+    try:
+        ok = _RULE_SITES[site](tmp_path, x) is not False
+    except SystemError as exc:
+        assert "residual" in str(exc)
+        ok = False
+    assert ok == accepted, capsys.readouterr().err
 
 
 def test_embed_report(tmp_path):

@@ -39,21 +39,13 @@ from nonholo.system import (
     energy,
     nonholonomic_particle,
     project_velocity,
+    rolling_disk,
 )
 
 X0 = StatePoint([0.0, 1.0, 0.0], [1.0, 1.0, 1.0])
 
-
-def rolling_disk() -> MechanicalSystem:
-    """A potential with a non-zero Hessian, a non-identity mass matrix and two constraints."""
-    return MechanicalSystem(
-        names=["x", "y", "th", "ph"],
-        M=np.diag([1.0, 1.0, 0.25, 0.5]),
-        V="(x^2+y^2)/2 + 0.1*(1-cos(th))",
-        mu=[["1", "0", "0", "-0.5*cos(th)"], ["0", "1", "0", "-0.5*sin(th)"]],
-    )
-
-
+# The rolling disk has a potential with a non-zero Hessian, a non-identity
+# mass matrix and two constraints.
 _TH, _W_TH, _W_PH = 0.7, 0.3, 1.1  # an admissible start: (v_x, v_y) = w_ph (cos th, sin th) / 2
 DISK_X0 = StatePoint(
     [1.0, 0.0, _TH, 0.0], [0.5 * np.cos(_TH) * _W_PH, 0.5 * np.sin(_TH) * _W_PH, _W_TH, _W_PH]
@@ -270,19 +262,11 @@ def test_newton_solver_failures():
 
 def test_newton_step_evaluates_mu_once_per_iterate():
     # the residual and the Jacobian at one Newton iterate share one mu(q)
-    sys = MechanicalSystem(
-        names=["x", "y", "th", "ph"],
-        M=np.diag([1.0, 1.0, 0.25, 0.5]),
-        V="(x^2+y^2)/2 + 0.1*(1-cos(th))",
-        mu=[["1", "0", "0", "-0.5*cos(th)"], ["0", "1", "0", "-0.5*sin(th)"]],
-    )
-    th, w_th, w_ph = 0.7, 0.3, 1.1
-    v0 = [0.5 * np.cos(th) * w_ph, 0.5 * np.sin(th) * w_ph, w_th, w_ph]
-    x0 = StatePoint([1.0, 0.0, th, 0.0], v0)
+    sys = rolling_disk()
     calls = []
     mu_at = sys.mu_at
     sys.mu_at = lambda q: calls.append(q) or mu_at(q)
-    out = vni20_step(sys, x0.concat(), 0.01)
+    out = vni20_step(sys, DISK_X0.concat(), 0.01)
     assert out.iters >= 1
     # the reaction row at q_half, then one per iterate: each iteration's and the final one
     assert len(calls) == 1 + out.iters + 1

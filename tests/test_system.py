@@ -9,6 +9,7 @@ import pytest
 
 from nonholo import exprdiff
 from nonholo.system import (
+    BUILTIN_FIELDS,
     ConnectionSplit,
     MechanicalSystem,
     StatePoint,
@@ -25,17 +26,8 @@ from nonholo.system import (
 
 
 def rolling_disk() -> MechanicalSystem:
-    # Vertical disk of radius 1/2 rolling without slipping: contact-point
-    # velocity (v_x, v_y) is slaved to the rolling rate via the heading th.
-    return MechanicalSystem(
-        names=["x", "y", "th", "ph"],
-        M=np.diag([1.0, 1.0, 0.25, 0.5]),
-        V="0",
-        mu=[
-            ["1", "0", "0", "-0.5*cos(th)"],
-            ["0", "1", "0", "-0.5*sin(th)"],
-        ],
-    )
+    """The builtin rolling disk without its potential."""
+    return MechanicalSystem(**{**BUILTIN_FIELDS["rolling_disk"], "V": "0"})
 
 
 def test_particle_constraint_matrix():
@@ -130,20 +122,9 @@ def test_mu_tilde_annihilates_admissible_velocities():
 
 def test_explicit_fiber_request():
     sys = nonholonomic_particle()
-    split = derive_connection(sys, fiber_indices=[0], q0=np.array([0.0, 1.0, 0.0]))
-    assert split.fiber == (0,)
-    assert split.base == (1, 2)
+    split = ConnectionSplit(base=(1, 2), fiber=(0,))
     # x-column is -y, so A = mu[:, base] / (-y) = [0, -1/y]
     assert np.allclose(split.a_at(sys, np.array([0.0, 2.0, 0.0])), [[0.0, -0.5]])
-
-
-def test_singular_fiber_request_rejected():
-    sys = nonholonomic_particle()
-    with pytest.raises(SystemError):
-        derive_connection(sys, fiber_indices=[1], q0=np.array([0.0, 1.0, 0.0]))
-    # y = 0 kills the x column
-    with pytest.raises(SystemError):
-        derive_connection(sys, fiber_indices=[0], q0=np.array([0.0, 0.0, 0.0]))
 
 
 @pytest.mark.parametrize("k", range(-11, 10))
@@ -155,20 +136,12 @@ def test_fiber_choice_does_not_depend_on_the_row_scale(k):
     q0 = np.array([0.0, 1.0, 0.0])
     unscaled = derive_connection(nonholonomic_particle(), q0=q0)
     assert derive_connection(sys, q0=q0) == unscaled
-    assert derive_connection(sys, fiber_indices=[0], q0=q0) == ConnectionSplit((1, 2), (0,))
 
 
 def test_zero_constraint_row_has_no_fiber():
     sys = MechanicalSystem(names=["x", "y"], M=np.eye(2), V="0", mu=[["x", "0"]])
     with pytest.raises(SystemError, match="no invertible"):
         derive_connection(sys, q0=np.array([0.0, 1.0]))
-    with pytest.raises(SystemError, match="singular"):
-        derive_connection(sys, fiber_indices=[0], q0=np.array([0.0, 1.0]))
-
-
-def test_auto_fiber_needs_q0():
-    with pytest.raises(SystemError):
-        derive_connection(nonholonomic_particle())
 
 
 def test_state_validation():
@@ -300,16 +273,17 @@ def test_one_row_gram_solve_rejects_a_zero_row():
         _gram_solve(_gram(sys, sys.mu_at(q)), np.array([1.0]), q)
 
 
-@pytest.mark.parametrize("names, mu, fiber", [
-    (["x", "y", "z"], [["-y", "0", "1"]], [0]),  # the particle, v_x as the fiber
-    (["x", "y", "z"], [["x", "y", "z"]], [0]),
-    (["x", "y"], [["x", "y"]], [1]),
+@pytest.mark.parametrize("names, mu, split", [
+    # the particle, v_x as the fiber
+    (["x", "y", "z"], [["-y", "0", "1"]], ConnectionSplit((1, 2), (0,))),
+    (["x", "y", "z"], [["x", "y", "z"]], ConnectionSplit((1, 2), (0,))),
+    (["x", "y"], [["x", "y"]], ConnectionSplit((0,), (1,))),
 ], ids=["particle", "two_base_columns", "one_base_column"])
-def test_one_row_lift_is_the_lapack_solve(names, mu, fiber):
+def test_one_row_lift_is_the_lapack_solve(names, mu, split):
     # a_at forms A for m = 1 without LAPACK; it must give np.linalg.solve's
     # bits, a single configuration and a stack alike
     sys = MechanicalSystem(names, np.eye(len(names)), "0", mu)
-    split = derive_connection(sys, fiber_indices=fiber)
+    fiber = list(split.fiber)
     rng = np.random.default_rng(2014)
     Q = rng.normal(size=(10_000, sys.n)) * np.exp(rng.uniform(-20.0, 20.0, size=(10_000, sys.n)))
     mu_q = sys.mu_at(Q)
@@ -323,7 +297,7 @@ def test_one_row_lift_is_the_lapack_solve(names, mu, fiber):
 
 def test_singular_fiber_entry_names_its_row():
     sys = MechanicalSystem(["x", "y"], np.eye(2), "0", [["x", "y"]])
-    split = derive_connection(sys, fiber_indices=[1])
+    split = ConnectionSplit((0,), (1,))
     Q = np.array([[1.0, 0.5], [2.0, 0.0], [3.0, -0.0], [4.0, 0.25]])
     with pytest.raises(SystemError, match="fiber block of mu singular") as ei:
         split.a_at(sys, Q)
@@ -340,7 +314,7 @@ def test_a_small_constraint_row_is_not_a_singular_fiber_block(k):
     # by 10^k <= 1e-12; the row's own scale clears it
     s = 10.0**k
     sys = MechanicalSystem(["x", "y"], np.eye(2), "0", [[f"{s!r}*x", f"{s!r}*y"]])
-    split = derive_connection(sys, fiber_indices=[1])
+    split = ConnectionSplit((0,), (1,))
     Q = np.array([[1.0, 0.5], [2.0, -4.0]])
     assert np.allclose(split.a_at(sys, Q), [[[2.0]], [[-0.5]]], rtol=1e-14, atol=0.0)
     # a fiber entry small against its own row is still singular, and named
@@ -354,7 +328,7 @@ def test_a_small_fiber_block_of_two_rows_is_not_singular():
     # det B = 1e-14 < 1e-12, but each row's largest entry is its fiber entry
     sys = MechanicalSystem(["x", "y", "z"], np.eye(3), "0",
                            [["1e-7", "0", "x"], ["0", "1e-7", "y"]])
-    split = derive_connection(sys, fiber_indices=[0, 1])
+    split = ConnectionSplit((2,), (0, 1))
     assert np.array_equal(split.a_at(sys, np.array([0.0, 0.0, 5.0])), [[0.0], [0.0]])
     with pytest.raises(SystemError, match="fiber block of mu singular"):
         split.a_at(sys, np.array([1.0, 1.0, 0.0]))  # rows (1e-7, 0, 1) and (0, 1e-7, 1)
@@ -364,7 +338,7 @@ def test_a_large_constraint_row_keeps_the_absolute_test():
     # the normalized test only clears rows the absolute test flags: scaled
     # up by 1e6, a fiber entry 1e-13 of the row's scale is 1e-7 and passes
     sys = MechanicalSystem(["x", "y"], np.eye(2), "0", [["1e6*x", "1e6*y"]])
-    split = derive_connection(sys, fiber_indices=[1])
+    split = ConnectionSplit((0,), (1,))
     assert np.isfinite(split.a_at(sys, np.array([1.0, 1e-13]))).all()
 
 

@@ -1,4 +1,5 @@
-"""The benchmark comparison tool: its summary on fixed numbers and its run order."""
+"""The benchmark comparison tool (its summary on fixed numbers and its run order) and the
+CSV gate's count of stray stderr lines."""
 from __future__ import annotations
 
 import importlib.util
@@ -7,11 +8,18 @@ import os
 
 import pytest
 
-_PATH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "tools",
-                     "bench_pairs.py")
-_spec = importlib.util.spec_from_file_location("bench_pairs", _PATH)
-bench_pairs = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(bench_pairs)
+_TOOLS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "tools")
+
+
+def _load(name: str):
+    spec = importlib.util.spec_from_file_location(name, os.path.join(_TOOLS, f"{name}.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+bench_pairs = _load("bench_pairs")
+csv_gate = _load("csv_gate")
 
 # (name, better, bound) of each end-to-end metric, from BENCHMARK.json
 _METRICS = {m[0]: m for m in bench_pairs.end_to_end_metrics()}
@@ -102,3 +110,13 @@ def test_save_keeps_the_pairs_and_the_summary_of_each_comparison(monkeypatch, tm
     assert (wall["verdict"], rows["setup_s"]["verdict"], rows["setup_s"]["won"]) == ("ok", "ok", 0)
     assert rows["ops_ok_frac"]["change_median"] == 1.0
     assert second["summary"][0]["parent_median"] == 0.19  # pairs 0.20 -> 0.15, 0.18 -> 0.19
+
+
+def test_csv_gate_counts_the_stderr_lines_besides_the_one_error_line():
+    assert csv_gate.stray_lines("") == 0
+    assert csv_gate.stray_lines("config error: initial state: bad\n") == 0
+    assert csv_gate.stray_lines("error: step 3, t = 0.03: blew up\n") == 0
+    warned = ("x.py:1: RuntimeWarning: overflow encountered in matvec\n  return y\n"
+              "config error: initial velocity is not admissible (residual inf)\n")
+    assert csv_gate.stray_lines(warned) == 2
+    assert csv_gate.stray_lines("Traceback (most recent call last):\n  File\nValueError: x\n") == 3

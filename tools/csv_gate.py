@@ -4,10 +4,12 @@
 
 Runs ``python -m nonholo.cli`` from ``CHECKOUT/src`` (default: the checkout
 holding this script) on every config below, one fresh process each, and
-prints one line per config with its exit code and one line per output file
-with its sha256.  JSON files are hashed without ``runtime_seconds``, the
-only field that changes between identical runs.  Two checkouts give the
-same CSVs when the two printouts are equal::
+prints one line per config with its exit code and the number of lines on
+stderr other than the command line's one ``error:`` or ``config error:``
+line (a numpy warning or a traceback shows up as a count above 0), and one
+line per output file with its sha256.  JSON files are hashed without
+``runtime_seconds``, the only field that changes between identical runs.
+Two checkouts give the same CSVs when the two printouts are equal::
 
     git worktree add ../parent HEAD~1
     python3 tools/csv_gate.py ../parent > parent.txt
@@ -57,7 +59,15 @@ where the regularity certificate reads a condition number of 1e18.  ``vni10``
 under a force of 1e300 reaches a velocity whose energy overflows at row 1 and
 fails its step at row 2: the blocks that fill the diagnostic columns as the
 march goes must still report row 1's energy, with one row.  ``vni20`` given the
-two-point scheme's ``nodes`` key is a config error.
+two-point scheme's ``nodes`` key is a config error.  Six runs are refused while
+they are set up, each with one ``config error:`` line:
+``fail/embed_projected_point_1e8``, a particle point repaired by
+``project_initial`` whose residual 7.5e-9 stays above the tolerance;
+``fail/embed_q0_outside_domain`` and ``fail/interp_q0_outside_domain``, where
+mu cannot be evaluated at ``q0``; ``fail/project_initial_scaled_1e7``, a
+repaired ``simulate`` start with residual 9.3e-10; and
+``fail/start_residual_overflow`` and ``fail/project_initial_overflow``, a start
+at v = 1e308 whose residual, or whose projection, overflows.
 A config that runs longer than ``TIMEOUT_S`` is stopped and printed as
 ``exit timeout``.
 """
@@ -71,17 +81,18 @@ import subprocess
 import sys
 import tempfile
 
+_HERE = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))  # this checkout
+sys.path.insert(0, os.path.join(_HERE, "src"))
+from nonholo.system import BUILTIN_FIELDS  # noqa: E402
+
 # Seconds one config may run; the slowest takes a few seconds.
 TIMEOUT_S = 60
 
 PARTICLE = {"system": "nonholonomic_particle", "q": [0.0, 1.0, 0.0], "v": [1.0, 1.0, 1.0]}
 
-DISK_SYSTEM = {
-    "names": ["x", "y", "th", "ph"],
-    "M": [[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0], [0.0, 0.0, 0.25, 0.0], [0.0, 0.0, 0.0, 0.5]],
-    "V": "(x^2+y^2)/2 + 0.1*(1-cos(th))",
-    "mu": [["1", "0", "0", "-0.5*cos(th)"], ["0", "1", "0", "-0.5*sin(th)"]],
-}
+# The builtin disk of this checkout, written out in full, so that a checkout
+# without the builtin runs the same system.
+DISK_SYSTEM = BUILTIN_FIELDS["rolling_disk"]
 _TH, _W_TH, _W_PH = 0.3, 0.4, 1.2
 DISK_ON_D = {
     "system": DISK_SYSTEM,
@@ -294,6 +305,22 @@ def configs() -> list[tuple[str, str, dict]]:
     out.append(("other/quartic_converge_partial", "converge",
                 {**QUARTIC, "integrator": "vni20", "T": 0.6,
                  "eps_list": [0.2, 0.1, 0.05, 0.025, 0.0125]}))
+    projected = {"q": [0.3, 1.7, 0.0], "project_initial": True}
+    huge = {"q": [0.0, 10.0, 0.0], "v": [1e308, 0.0, 0.0]}
+    log_mu_point = {"q": [1.0, 0.0], "v": [0.0, 0.0]}
+    out += [("fail/embed_projected_point_1e8", "embed",
+             {**EMBED, **projected, "q0": projected["q"],
+              "points": [{"q": projected["q"], "v": [0.7e8, 1.1e8, 0.3e8]}]}),
+            ("fail/embed_q0_outside_domain", "embed",
+             {**EMBED, "system": LOG_MU, "q0": LOG_MU_START["q"], "points": [log_mu_point]}),
+            ("fail/interp_q0_outside_domain", "interp",
+             {**INTERP, "system": LOG_MU, "q0": LOG_MU_START["q"], "x0": log_mu_point,
+              "x1": {"q": [1.1, 0.0], "v": [0.0, 0.0]}}),
+            ("fail/project_initial_scaled_1e7", "simulate",
+             {**SIM, **projected, "v": [0.7e7, 1.1e7, 0.3e7], "eps": 1e-9, "N": 5}),
+            ("fail/start_residual_overflow", "simulate", {**SIM, **huge}),
+            ("fail/project_initial_overflow", "simulate",
+             {**SIM, **huge, "project_initial": True})]
 
     misuse = [
         ("simulate", "beta_true", {**DLA, "beta": True}),
@@ -343,6 +370,13 @@ def configs() -> list[tuple[str, str, dict]]:
     return out
 
 
+def stray_lines(stderr: str) -> int:
+    """The lines of stderr besides the command line's one error line."""
+    lines = stderr.splitlines()
+    errors = sum(line.startswith(("error: ", "config error: ")) for line in lines)
+    return len(lines) - min(errors, 1)
+
+
 def digest(path: str) -> str:
     if path.endswith(".json"):
         with open(path) as fh:
@@ -356,7 +390,7 @@ def digest(path: str) -> str:
 
 
 def main(argv: list[str]) -> int:
-    checkout = argv[1] if len(argv) > 1 else os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    checkout = argv[1] if len(argv) > 1 else _HERE
     src = os.path.join(os.path.abspath(checkout), "src")
     if not os.path.isdir(os.path.join(src, "nonholo")):
         print(f"no src/nonholo under {checkout}", file=sys.stderr)
@@ -373,14 +407,14 @@ def main(argv: list[str]) -> int:
                 proc = subprocess.run(
                     [sys.executable, "-m", "nonholo.cli", command, "--config", cfg_path,
                      "--out", out_dir],
-                    env=env, cwd=work, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
-                    timeout=TIMEOUT_S,
+                    env=env, cwd=work, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+                    text=True, timeout=TIMEOUT_S,
                 )
             except subprocess.TimeoutExpired:
                 # what a stopped run left behind depends on when it stopped
                 print(f"{name} exit timeout")
                 continue
-            print(f"{name} exit {proc.returncode}")
+            print(f"{name} exit {proc.returncode} stderr {stray_lines(proc.stderr)}")
             if os.path.isdir(out_dir):
                 for fname in sorted(os.listdir(out_dir)):
                     print(f"{name}/{fname} {digest(os.path.join(out_dir, fname))}")
