@@ -28,6 +28,7 @@ from . import exprdiff
 from .discrete import (
     SCHEMES,
     NodePolicy,
+    _scheme_run,
     deformed_admissible_velocity,
     run_integrator,
 )
@@ -46,6 +47,7 @@ from .system import (
     StatePoint,
     SystemError,
     _require_admissible,
+    _require_finite,
     _require_steps,
     constraint_residual,
     deformed_node_residual,
@@ -54,6 +56,14 @@ from .system import (
 )
 
 INTEGRATORS = ("reference", *SCHEMES)
+
+# The keys only some runs read: key -> command -> the integrators that read it; the rest refuse it.
+RUN_KEYS = {
+    "beta": {"simulate": ("dla",), "converge": ("dla",)},
+    "nodes": {"simulate": ("dla",), "converge": ("dla",)},
+    "deformation": {"simulate": ("reference",)},
+    "project_each_step": {"simulate": ("reference",)},
+}
 
 
 class ConfigError(Exception):
@@ -135,13 +145,12 @@ def _set_up(prefix: str = ""):
         raise ConfigError(f"{prefix}{exc}") from None
 
 
-def _initial_state(
-    cfg: dict, sys: MechanicalSystem, deformation=None, node_eps: float | None = None
-) -> StatePoint:
-    """(q, v) from the config, admissible for D or for the deformation's set if one is given.
+def _initial_state(cfg: dict, sys: MechanicalSystem, deformation=None, e=0.0) -> StatePoint:
+    """(q, v) from the config, on the deformation's set if one is given, else on the
+    set a scheme's nodes keep at step size e (`discrete._scheme_run`; e = 0 is D).
 
-    project_initial repairs v onto D, or with `node_eps` onto original_node's
-    deformed set at that step; the repaired start is checked against that set.
+    project_initial projects v onto D and, for e > 0, repairs it onto the
+    scheme's set; the start, repaired or not, is checked against that set.
     """
     q = _vector(cfg, "q", sys.n)
     v = _vector(cfg, "v", sys.n)
@@ -149,15 +158,13 @@ def _initial_state(
     with _set_up("initial state: "):
         if repair:
             v = project_velocity(sys, q, v)
-            if node_eps is not None:
-                v = deformed_admissible_velocity(sys, q, v, node_eps)
+            if e:
+                v = deformed_admissible_velocity(sys, q, v, e)
         x = StatePoint(q, v)
-        if repair and node_eps is not None:
-            res = deformed_node_residual(sys, x.concat(), node_eps)
-        elif deformation is not None and not repair:
+        if deformation is not None and not repair:
             res = deformed_residual(sys, deformation, x.concat())
         else:
-            res = constraint_residual(sys, x.concat())
+            res = deformed_node_residual(sys, x.concat(), e)
     with _set_up():
         if repair:
             _require_admissible(res, "repaired initial velocity is not admissible")
@@ -222,7 +229,9 @@ def _out_path(cfg: dict, key: str, default: str, out_dir: str) -> str:
     return os.path.join(out_dir, name)
 
 
-def _steps_and_eps(cfg: dict) -> tuple[float, int]:
+def _steps_and_set(cfg: dict, integ: str, beta, policy: NodePolicy) -> tuple[float, int, float]:
+    """(eps, N, e): a run's step size and step count, and e of the set its nodes keep
+    (`discrete._scheme_run`, whose refusal is a config error; e = 0 is D, the reference's too)."""
     eps = _positive(cfg, "eps")
     has_n, has_t = "N" in cfg, "T" in cfg
     if has_n == has_t:
@@ -230,34 +239,26 @@ def _steps_and_eps(cfg: dict) -> tuple[float, int]:
     steps = _integer(cfg, "N") if has_n else _positive(cfg, "T") / eps
     with _set_up():
         _require_steps("N" if has_n else "T / eps", steps)
-    N = steps if has_n else max(1, round(steps))
-    if not np.isfinite(eps * N):
-        raise ConfigError(f"the end time eps * N = {eps!r} * {N!r} overflows")
-    return eps, N
+        N = steps if has_n else max(1, round(steps))
+        if integ != "reference":
+            return eps, N, _scheme_run(integ, eps, N, beta, policy)[2]
+        _require_finite("the end time eps * N", eps * N)
+    return eps, N, 0.0
 
 
-def _nodes_policy(cfg: dict, integ: str) -> NodePolicy:
-    """The two-point scheme's node policy; the default for the other integrators."""
-    if integ != "dla":
-        if cfg.get("nodes") is not None:
-            raise ConfigError(f"'nodes' only applies to the two-point scheme, not {integ!r}")
-        return NodePolicy.REDEFINED
-    raw = str(cfg.get("nodes", "redefined")).upper()
-    if raw not in NodePolicy.__members__:
+def _integrator(cfg: dict, command: str, default: str) -> tuple[str, float | None, NodePolicy]:
+    """The config's integrator with the two-point scheme's beta and node policy as given,
+    for `_steps_and_set` to check; a key of RUN_KEYS that the run does not read is refused."""
+    integ = cfg.get("integrator", default)
+    if integ not in INTEGRATORS:
+        raise ConfigError(f"unknown integrator {integ!r}; pick one of {INTEGRATORS}")
+    for key, readers in RUN_KEYS.items():
+        if key in cfg and integ not in readers.get(command, ()):
+            raise ConfigError(f"{command} with {integ!r} does not read {key!r}")
+    nodes = str(cfg.get("nodes", "redefined")).upper()
+    if nodes not in NodePolicy.__members__:
         raise ConfigError("'nodes' must be 'redefined' or 'original'")
-    return NodePolicy[raw]
-
-
-def _beta(cfg: dict, integ: str) -> float | None:
-    """The two-point scheme's beta in [0, 1]; None for the other integrators."""
-    if integ != "dla":
-        if cfg.get("beta") is not None:
-            raise ConfigError(f"'beta' only applies to the two-point scheme, not {integ!r}")
-        return None
-    beta = _number(cfg, "beta")
-    if not 0.0 <= beta <= 1.0:
-        raise ConfigError(f"beta must lie in [0, 1], got {cfg['beta']!r}")
-    return beta
+    return integ, _number(cfg, "beta") if "beta" in cfg else None, NodePolicy[nodes]
 
 
 def _deformation(cfg: dict, sys: MechanicalSystem) -> DeformedConstraint | None:
@@ -284,17 +285,11 @@ def _deformation(cfg: dict, sys: MechanicalSystem) -> DeformedConstraint | None:
 
 def cmd_simulate(cfg: dict, out_dir: str) -> int:
     sys = build_system(cfg.get("system", "nonholonomic_particle"))
-    integ = cfg.get("integrator", "reference")
-    if integ not in INTEGRATORS:
-        raise ConfigError(f"unknown integrator {integ!r}; pick one of {INTEGRATORS}")
-    eps, N = _steps_and_eps(cfg)
-    policy = _nodes_policy(cfg, integ)
-    beta = _beta(cfg, integ)
+    integ, beta, policy = _integrator(cfg, "simulate", "reference")
+    eps, N, e = _steps_and_set(cfg, integ, beta, policy)
     project_each_step = _flag(cfg, "project_each_step")
     dc = _deformation(cfg, sys)
-    if dc is not None and integ != "reference":
-        raise ConfigError("deformed constraints only apply to the reference integrator")
-    x0 = _initial_state(cfg, sys, dc, eps if integ == "original_node" else None)
+    x0 = _initial_state(cfg, sys, dc, e)
 
     csv_path = _out_path(cfg, "output", "trajectory.csv", out_dir)
     summary_path = _out_path(cfg, "summary", "summary.json", out_dir)
@@ -357,17 +352,15 @@ def convergence_study(cfg: dict, eps_list: list[float]) -> StudyResult:
         raise ConfigError("a convergence study needs at least 4 step sizes")
     eps_list = [_positive({"eps_list": e}, "eps_list") for e in eps_list]
     sys = build_system(cfg.get("system", "nonholonomic_particle"))
-    integ = cfg.get("integrator", "vni10")
-    if integ not in INTEGRATORS:
-        raise ConfigError(f"unknown integrator {integ!r}; pick one of {INTEGRATORS}")
-    beta = _beta(cfg, integ)
-    policy = _nodes_policy(cfg, integ)
+    integ, beta, policy = _integrator(cfg, "converge", "vni10")
     x0 = _initial_state(cfg, sys)
     T = _positive(cfg, "T")
     with _set_up():
         _require_steps("the reference oracle's T / REFERENCE_STEP", T / REFERENCE_STEP)
-        for eps in eps_list:
-            _require_steps(f"T / eps at eps = {eps!r}", T / eps)
+    runs = []  # (eps, steps, start): a start on D is the oracle's own
+    for eps in sorted(eps_list, reverse=True):
+        _, steps, e = _steps_and_set({"eps": eps, "T": T}, integ, beta, policy)
+        runs.append((eps, steps, _initial_state(cfg, sys, e=e) if e else x0))
 
     oracle = reference_flow(sys, x0, T)
     oracle_concat = oracle.concat()
@@ -377,15 +370,12 @@ def convergence_study(cfg: dict, eps_list: list[float]) -> StudyResult:
     state: list[float] = []
     lam: list[float] = []
     failures: list[dict] = []
-    for eps in sorted(eps_list, reverse=True):
-        # original_node's project_initial repair depends on the step size
-        start = _initial_state(cfg, sys, node_eps=eps if integ == "original_node" else None)
+    for eps, steps, start in runs:
         try:
             if integ == "reference":
                 traj = integrate(sys, start, T, eps)
             else:
-                traj = run_integrator(sys, integ, start, eps, max(1, round(T / eps)),
-                                      beta=beta, policy=policy)
+                traj = run_integrator(sys, integ, start, eps, steps, beta=beta, policy=policy)
         except RUNTIME_ERRORS as exc:
             failures.append({"eps": eps, "error": f"{type(exc).__name__}: {exc}"})
             continue

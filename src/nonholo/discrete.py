@@ -61,6 +61,7 @@ from .system import (
     _gram_solve,
     _require_admissible,
     _require_finite,
+    _require_steps,
     deformed_node_residual,
 )
 
@@ -406,6 +407,32 @@ SCHEMES = {
 }
 
 
+def _scheme_run(scheme: str, eps: float, steps, beta=None, policy=NodePolicy.REDEFINED):
+    """A scheme's run rules: (step function, dla's FiniteDifferenceMap or None, e).
+
+    It refuses the arguments the scheme does not take.  e is the step size of the
+    set that the scheme's nodes keep, mu(q - e/2 v) v = 0: 0, which is D, for the
+    node schemes and dla's redefined nodes; eps for original_node; 2 (1 - beta) eps
+    for dla's original nodes, whose step enforces the constraint at q_{k+1} - (1 - beta) eps u.
+    """
+    if scheme not in SCHEMES:
+        raise SystemError(f"unknown scheme {scheme!r}; pick one of {tuple(SCHEMES)}")
+    _require_finite("eps", eps, positive=True)
+    _require_steps("steps", steps, whole=True)
+    _require_finite("the end time eps * steps", eps * steps)
+    step_fn = SCHEMES[scheme][0]
+    if scheme == "dla":
+        if beta is None:
+            raise SystemError("the two-point scheme needs beta")
+        rho = FiniteDifferenceMap(beta=beta, eps=eps)
+        return step_fn, rho, 2.0 * ((1.0 - beta) * eps) if policy is NodePolicy.ORIGINAL else 0.0
+    if beta is not None:
+        raise SystemError(f"beta only applies to the two-point scheme, not {scheme!r}")
+    if policy is not NodePolicy.REDEFINED:
+        raise SystemError(f"the node policy only applies to the two-point scheme, not {scheme!r}")
+    return step_fn, None, eps if scheme == "original_node" else 0.0
+
+
 def run_integrator(
     sys: MechanicalSystem,
     scheme: str,
@@ -417,43 +444,21 @@ def run_integrator(
 ) -> Trajectory:
     """Drive one of the discrete schemes for a fixed number of steps.
 
-    The initial node must be admissible in the sense the scheme preserves:
-    on D for the node schemes and the redefined two-point scheme, on the
-    deformed set for the midpoint-constraint scheme and the original-node
-    two-point scheme.  The multiplier reported at the initial node is the
-    continuous reaction multiplier, which the discrete ones approximate.
+    The initial node must lie on the set the scheme's nodes keep (`_scheme_run`).
+    The multiplier reported at the initial node is the continuous reaction
+    multiplier, which the discrete ones approximate.
     """
-    if scheme not in SCHEMES:
-        raise SystemError(f"unknown scheme {scheme!r}; pick one of {tuple(SCHEMES)}")
-    step_fn = SCHEMES[scheme][0]
-    _require_finite("eps", eps, positive=True)
-    if scheme == "dla":
-        if beta is None:
-            raise SystemError("the two-point scheme needs beta")
-        rho = FiniteDifferenceMap(beta=beta, eps=eps)
-        dsys = DiscreteNonholonomicSystem(sys, rho)
-    elif beta is not None:
-        raise SystemError(f"beta only applies to the two-point scheme, not {scheme!r}")
-    elif policy is not NodePolicy.REDEFINED:
-        raise SystemError(f"the node policy only applies to the two-point scheme, not {scheme!r}")
-
-    # original_node_step validates its own deformed precondition
-    if scheme != "original_node":
-        with np.errstate(**_QUIET):  # the start may overflow, like a step; the check refuses it
-            if scheme == "dla" and policy is NodePolicy.ORIGINAL:
-                res = sys.mu_at(x0.q - (1.0 - beta) * eps * x0.v) @ x0.v
-                broken = "violates the discrete constraint"
-            else:
-                res = sys.mu_at(x0.q) @ x0.v
-                broken = "is off D"
-        _require_admissible(res, f"initial node {broken}")
-
-    raw = np.empty((int(steps) + 2, sys.n)) if scheme == "dla" else None  # dla's pairs
+    step_fn, rho, e = _scheme_run(scheme, eps, steps, beta, policy)
+    with np.errstate(**_QUIET):  # the start may overflow, like a step; the check refuses it
+        res = deformed_node_residual(sys, x0.concat(), e)
+    _require_admissible(res, f"initial node is off the set that {scheme}'s nodes keep")
+    dsys = None if rho is None else DiscreteNonholonomicSystem(sys, rho)
+    raw = None if rho is None else np.empty((int(steps) + 2, sys.n))  # dla's pairs
 
     def row(k, states):
         if k == 0:  # the pair before the start may overflow: build it under the loop's checks
             if raw is not None and policy is NodePolicy.REDEFINED:
-                raw[0], raw[1] = dsys.rho.inverse(x0.q, x0.v)
+                raw[0], raw[1] = rho.inverse(x0.q, x0.v)
             elif raw is not None:
                 raw[0], raw[1] = x0.q - eps * x0.v, x0.q
             x = x0.concat()
@@ -464,7 +469,7 @@ def run_integrator(
         out = step_fn(dsys, raw[k - 1], raw[k])
         raw[k + 1] = out.state[: sys.n]
         if policy is NodePolicy.REDEFINED:
-            return _node(*dsys.rho.forward(raw[k], raw[k + 1])), out.lam, out.iters
+            return _node(*rho.forward(raw[k], raw[k + 1])), out.lam, out.iters
         return out.state, out.lam, out.iters
 
     return _march(sys, int(steps), eps, row, discrete=True, raw=raw)

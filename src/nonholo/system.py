@@ -75,10 +75,12 @@ def _require_finite(what: str, value: float, positive: bool = False, nonzero: bo
         raise SystemError(f"{what} must be {rule}, got {value!r}")
 
 
-def _require_steps(what: str, steps: float) -> None:
-    """The one cap on a step count: |steps| at most MAX_STEPS, NaN and infinity rejected."""
+def _require_steps(what: str, steps: float, whole: bool = False) -> None:
+    """The one cap on a step count: |steps| at most MAX_STEPS (a `whole` one: 0 to MAX_STEPS)."""
     if not abs(steps) <= MAX_STEPS:
         raise SystemError(f"{what} asks for {steps!r} steps, more than MAX_STEPS = {MAX_STEPS}")
+    if whole and not (steps >= 0 and steps == int(steps)):
+        raise SystemError(f"{what} must be a whole number >= 0, got {steps!r}")
 
 
 def _require_admissible(res, what: str, remedy: str | None = None) -> None:
@@ -240,7 +242,10 @@ def constraint_residual(sys: MechanicalSystem, x: np.ndarray) -> np.ndarray:
 
 
 def deformed_node_residual(sys: MechanicalSystem, x: np.ndarray, eps: float) -> np.ndarray:
-    """mu(q - eps/2 v) v at a row x = (q, v) or a stack: what `original_node` conserves."""
+    """mu(q - eps/2 v) v at a row x = (q, v) or a stack: the residual of the set that a
+    scheme's nodes keep at `eps` (`discrete._scheme_run`); at eps = 0, D's `constraint_residual`."""
+    if not eps:
+        return constraint_residual(sys, x)
     q, v = x[..., : sys.n], x[..., sys.n :]
     return np.matvec(sys.mu_at(q - 0.5 * eps * v), v)
 

@@ -83,10 +83,10 @@ def test_simulate_rejects_off_d_velocity(tmp_path, capsys):
 def test_simulate_original_nodes_precondition(tmp_path, capsys):
     cfg = dict(PARTICLE_SIM, integrator="original_node", N=50)
     code, out = run(tmp_path, "simulate", cfg, subdir="orig")
-    assert code == 3  # on-D start is not on the deformed set this scheme keeps
-    lines = (out / "trajectory.csv").read_text().splitlines()
-    assert len(lines) == 2  # header + the salvaged initial row
-    assert "deformed" in capsys.readouterr().err
+    assert code == 2  # on-D start is not on the deformed set this scheme keeps
+    assert not (out / "trajectory.csv").exists()
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "set project_initial" in err, err
 
     cfg["project_initial"] = True
     code, out = run(tmp_path, "simulate", cfg, subdir="orig_fixed")
@@ -214,12 +214,15 @@ def _fresh_simulate(tmp_path, cfg, command="simulate") -> int:
     return proc.returncode
 
 
-@pytest.mark.parametrize("integrator", ["vni10", "vni20", "original_node", "dla"])
+_RECORD_LOG_MU = {"system": LOG_MU, "q": [0.004, 0.0], "v": [1.0, 5.521460917862246],
+                  "eps": 0.01, "N": 5}
+
+
+@pytest.mark.parametrize("integrator", ["vni10", "vni20", "dla"])
 def test_failure_while_recording_salvages_the_rows_before(tmp_path, capsys, integrator):
-    # the start is admissible, but its deformed residual takes mu at
+    # the start is on D, but its deformed residual takes mu at
     # q - eps/2 v, whose x = -0.001 lies outside the domain of log
-    cfg = {"system": LOG_MU, "integrator": integrator, "q": [0.004, 0.0],
-           "v": [1.0, 5.521460917862246], "eps": 0.01, "N": 5}
+    cfg = dict(_RECORD_LOG_MU, integrator=integrator)
     if integrator == "dla":
         cfg["beta"] = 0.5
     code, out = run(tmp_path, "simulate", cfg)
@@ -227,6 +230,14 @@ def test_failure_while_recording_salvages_the_rows_before(tmp_path, capsys, inte
     assert capsys.readouterr().err.startswith("error:")
     lines = (out / "trajectory.csv").read_text().splitlines()
     assert lines == [lines[0]]  # the header: the initial row failed while it was recorded
+
+
+def test_a_start_whose_own_set_cannot_be_evaluated_is_a_config_error(tmp_path, capsys):
+    # original_node's start is checked on its set at set-up, which evaluates log(-0.001)
+    code, out = run(tmp_path, "simulate", dict(_RECORD_LOG_MU, integrator="original_node"))
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert len(err.splitlines()) == 1 and err.startswith("config error: initial state:"), err
 
 
 def test_failure_message_names_the_step(tmp_path, capsys):
@@ -276,6 +287,7 @@ def test_simulate_config_errors(tmp_path, capsys):
         ),
         dict(PARTICLE_SIM, project_initial="no"),
         dict(PARTICLE_SIM, integrator="reference", project_each_step="no"),
+        dict(PARTICLE_SIM, integrator="vni20", project_each_step=True),  # read by reference only
         dict(PARTICLE_SIM, output=5),
         dict(PARTICLE_SIM, system=LOG_MU, **LOG_MU_START),
         dict(  # mu loses rank where project_initial has to project
@@ -435,6 +447,45 @@ def test_converge_builds_the_system_once(tmp_path, monkeypatch):
     assert len(calls) == 1
 
 
+def test_a_study_computes_its_start_once(tmp_path, monkeypatch):
+    # vni10 keeps D at every step size, so the oracle's start serves every run
+    calls = []
+    project = cli.project_velocity
+
+    def counting(*args):
+        calls.append(args)
+        return project(*args)
+
+    monkeypatch.setattr(cli, "project_velocity", counting)
+    cfg = dict(CONVERGE, project_initial=True, eps_list=[0.02, 0.01, 0.005, 0.0025])
+    assert run(tmp_path, "converge", cfg)[0] == 0
+    assert len(calls) == 1
+
+
+_DISK_START = {"system": "rolling_disk", "q": [1.0, 0.0, 0.3, 0.0], "v": [0.7, -0.2, 0.4, 1.2]}
+
+
+@pytest.mark.parametrize("beta", [0.0, 0.3, 0.5])
+@pytest.mark.parametrize("start", [PARTICLE_SIM, _DISK_START], ids=["particle", "disk"])
+def test_dla_on_original_nodes_runs_from_the_command_line(tmp_path, capsys, start, beta):
+    # these nodes keep mu(q - (1 - beta) eps v) v = 0, not D: the start is
+    # refused as given, and project_initial repairs it onto that set
+    eps = 0.01
+    cfg = dict(start, integrator="dla", beta=beta, nodes="original", eps=eps, N=200)
+    code, _ = run(tmp_path, "simulate", cfg, subdir="as_given")
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert len(err.splitlines()) == 1 and err.startswith("config error:"), err
+    code, out = run(tmp_path, "simulate", dict(cfg, project_initial=True))
+    assert code == 0, capsys.readouterr().err
+    sys_ = cli.build_system(start["system"])
+    table = np.loadtxt(out / "trajectory.csv", delimiter=",", skiprows=1, ndmin=2)
+    assert table.shape[0] == 201
+    q, v = table[:, 1 : 1 + sys_.n], table[:, 1 + sys_.n : 1 + 2 * sys_.n]
+    res = np.matvec(sys_.mu_at(q - (1.0 - beta) * eps * v), v)
+    assert np.max(np.abs(res)) <= 1e-9
+
+
 def test_importing_the_cli_loads_no_process_pool():
     env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(nonholo.__file__))}
     probe = ("import sys, nonholo.cli; "
@@ -553,6 +604,11 @@ INTERP = {
         ("interp", dict(INTERP, samples=1e20)),  # more samples than MAX_STEPS
         ("embed", dict(EMBED, scheme="original_node")),  # keeps a deformed set, not D
         ("converge", dict(CONVERGE, nodes="original")),  # nodes without the two-point scheme
+        # no study reads the reference flow's keys
+        ("converge", dict(CONVERGE, integrator="reference",
+                          deformation={"g": ["v_x*v_y"], "delta": 0.05})),
+        ("converge", dict(CONVERGE, integrator="reference", project_each_step=True)),
+        ("converge", dict(CONVERGE, project_each_step=False)),
     ],
 )
 def test_other_command_config_errors(tmp_path, capsys, command, cfg):
@@ -805,7 +861,7 @@ _BASES = [
         ("vni20", {}),
         ("original_node", {"project_initial": True}),
         ("dla", {"beta": 0.5}),
-        ("dla", {"beta": 0.0, "nodes": "original"}),
+        ("dla", {"beta": 0.0, "nodes": "original", "project_initial": True}),
     )
 ] + [dict(QUARTIC, integrator=integ, T=0.03) for integ in ("reference", "vni20")]
 
@@ -891,7 +947,7 @@ _CONVERGE_BASES = [
         ("vni20", {}),
         ("original_node", {"project_initial": True}),
         ("dla", {"beta": 0.5}),
-        ("dla", {"beta": 0.0, "nodes": "original"}),
+        ("dla", {"beta": 0.0, "nodes": "original", "project_initial": True}),
     )
 ] + [dict(QUARTIC, integrator="vni20", T=0.01, eps_list=_TINY_EPS_LIST)]
 _CONVERGE_MUTATIONS = {
@@ -911,6 +967,15 @@ def _converge_configs(draw):
         cfg["eps_list"] = [max(e, 2e-4) if _is_number(e) and e > 1e-300 else e
                            for e in cfg["eps_list"]]
     return cfg
+
+
+@pytest.mark.parametrize(
+    "command, cfg",
+    [("simulate", cfg) for cfg in _BASES] + [("converge", cfg) for cfg in _CONVERGE_BASES],
+)
+def test_every_fuzz_base_runs(command, cfg):
+    # the fuzz breaks a few keys of a base; a base that never runs leaves its scheme unstepped
+    assert _exit_code(command, cfg) == 0
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)

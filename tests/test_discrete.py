@@ -471,6 +471,18 @@ def test_run_integrator_validation():
         run_integrator(sys, "dla", off, 0.1, 10, beta=0.5)
 
 
+@pytest.mark.parametrize("steps", [-1, -3, float("nan"), 10**12])
+def test_run_integrator_refuses_a_bad_step_count(steps):
+    # refused before anything is allocated: 10^12 steps of the particle take 43.7 TiB
+    with pytest.raises(SystemError, match="steps"):
+        run_integrator(nonholonomic_particle(), "vni10", X0, 0.01, steps)
+
+
+def test_run_integrator_refuses_an_end_time_that_overflows():
+    with pytest.raises(SystemError, match="end time"):
+        run_integrator(nonholonomic_particle(), "vni10", X0, 1e308, 2)
+
+
 def test_run_integrator_records():
     sys = nonholonomic_particle()
     traj = run_integrator(sys, "vni20", X0, 0.1, 5)

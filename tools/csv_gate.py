@@ -19,15 +19,22 @@ Two checkouts give the same CSVs when the two printouts are equal::
 The set: the particle, the rolling disk with a potential started on D, and
 the same disk started off D with ``project_initial``, each run by every
 integrator (``dla`` with beta in {0, 0.3, 0.5, 1} on both node policies)
-at eps = 0.01, plus ``vni20``, ``original_node`` and ``dla`` at eps = 0.1;
-the reference flow on a deformed constraint set (the particle's, and the
+at eps = 0.01, plus ``vni20``, ``original_node`` and ``dla`` at eps = 0.1.
+``dla``'s original nodes keep mu(q - (1 - beta) eps v) v = 0, which is D only
+at beta = 1: at beta < 1 the starts on D are refused while the run is set up
+(``particle/dla_b{0.0,0.3,0.5}_original`` and ``disk/dla_b{0.0,0.3,0.5}_original``
+exit 2), and the disk's start off D, which ``project_initial`` repairs onto
+that set, runs (``disk_off_d/dla_b{0.0,0.3,0.5}_original``).  The set also
+holds the reference flow on a deformed constraint set (the particle's, and the
 disk's with two deformed constraints, started on that set, and the particle's
 with a deformation whose rows cancel mu's, which fails the Gram certificate
 at the start) and with ``project_each_step``;
-four runs of ``converge`` (``vni10``; ``original_node``, whose
-``project_initial`` repairs the start at each step size; ``reference``; and
-``dla`` at beta 0.5); two of ``interp``, the second on a curve that meets
-a singular fiber block at its midpoint and stops there;
+five runs of ``converge`` (``vni10``; ``original_node``, whose
+``project_initial`` repairs the start at each step size; ``reference``;
+``dla`` at beta 0.5; and ``other/converge_dla_original``, ``dla`` at beta 0.3
+on original nodes, repaired at each step size like ``original_node``); two
+of ``interp``, the second on a curve that meets a singular fiber block at
+its midpoint and stops there;
 five of ``embed``: ``vni10`` at
 one point, then the Newton scheme ``vni20`` and the flow itself as the map
 (``exact``) at five points, and ``vni10`` and ``vni20`` at one point of the
@@ -51,7 +58,9 @@ count or start outside the system's domain.  Each
 discrete scheme meets three runtime failures that stop at a fixed row: a start
 whose energy overflows (no row), a start of finite energy whose first node
 overflows (one row), and a start whose initial row fails while it is recorded,
-because its deformed residual evaluates ``log`` outside its domain (no row).
+because its deformed residual evaluates ``log`` outside its domain (no row);
+``original_node`` keeps that deformed set, so its set-up evaluates the same
+``log`` and refuses the start (``fail/record_log_mu_original_node`` exits 2).
 Two ``converge`` runs of the quartic fail: one whose oracle fails, and one
 whose oracle succeeds while ``vni20`` fails at the largest step size only.
 ``dla`` on a constraint x v_x = 0 started at x = 1e-9 stops at its first step,
@@ -59,8 +68,12 @@ where the regularity certificate reads a condition number of 1e18.  ``vni10``
 under a force of 1e300 reaches a velocity whose energy overflows at row 1 and
 fails its step at row 2: the blocks that fill the diagnostic columns as the
 march goes must still report row 1's energy, with one row.  ``vni20`` given the
-two-point scheme's ``nodes`` key is a config error.  Six runs are refused while
-they are set up, each with one ``config error:`` line:
+two-point scheme's ``nodes`` key, and the keys that nothing reads, are config
+errors: ``misuse/simulate_project_each_step_vni20`` gives ``vni20`` the
+reference flow's ``project_each_step``, and ``misuse/converge_deformation``
+and ``misuse/converge_project_each_step`` give a study keys no study reads.
+Six runs are refused while they are set up, each with one ``config error:``
+line:
 ``fail/embed_projected_point_1e8``, a particle point repaired by
 ``project_initial`` whose residual 7.5e-9 stays above the tolerance;
 ``fail/embed_q0_outside_domain`` and ``fail/interp_q0_outside_domain``, where
@@ -253,6 +266,9 @@ def configs() -> list[tuple[str, str, dict]]:
             ("other/converge_original_node", "converge", CONVERGE_ORIGINAL_NODE),
             ("other/converge_reference", "converge", {**CONVERGE, "integrator": "reference"}),
             ("other/converge_dla", "converge", {**CONVERGE, "integrator": "dla", "beta": 0.5}),
+            ("other/converge_dla_original", "converge",
+             {**CONVERGE, "integrator": "dla", "beta": 0.3, "nodes": "original",
+              "project_initial": True}),
             ("other/interp", "interp", INTERP),
             ("other/interp_singular_fiber", "interp", INTERP_SINGULAR_FIBER),
             ("other/embed", "embed", EMBED),
@@ -365,6 +381,12 @@ def configs() -> list[tuple[str, str, dict]]:
         ("converge", "eps_list_denormal", {**CONVERGE, "eps_list": [0.02, 0.01, 0.005, 1e-320]}),
         ("converge", "oracle_steps_1e304", {**CONVERGE, "T": 1e300}),
         ("embed", "base_step_1e-300", {**EMBED, "base_step": 1e-300}),
+        ("simulate", "project_each_step_vni20", {**SIM, "integrator": "vni20",
+                                                 "project_each_step": True}),
+        ("converge", "deformation", {**CONVERGE, "integrator": "reference",
+                                     "deformation": {"g": ["v_x*v_y"], "delta": 0.05}}),
+        ("converge", "project_each_step", {**CONVERGE, "integrator": "reference",
+                                           "project_each_step": True}),
     ]
     out += [(f"misuse/{command}_{name}", command, cfg) for command, name, cfg in misuse]
     return out
