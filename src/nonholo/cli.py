@@ -150,7 +150,8 @@ def _initial_state(cfg: dict, sys: MechanicalSystem, deformation=None, e=0.0) ->
     set a scheme's nodes keep at step size e (`discrete._scheme_run`; e = 0 is D).
 
     project_initial projects v onto D and, for e > 0, repairs it onto the
-    scheme's set; the start, repaired or not, is checked against that set.
+    scheme's set; the start, repaired or not, is checked against the set the
+    run keeps, so a projected start off a deformation's set is refused.
     """
     q = _vector(cfg, "q", sys.n)
     v = _vector(cfg, "v", sys.n)
@@ -161,12 +162,15 @@ def _initial_state(cfg: dict, sys: MechanicalSystem, deformation=None, e=0.0) ->
             if e:
                 v = deformed_admissible_velocity(sys, q, v, e)
         x = StatePoint(q, v)
-        if deformation is not None and not repair:
+        if deformation is not None:
             res = deformed_residual(sys, deformation, x.concat())
         else:
             res = deformed_node_residual(sys, x.concat(), e)
     with _set_up():
-        if repair:
+        if repair and deformation is not None:
+            _require_admissible(res, "projected initial velocity is off the deformed set",
+                                "project_initial repairs onto D only")
+        elif repair:
             _require_admissible(res, "repaired initial velocity is not admissible")
         else:
             _require_admissible(res, "initial velocity is not admissible",

@@ -20,14 +20,17 @@ trustworthy numerically.
 Everything operates on plain R^d vectors through an `EmbeddingProblem`
 (field plus flow), so the machinery applies equally to the reduced
 constrained dynamics and to scalar toy problems.  The field and the flow
-take stacks (..., d) of states, so `g_eval` flows many points back to their
-predictors in one stacked flow and inverts them with one stacked flow per
-Newton iteration; the first iteration that needs the chord Jacobian takes
-every finite-difference column of it, for all points, in one stacked flow
-more.  The one-step map takes a
-stack too: the exact map passes it to the flow, and a discrete scheme's map
-passes it to the node step, which steps every row in one call (`vni20` by
-lockstep Newton).
+take stacks (..., d) of states, and the flow one time per row, so the
+interpolant's two legs flow in lockstep as one stack (y; Phi(y)) with times
+(eps tau, eps (tau - 1)).  `g_eval` flows many points back to their
+predictors in one stacked flow and inverts them with one stacked flow of
+both legs per Newton iteration; the first iteration that needs the chord
+Jacobian takes every finite-difference column of it, for all points, in one
+stacked flow more.  dG/dt is formed from each row's legs at its last
+residual evaluation, its root.  `verify_embedding` flows every order level
+in one stack.  The one-step map takes a stack too: the exact map passes it
+to the flow, and a discrete scheme's map passes it to the node step, which
+steps every row in one call (`vni20` by lockstep Newton).
 """
 from __future__ import annotations
 
@@ -38,7 +41,7 @@ from typing import Callable
 
 import numpy as np
 
-from .discrete import SCHEMES, newton_solve
+from .discrete import SCHEMES, _scheme_run, newton_solve
 from .flow import flow_field
 from .reduction import psi_embed, reduce_state, reduced_field
 from .system import ConnectionSplit, MechanicalSystem, SystemError, _require_finite
@@ -139,12 +142,14 @@ class OneStepMap:
 class EmbeddingProblem:
     """The continuous side of the construction: a field and its flow on R^d.
 
-    Both take a state (d,) or a stack (..., d) and act on each row alone.
+    Both take a state (d,) or a stack (..., d) and act on each row alone;
+    flow(t, y) takes one time t, or an array of times that broadcasts over
+    y's leading shape, one per row (as `flow.flow_field` does).
     """
 
     dim: int
     field: Callable[[np.ndarray], np.ndarray]
-    flow: Callable[[float, np.ndarray], np.ndarray]
+    flow: Callable[[float | np.ndarray, np.ndarray], np.ndarray]
 
 
 def reduced_problem(
@@ -155,20 +160,31 @@ def reduced_problem(
     def field(xi: np.ndarray) -> np.ndarray:
         return reduced_field(sys, split, xi)
 
-    def flow(t: float, y: np.ndarray) -> np.ndarray:
+    def flow(t, y: np.ndarray) -> np.ndarray:
         return flow_field(field, y, t, base_step)
 
     return EmbeddingProblem(dim=2 * sys.n - sys.m, field=field, flow=flow)
 
 
+def _keeps_d(scheme: str) -> bool:
+    """Whether the scheme steps nodes, with no FiniteDifferenceMap, that keep D (e = 0)."""
+    try:
+        _, rho, e = _scheme_run(scheme, 1.0, 0)
+    except SystemError:  # the two-point scheme needs its beta: it steps pairs
+        return False
+    return rho is None and e == 0.0
+
+
 def reduced_step_map(sys: MechanicalSystem, split: ConnectionSplit, scheme: str) -> OneStepMap:
     """A discrete scheme that keeps D, viewed as a map on the reduced coordinates.
 
-    The two-point scheme steps configuration pairs, not nodes, and
-    original_node keeps a deformed set, not D, so a node lifted onto D fails
-    its precondition; neither is a map on the reduced coordinates.
+    A scheme keeps D when `discrete._scheme_run` gives it no
+    FiniteDifferenceMap and e = 0.  The two-point scheme steps configuration
+    pairs, not nodes, and original_node keeps a deformed set, not D, so a node
+    lifted onto D fails its precondition; neither is a map on the reduced
+    coordinates.
     """
-    schemes_on_d = sorted(set(SCHEMES) - {"dla", "original_node"})
+    schemes_on_d = sorted(s for s in SCHEMES if _keeps_d(s))
     if scheme not in schemes_on_d:
         raise SystemError(f"no scheme named {scheme!r} that keeps D; pick from {schemes_on_d}")
     step_fn, p = SCHEMES[scheme]
@@ -197,31 +213,58 @@ class EvolutionInterpolant:
     # -- the single-interval interpolant and its tau-derivative ---------------
     # y is a state (d,) or a stack (..., d)
 
-    def g_tilde(self, tau: float, y: np.ndarray) -> np.ndarray:
+    def _legs(self, tau: float, y: np.ndarray, want=None) -> tuple:
+        """The legs (F(eps tau, y), F(eps (tau - 1), Phi(eps, y))) that `want` asks
+        for, None for the others; by default the legs of nonzero weight.
+
+        Phi runs first, and two legs flow as one stack (2, ..., d) with one
+        time per half, each leg's rows dropping out after their own steps.
+        """
+        if want is None:
+            want = (chi0(tau) != 0.0, chi1(tau) != 0.0)
+        times = (self.eps * tau, self.eps * (tau - 1.0))
+        if not want[1]:
+            return (self.problem.flow(times[0], y) if want[0] else None), None
+        mapped = self.phi.fn(self.eps, y)
+        if not want[0]:
+            return None, self.problem.flow(times[1], mapped)
+        per_half = np.reshape(times, (2,) + (1,) * (y.ndim - 1))
+        a, b = self.problem.flow(per_half, np.stack([y, mapped]))
+        return a, b
+
+    def g_tilde(self, tau: float, y: np.ndarray, legs: tuple | None = None) -> np.ndarray:
+        """G~(tau, y); `legs` are `_legs(tau, y)` when the caller has flowed them."""
         y = np.asarray(y, dtype=float)
         w0 = chi0(tau)
         w1 = chi1(tau)
         # skipping zero-weight legs keeps the endpoints bitwise exact
-        if w1 == 0.0:
-            return w0 * self.problem.flow(self.eps * tau, y)
-        if w0 == 0.0:
-            return w1 * self.problem.flow(self.eps * (tau - 1.0), self.phi.fn(self.eps, y))
-        a = self.problem.flow(self.eps * tau, y)
-        b = self.problem.flow(self.eps * (tau - 1.0), self.phi.fn(self.eps, y))
+        a, b = self._legs(tau, y) if legs is None else legs
+        if b is None:
+            return w0 * a
+        if a is None:
+            return w1 * b
         return w0 * a + w1 * b
 
-    def g_tilde_dtau(self, tau: float, y: np.ndarray) -> np.ndarray:
+    def g_tilde_dtau(self, tau: float, y: np.ndarray, legs: tuple = (None, None)) -> np.ndarray:
+        """d G~ / d tau at y.  `legs` holds the legs the caller has flowed at y
+        (None where it has not); only the missing ones are flowed, and the
+        field takes both legs in one stacked call."""
         y = np.asarray(y, dtype=float)
         w0 = chi0(tau)
         w1 = chi1(tau)
         d0 = chi0_prime(tau)
+        want = (w0 != 0.0 or d0 != 0.0, w1 != 0.0 or d0 != 0.0)
+        flowed = self._legs(tau, y, [w and leg is None for w, leg in zip(want, legs)])
+        a, b = (leg if new is None else new for leg, new in zip(legs, flowed))
+        if want[0] and want[1]:
+            fa, fb = self.problem.field(np.stack([a, b]))
+        else:
+            fa = fb = self.problem.field(a if want[0] else b)
         out = np.zeros(y.shape)
-        if w0 != 0.0 or d0 != 0.0:
-            a = self.problem.flow(self.eps * tau, y)
-            out += d0 * a + self.eps * w0 * self.problem.field(a)
-        if w1 != 0.0 or d0 != 0.0:
-            b = self.problem.flow(self.eps * (tau - 1.0), self.phi.fn(self.eps, y))
-            out += -d0 * b + self.eps * w1 * self.problem.field(b)
+        if want[0]:
+            out += d0 * a + self.eps * w0 * fa
+        if want[1]:
+            out += -d0 * b + self.eps * w1 * fb
         return out
 
     # -- extension to all t >= 0 ----------------------------------------------
@@ -250,20 +293,30 @@ class EvolutionInterpolant:
         chord method holds the finite-difference Jacobian at w0 fixed; it is
         built, for every row at once, only when some row's residual first
         misses the tolerance, so at t = k eps, where w0 = z is the anchor, none
-        is.  A stack z (..., d) is inverted in lockstep, so row b of the
-        result is g_eval(t, z[b]) bit for bit.
+        is.  Each row keeps the legs of its last residual evaluation, which
+        `newton_solve` returns as the root, and dG/dt is formed from them.  A
+        stack z (..., d) is inverted in lockstep, so row b of the result is
+        g_eval(t, z[b]) bit for bit.
         """
         z = np.asarray(z, dtype=float)
         _, tau = self._split_time(t)
         zs = z.reshape(-1, self.problem.dim)
         w0 = self.problem.flow(-self.eps * tau, zs)
         jacobian = functools.cache(lambda: self._fd_jacobian(tau, w0))
+        kept = [None, None]  # each row's legs at its last residual evaluation
 
         def linearize(w, z, b):  # b: the rows' indices into w0
-            return self.g_tilde(tau, w) - z, lambda: jacobian()[b]
+            legs = self._legs(tau, w)
+            for i, leg in enumerate(legs):
+                if leg is not None:
+                    if kept[i] is None:
+                        kept[i] = np.empty_like(zs)
+                    kept[i][b] = leg
+            return self.g_tilde(tau, w, legs) - z, lambda: jacobian()[b]
 
+        # newton_solve returns the iterate it last evaluated: the kept legs are the root's
         w, _ = newton_solve(linearize, w0, zs, np.arange(len(zs)))
-        dG_dt = self.g_tilde_dtau(tau, w) / self.eps
+        dG_dt = self.g_tilde_dtau(tau, w, kept) / self.eps
         return ((dG_dt - self.problem.field(zs)) / self.eps**self.phi.p).reshape(z.shape)
 
     def _fd_jacobian(self, tau: float, w: np.ndarray) -> np.ndarray:
@@ -314,16 +367,16 @@ def verify_embedding(
     g_b = interp.g_eval(t0 + eps, points)
     periodicity = float(np.max(np.abs(g_a - g_b), initial=0.0))
 
-    diffs = []
-    for j in range(order_levels):
-        eps_j = eps * 0.5**j
-        gap = phi.fn(eps_j, points) - problem.flow(eps_j, points)
-        diffs.append(float(np.max(np.abs(gap), initial=0.0)))
+    levels = [eps * 0.5**j for j in range(order_levels)]
+    mapped = [phi.fn(eps_j, points) for eps_j in levels]
+    # every level flows in one stack (levels, samples, d), one time per level
+    stack = np.broadcast_to(points, (order_levels, *points.shape))
+    flowed = problem.flow(np.reshape(levels, (-1, 1)), stack)
+    diffs = [float(np.max(np.abs(m - f), initial=0.0)) for m, f in zip(mapped, flowed)]
     if max(diffs) <= ORDER_FLOOR:
         measured_p = None
     else:
-        eps_list = eps * 0.5 ** np.arange(order_levels)
-        slope = np.polyfit(np.log(eps_list), np.log(diffs), 1)[0]
+        slope = np.polyfit(np.log(levels), np.log(diffs), 1)[0]
         measured_p = float(slope) - 1.0
 
     return {

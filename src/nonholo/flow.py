@@ -290,25 +290,42 @@ def reference_flow(sys: MechanicalSystem, x0: StatePoint, t: float) -> StatePoin
 def flow_field(
     f: Callable[[np.ndarray], np.ndarray],
     z0: np.ndarray,
-    t: float,
+    t,
     base_step: float = REFERENCE_STEP,
 ) -> np.ndarray:
-    """RK4 endpoint for an arbitrary autonomous field on R^d, any sign of t.
+    """RK4 endpoints for an arbitrary autonomous field on R^d, any sign of t.
 
-    z0 may be one state (d,) or a stack (..., d) that f maps row by row; every
-    row takes the same steps, and one row that fails the blow-up test stops
-    the whole stack.
+    z0 may be one state (d,) or a stack (..., d) that f maps row by row, and
+    t one time or an array of times that broadcasts over z0's leading shape.
+    Row b takes K_b = max(1, ceil(|t_b| / base_step)) steps of t_b / K_b, none
+    where t_b = 0.  The rows step in lockstep, each dropping out after its own
+    K_b steps, so row b is the call on row b alone at t_b, bit for bit.  The
+    first step at which a row fails the blow-up test stops the whole stack,
+    naming that row's step and time.
     """
-    _require_finite("t", t)
+    times = np.asarray(t, dtype=float)
+    finite = np.isfinite(times)
+    if not finite.all():
+        _require_finite("t", float(times.flat[np.argmin(finite)]))
     _require_finite("base_step", base_step, positive=True)
-    z = np.asarray(z0, dtype=float).copy()
-    if t == 0.0:
-        return z
-    _require_steps("t / base_step", t / base_step)
-    K = max(1, math.ceil(abs(t) / base_step))
-    h = t / K
-    for k in range(1, K + 1):
-        z = rk4_step(f, z, h, f(z))
-        if not np.all(np.isfinite(z)) or (np.linalg.norm(z, axis=-1) > BLOWUP_NORM).any():
-            raise BlowUpError(f"flow blew up at step {k}, t = {k * h:.6g}")
+    z = np.array(z0, dtype=float, order="C")
+    ts = np.broadcast_to(times, z.shape[:-1]).reshape(-1)
+    if ts.size:
+        _require_steps("t / base_step", float(ts[np.argmax(np.abs(ts))]) / base_step)
+    K = np.where(ts == 0.0, 0.0, np.maximum(1.0, np.ceil(np.abs(ts) / base_step)))
+    # rows by step count, most first: the rows still stepping are a prefix
+    order = np.argsort(-K, kind="stable")
+    zs, K = z.reshape(-1, z.shape[-1])[order], K[order]
+    h = (ts[order] / np.maximum(K, 1.0))[:, None]  # t_b / K_b, and 0 where t_b = 0
+    for k in range(1, int(K[0]) + 1 if K.size else 1):
+        n = np.count_nonzero(K >= k)
+        zk = rk4_step(f, zs[:n], h[:n], f(zs[:n]))
+        bad = ~np.isfinite(zk).all(axis=-1)
+        if not bad.any():
+            bad = np.linalg.norm(zk, axis=-1) > BLOWUP_NORM
+        if bad.any():
+            first = np.flatnonzero(bad)[np.argmin(order[:n][bad])]
+            raise BlowUpError(f"flow blew up at step {k}, t = {k * h[first, 0]:.6g}")
+        zs[:n] = zk
+    z.reshape(-1, z.shape[-1])[order] = zs
     return z

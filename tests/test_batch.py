@@ -10,6 +10,7 @@ field runs one compiled kernel, and a one-row stack runs the per-row kernels.
 from __future__ import annotations
 
 import functools
+import re
 
 import numpy as np
 import pytest
@@ -183,6 +184,36 @@ def test_blow_up_in_a_stack_is_a_blow_up():
         flow_field(lambda z: z * z, stack, 2.0, base_step=1e-3)
     with pytest.raises(BlowUpError):
         flow_field(lambda z: z * z, stack[1], 2.0, base_step=1e-3)
+
+
+@pytest.mark.parametrize("name", sorted(_SYSTEMS))
+def test_one_time_per_row_gives_each_row_its_single_flow(name):
+    # times of both signs and t = 0: 4, 7, 0, 8, 1 and 1 steps of base_step 0.01
+    sys, split, dim = _SYSTEMS[name]
+    field = functools.partial(reduced_field, sys, split)
+    xi = np.random.default_rng(11).normal(scale=0.5, size=(6, dim))
+    times = np.array([0.037, -0.063, 0.0, 0.08, -0.005, 0.01])
+    stacked = flow_field(field, xi, times, base_step=0.01)
+    for b in range(len(xi)):
+        assert stacked[b].tobytes() == flow_field(field, xi[b], times[b], 0.01).tobytes(), b
+    assert stacked[2].tobytes() == xi[2].tobytes()
+    # one time per half of a stack (2, B, d), as the interpolant's two legs take them
+    legs = flow_field(field, np.stack([xi, -xi]), np.array([[0.037], [-0.063]]), base_step=0.01)
+    assert legs[0].tobytes() == flow_field(field, xi, 0.037, 0.01).tobytes()
+    assert legs[1].tobytes() == flow_field(field, -xi, -0.063, 0.01).tobytes()
+
+
+def test_a_row_that_blows_up_in_a_stack_names_its_own_step_and_time():
+    # z' = z^2 blows up at t = 1 / z0: only the row z0 = 1, flowed to t = 2, gets
+    # there; z0 = 2 stops at t = 0.1 and z0 = -0.5 flows backwards
+    square = lambda z: z * z  # noqa: E731
+    stack = np.array([[0.25], [2.0], [1.0], [-0.5]])
+    times = np.array([2.0, 0.1, 2.0, -1.0])
+    kind, message = _raised(lambda: flow_field(square, stack, times, base_step=1e-3))
+    assert (kind, message) == _raised(lambda: flow_field(square, stack[2], 2.0, base_step=1e-3))
+    step, t = re.fullmatch(r"flow blew up at step (\d+), t = (\S+)", message).groups()
+    assert float(t) == pytest.approx(int(step) * 1e-3) and 1.0 < float(t) < 1.01
+    assert np.isfinite(flow_field(square, stack[[0, 1, 3]], times[[0, 1, 3]], 1e-3)).all()
 
 
 def test_newton_failure_in_a_stack_is_a_newton_failure():

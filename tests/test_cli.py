@@ -317,6 +317,13 @@ def test_simulate_config_errors(tmp_path, capsys):
         dict(PARTICLE_SIM, output="sub/run.csv"),
         dict(PARTICLE_SIM, N=1e20),  # step counts above MAX_STEPS
         dict(PARTICLE_SIM, N=24001854256926364.0),
+        dict(  # project_initial repairs onto D, not onto the deformed set the run keeps
+            PARTICLE_SIM,
+            integrator="reference",
+            deformation={"g": ["v_x*v_y"], "delta": 0.05},
+            v=[1.0, 1.0, 0.5],
+            project_initial=True,
+        ),
     ]
     for i, cfg in enumerate(bad):
         code, _ = run(tmp_path, "simulate", cfg, subdir=f"bad{i}")

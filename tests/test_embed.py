@@ -2,11 +2,13 @@
 from __future__ import annotations
 
 import math
+import random
 
 import numpy as np
 import pytest
 
 from nonholo import embed
+from nonholo.discrete import newton_solve
 from nonholo.embed import (
     EmbeddingProblem,
     EvolutionInterpolant,
@@ -105,7 +107,8 @@ def scalar_problem() -> EmbeddingProblem:
     return EmbeddingProblem(
         dim=1,
         field=lambda z: np.asarray(z, dtype=float).copy(),
-        flow=lambda t, y: math.exp(t) * np.asarray(y, dtype=float),
+        # t is one time or one per row of y (..., 1)
+        flow=lambda t, y: np.exp(t)[..., None] * np.asarray(y, dtype=float),
     )
 
 
@@ -320,6 +323,53 @@ def test_g_eval_builds_no_jacobian_where_the_predictor_is_the_anchor(inversions)
         assert abs(scalar.g_eval(tau * 0.1, np.array([[0.6], [1.7]])).max()) < 1e-8
     assert inversions["jacobians"] == 0
     assert all(np.max(iters) == 0 for iters in inversions["iters"])
+
+
+@pytest.mark.parametrize("t_frac", [0.37, 0.001, 0.999])
+def test_g_eval_takes_dG_dt_from_the_legs_of_its_last_residual(t_frac, monkeypatch):
+    # at 0.001 (0.999) chi1 (chi0) is 0 and chi0' is not: the residual flowed
+    # one leg, and dG/dt flows the other
+    sys = nonholonomic_particle()
+    split = derive_connection(sys, q0=np.array([0.0, 1.0, 0.0]))
+    problem = reduced_problem(sys, split, base_step=0.01)
+    interp = EvolutionInterpolant(problem, reduced_step_map(sys, split, "vni10"), 0.1)
+    points = _criterion_7_points(sys, split)
+    roots = []
+    monkeypatch.setattr(embed, "newton_solve",
+                        lambda *args: roots.append(newton_solve(*args)) or roots[-1])
+    g = interp.g_eval(t_frac * 0.1, points)
+    _, tau = interp._split_time(t_frac * 0.1)
+    if t_frac != 0.37:
+        assert min(chi0(tau), chi1(tau)) == 0.0 and chi0_prime(tau) != 0.0
+    dG_dt = interp.g_tilde_dtau(tau, roots[0][0]) / 0.1
+    assert g.tobytes() == ((dG_dt - problem.field(points)) / 0.1).tobytes()
+
+
+def _benchmark_embed_points(sys, split) -> np.ndarray:
+    """The 20 admissible particle points of the benchmark's embedding report at seed 0."""
+    rng = random.Random(0)
+    rows = []
+    for _ in range(20):
+        q = [rng.gauss(0.0, 0.5), 1.0 + rng.gauss(0.0, 0.5), rng.gauss(0.0, 0.5)]
+        vx, vy = rng.gauss(0.0, 1.0), rng.gauss(0.0, 1.0)
+        rows.append(reduce_state(sys, split, np.array(q + [vx, vy, q[1] * vx])))
+    return np.array(rows)
+
+
+def test_the_benchmark_embedding_report_makes_at_most_260_field_calls(monkeypatch):
+    # the two legs flow in one stack, dG/dt reuses the last residual's legs and
+    # the order levels flow together: 244 reduced_field calls, where flowing
+    # each leg and each level alone, and the root's legs twice, made 474
+    sys = nonholonomic_particle()
+    split = derive_connection(sys, q0=np.array([0.0, 1.0, 0.0]))
+    points = _benchmark_embed_points(sys, split)
+    calls = []
+    reduced_field = embed.reduced_field
+    monkeypatch.setattr(embed, "reduced_field",
+                        lambda *args: calls.append(1) or reduced_field(*args))
+    problem = reduced_problem(sys, split, base_step=0.01)
+    verify_embedding(problem, reduced_step_map(sys, split, "vni10"), 0.1, points, order_levels=5)
+    assert len(calls) <= 260
 
 
 def test_reduced_step_map_rejects_unknown_scheme():

@@ -51,7 +51,11 @@ which keeps the per-row kernels, the Hessian's included; ``embed`` (``vni10``) o
 column (n - m = 1, where the particle's has two), and on the particle with its
 constraint row scaled by 1e-13, which the fiber block's singularity test
 must not flag, and on the particle at phase ``t_frac`` 0, where the
-inversion's predictor is already the anchor and no Jacobian is built; then
+inversion's predictor is already the anchor and no Jacobian is built;
+``embed`` (``vni20``, two points) at ``t_frac`` 0.001 and 0.999
+(``other/embed_t_frac_0.001``, ``other/embed_t_frac_0.999``), where one
+cutoff weight is 0 and its derivative is not, so dG/dt flows a leg that the
+inversion's residual skipped; then
 runs that fail
 at runtime, and configs that misuse a key, ask for a huge step or sample
 count or start outside the system's domain.  Each
@@ -72,6 +76,8 @@ two-point scheme's ``nodes`` key, and the keys that nothing reads, are config
 errors: ``misuse/simulate_project_each_step_vni20`` gives ``vni20`` the
 reference flow's ``project_each_step``, and ``misuse/converge_deformation``
 and ``misuse/converge_project_each_step`` give a study keys no study reads.
+``misuse/simulate_deformed_project_initial`` projects a start onto D for a
+reference flow on a deformed set that the projected start is off: refused.
 Six runs are refused while they are set up, each with one ``config error:``
 line:
 ``fail/embed_projected_point_1e8``, a particle point repaired by
@@ -306,6 +312,9 @@ def configs() -> list[tuple[str, str, dict]]:
             ("other/one_constraint_2d_embed", "embed", ONE_CONSTRAINT_2D_EMBED),
             ("other/embed_tiny_row", "embed", EMBED_TINY_ROW),
             ("other/embed_t_frac_0", "embed", {**EMBED, "t_frac": 0})]
+    out += [(f"other/embed_t_frac_{t_frac}", "embed",
+             {**EMBED_POINTS, "points": EMBED_POINTS["points"][:2], "t_frac": t_frac})
+            for t_frac in (0.001, 0.999)]
 
     out += [(f"fail/quartic_{name}", "simulate", {**QUARTIC, "integrator": name, **extra})
             for name, extra in every_integrator]
@@ -387,6 +396,8 @@ def configs() -> list[tuple[str, str, dict]]:
                                      "deformation": {"g": ["v_x*v_y"], "delta": 0.05}}),
         ("converge", "project_each_step", {**CONVERGE, "integrator": "reference",
                                            "project_each_step": True}),
+        ("simulate", "deformed_project_initial", {**DEFORMED, "v": [1.0, 1.0, 0.5],
+                                                  "project_initial": True}),
     ]
     out += [(f"misuse/{command}_{name}", command, cfg) for command, name, cfg in misuse]
     return out
