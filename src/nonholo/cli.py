@@ -7,6 +7,8 @@ Four subcommands share a common shape::
     nonholo embed    --config run.json [--out DIR]
     nonholo interp   --config run.json [--out DIR]
 
+Each command reads its config through one key table (`KEYS`); a key outside
+the table, or one that the run does not read, is a configuration problem.
 Exit codes: 0 on success, 2 on configuration problems, 3 on failure at
 runtime, domain errors of expressions included (rows computed are written).
 Output data files are deterministic: identical configs produce
@@ -57,14 +59,6 @@ from .system import (
 
 INTEGRATORS = ("reference", *SCHEMES)
 
-# The keys only some runs read: key -> command -> the integrators that read it; the rest refuse it.
-RUN_KEYS = {
-    "beta": {"simulate": ("dla",), "converge": ("dla",)},
-    "nodes": {"simulate": ("dla",), "converge": ("dla",)},
-    "deformation": {"simulate": ("reference",)},
-    "project_each_step": {"simulate": ("reference",)},
-}
-
 
 class ConfigError(Exception):
     """The config file cannot be turned into a valid run."""
@@ -80,6 +74,20 @@ def load_config(path: str) -> dict:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from None
 
 
+def _check_keys(obj, known, name: str | None = None) -> None:
+    """Refuse obj unless it is an object whose keys are all `known`; an unknown
+    key is named with the nearest known one.  `name` is obj's key, None at the top."""
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{name or 'config'} must be an object with keys {list(known)}")
+    prefix = f"{name}." if name else ""
+    for key in obj:
+        if key not in known:
+            from difflib import get_close_matches  # the error path alone needs it
+            near = get_close_matches(key, list(known), n=1)
+            hint = f"; did you mean {prefix + near[0]!r}?" if near else ""
+            raise ConfigError(f"unknown key {prefix + key!r}{hint}")
+
+
 def build_system(desc) -> MechanicalSystem:
     """Construct the mechanical system named or described by the config.
 
@@ -89,47 +97,24 @@ def build_system(desc) -> MechanicalSystem:
     """
     if isinstance(desc, str):
         desc = {"builtin": desc}
-    if not isinstance(desc, dict):
-        raise ConfigError("'system' must be a builtin name or an object")
+    _check_keys(desc, ("builtin", "names", "M", "V", "mu", "n"), "system")
     fields = {}
     if "builtin" in desc:
         name = desc["builtin"]
         if name not in BUILTIN_FIELDS:
-            raise ConfigError(
-                f"unknown builtin system {name!r}; available: {sorted(BUILTIN_FIELDS)}"
-            )
+            raise ConfigError(f"no builtin system {name!r}; pick one of {sorted(BUILTIN_FIELDS)}")
         fields.update(BUILTIN_FIELDS[name])
-    for key in ("names", "M", "V", "mu"):
-        if key in desc:
-            fields[key] = desc[key]
-    unknown = set(desc) - {"builtin", "names", "M", "V", "mu", "n"}
-    if unknown:
-        raise ConfigError(f"unknown system fields: {sorted(unknown)}")
+    fields.update({key: desc[key] for key in ("names", "M", "V", "mu") if key in desc})
     missing = {"names", "M", "V", "mu"} - set(fields)
     if missing:
         raise ConfigError(f"system description is missing {sorted(missing)}")
     if "n" in desc and desc["n"] != len(fields["names"]):
-        raise ConfigError(
-            f"system.n = {desc['n']} does not match {len(fields['names'])} names"
-        )
+        raise ConfigError(f"system.n = {desc['n']} does not match {len(fields['names'])} names")
     try:
-        return MechanicalSystem(
-            names=fields["names"],
-            M=np.asarray(fields["M"], dtype=float),
-            V=fields["V"],
-            mu=fields["mu"],
-        )
+        return MechanicalSystem(names=fields["names"], M=np.asarray(fields["M"], dtype=float),
+                                V=fields["V"], mu=fields["mu"])
     except (SystemError, exprdiff.ExprSyntaxError, ValueError, TypeError) as exc:
         raise ConfigError(f"invalid system: {exc}") from None
-
-
-def _vector(cfg: dict, key: str, n: int) -> np.ndarray:
-    raw = cfg.get(key)
-    if raw is None:
-        raise ConfigError(f"config is missing {key!r}")
-    if not isinstance(raw, list) or len(raw) != n:
-        raise ConfigError(f"{key!r} must be a list of {n} numbers, got {raw!r}")
-    return np.array([_as_number(entry, f"{key}[{i}]") for i, entry in enumerate(raw)])
 
 
 @contextlib.contextmanager
@@ -145,17 +130,196 @@ def _set_up(prefix: str = ""):
         raise ConfigError(f"{prefix}{exc}") from None
 
 
-def _initial_state(cfg: dict, sys: MechanicalSystem, deformation=None, e=0.0) -> StatePoint:
-    """(q, v) from the config, on the deformation's set if one is given, else on the
-    set a scheme's nodes keep at step size e (`discrete._scheme_run`; e = 0 is D).
+# --- value parsers: each takes a JSON value, the key it was given at and the run read
+# so far (the keys above it in its table), and returns the value the run uses.
+
+
+def _rule(test, what: str):
+    """The parser that returns a value that passes `test` and refuses any other as not `what`."""
+
+    def parse(raw, key: str, run=None):
+        if not test(raw):
+            raise ConfigError(f"{key} must be {what}, got {raw!r}")
+        return raw
+
+    return parse
+
+
+def _choice(*names: str):
+    return _rule(lambda raw: raw in names, f"one of {names}")
+
+
+_flag = _rule(lambda raw: isinstance(raw, bool), "true or false")  # "no" is not false
+_file_name = _rule(lambda raw: isinstance(raw, str) and raw not in ("", ".", "..")  # in --out
+                   and raw == os.path.basename(raw) and "\0" not in raw, "a file name")
+
+
+def _number(raw, key: str, run=None) -> float:
+    """raw as a finite float; JSON booleans are not numbers here."""
+    try:
+        value = float(raw)
+    except (TypeError, ValueError, OverflowError):
+        value = np.nan
+    if isinstance(raw, bool) or not np.isfinite(value):
+        raise ConfigError(f"{key} must be a finite number, got {raw!r}")
+    return value
+
+
+def _positive(raw, key: str, run=None) -> float:
+    return _rule(lambda value: value > 0.0, "positive and finite")(_number(raw, key), key)
+
+
+def _count(least: int):
+    """The parser of a whole number from `least` to MAX_STEPS; 2.0 counts, 2.5 and true do not."""
+
+    def parse(raw, key: str, run=None) -> int:
+        if isinstance(raw, bool) or not isinstance(raw, (int, float)) or not raw >= least:
+            raise ConfigError(f"{key} must be an integer >= {least}, got {raw!r}")
+        _require_steps(key, raw, whole=True)
+        return int(raw)
+
+    return parse
+
+
+def _list(item, least: int, what: str):
+    """The parser of a list of at least `least` entries, each parsed by `item` as key[i]."""
+
+    def parse(raw, key: str, run=None) -> list:
+        if not isinstance(raw, list) or len(raw) < least:
+            raise ConfigError(f"{key} must list at least {least} {what}, got {raw!r}")
+        return [item(entry, f"{key}[{i}]", run) for i, entry in enumerate(raw)]
+
+    return parse
+
+
+_eps_list = _list(_positive, 4, "step sizes")
+
+
+def _vector(raw, key: str, run) -> np.ndarray:
+    """A list of the system's n finite numbers."""
+    n = run["system"].n
+    if not isinstance(raw, list) or len(raw) != n:
+        raise ConfigError(f"{key} must be a list of {n} numbers, got {raw!r}")
+    return np.array([_number(entry, f"{key}[{i}]") for i, entry in enumerate(raw)])
+
+
+def _state(raw, key: str, run) -> tuple[np.ndarray, np.ndarray]:
+    """(q, v) of an object that holds exactly q and v."""
+    _check_keys(raw, ("q", "v"), key)
+    return _vector(raw.get("q"), f"{key}.q", run), _vector(raw.get("v"), f"{key}.v", run)
+
+
+def _deformation(raw, key: str, run) -> DeformedConstraint:
+    """{g, delta}: g lists the system's m expressions over q and v, delta a number (0)."""
+    _check_keys(raw, ("g", "delta"), key)
+    sys, g = run["system"], raw.get("g")
+    if not isinstance(g, list) or len(g) != sys.m or not all(isinstance(e, str) for e in g):
+        raise ConfigError(f"{key}.g must list {sys.m} expression strings, got {g!r}")
+    try:
+        exprs = [exprdiff.parse(text) for text in g]
+    except exprdiff.ExprSyntaxError as exc:
+        raise ConfigError(f"bad {key}.g expression: {exc}") from None
+    extra = set().union(*map(exprdiff.free_variables, exprs)) - {*sys.names, *sys.vnames}
+    if extra:
+        raise ConfigError(f"unknown variables in {key}.g: {sorted(extra)}")
+    return DeformedConstraint(g=exprs, delta=_number(raw.get("delta", 0.0), f"{key}.delta"))
+
+
+# --- the key tables: each command's keys in parsing order (a parser may read the keys
+# above it), key -> (value parser, default: REQUIRED, None where the key may be absent or
+# a JSON value parsed like a given one, runs: None for all, else the RUN_KEY values read).
+REQUIRED = object()
+_START = {
+    "system": (lambda raw, key, run: build_system(raw), "nonholonomic_particle", None),
+    "integrator": (_choice(*INTEGRATORS), "reference", None),
+    "q": (_vector, REQUIRED, None),
+    "v": (_vector, REQUIRED, None),
+    "project_initial": (_flag, False, None),
+    "beta": (_number, None, ("dla",)),
+    "nodes": (lambda raw, key, run: NodePolicy(_choice(*(p.value for p in NodePolicy))(raw, key)),
+              "redefined", ("dla",)),
+}
+KEYS = {
+    "simulate": {
+        **_START,
+        "eps": (_positive, REQUIRED, None),
+        "N": (_count(0), None, None),
+        "T": (_positive, None, None),
+        "deformation": (_deformation, None, ("reference",)),
+        "project_each_step": (_flag, False, ("reference",)),
+        "output": (_file_name, "trajectory.csv", None),
+        "summary": (_file_name, "summary.json", None),
+    },
+    "converge": {
+        **_START,
+        "integrator": (_choice(*INTEGRATORS), "vni10", None),
+        "T": (_positive, REQUIRED, None),
+        "eps_list": (_eps_list, None, None),
+        "output": (_file_name, "convergence.csv", None),
+        "summary": (_file_name, "study.json", None),
+    },
+    "embed": {
+        "system": _START["system"],
+        "scheme": (_choice("exact", *SCHEMES), "vni10", None),
+        "eps": (_positive, REQUIRED, None),
+        "q0": (_vector, REQUIRED, None),
+        "points": (_list(_state, 1, "{q, v} states"), REQUIRED, None),
+        "project_initial": _START["project_initial"],
+        "base_step": (_positive, 2e-3, None),
+        "t_frac": (_number, 0.37, None),
+        "order_levels": (_count(2), 5, None),
+        "p": (_count(1), 1, ("exact",)),
+        "summary": (_file_name, "embedding.json", None),
+    },
+    "interp": {
+        "system": _START["system"],
+        "eps": (_positive, REQUIRED, None),
+        "x0": (_state, REQUIRED, None),
+        "x1": (_state, REQUIRED, None),
+        "project_initial": _START["project_initial"],
+        "q0": (_vector, None, None),
+        "samples": (_count(2), 101, None),
+        "output": (_file_name, "interpolation.csv", None),
+    },
+}
+# The key whose value names the run, for the keys that only some runs read.
+RUN_KEY = {"simulate": "integrator", "converge": "integrator", "embed": "scheme"}
+
+
+class _Run(dict):
+    """A config read through its command's table: key -> value, defaults filled in."""
+
+
+def _read(cfg, command: str) -> _Run:
+    """cfg's values, parsed by the command's key table; a key outside the table,
+    or one that the run does not read, is refused and named."""
+    table, selector = KEYS[command], RUN_KEY.get(command)
+    _check_keys(cfg, table)
+    run = _Run()
+    with _set_up():
+        for key, (parse, default, readers) in table.items():
+            if key not in cfg:
+                if default is REQUIRED:
+                    raise ConfigError(f"config is missing {key!r}")
+                run[key] = None if default is None else parse(default, key, run)
+            elif readers is not None and run[selector] not in readers:
+                raise ConfigError(f"{key!r} is read only with {selector} "
+                                  f"{' or '.join(readers)}, not {run[selector]!r}")
+            else:
+                run[key] = parse(cfg[key], key, run)
+    return run
+
+
+def _initial_state(run: _Run, state, deformation=None, e=0.0) -> StatePoint:
+    """The (q, v) `state` on the deformation's set if one is given, else on the set a
+    scheme's nodes keep at step size e (`discrete._scheme_run`; e = 0 is D).
 
     project_initial projects v onto D and, for e > 0, repairs it onto the
     scheme's set; the start, repaired or not, is checked against the set the
     run keeps, so a projected start off a deformation's set is refused.
     """
-    q = _vector(cfg, "q", sys.n)
-    v = _vector(cfg, "v", sys.n)
-    repair = _flag(cfg, "project_initial")
+    sys, repair = run["system"], run["project_initial"]
+    q, v = state
     with _set_up("initial state: "):
         if repair:
             v = project_velocity(sys, q, v)
@@ -178,131 +342,37 @@ def _initial_state(cfg: dict, sys: MechanicalSystem, deformation=None, e=0.0) ->
     return x
 
 
-def _as_number(raw, what: str) -> float:
-    """raw as a finite float; JSON booleans are not numbers here."""
-    try:
-        value = float(raw)
-    except (TypeError, ValueError, OverflowError):
-        value = np.nan
-    if isinstance(raw, bool) or not np.isfinite(value):
-        raise ConfigError(f"{what} must be a finite number, got {raw!r}")
-    return value
-
-
-def _number(cfg: dict, key: str, default: float | None = None) -> float:
-    """cfg[key] (or the default) as a finite float."""
-    raw = cfg.get(key, default)
-    if raw is None:
-        raise ConfigError(f"config is missing {key!r}")
-    return _as_number(raw, key)
-
-
-def _positive(cfg: dict, key: str, default: float | None = None) -> float:
-    """Like `_number`, and the value must be > 0."""
-    value = _number(cfg, key, default)
-    if not value > 0.0:
-        raise ConfigError(f"{key} must be positive and finite, got {cfg[key]!r}")
-    return value
-
-
-def _integer(cfg: dict, key: str, default: int | None = None, least: int = 0) -> int:
-    """cfg[key] (or the default) as a whole number >= least; 2.0 counts, 2.5 and true do not."""
-    raw = cfg.get(key, default)
-    if raw is None:
-        raise ConfigError(f"config is missing {key!r}")
-    whole = isinstance(raw, int) or (isinstance(raw, float) and raw.is_integer())
-    if isinstance(raw, bool) or not whole or raw < least:
-        raise ConfigError(f"{key} must be an integer >= {least}, got {raw!r}")
-    return int(raw)
-
-
-def _flag(cfg: dict, key: str) -> bool:
-    """cfg[key] as JSON true or false, default false; "no" is not false."""
-    raw = cfg.get(key, False)
-    if not isinstance(raw, bool):
-        raise ConfigError(f"{key} must be true or false, got {raw!r}")
-    return raw
-
-
-def _out_path(cfg: dict, key: str, default: str, out_dir: str) -> str:
-    """A plain file name inside the output directory."""
-    name = cfg.get(key, default)
-    plain = isinstance(name, str) and name == os.path.basename(name) and "\0" not in name
-    if not plain or name in ("", ".", ".."):
-        raise ConfigError(f"{key} must be a file name, got {name!r}")
-    return os.path.join(out_dir, name)
-
-
-def _steps_and_set(cfg: dict, integ: str, beta, policy: NodePolicy) -> tuple[float, int, float]:
-    """(eps, N, e): a run's step size and step count, and e of the set its nodes keep
+def _steps_and_set(run: _Run, eps: float) -> tuple[int, float]:
+    """(N, e): a run's step count, its N or else T / eps, and e of the set its nodes keep
     (`discrete._scheme_run`, whose refusal is a config error; e = 0 is D, the reference's too)."""
-    eps = _positive(cfg, "eps")
-    has_n, has_t = "N" in cfg, "T" in cfg
-    if has_n == has_t:
-        raise ConfigError("give exactly one of 'N' (step count) or 'T' (end time)")
-    steps = _integer(cfg, "N") if has_n else _positive(cfg, "T") / eps
     with _set_up():
-        _require_steps("N" if has_n else "T / eps", steps)
-        N = steps if has_n else max(1, round(steps))
-        if integ != "reference":
-            return eps, N, _scheme_run(integ, eps, N, beta, policy)[2]
+        N = run.get("N")
+        if N is None:
+            _require_steps("T / eps", run["T"] / eps)
+            N = max(1, round(run["T"] / eps))
+        if run["integrator"] != "reference":
+            return N, _scheme_run(run["integrator"], eps, N, run["beta"], run["nodes"])[2]
         _require_finite("the end time eps * N", eps * N)
-    return eps, N, 0.0
-
-
-def _integrator(cfg: dict, command: str, default: str) -> tuple[str, float | None, NodePolicy]:
-    """The config's integrator with the two-point scheme's beta and node policy as given,
-    for `_steps_and_set` to check; a key of RUN_KEYS that the run does not read is refused."""
-    integ = cfg.get("integrator", default)
-    if integ not in INTEGRATORS:
-        raise ConfigError(f"unknown integrator {integ!r}; pick one of {INTEGRATORS}")
-    for key, readers in RUN_KEYS.items():
-        if key in cfg and integ not in readers.get(command, ()):
-            raise ConfigError(f"{command} with {integ!r} does not read {key!r}")
-    nodes = str(cfg.get("nodes", "redefined")).upper()
-    if nodes not in NodePolicy.__members__:
-        raise ConfigError("'nodes' must be 'redefined' or 'original'")
-    return integ, _number(cfg, "beta") if "beta" in cfg else None, NodePolicy[nodes]
-
-
-def _deformation(cfg: dict, sys: MechanicalSystem) -> DeformedConstraint | None:
-    if "deformation" not in cfg:
-        return None
-    desc = cfg["deformation"]
-    if not isinstance(desc, dict) or set(desc) - {"g", "delta"}:
-        raise ConfigError("'deformation' must be an object with keys 'g' and 'delta'")
-    g = desc.get("g")
-    if not isinstance(g, list) or len(g) != sys.m or not all(isinstance(e, str) for e in g):
-        raise ConfigError(f"deformation.g must list {sys.m} expression strings, got {g!r}")
-    try:
-        exprs = [exprdiff.parse(text) for text in g]
-    except exprdiff.ExprSyntaxError as exc:
-        raise ConfigError(f"bad deformation expression: {exc}") from None
-    extra = set().union(*map(exprdiff.free_variables, exprs)) - {*sys.names, *sys.vnames}
-    if extra:
-        raise ConfigError(f"unknown variables in deformation.g: {sorted(extra)}")
-    return DeformedConstraint(g=exprs, delta=_number(desc, "delta", 0.0))
+    return N, 0.0
 
 
 # --- simulate -------------------------------------------------------------------
 
 
 def cmd_simulate(cfg: dict, out_dir: str) -> int:
-    sys = build_system(cfg.get("system", "nonholonomic_particle"))
-    integ, beta, policy = _integrator(cfg, "simulate", "reference")
-    eps, N, e = _steps_and_set(cfg, integ, beta, policy)
-    project_each_step = _flag(cfg, "project_each_step")
-    dc = _deformation(cfg, sys)
-    x0 = _initial_state(cfg, sys, dc, e)
-
-    csv_path = _out_path(cfg, "output", "trajectory.csv", out_dir)
-    summary_path = _out_path(cfg, "summary", "summary.json", out_dir)
+    run = _read(cfg, "simulate")
+    sys, integ, eps, dc = run["system"], run["integrator"], run["eps"], run["deformation"]
+    if (run["N"] is None) == (run["T"] is None):
+        raise ConfigError("give exactly one of 'N' (step count) or 'T' (end time)")
+    N, e = _steps_and_set(run, eps)
+    x0 = _initial_state(run, (run["q"], run["v"]), dc, e)
+    csv_path, summary_path = (os.path.join(out_dir, run[key]) for key in ("output", "summary"))
     started = time.perf_counter()
     try:
         if integ == "reference":
-            traj = integrate(sys, x0, eps * N, eps, dc, project_each_step)
+            traj = integrate(sys, x0, eps * N, eps, dc, run["project_each_step"])
         else:
-            traj = run_integrator(sys, integ, x0, eps, N, beta=beta, policy=policy)
+            traj = run_integrator(sys, integ, x0, eps, N, beta=run["beta"], policy=run["nodes"])
     except RUNTIME_ERRORS as exc:
         # a failure inside the run loop carries its rows and where it stopped
         where = ""
@@ -314,17 +384,12 @@ def cmd_simulate(cfg: dict, out_dir: str) -> int:
 
     traj.to_csv(csv_path)
     summary = {
-        "rows": len(traj),
-        "eps": eps,
-        "steps": N,
-        "integrator": integ,
-        "energy_min": float(np.min(traj.energies)),
-        "energy_max": float(np.max(traj.energies)),
+        "rows": len(traj), "eps": eps, "steps": N, "integrator": integ,
+        "energy_min": float(np.min(traj.energies)), "energy_max": float(np.max(traj.energies)),
         "energy_drift": float(np.max(np.abs(traj.energies - traj.energies[0]))),
         "max_abs_residual": float(np.max(np.abs(traj.residuals), initial=0.0)),
         "max_abs_lambda": float(np.max(np.abs(traj.lambdas), initial=0.0)),
-        "csv": os.path.basename(csv_path),
-        "runtime_seconds": time.perf_counter() - started,
+        "csv": os.path.basename(csv_path), "runtime_seconds": time.perf_counter() - started,
     }
     _write_json(summary_path, summary)
     return 0
@@ -352,34 +417,28 @@ def convergence_study(cfg: dict, eps_list: list[float]) -> StudyResult:
     built from the config; a step size whose run fails is recorded in
     `failures` and the study goes on.
     """
-    if len(eps_list) < 4:
-        raise ConfigError("a convergence study needs at least 4 step sizes")
-    eps_list = [_positive({"eps_list": e}, "eps_list") for e in eps_list]
-    sys = build_system(cfg.get("system", "nonholonomic_particle"))
-    integ, beta, policy = _integrator(cfg, "converge", "vni10")
-    x0 = _initial_state(cfg, sys)
-    T = _positive(cfg, "T")
+    run = cfg if isinstance(cfg, _Run) else _read(cfg, "converge")
+    eps_list = _eps_list(eps_list, "eps_list")
+    sys, integ, T = run["system"], run["integrator"], run["T"]
+    x0 = _initial_state(run, (run["q"], run["v"]))
     with _set_up():
         _require_steps("the reference oracle's T / REFERENCE_STEP", T / REFERENCE_STEP)
     runs = []  # (eps, steps, start): a start on D is the oracle's own
     for eps in sorted(eps_list, reverse=True):
-        _, steps, e = _steps_and_set({"eps": eps, "T": T}, integ, beta, policy)
-        runs.append((eps, steps, _initial_state(cfg, sys, e=e) if e else x0))
+        steps, e = _steps_and_set(run, eps)
+        runs.append((eps, steps, _initial_state(run, (run["q"], run["v"]), e=e) if e else x0))
 
-    oracle = reference_flow(sys, x0, T)
-    oracle_concat = oracle.concat()
+    oracle_concat = reference_flow(sys, x0, T).concat()
     oracle_lam = lambda_continuous(sys, oracle_concat, check=False)
 
-    eps_ok: list[float] = []
-    state: list[float] = []
-    lam: list[float] = []
-    failures: list[dict] = []
+    eps_ok, state, lam, failures = [], [], [], []
     for eps, steps, start in runs:
         try:
             if integ == "reference":
                 traj = integrate(sys, start, T, eps)
             else:
-                traj = run_integrator(sys, integ, start, eps, steps, beta=beta, policy=policy)
+                traj = run_integrator(sys, integ, start, eps, steps, beta=run["beta"],
+                                      policy=run["nodes"])
         except RUNTIME_ERRORS as exc:
             failures.append({"eps": eps, "error": f"{type(exc).__name__}: {exc}"})
             continue
@@ -398,29 +457,21 @@ def convergence_study(cfg: dict, eps_list: list[float]) -> StudyResult:
 
 
 def cmd_converge(cfg: dict, out_dir: str, eps_list: list[float] | None) -> int:
-    if eps_list is None:
-        eps_list = cfg.get("eps_list")
+    run = _read(cfg, "converge")
+    eps_list = run["eps_list"] if eps_list is None else eps_list
     if eps_list is None:
         raise ConfigError("give step sizes via 'eps_list' in the config or --eps-list")
-    if not isinstance(eps_list, list):
-        raise ConfigError("'eps_list' must be a list of step sizes")
-    csv_path = _out_path(cfg, "output", "convergence.csv", out_dir)
-    summary_path = _out_path(cfg, "summary", "study.json", out_dir)
+    csv_path, summary_path = (os.path.join(out_dir, run[key]) for key in ("output", "summary"))
     started = time.perf_counter()
     try:
-        study = convergence_study(cfg, eps_list)
+        study = convergence_study(run, eps_list)
     except RUNTIME_ERRORS as exc:
         print(f"error: the reference oracle failed: {exc}", file=_sys.stderr)
         return 3
 
-    write_csv(
-        csv_path,
-        ["eps", "state_error", "lambda_error"],
-        zip(study.eps, study.state_error, study.lambda_error),
-    )
-    payload = asdict(study)
-    payload["runtime_seconds"] = time.perf_counter() - started
-    _write_json(summary_path, payload)
+    write_csv(csv_path, ["eps", "state_error", "lambda_error"],
+              zip(study.eps, study.state_error, study.lambda_error))
+    _write_json(summary_path, {**asdict(study), "runtime_seconds": time.perf_counter() - started})
     if not study.eps:
         print("error: every step size failed", file=_sys.stderr)
         return 3
@@ -431,48 +482,28 @@ def cmd_converge(cfg: dict, out_dir: str, eps_list: list[float] | None) -> int:
 
 
 def cmd_embed(cfg: dict, out_dir: str) -> int:
-    sys = build_system(cfg.get("system", "nonholonomic_particle"))
-    q0 = _vector(cfg, "q0", sys.n) if "q0" in cfg else _vector(cfg, "q", sys.n)
+    run = _read(cfg, "embed")
+    sys, scheme, eps, base_step = run["system"], run["scheme"], run["eps"], run["base_step"]
     with _set_up("cannot split coordinates at q0: "):
-        split = derive_connection(sys, q0)
-    scheme = cfg.get("scheme", "vni10")
-    base_step = _positive(cfg, "base_step", 2e-3)
+        split = derive_connection(sys, run["q0"])
     problem = reduced_problem(sys, split, base_step=base_step)
-    if scheme == "exact":
-        phi = exact_step_map(problem, p=_integer(cfg, "p", 1, least=1))
-    else:
-        with _set_up():
-            phi = reduced_step_map(sys, split, scheme)
-    eps = _positive(cfg, "eps")
     with _set_up():
+        phi = (exact_step_map(problem, p=run["p"]) if scheme == "exact"
+               else reduced_step_map(sys, split, scheme))
         _require_steps("eps / base_step", eps / base_step)
-    t_frac = _number(cfg, "t_frac", 0.37)
-    order_levels = _integer(cfg, "order_levels", 5, least=2)
-    summary_path = _out_path(cfg, "summary", "embedding.json", out_dir)
-
-    pts_cfg = cfg.get("points")
-    if not isinstance(pts_cfg, list) or not pts_cfg:
-        raise ConfigError("'points' must be a non-empty list of {q, v} states")
-    points = []
-    for i, entry in enumerate(pts_cfg):
-        if not isinstance(entry, dict):
-            raise ConfigError(f"points[{i}] must be an object with 'q' and 'v'")
-        x = _initial_state({**entry, "project_initial": _flag(cfg, "project_initial")}, sys)
-        # _initial_state has applied reduce_state's own rule to x: it lies on D
-        points.append(reduce_state(sys, split, x.concat(), check=False))
+    # _initial_state applies reduce_state's own rule to each point: it lies on D
+    points = [reduce_state(sys, split, _initial_state(run, x).concat(), check=False)
+              for x in run["points"]]
 
     started = time.perf_counter()
     try:
-        report = verify_embedding(
-            problem, phi, eps, np.asarray(points), t_frac=t_frac, order_levels=order_levels
-        )
+        report = verify_embedding(problem, phi, eps, np.asarray(points), t_frac=run["t_frac"],
+                                  order_levels=run["order_levels"])
     except RUNTIME_ERRORS as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return 3
-    report["scheme"] = scheme
-    report["eps"] = eps
-    report["runtime_seconds"] = time.perf_counter() - started
-    _write_json(summary_path, report)
+    _write_json(os.path.join(out_dir, run["summary"]), {**report, "scheme": scheme, "eps": eps,
+                               "runtime_seconds": time.perf_counter() - started})
     return 0
 
 
@@ -480,28 +511,16 @@ def cmd_embed(cfg: dict, out_dir: str) -> int:
 
 
 def cmd_interp(cfg: dict, out_dir: str) -> int:
-    sys = build_system(cfg.get("system", "nonholonomic_particle"))
-    for key in ("x0", "x1"):
-        if not isinstance(cfg.get(key), dict):
-            raise ConfigError(f"config needs {key!r} as an object with 'q' and 'v'")
-    a = _initial_state(cfg["x0"], sys)
-    b = _initial_state(cfg["x1"], sys)
-    eps = _positive(cfg, "eps")
-    samples = _integer(cfg, "samples", 101, least=2)
+    run = _read(cfg, "interp")
+    sys, eps, samples = run["system"], run["eps"], run["samples"]
+    a, b = (_initial_state(run, run[key]) for key in ("x0", "x1"))
+    csv_path = os.path.join(out_dir, run["output"])
     with _set_up():
-        _require_steps("samples", samples)
-    csv_path = _out_path(cfg, "output", "interpolation.csv", out_dir)
-    q0 = _vector(cfg, "q0", sys.n) if "q0" in cfg else a.q
-    with _set_up():
-        split = derive_connection(sys, q0)
+        split = derive_connection(sys, a.q if run["q0"] is None else run["q0"])
         curve = interpolate_in_D(sys, split, a.concat(), b.concat(), eps)
 
-    header = (
-        ["t"]
-        + [f"q_{i + 1}" for i in range(sys.n)]
-        + [f"v_{i + 1}" for i in range(sys.n)]
-        + [f"residual_{a_ + 1}" for a_ in range(sys.m)]
-    )
+    header = ["t", *(f"{c}_{i + 1}" for c in "qv" for i in range(sys.n)),
+              *(f"residual_{a_ + 1}" for a_ in range(sys.m))]
     rows = []
     try:
         for k, t in enumerate(np.linspace(0.0, eps, samples)):
@@ -524,21 +543,9 @@ def _write_json(path: str, payload: dict) -> None:
         fh.write("\n")
 
 
-def _parse_eps_list(text: str) -> list[float]:
-    try:
-        values = [float(tok) for tok in text.split(",") if tok.strip()]
-    except ValueError:
-        raise ConfigError(f"--eps-list must be comma-separated numbers, got {text!r}") from None
-    if not values:
-        raise ConfigError("--eps-list is empty")
-    return values
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="nonholo",
-        description="Simulate nonholonomic mechanical systems from a JSON config.",
-    )
+        prog="nonholo", description="Simulate nonholonomic mechanical systems from a JSON config.")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, helptext in (
         ("simulate", "integrate one trajectory and write it as CSV"),
@@ -550,17 +557,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="path to the JSON run description")
         p.add_argument("--out", default=".", help="directory for CSV/JSON artifacts")
         if name == "converge":
-            p.add_argument(
-                "--eps-list",
-                default=None,
-                help="comma-separated step sizes, overriding the config",
-            )
-            p.add_argument(
-                "--jobs",
-                type=int,
-                default=1,
-                help="accepted and ignored: the step sizes run one after another",
-            )
+            p.add_argument("--eps-list", help="comma-separated step sizes, overriding the config")
+            p.add_argument("--jobs", type=int, default=1,
+                           help="accepted and ignored: the step sizes run one after another")
     return parser
 
 
@@ -568,18 +567,17 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config)
-        if not isinstance(cfg, dict):
-            raise ConfigError("config top level must be a JSON object")
-        out_dir = args.out
-        os.makedirs(out_dir, exist_ok=True)
+        os.makedirs(args.out, exist_ok=True)
         if args.command == "simulate":
-            return cmd_simulate(cfg, out_dir)
+            return cmd_simulate(cfg, args.out)
         if args.command == "converge":
-            eps_list = _parse_eps_list(args.eps_list) if args.eps_list else None
-            return cmd_converge(cfg, out_dir, eps_list)
+            # the entries are checked like those of the config's eps_list
+            flag = args.eps_list
+            eps_list = [tok for tok in flag.split(",") if tok.strip()] if flag else None
+            return cmd_converge(cfg, args.out, eps_list)
         if args.command == "embed":
-            return cmd_embed(cfg, out_dir)
-        return cmd_interp(cfg, out_dir)
+            return cmd_embed(cfg, args.out)
+        return cmd_interp(cfg, args.out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=_sys.stderr)
         return 2

@@ -1,8 +1,11 @@
 """End-to-end runs of the command line harness against temp directories."""
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -122,6 +125,8 @@ QUARTIC = {  # x'' = 4 x^3 from x = 1 blows up in finite time
     "q": [1.0],
     "v": [0.0],
 }
+# A study reads its step sizes from eps_list, so it is given no eps.
+QUARTIC_STUDY = {k: v for k, v in QUARTIC.items() if k != "eps"}
 
 
 @pytest.mark.parametrize(
@@ -249,7 +254,7 @@ def test_failure_message_names_the_step(tmp_path, capsys):
 
 
 def test_converge_failed_oracle_exits_3(tmp_path, capsys):
-    cfg = dict(QUARTIC, integrator="vni10", eps_list=[0.02, 0.01, 0.005, 0.0025])
+    cfg = dict(QUARTIC_STUDY, integrator="vni10", eps_list=[0.02, 0.01, 0.005, 0.0025])
     code, _ = run(tmp_path, "converge", cfg)
     assert code == 3
     assert "oracle" in capsys.readouterr().err
@@ -504,7 +509,8 @@ def test_importing_the_cli_loads_no_process_pool():
 
 def test_converge_records_a_failed_step_size_and_goes_on(tmp_path, capsys):
     # the oracle reaches T = 0.6; vni20's Newton iteration fails at the largest step only
-    cfg = dict(QUARTIC, integrator="vni20", T=0.6, eps_list=[0.2, 0.1, 0.05, 0.025, 0.0125])
+    cfg = dict(QUARTIC_STUDY, integrator="vni20", T=0.6,
+               eps_list=[0.2, 0.1, 0.05, 0.025, 0.0125])
     code, out = run(tmp_path, "converge", cfg, subdir="partial")
     assert code == 0, capsys.readouterr().err
     study = json.loads((out / "study.json").read_text())
@@ -901,6 +907,21 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+def _rename(draw, cfg: dict, command: str) -> str | None:
+    """Now and then rename a key of cfg by a one-character edit to a name that is not in
+    the command's key table; return the new name, or None where no key was renamed."""
+    if not cfg or draw(st.integers(0, 3)):
+        return None
+    key = draw(st.sampled_from(sorted(cfg)))
+    i, c = draw(st.integers(0, len(key))), draw(st.sampled_from("abcdefghijklmnopqrstuvwxyz_"))
+    new = draw(st.sampled_from([key[:i] + c + key[i:], key[:i] + c + key[i + 1:],
+                                key[:i] + key[i + 1:]]))
+    if new in cli.KEYS[command]:
+        return None
+    cfg[new] = cfg.pop(key)
+    return new
+
+
 def _mutate(draw, cfg: dict, mutations: dict) -> dict:
     """Break at most three keys of cfg: drop each, or give it a plausible or a junk value."""
     for key in draw(st.lists(st.sampled_from(sorted(mutations)), max_size=3, unique=True)):
@@ -927,21 +948,32 @@ def _simulate_configs(draw):
         cfg.pop("N", None)
         eps = cfg.get("eps")
         cfg["T"] = eps * draw(st.floats(0.0, 3.4)) if _is_number(eps) else draw(_junk)
-    return cfg
+    return cfg, _rename(draw, cfg, "simulate")
 
 
-def _exit_code(command: str, cfg: dict) -> int:
-    with tempfile.TemporaryDirectory() as work:
+def _exit_code(command: str, cfg: dict) -> tuple[int, str]:
+    """The command's exit code on cfg, and what it wrote to stderr."""
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as work, contextlib.redirect_stderr(err):
         path = os.path.join(work, "run.json")
         with open(path, "w") as fh:
             json.dump(cfg, fh)
-        return main([command, "--config", path, "--out", os.path.join(work, "out")])
+        code = main([command, "--config", path, "--out", os.path.join(work, "out")])
+    return code, err.getvalue()
+
+
+def _check_fuzzed(command: str, cfg: dict, renamed: str | None) -> None:
+    """Every config exits 0, 2 or 3; one with a renamed key exits 2 and names that key."""
+    code, err = _exit_code(command, cfg)
+    assert code in (0, 2, 3)
+    if renamed is not None:
+        assert code == 2 and err.startswith(f"config error: unknown key {renamed!r}"), err
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(_simulate_configs())
-def test_fuzzed_simulate_config_exits_0_2_or_3(cfg):
-    assert _exit_code("simulate", cfg) in (0, 2, 3)
+def test_fuzzed_simulate_config_exits_0_2_or_3(example):
+    _check_fuzzed("simulate", *example)
 
 
 # Tiny studies: an oracle of at most 100 RK4 steps, at most 50 steps per step size.
@@ -956,7 +988,7 @@ _CONVERGE_BASES = [
         ("dla", {"beta": 0.5}),
         ("dla", {"beta": 0.0, "nodes": "original", "project_initial": True}),
     )
-] + [dict(QUARTIC, integrator="vni20", T=0.01, eps_list=_TINY_EPS_LIST)]
+] + [dict(QUARTIC_STUDY, integrator="vni20", T=0.01, eps_list=_TINY_EPS_LIST)]
 _CONVERGE_MUTATIONS = {
     **{key: _MUTATIONS[key] for key in ("system", "integrator", "beta", "nodes", "q", "v",
                                         "project_initial", "output", "summary")},
@@ -973,7 +1005,7 @@ def _converge_configs(draw):
         # at most 50 steps per step size; one at or below 1e-300 stays, for the step cap to refuse
         cfg["eps_list"] = [max(e, 2e-4) if _is_number(e) and e > 1e-300 else e
                            for e in cfg["eps_list"]]
-    return cfg
+    return cfg, _rename(draw, cfg, "converge")
 
 
 @pytest.mark.parametrize(
@@ -982,13 +1014,14 @@ def _converge_configs(draw):
 )
 def test_every_fuzz_base_runs(command, cfg):
     # the fuzz breaks a few keys of a base; a base that never runs leaves its scheme unstepped
-    assert _exit_code(command, cfg) == 0
+    code, err = _exit_code(command, cfg)
+    assert code == 0, err
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(_converge_configs())
-def test_fuzzed_converge_config_exits_0_2_or_3(cfg):
-    assert _exit_code("converge", cfg) in (0, 2, 3)
+def test_fuzzed_converge_config_exits_0_2_or_3(example):
+    _check_fuzzed("converge", *example)
 
 
 _POINTS = st.lists(st.fixed_dictionaries({"q": _floats, "v": _floats}), min_size=1, max_size=2)
@@ -1015,13 +1048,13 @@ def _embed_configs(draw):
     eps, base_step = cfg.get("eps"), cfg.get("base_step")
     if _is_number(eps) and _is_number(base_step) and 0.0 < base_step < eps / 20:
         cfg["base_step"] = eps / 20  # at most 20 flow steps per step of the map
-    return cfg
+    return cfg, _rename(draw, cfg, "embed")
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(_embed_configs())
-def test_fuzzed_embed_config_exits_0_2_or_3(cfg):
-    assert _exit_code("embed", cfg) in (0, 2, 3)
+def test_fuzzed_embed_config_exits_0_2_or_3(example):
+    _check_fuzzed("embed", *example)
 
 
 _INTERP_MUTATIONS = {
@@ -1038,10 +1071,109 @@ _INTERP_MUTATIONS = {
 def _interp_configs(draw):
     cfg = _mutate(draw, dict(INTERP, samples=5), _INTERP_MUTATIONS)
     _cap(cfg, "samples", 8)
-    return cfg
+    return cfg, _rename(draw, cfg, "interp")
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(_interp_configs())
-def test_fuzzed_interp_config_exits_0_2_or_3(cfg):
-    assert _exit_code("interp", cfg) in (0, 2, 3)
+def test_fuzzed_interp_config_exits_0_2_or_3(example):
+    _check_fuzzed("interp", *example)
+
+
+# --- the key tables -----------------------------------------------------------------
+
+# A config of each command that runs
+_RUNS = {"simulate": PARTICLE_SIM, "converge": CONVERGE, "embed": EMBED, "interp": INTERP}
+
+
+@pytest.mark.parametrize("command, key", [(c, k) for c in cli.KEYS for k in cli.KEYS[c]])
+def test_every_table_key_is_parsed(tmp_path, capsys, command, key):
+    # a JSON object is no key's value, so each key's parser refuses it and names the
+    # key; the run is set to one that reads the key
+    cfg = dict(_RUNS[command], **{key: {"x": 1}})
+    readers = cli.KEYS[command][key][2]
+    if readers is not None:
+        cfg[cli.RUN_KEY[command]] = readers[0]
+    code, _ = run(tmp_path, command, cfg)
+    err = capsys.readouterr().err
+    assert code == 2 and len(err.splitlines()) == 1, err
+    assert err.startswith((f"config error: {key} ", f"config error: unknown key '{key}.")), err
+
+
+_WITHOUT_INTEGRATOR = {k: v for k, v in PARTICLE_SIM.items() if k != "integrator"}
+_WITHOUT_EPS_LIST = {k: v for k, v in CONVERGE.items() if k != "eps_list"}
+
+
+@pytest.mark.parametrize(
+    "command, cfg, key, near",
+    [
+        ("simulate", dict(_WITHOUT_INTEGRATOR, integrater="dla", beta=0.5,
+                          deformaton={"g": ["v_x*v_y"], "delta": 0.05}), "integrater", "integrator"),
+        ("simulate", dict(PARTICLE_SIM, deformaton={"g": ["v_x*v_y"], "delta": 0.05}),
+         "deformaton", "deformation"),
+        ("converge", dict(_WITHOUT_EPS_LIST, eps_lst=CONVERGE["eps_list"]), "eps_lst", "eps_list"),
+        ("embed", dict(EMBED, t_fraction=0.5, order_level=2), "t_fraction", "t_frac"),
+        ("embed", dict(EMBED, order_level=2), "order_level", "order_levels"),
+        ("interp", dict(INTERP, sampels=5), "sampels", "samples"),
+        ("interp", dict(INTERP, x0=dict(INTERP["x0"], vv=[1.0, 1.0, 1.0])), "x0.vv", "x0.v"),
+        ("interp", dict(INTERP, x1=dict(INTERP["x1"], project_initial=True)),
+         "x1.project_initial", None),
+        ("embed", dict(EMBED, points=[dict(EMBED["points"][0], w=[0.0])]), "points[0].w", None),
+        ("simulate", dict(PARTICLE_SIM, system={"builtin": "rolling_disk", "mus": []}),
+         "system.mus", "system.mu"),
+        ("simulate", dict(PARTICLE_SIM, integrator="reference",
+                          deformation={"g": ["v_x*v_y"], "delt": 0.05}),
+         "deformation.delt", "deformation.delta"),
+    ],
+)
+def test_a_misspelled_key_exits_2_and_names_the_nearest_key(tmp_path, capsys, command, cfg, key,
+                                                           near):
+    # each of these ran as if the key were absent, and exited 0
+    code, _ = run(tmp_path, command, cfg)
+    err = capsys.readouterr().err
+    assert code == 2 and len(err.splitlines()) == 1, err
+    hint = f"; did you mean {near!r}?" if near else ""
+    assert err == f"config error: unknown key {key!r}{hint}\n"
+
+
+@pytest.mark.parametrize(
+    "command, cfg, key",
+    [
+        ("embed", dict(EMBED, p=1), "p"),  # read with scheme exact only
+        ("simulate", dict(PARTICLE_SIM, nodes="original"), "nodes"),
+        ("converge", dict(CONVERGE, beta=0.5), "beta"),
+    ],
+)
+def test_a_key_the_run_does_not_read_exits_2(tmp_path, capsys, command, cfg, key):
+    code, _ = run(tmp_path, command, cfg)
+    err = capsys.readouterr().err
+    assert code == 2 and err.startswith(f"config error: {key!r} is read only with "), err
+
+
+def test_interp_project_initial_repairs_an_off_d_start(tmp_path, capsys):
+    cfg = dict(INTERP, x0={"q": [0.0, 1.0, 0.0], "v": [1.0, 1.0, 0.5]})
+    code, _ = run(tmp_path, "interp", cfg, subdir="as_given")
+    assert code == 2 and "set project_initial" in capsys.readouterr().err
+    code, out = run(tmp_path, "interp", dict(cfg, project_initial=True), subdir="repaired")
+    assert code == 0, capsys.readouterr().err
+    table = np.loadtxt(out / "interpolation.csv", delimiter=",", skiprows=1)
+    # v projected onto D at q = (0, 1, 0), where v_z = y v_x; the residual column stays 0
+    assert table[0, 4:7].tolist() == pytest.approx([0.75, 1.0, 0.75])
+    assert np.max(np.abs(table[:, -1])) <= 1e-10
+
+
+def _readme_config_blocks() -> dict[str, set[str]]:
+    """command -> the keys of README.md's config block that starts with `// nonholo <command>`."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "README.md")) as fh:
+        text = fh.read()
+    blocks = re.findall(r"```jsonc\n// nonholo (\w+)\n(.*?)```", text, re.S)
+    return {command: set(re.findall(r'^  (?://\s*)?"(\w+)":', body, re.M))
+            for command, body in blocks}
+
+
+def test_readme_config_blocks_list_exactly_the_table_keys():
+    blocks = _readme_config_blocks()
+    assert sorted(blocks) == sorted(cli.KEYS)
+    for command, keys in blocks.items():
+        assert keys == set(cli.KEYS[command]), command

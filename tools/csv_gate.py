@@ -65,8 +65,9 @@ overflows (one row), and a start whose initial row fails while it is recorded,
 because its deformed residual evaluates ``log`` outside its domain (no row);
 ``original_node`` keeps that deformed set, so its set-up evaluates the same
 ``log`` and refuses the start (``fail/record_log_mu_original_node`` exits 2).
-Two ``converge`` runs of the quartic fail: one whose oracle fails, and one
-whose oracle succeeds while ``vni20`` fails at the largest step size only.
+Two ``converge`` runs of the quartic (given no ``eps``, which a study does not
+read) fail: one whose oracle fails, and one whose oracle succeeds while
+``vni20`` fails at the largest step size only.
 ``dla`` on a constraint x v_x = 0 started at x = 1e-9 stops at its first step,
 where the regularity certificate reads a condition number of 1e18.  ``vni10``
 under a force of 1e300 reaches a velocity whose energy overflows at row 1 and
@@ -78,6 +79,12 @@ reference flow's ``project_each_step``, and ``misuse/converge_deformation``
 and ``misuse/converge_project_each_step`` give a study keys no study reads.
 ``misuse/simulate_deformed_project_initial`` projects a start onto D for a
 reference flow on a deformed set that the projected start is off: refused.
+Six more carry a key outside their command's key table, or one their run
+does not read, and exit 2 naming it: ``misuse/simulate_integrater``,
+``misuse/converge_eps_lst``, ``misuse/embed_t_fraction`` and
+``misuse/interp_sampels`` misspell a key, ``misuse/interp_x0_vv`` puts a
+stray key in a state, and ``misuse/embed_p_vni10`` gives ``p``, which only
+``exact`` reads, to ``vni10``.
 Six runs are refused while they are set up, each with one ``config error:``
 line:
 ``fail/embed_projected_point_1e8``, a particle point repaired by
@@ -125,6 +132,8 @@ QUARTIC = {
     "system": {"names": ["x"], "M": [[1.0]], "V": "-(x^4)", "mu": []},
     "q": [1.0], "v": [0.0], "eps": 0.01, "T": 10.0,
 }
+# A study reads its step sizes from eps_list, so it is given no eps.
+QUARTIC_STUDY = {k: v for k, v in QUARTIC.items() if k != "eps"}
 # x'' = -1/x from x = 1, v = -1 reaches x = 0, where log(x) is undefined.
 LOG_WELL = {
     "system": {"names": ["x"], "M": [[1.0]], "V": "log(x)", "mu": []},
@@ -326,15 +335,15 @@ def configs() -> list[tuple[str, str, dict]]:
         out += [(f"fail/{label}_{name}", "simulate", {**start, "integrator": name, **extra})
                 for name, extra in every_integrator[1:]]
     out.append(("fail/quartic_converge", "converge",
-                {**QUARTIC, "integrator": "vni10", "eps_list": [0.02, 0.01, 0.005, 0.0025]}))
+                {**QUARTIC_STUDY, "integrator": "vni10", "eps_list": [0.02, 0.01, 0.005, 0.0025]}))
     out.append(("other/quartic_converge_partial", "converge",
-                {**QUARTIC, "integrator": "vni20", "T": 0.6,
+                {**QUARTIC_STUDY, "integrator": "vni20", "T": 0.6,
                  "eps_list": [0.2, 0.1, 0.05, 0.025, 0.0125]}))
     projected = {"q": [0.3, 1.7, 0.0], "project_initial": True}
     huge = {"q": [0.0, 10.0, 0.0], "v": [1e308, 0.0, 0.0]}
     log_mu_point = {"q": [1.0, 0.0], "v": [0.0, 0.0]}
     out += [("fail/embed_projected_point_1e8", "embed",
-             {**EMBED, **projected, "q0": projected["q"],
+             {**EMBED, "project_initial": True, "q0": projected["q"],
               "points": [{"q": projected["q"], "v": [0.7e8, 1.1e8, 0.3e8]}]}),
             ("fail/embed_q0_outside_domain", "embed",
              {**EMBED, "system": LOG_MU, "q0": LOG_MU_START["q"], "points": [log_mu_point]}),
@@ -398,6 +407,15 @@ def configs() -> list[tuple[str, str, dict]]:
                                            "project_each_step": True}),
         ("simulate", "deformed_project_initial", {**DEFORMED, "v": [1.0, 1.0, 0.5],
                                                   "project_initial": True}),
+        # a misspelled key of each command, a stray key in a state, and embed's p
+        # given to a scheme that is not the flow itself
+        ("simulate", "integrater", {**PARTICLE, "integrater": "dla", "eps": 0.01, "N": 20}),
+        ("converge", "eps_lst", {**{k: v for k, v in CONVERGE.items() if k != "eps_list"},
+                                 "eps_lst": CONVERGE["eps_list"]}),
+        ("embed", "t_fraction", {**EMBED, "t_fraction": 0.5}),
+        ("interp", "sampels", {**INTERP, "sampels": 5}),
+        ("interp", "x0_vv", {**INTERP, "x0": {**INTERP["x0"], "vv": [1.0, 1.0, 1.0]}}),
+        ("embed", "p_vni10", {**EMBED, "p": 1}),
     ]
     out += [(f"misuse/{command}_{name}", command, cfg) for command, name, cfg in misuse]
     return out
