@@ -342,18 +342,30 @@ def _initial_state(run: _Run, state, deformation=None, e=0.0) -> StatePoint:
     return x
 
 
-def _steps_and_set(run: _Run, eps: float) -> tuple[int, float]:
-    """(N, e): a run's step count, its N or else T / eps, and e of the set its nodes keep
-    (`discrete._scheme_run`, whose refusal is a config error; e = 0 is D, the reference's too)."""
+def _steps_and_set(run: _Run, eps: float) -> tuple[int, float, float, float]:
+    """(N, h, end, e): a run's N steps of h from t = 0 to `end`, N and h = eps if given N,
+    else N = max(1, round(T / eps)) and h = T / N, ending at T; and e of the set its nodes
+    keep (`discrete._scheme_run` at h, whose refusal is a config error; e = 0 is D)."""
     with _set_up():
-        N = run.get("N")
-        if N is None:
+        if run.get("N") is not None:
+            N, h, end = run["N"], eps, eps * run["N"]
+        else:
             _require_steps("T / eps", run["T"] / eps)
             N = max(1, round(run["T"] / eps))
+            h, end = run["T"] / N, run["T"]
         if run["integrator"] != "reference":
-            return N, _scheme_run(run["integrator"], eps, N, run["beta"], run["nodes"])[2]
-        _require_finite("the end time eps * N", eps * N)
-    return N, 0.0
+            return N, h, end, _scheme_run(run["integrator"], h, N, run["beta"], run["nodes"])[2]
+        _require_finite("the end time eps * N", end)
+    return N, h, end, 0.0
+
+
+def _run_steps(run: _Run, x0: StatePoint, N: int, h: float, end: float):
+    """The run's integrator from x0: N steps of h to `end` (`_steps_and_set`)."""
+    if run["integrator"] == "reference":  # a study has no deformation or project_each_step
+        return integrate(run["system"], x0, end, h, run.get("deformation"),
+                         run.get("project_each_step", False))
+    return run_integrator(run["system"], run["integrator"], x0, h, N, beta=run["beta"],
+                          policy=run["nodes"])
 
 
 # --- simulate -------------------------------------------------------------------
@@ -361,18 +373,15 @@ def _steps_and_set(run: _Run, eps: float) -> tuple[int, float]:
 
 def cmd_simulate(cfg: dict, out_dir: str) -> int:
     run = _read(cfg, "simulate")
-    sys, integ, eps, dc = run["system"], run["integrator"], run["eps"], run["deformation"]
+    integ, eps, dc = run["integrator"], run["eps"], run["deformation"]
     if (run["N"] is None) == (run["T"] is None):
         raise ConfigError("give exactly one of 'N' (step count) or 'T' (end time)")
-    N, e = _steps_and_set(run, eps)
+    N, h, end, e = _steps_and_set(run, eps)
     x0 = _initial_state(run, (run["q"], run["v"]), dc, e)
     csv_path, summary_path = (os.path.join(out_dir, run[key]) for key in ("output", "summary"))
     started = time.perf_counter()
     try:
-        if integ == "reference":
-            traj = integrate(sys, x0, eps * N, eps, dc, run["project_each_step"])
-        else:
-            traj = run_integrator(sys, integ, x0, eps, N, beta=run["beta"], policy=run["nodes"])
+        traj = _run_steps(run, x0, N, h, end)
     except RUNTIME_ERRORS as exc:
         # a failure inside the run loop carries its rows and where it stopped
         where = ""
@@ -419,26 +428,22 @@ def convergence_study(cfg: dict, eps_list: list[float]) -> StudyResult:
     """
     run = cfg if isinstance(cfg, _Run) else _read(cfg, "converge")
     eps_list = _eps_list(eps_list, "eps_list")
-    sys, integ, T = run["system"], run["integrator"], run["T"]
+    sys, T = run["system"], run["T"]
     x0 = _initial_state(run, (run["q"], run["v"]))
     with _set_up():
         _require_steps("the reference oracle's T / REFERENCE_STEP", T / REFERENCE_STEP)
-    runs = []  # (eps, steps, start): a start on D is the oracle's own
+    runs = []  # (eps, start, N, h, end): a start on D is the oracle's own
     for eps in sorted(eps_list, reverse=True):
-        steps, e = _steps_and_set(run, eps)
-        runs.append((eps, steps, _initial_state(run, (run["q"], run["v"]), e=e) if e else x0))
+        N, h, end, e = _steps_and_set(run, eps)
+        runs.append((eps, _initial_state(run, (run["q"], run["v"]), e=e) if e else x0, N, h, end))
 
     oracle_concat = reference_flow(sys, x0, T).concat()
     oracle_lam = lambda_continuous(sys, oracle_concat, check=False)
 
     eps_ok, state, lam, failures = [], [], [], []
-    for eps, steps, start in runs:
+    for eps, *marched in runs:
         try:
-            if integ == "reference":
-                traj = integrate(sys, start, T, eps)
-            else:
-                traj = run_integrator(sys, integ, start, eps, steps, beta=run["beta"],
-                                      policy=run["nodes"])
+            traj = _run_steps(run, *marched)
         except RUNTIME_ERRORS as exc:
             failures.append({"eps": eps, "error": f"{type(exc).__name__}: {exc}"})
             continue

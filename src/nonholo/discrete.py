@@ -49,8 +49,7 @@ from typing import Callable
 
 import numpy as np
 
-from .exprdiff import EvalError
-from .flow import _QUIET, NewtonError, Trajectory, _march
+from .flow import _QUIET, RUNTIME_ERRORS, BlowUpError, NewtonError, Trajectory, _blew_up, _march
 from .reduction import _lambda_raw
 from .system import (
     COND_LIMIT,
@@ -151,7 +150,7 @@ def _lockstep(linearize, u: np.ndarray, rows) -> tuple[np.ndarray, np.ndarray]:
                 z, r, live = z[going], r[going], live[going]
                 data = [a[going] for a in data]
             z = _newton_update(z, r, J)
-    except (NewtonError, SystemError, EvalError):
+    except RUNTIME_ERRORS:
         pass
     # a row failed or did not converge: solving each alone raises the first failing row's error
     solved = [newton_solve(linearize, start[b], *(a[b] for a in rows)) for b in range(len(start))]
@@ -233,10 +232,10 @@ class StepResult:
 
 
 def _node(q: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """The row (q, v) of a new node, or a stack of them; a node that overflowed stops the run."""
+    """The row (q, v) of a new node, or a stack of them; a node that blew up stops the run."""
     x = np.concatenate([q, v], axis=-1)
-    if not np.all(np.isfinite(x)):
-        raise SystemError("state entries must be finite")
+    if _blew_up(x).any():
+        raise BlowUpError("state blew up")
     return x
 
 
@@ -453,23 +452,23 @@ def run_integrator(
         res = deformed_node_residual(sys, x0.concat(), e)
     _require_admissible(res, f"initial node is off the set that {scheme}'s nodes keep")
     dsys = None if rho is None else DiscreteNonholonomicSystem(sys, rho)
-    raw = None if rho is None else np.empty((int(steps) + 2, sys.n))  # dla's pairs
+    pair = []  # dla's configurations (q_{k-1}, q_k)
 
     def row(k, states):
         if k == 0:  # the pair before the start may overflow: build it under the loop's checks
-            if raw is not None and policy is NodePolicy.REDEFINED:
-                raw[0], raw[1] = rho.inverse(x0.q, x0.v)
-            elif raw is not None:
-                raw[0], raw[1] = x0.q - eps * x0.v, x0.q
+            if rho is not None and policy is NodePolicy.REDEFINED:
+                pair[:] = rho.inverse(x0.q, x0.v)
+            elif rho is not None:
+                pair[:] = x0.q - eps * x0.v, x0.q
             x = x0.concat()
             return x, _lambda_raw(sys, x), 0
-        if raw is None:
+        if rho is None:
             out = step_fn(sys, states[k - 1], eps)
             return out.state, out.lam, out.iters
-        out = step_fn(dsys, raw[k - 1], raw[k])
-        raw[k + 1] = out.state[: sys.n]
+        out = step_fn(dsys, *pair)
+        pair[:] = pair[1], out.state[: sys.n]
         if policy is NodePolicy.REDEFINED:
-            return _node(*rho.forward(raw[k], raw[k + 1])), out.lam, out.iters
+            return _node(*rho.forward(*pair)), out.lam, out.iters
         return out.state, out.lam, out.iters
 
-    return _march(sys, int(steps), eps, row, discrete=True, raw=raw)
+    return _march(sys, int(steps), eps, row, discrete=True)

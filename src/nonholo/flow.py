@@ -53,7 +53,6 @@ __all__ = [
     "REFERENCE_STEP",
 ]
 
-BLOWUP_NORM = 1e8
 REFERENCE_STEP = 1e-4
 # numpy's overflow and invalid-value warnings, off where every result is checked after
 _QUIET = {"over": "ignore", "invalid": "ignore"}
@@ -94,9 +93,9 @@ def _csv_lines(header: list[str], rows):
 class Trajectory:
     """One run, sampled or discrete: row k holds the state after k steps.
 
-    The reference flow leaves the last three fields None.  A discrete scheme
+    The reference flow leaves the last two fields None.  A discrete scheme
     fills `newton_iters` (0 at the initial node) and `deformed_residuals`,
-    mu(q - eps/2 v) v; the two-point scheme also keeps its raw configurations.
+    mu(q - eps/2 v) v.
     """
 
     times: np.ndarray
@@ -107,7 +106,6 @@ class Trajectory:
     n: int
     newton_iters: np.ndarray | None = None  # (K+1,)
     deformed_residuals: np.ndarray | None = None  # (K+1, m)
-    raw_configurations: np.ndarray | None = None  # (K+2, n)
 
     def state(self, k: int) -> StatePoint:
         return StatePoint(self.states[k, : self.n], self.states[k, self.n :])
@@ -142,7 +140,7 @@ class Trajectory:
 
 
 class BlowUpError(RuntimeError):
-    """Solution norm passed the blow-up threshold."""
+    """A step's output is not finite (`_blew_up`)."""
 
 
 class NewtonError(RuntimeError):
@@ -153,6 +151,14 @@ class NewtonError(RuntimeError):
 RUNTIME_ERRORS = (BlowUpError, NewtonError, SystemError, EvalError)
 
 
+def _blew_up(x: np.ndarray) -> np.ndarray:
+    """The one blow-up test: the rows of a step's output x (..., d) whose squared norm is
+    not finite (NaN fails `<` too), as a non-finite entry makes it.  It sets no bound below
+    overflow (|x| past 1e154, where a state's energy overflows too), so a run's scale does
+    not matter.  Its callers step with numpy's overflow warnings off (`_QUIET`)."""
+    return ~(np.vecdot(x, x) < np.inf)
+
+
 def _march(
     sys: MechanicalSystem,
     steps: int,
@@ -160,13 +166,11 @@ def _march(
     row: Callable[[int, np.ndarray], tuple[np.ndarray, np.ndarray, int]],
     dc: DeformedConstraint | None = None,
     discrete: bool = False,
-    raw: np.ndarray | None = None,
 ) -> Trajectory:
     """The one run loop of `integrate` and `run_integrator`: rows 0..steps at t_k = k h.
 
     row(k, states) returns row k's state x, multiplier and Newton iterations
-    (kept for a `discrete` scheme) given the states before k; the two-point
-    scheme's also fills `raw`, its raw configurations.  The march gives the
+    (kept for a `discrete` scheme) given the states before k.  The march gives the
     recorded rows their residuals (dc's where given), a scheme's deformed
     residuals at eps = h and energies in blocks that double in size, rows
     0, 1, 2-3, 4-7, ..., and the rows left after the march: a stacked call
@@ -225,7 +229,6 @@ def _march(
         h * np.arange(done) + 0.0,  # + 0.0: a backward run starts at t = 0, not -0
         states[:done], lambdas[:done], res, energies, sys.n,
         newton_iters=iters[:done] if discrete else None, deformed_residuals=node,
-        raw_configurations=None if raw is None else raw[: done + 1],
     )
     if failure is not None:
         failure.partial, failure.step, failure.t = traj, done, h * done + 0.0
@@ -266,8 +269,8 @@ def integrate(
             x = x0.concat()
         else:
             x = rk4_step(field, states[k - 1], h, k1)
-            if not math.sqrt(x @ x) <= BLOWUP_NORM:  # NaN and infinity fail it too
-                raise BlowUpError(f"solution blew up at t = {k * h:.6g}")
+            if _blew_up(x):  # the march names the step and t
+                raise BlowUpError("solution blew up")
             if project_each_step:
                 x[sys.n :] = project_velocity(sys, x[: sys.n], x[sys.n :])
         k1, lam = _field(sys, deformation, x)
@@ -300,8 +303,9 @@ def flow_field(
     Row b takes K_b = max(1, ceil(|t_b| / base_step)) steps of t_b / K_b, none
     where t_b = 0.  The rows step in lockstep, each dropping out after its own
     K_b steps, so row b is the call on row b alone at t_b, bit for bit.  The
-    first step at which a row fails the blow-up test stops the whole stack,
-    naming that row's step and time.
+    first step at which a row blows up stops the whole stack, naming that
+    row's step and time; numpy's overflow warnings are off in the loop, as
+    in `_march`, because a row may overflow before it turns non-finite.
     """
     times = np.asarray(t, dtype=float)
     finite = np.isfinite(times)
@@ -317,15 +321,14 @@ def flow_field(
     order = np.argsort(-K, kind="stable")
     zs, K = z.reshape(-1, z.shape[-1])[order], K[order]
     h = (ts[order] / np.maximum(K, 1.0))[:, None]  # t_b / K_b, and 0 where t_b = 0
-    for k in range(1, int(K[0]) + 1 if K.size else 1):
-        n = np.count_nonzero(K >= k)
-        zk = rk4_step(f, zs[:n], h[:n], f(zs[:n]))
-        bad = ~np.isfinite(zk).all(axis=-1)
-        if not bad.any():
-            bad = np.linalg.norm(zk, axis=-1) > BLOWUP_NORM
-        if bad.any():
-            first = np.flatnonzero(bad)[np.argmin(order[:n][bad])]
-            raise BlowUpError(f"flow blew up at step {k}, t = {k * h[first, 0]:.6g}")
-        zs[:n] = zk
+    with np.errstate(**_QUIET):
+        for k in range(1, int(K[0]) + 1 if K.size else 1):
+            n = np.count_nonzero(K >= k)
+            zk = rk4_step(f, zs[:n], h[:n], f(zs[:n]))
+            bad = _blew_up(zk)
+            if bad.any():
+                first = np.flatnonzero(bad)[np.argmin(order[:n][bad])]
+                raise BlowUpError(f"flow blew up at step {k}, t = {k * h[first, 0]:.6g}")
+            zs[:n] = zk
     z.reshape(-1, z.shape[-1])[order] = zs
     return z

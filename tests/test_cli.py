@@ -118,6 +118,25 @@ def test_simulate_blow_up_keeps_partial_csv(tmp_path, capsys):
     assert len(lines) > 10  # ran for a while before diverging
 
 
+def test_simulate_given_t_ends_at_t(tmp_path):
+    # T = 0.25 is no whole number of eps = 0.02: 12 steps of T / 12 end at T
+    cfg = {k: v for k, v in PARTICLE_SIM.items() if k != "N"}
+    code, out = run(tmp_path, "simulate", dict(cfg, eps=0.02, T=0.25), subdir="t_end")
+    assert code == 0
+    lines = (out / "trajectory.csv").read_text().splitlines()
+    assert len(lines) == 1 + 13 and float(lines[-1].split(",")[0]) == 0.25
+
+
+def test_a_multiplier_that_overflows_stops_the_run_at_its_row(tmp_path, capsys):
+    # v = 1e200 keeps D, but the reaction multiplier y v_x^2 overflows at the start
+    cfg = dict(PARTICLE_SIM, integrator="reference", v=[1e200, 1e200, 1e200])
+    code, out = run(tmp_path, "simulate", cfg, subdir="lambda_inf")
+    assert code == 3
+    assert capsys.readouterr().err == (
+        "error: step 0, t = 0: multiplier is not finite (array([inf]))\n")
+    assert len((out / "trajectory.csv").read_text().splitlines()) == 1  # the header alone
+
+
 QUARTIC = {  # x'' = 4 x^3 from x = 1 blows up in finite time
     "system": {"names": ["x"], "M": [[1.0]], "V": "-(x^4)", "mu": []},
     "eps": 0.01,
@@ -205,6 +224,17 @@ def test_overflowing_discrete_start_check_prints_only_its_error_line(tmp_path, c
     err = capfd.readouterr().err
     assert err == ("error: step 1, t = 1e+160: discrete step not well posed "
                    "(regularity condition number inf)\n")
+
+
+@pytest.mark.parametrize("scheme, message", [("vni10", "state blew up"),
+                                             ("vni20", "Newton iterate is not finite")])
+def test_embed_from_an_overflowing_point_prints_only_its_error_line(tmp_path, capfd, scheme,
+                                                                    message):
+    # v = 1e160 keeps D, but the map's step overflows: the step checks what it
+    # makes, so stderr holds the one typed error and no numpy warning
+    cfg = dict(EMBED, scheme=scheme, points=[{"q": [0.0, 1.0, 0.0], "v": [1e160] * 3}])
+    assert _fresh_simulate(tmp_path, cfg, command="embed") == 3
+    assert capfd.readouterr().err == f"error: {message}\n"
 
 
 def _fresh_simulate(tmp_path, cfg, command="simulate") -> int:

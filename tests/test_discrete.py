@@ -491,16 +491,13 @@ def test_run_integrator_records():
     assert np.all(traj.newton_iters[1:] >= 1)
     assert traj.newton_iters[0] == 0
     assert traj.times[-1] == pytest.approx(0.5)
-    assert traj.raw_configurations is None
 
+    # dla's redefined nodes chain through its configuration pairs: q_k read
+    # from node k is q_k read from node k + 1
     dla = run_integrator(sys, "dla", X0, 0.1, 5, beta=0.5)
-    assert dla.raw_configurations is not None
-    assert dla.raw_configurations.shape == (7, 3)
-    # consecutive raw configurations reproduce the reported nodes
     rho = FiniteDifferenceMap(beta=0.5, eps=0.1)
-    q2, v2 = rho.forward(dla.raw_configurations[1], dla.raw_configurations[2])
-    assert np.max(np.abs(dla.states[1, :3] - q2)) < 1e-14
-    assert np.max(np.abs(dla.states[1, 3:] - v2)) < 1e-14
+    pairs = [rho.inverse(x[:3], x[3:]) for x in dla.states]
+    assert all(np.max(np.abs(a[1] - b[0])) < 1e-14 for a, b in zip(pairs, pairs[1:]))
 
 
 def test_discrete_csv(tmp_path):

@@ -124,6 +124,21 @@ def test_blow_up_carries_partial_trajectory():
     assert np.all(np.isfinite(partial.states))
 
 
+def test_a_fast_start_runs_at_its_own_scale():
+    # v x 1e8 over 100 steps of 1e-12 is the standard path at 1e8 times the
+    # speed: no state entry comes near overflow, so no step blows up
+    x0 = StatePoint(PARTICLE_X0.q, PARTICLE_X0.v * 1e8)
+    traj = integrate(nonholonomic_particle(), x0, 1e-10, 1e-12)
+    assert len(traj) == 101 and np.isfinite(traj.states).all()
+
+
+def test_flow_field_passes_1e8_without_blowing_up():
+    # z' = z from 1e8 to t = 1: e * 1e8 is large and finite
+    out = flow_field(lambda z: z, np.array([[1e8], [1.0]]), 1.0, base_step=1e-2)
+    assert out[0, 0] > 1e8 and np.isfinite(out).all()
+    assert out[0, 0] == pytest.approx(np.e * 1e8)
+
+
 @pytest.mark.parametrize("energy_fails", [True, False])
 def test_first_failing_row_wins_between_a_step_and_a_diagnostic(energy_fails):
     # the step fails at row 6; the energy, filled in blocks as the march goes,

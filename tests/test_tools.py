@@ -1,5 +1,5 @@
-"""The benchmark comparison tool (its summary on fixed numbers and its run order) and the
-CSV gate's count of stray stderr lines."""
+"""The benchmark comparison tool (its summary on fixed numbers and its run order), the
+CSV gate's count of stray stderr lines, and the orders its studies measure."""
 from __future__ import annotations
 
 import importlib.util
@@ -7,6 +7,8 @@ import json
 import os
 
 import pytest
+
+from nonholo.cli import convergence_study
 
 _TOOLS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "tools")
 
@@ -120,3 +122,13 @@ def test_csv_gate_counts_the_stderr_lines_besides_the_one_error_line():
               "config error: initial velocity is not admissible (residual inf)\n")
     assert csv_gate.stray_lines(warned) == 2
     assert csv_gate.stray_lines("Traceback (most recent call last):\n  File\nValueError: x\n") == 3
+
+
+@pytest.mark.parametrize("name, order", [("other/converge", 1), ("other/converge_dla", 2),
+                                         ("other/converge_dla_original", 1)])
+def test_the_gate_studies_measure_each_schemes_order(name, order):
+    # T = 0.25 is no whole number of the largest step 0.02: each run takes
+    # round(T / eps) steps of T / N and ends at T, where the oracle ends
+    cfg = {n: c for n, _, c in csv_gate.configs()}[name]
+    study = convergence_study(cfg, cfg["eps_list"])
+    assert abs(study.state_slope - order) <= 0.15, study

@@ -32,7 +32,10 @@ at the start) and with ``project_each_step``;
 five runs of ``converge`` (``vni10``; ``original_node``, whose
 ``project_initial`` repairs the start at each step size; ``reference``;
 ``dla`` at beta 0.5; and ``other/converge_dla_original``, ``dla`` at beta 0.3
-on original nodes, repaired at each step size like ``original_node``); two
+on original nodes, repaired at each step size like ``original_node``), where
+T = 0.25 is no whole number of the largest step 0.02, so each run takes
+round(T / eps) steps of T / N and ends at T, as ``other/simulate_t_not_whole``
+does (``vni10`` given T = 0.25 and eps = 0.02: 12 steps, the last at t = 0.25); two
 of ``interp``, the second on a curve that meets a singular fiber block at
 its midpoint and stops there;
 five of ``embed``: ``vni10`` at
@@ -72,7 +75,10 @@ read) fail: one whose oracle fails, and one whose oracle succeeds while
 where the regularity certificate reads a condition number of 1e18.  ``vni10``
 under a force of 1e300 reaches a velocity whose energy overflows at row 1 and
 fails its step at row 2: the blocks that fill the diagnostic columns as the
-march goes must still report row 1's energy, with one row.  ``vni20`` given the
+march goes must still report row 1's energy, with one row.
+``fail/multiplier_overflow`` starts the reference flow on the particle at
+v = 1e200, which keeps D but whose multiplier overflows: it stops at row 0,
+with the header alone.  ``vni20`` given the
 two-point scheme's ``nodes`` key, and the keys that nothing reads, are config
 errors: ``misuse/simulate_project_each_step_vni20`` gives ``vni20`` the
 reference flow's ``project_each_step``, and ``misuse/converge_deformation``
@@ -294,7 +300,9 @@ def configs() -> list[tuple[str, str, dict]]:
             ("other/deformed_reference", "simulate", DEFORMED),
             ("other/disk_deformed_reference", "simulate", DISK_DEFORMED),
             ("other/deformed_rank_loss", "simulate", DEFORMED_RANK_LOSS),
-            ("other/nodes_on_vni20", "simulate", {**SIM, "integrator": "vni20", "nodes": "original"})]
+            ("other/nodes_on_vni20", "simulate", {**SIM, "integrator": "vni20", "nodes": "original"}),
+            ("other/simulate_t_not_whole", "simulate",
+             {**{k: v for k, v in SIM.items() if k != "N"}, "eps": 0.02, "T": 0.25})]
     out += [(f"other/{system}_project_each_step", "simulate",
              {**start, "integrator": "reference", "project_each_step": True, "eps": 0.01, "N": 200})
             for system, start in (("particle", PARTICLE), ("disk_off_d", DISK_OFF_D))]
@@ -330,6 +338,8 @@ def configs() -> list[tuple[str, str, dict]]:
     out.append(("fail/log_well_reference", "simulate", LOG_WELL))
     out.append(("fail/dla_regularity_degenerate", "simulate", DLA_DEGENERATE))
     out.append(("fail/energy_overflow_mid_run", "simulate", ENERGY_OVERFLOW_MID_RUN))
+    out.append(("fail/multiplier_overflow", "simulate",
+                {**SIM, "integrator": "reference", "v": [1e200, 1e200, 1e200]}))
     for label, start in (("overflow", OVERFLOW), ("overflow_finite_energy", OVERFLOW_FINITE_ENERGY),
                          ("record_log_mu", RECORD_LOG_MU)):
         out += [(f"fail/{label}_{name}", "simulate", {**start, "integrator": name, **extra})
