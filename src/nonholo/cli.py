@@ -35,13 +35,15 @@ from .discrete import (
     run_integrator,
 )
 from .embed import (
+    BASE_STEP,
     exact_step_map,
     interpolate_in_D,
     reduced_problem,
     reduced_step_map,
     verify_embedding,
 )
-from .flow import _QUIET, REFERENCE_STEP, RUNTIME_ERRORS, integrate, reference_flow, write_csv
+from .flow import (_QUIET, REFERENCE_STEP, RUNTIME_ERRORS, _flow_steps, integrate,
+                   reference_flow, write_csv)
 from .reduction import DeformedConstraint, deformed_residual, lambda_continuous, reduce_state
 from .system import (
     BUILTIN_FIELDS,
@@ -49,7 +51,7 @@ from .system import (
     StatePoint,
     SystemError,
     _require_admissible,
-    _require_finite,
+    _require_run,
     _require_steps,
     constraint_residual,
     deformed_node_residual,
@@ -265,7 +267,7 @@ KEYS = {
         "q0": (_vector, REQUIRED, None),
         "points": (_list(_state, 1, "{q, v} states"), REQUIRED, None),
         "project_initial": _START["project_initial"],
-        "base_step": (_positive, 2e-3, None),
+        "base_step": (_positive, BASE_STEP, None),
         "t_frac": (_number, 0.37, None),
         "order_levels": (_count(2), 5, None),
         "p": (_count(1), 1, ("exact",)),
@@ -342,27 +344,27 @@ def _initial_state(run: _Run, state, deformation=None, e=0.0) -> StatePoint:
     return x
 
 
-def _steps_and_set(run: _Run, eps: float) -> tuple[int, float, float, float]:
-    """(N, h, end, e): a run's N steps of h from t = 0 to `end`, N and h = eps if given N,
-    else N = max(1, round(T / eps)) and h = T / N, ending at T; and e of the set its nodes
-    keep (`discrete._scheme_run` at h, whose refusal is a config error; e = 0 is D)."""
+def _steps_and_set(run: _Run, eps: float) -> tuple[int, float, float]:
+    """(N, h, e): a run's N steps of h, N and h = eps if given N, else N = max(1, round(T / eps))
+    and h = T / N, ending at T; and e of the set its nodes keep (`discrete._scheme_run` at h;
+    e = 0 is D).  A run that the library would refuse is a config error here."""
     with _set_up():
         if run.get("N") is not None:
-            N, h, end = run["N"], eps, eps * run["N"]
+            N, h = run["N"], eps
         else:
             _require_steps("T / eps", run["T"] / eps)
             N = max(1, round(run["T"] / eps))
-            h, end = run["T"] / N, run["T"]
+            h = run["T"] / N
         if run["integrator"] != "reference":
-            return N, h, end, _scheme_run(run["integrator"], h, N, run["beta"], run["nodes"])[2]
-        _require_finite("the end time eps * N", end)
-    return N, h, end, 0.0
+            return N, h, _scheme_run(run["integrator"], h, N, run["beta"], run["nodes"])[2]
+        _require_run(h, N)
+    return N, h, 0.0
 
 
-def _run_steps(run: _Run, x0: StatePoint, N: int, h: float, end: float):
-    """The run's integrator from x0: N steps of h to `end` (`_steps_and_set`)."""
+def _run_steps(run: _Run, x0: StatePoint, N: int, h: float):
+    """The run's integrator from x0: N steps of h (`_steps_and_set`)."""
     if run["integrator"] == "reference":  # a study has no deformation or project_each_step
-        return integrate(run["system"], x0, end, h, run.get("deformation"),
+        return integrate(run["system"], x0, h, N, run.get("deformation"),
                          run.get("project_each_step", False))
     return run_integrator(run["system"], run["integrator"], x0, h, N, beta=run["beta"],
                           policy=run["nodes"])
@@ -376,12 +378,12 @@ def cmd_simulate(cfg: dict, out_dir: str) -> int:
     integ, eps, dc = run["integrator"], run["eps"], run["deformation"]
     if (run["N"] is None) == (run["T"] is None):
         raise ConfigError("give exactly one of 'N' (step count) or 'T' (end time)")
-    N, h, end, e = _steps_and_set(run, eps)
+    N, h, e = _steps_and_set(run, eps)
     x0 = _initial_state(run, (run["q"], run["v"]), dc, e)
     csv_path, summary_path = (os.path.join(out_dir, run[key]) for key in ("output", "summary"))
     started = time.perf_counter()
     try:
-        traj = _run_steps(run, x0, N, h, end)
+        traj = _run_steps(run, x0, N, h)
     except RUNTIME_ERRORS as exc:
         # a failure inside the run loop carries its rows and where it stopped
         where = ""
@@ -393,7 +395,7 @@ def cmd_simulate(cfg: dict, out_dir: str) -> int:
 
     traj.to_csv(csv_path)
     summary = {
-        "rows": len(traj), "eps": eps, "steps": N, "integrator": integ,
+        "rows": len(traj), "eps": h, "steps": N, "integrator": integ,
         "energy_min": float(np.min(traj.energies)), "energy_max": float(np.max(traj.energies)),
         "energy_drift": float(np.max(np.abs(traj.energies - traj.energies[0]))),
         "max_abs_residual": float(np.max(np.abs(traj.residuals), initial=0.0)),
@@ -430,12 +432,12 @@ def convergence_study(cfg: dict, eps_list: list[float]) -> StudyResult:
     eps_list = _eps_list(eps_list, "eps_list")
     sys, T = run["system"], run["T"]
     x0 = _initial_state(run, (run["q"], run["v"]))
-    with _set_up():
-        _require_steps("the reference oracle's T / REFERENCE_STEP", T / REFERENCE_STEP)
-    runs = []  # (eps, start, N, h, end): a start on D is the oracle's own
+    with _set_up("the reference oracle: "):
+        _flow_steps(T, REFERENCE_STEP)
+    runs = []  # (eps, start, N, h): a start on D is the oracle's own
     for eps in sorted(eps_list, reverse=True):
-        N, h, end, e = _steps_and_set(run, eps)
-        runs.append((eps, _initial_state(run, (run["q"], run["v"]), e=e) if e else x0, N, h, end))
+        N, h, e = _steps_and_set(run, eps)
+        runs.append((eps, _initial_state(run, (run["q"], run["v"]), e=e) if e else x0, N, h))
 
     oracle_concat = reference_flow(sys, x0, T).concat()
     oracle_lam = lambda_continuous(sys, oracle_concat, check=False)
@@ -495,7 +497,7 @@ def cmd_embed(cfg: dict, out_dir: str) -> int:
     with _set_up():
         phi = (exact_step_map(problem, p=run["p"]) if scheme == "exact"
                else reduced_step_map(sys, split, scheme))
-        _require_steps("eps / base_step", eps / base_step)
+        _flow_steps(eps, base_step)
     # _initial_state applies reduce_state's own rule to each point: it lies on D
     points = [reduce_state(sys, split, _initial_state(run, x).concat(), check=False)
               for x in run["points"]]

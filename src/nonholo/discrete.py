@@ -60,7 +60,7 @@ from .system import (
     _gram_solve,
     _require_admissible,
     _require_finite,
-    _require_steps,
+    _require_run,
     deformed_node_residual,
 )
 
@@ -416,9 +416,7 @@ def _scheme_run(scheme: str, eps: float, steps, beta=None, policy=NodePolicy.RED
     """
     if scheme not in SCHEMES:
         raise SystemError(f"unknown scheme {scheme!r}; pick one of {tuple(SCHEMES)}")
-    _require_finite("eps", eps, positive=True)
-    _require_steps("steps", steps, whole=True)
-    _require_finite("the end time eps * steps", eps * steps)
+    _require_run(eps, steps)
     step_fn = SCHEMES[scheme][0]
     if scheme == "dla":
         if beta is None:

@@ -67,6 +67,8 @@ _SATURATED = 350.0
 FD_STEP = 1e-6
 # below this worst gap the map and the flow are indistinguishable, and no order is measured
 ORDER_FLOOR = 1e-10
+# the reduced problem's largest flow step, unless its caller gives one
+BASE_STEP = 2e-3
 
 
 def chi0(tau: float) -> float:
@@ -147,7 +149,7 @@ class EmbeddingProblem:
 
 
 def reduced_problem(
-    sys: MechanicalSystem, split: ConnectionSplit, base_step: float = 2e-3
+    sys: MechanicalSystem, split: ConnectionSplit, base_step: float = BASE_STEP
 ) -> EmbeddingProblem:
     """The reduced constrained dynamics as an embedding problem on R^{2n-m}."""
 

@@ -1,11 +1,13 @@
 """Fixed-step time integration of the continuous dynamics.
 
 Everything here is classic RK4 on a first-order field over the state row
-x = (q, v).  `integrate` drives a mechanical system and records multiplier,
+x = (q, v).  `integrate` drives a mechanical system for the steps its caller
+chose, as `discrete.run_integrator` drives a scheme, and records multiplier,
 residual and energy alongside the states; `flow_field` is the bare-bones
-variant for an arbitrary autonomous field on R^d.  Reference solutions use a
-step short enough that their own error sits far below anything the package
-measures against them.
+variant for an arbitrary autonomous field on R^d.  A flow to a time t, as
+`reference_flow` and `flow_field` take it, steps by the one rule
+`_flow_steps`.  Reference solutions use a step short enough that their own
+error sits far below anything the package measures against them.
 
 `Trajectory` is the record of every run, the discrete schemes' included,
 `_march` the one loop that fills it and salvages a failed run, and
@@ -33,6 +35,7 @@ from .system import (
     StatePoint,
     SystemError,
     _require_finite,
+    _require_run,
     _require_steps,
     constraint_residual,
     deformed_node_residual,
@@ -239,28 +242,23 @@ def _march(
 def integrate(
     sys: MechanicalSystem,
     x0: StatePoint,
-    T: float,
-    eps_ref: float,
+    eps: float,
+    steps: int,
     deformation: DeformedConstraint | None = None,
     project_each_step: bool = False,
 ) -> Trajectory:
-    """March the constrained dynamics from x0 to time T with RK4 steps ~eps_ref.
+    """March the constrained dynamics from x0: `steps` RK4 steps of eps, rows at t_k = k eps.
 
-    The step count is K = max(1, round(T / eps_ref)) so the requested final
-    time is hit exactly.  With a `deformation`, the field, the recorded
-    multiplier and the recorded residual are all those of the deformed
-    constraint set mu(q) v + delta g(q, v) = 0.
+    eps may be negative, as in `reference_flow`'s backward flow.  With a
+    `deformation`, the field, the recorded multiplier and the recorded
+    residual are all those of the deformed constraint set
+    mu(q) v + delta g(q, v) = 0.
     """
-    _require_finite("T", T)
-    _require_finite("eps_ref", eps_ref, nonzero=True)  # reference_flow(t < 0) steps backwards
+    _require_run(abs(eps), steps)  # a backward run is checked as the forward run of |eps|
     if deformation is None:
         field = functools.partial(h_field, sys)
     else:
         field = functools.partial(deformed_field, sys, deformation)
-
-    _require_steps("T / eps_ref", T / eps_ref)
-    K = max(1, abs(round(T / eps_ref))) if T else 0
-    h = T / K if K else 0.0
     k1 = None  # the field at the last recorded row: the next step's first stage
 
     def row(k, states):
@@ -268,7 +266,7 @@ def integrate(
         if k == 0:
             x = x0.concat()
         else:
-            x = rk4_step(field, states[k - 1], h, k1)
+            x = rk4_step(field, states[k - 1], eps, k1)
             if _blew_up(x):  # the march names the step and t
                 raise BlowUpError("solution blew up")
             if project_each_step:
@@ -276,18 +274,25 @@ def integrate(
         k1, lam = _field(sys, deformation, x)
         return x, lam, 0
 
-    return _march(sys, K, h, row, deformation)
+    return _march(sys, int(steps), eps, row, deformation)
+
+
+def _flow_steps(t, step: float) -> np.ndarray:
+    """The one flow rule: a flow to time t takes K = max(1, ceil(|t| / step)) steps of t / K,
+    none at t = 0.  t is one time or an array of times (K then a float each); it refuses a
+    time that is not finite, a step that is not positive and finite, and K above MAX_STEPS."""
+    times = np.asarray(t, dtype=float)
+    far = float(times.flat[np.argmax(np.abs(times))]) if times.size else 0.0  # NaN wins
+    _require_finite("t", far)
+    _require_finite("the flow step", step, positive=True)
+    _require_steps(f"a flow to t = {far!r} in steps of {step!r}", far / step)
+    return np.where(times == 0.0, 0.0, np.maximum(1.0, np.ceil(np.abs(times) / step)))
 
 
 def reference_flow(sys: MechanicalSystem, x0: StatePoint, t: float) -> StatePoint:
     """Endpoint of the flow after time t (either sign), at reference accuracy."""
-    _require_finite("t", t)
-    if t == 0.0:
-        return x0
-    _require_steps("t / REFERENCE_STEP", t / REFERENCE_STEP)
-    K = max(1, math.ceil(abs(t) / REFERENCE_STEP))
-    traj = integrate(sys, x0, t, t / K)
-    return traj.state(len(traj) - 1)
+    K = int(_flow_steps(t, REFERENCE_STEP))
+    return integrate(sys, x0, t / K, K).state(K) if K else x0
 
 
 def flow_field(
@@ -300,23 +305,17 @@ def flow_field(
 
     z0 may be one state (d,) or a stack (..., d) that f maps row by row, and
     t one time or an array of times that broadcasts over z0's leading shape.
-    Row b takes K_b = max(1, ceil(|t_b| / base_step)) steps of t_b / K_b, none
-    where t_b = 0.  The rows step in lockstep, each dropping out after its own
+    Row b takes the K_b steps of t_b / K_b that `_flow_steps` gives at
+    base_step.  The rows step in lockstep, each dropping out after its own
     K_b steps, so row b is the call on row b alone at t_b, bit for bit.  The
     first step at which a row blows up stops the whole stack, naming that
     row's step and time; numpy's overflow warnings are off in the loop, as
     in `_march`, because a row may overflow before it turns non-finite.
     """
     times = np.asarray(t, dtype=float)
-    finite = np.isfinite(times)
-    if not finite.all():
-        _require_finite("t", float(times.flat[np.argmin(finite)]))
-    _require_finite("base_step", base_step, positive=True)
+    K = _flow_steps(times, base_step)
     z = np.array(z0, dtype=float, order="C")
-    ts = np.broadcast_to(times, z.shape[:-1]).reshape(-1)
-    if ts.size:
-        _require_steps("t / base_step", float(ts[np.argmax(np.abs(ts))]) / base_step)
-    K = np.where(ts == 0.0, 0.0, np.maximum(1.0, np.ceil(np.abs(ts) / base_step)))
+    ts, K = (np.broadcast_to(a, z.shape[:-1]).reshape(-1) for a in (times, K))
     # rows by step count, most first: the rows still stepping are a prefix
     order = np.argsort(-K, kind="stable")
     zs, K = z.reshape(-1, z.shape[-1])[order], K[order]

@@ -68,8 +68,8 @@ def _field(sys: MechanicalSystem, dc: DeformedConstraint | None, x: np.ndarray):
     if dc is None:
         C = _gram(sys, mu)
     else:
-        rows = mu + dc.delta * dc.g_grad_v(sys, x)
-        grad_q = grad_q + dc.delta * dc.g_grad_q(sys, x)
+        dg = dc.delta * dc.g_grad(sys, x)
+        rows, grad_q = mu + dg[..., sys.n :], grad_q + dg[..., : sys.n]
         C = c_matrix(sys, rows, q)
     lam = -_gram_solve(C, np.matvec(grad_q, v) + np.matvec(rows, f_v), q)
     force = np.matvec(sys.M_inv, np.matvec(rows.mT, lam))
@@ -146,13 +146,11 @@ class DeformedConstraint:
         lead, ctx = sys._bind(x)
         return exprdiff.evaluate(self.g, ctx).reshape(lead + (len(self.g),))
 
-    def g_grad_q(self, sys: MechanicalSystem, x: np.ndarray) -> np.ndarray:
+    def g_grad(self, sys: MechanicalSystem, x: np.ndarray) -> np.ndarray:
+        """(dg/dq, dg/dv) side by side, shape (m, 2n); a stack (..., 2n) gives (..., m, 2n)."""
         lead, ctx = sys._bind(x)
-        return exprdiff.gradient(self.g, sys.names, ctx).reshape(lead + (len(self.g), sys.n))
-
-    def g_grad_v(self, sys: MechanicalSystem, x: np.ndarray) -> np.ndarray:
-        lead, ctx = sys._bind(x)
-        return exprdiff.gradient(self.g, sys.vnames, ctx).reshape(lead + (len(self.g), sys.n))
+        names = sys.names + sys.vnames
+        return exprdiff.gradient(self.g, names, ctx).reshape(lead + (len(self.g), 2 * sys.n))
 
 
 def deformed_residual(sys: MechanicalSystem, dc: DeformedConstraint, x: np.ndarray) -> np.ndarray:

@@ -67,11 +67,10 @@ class StatePoint:
         return np.concatenate([self.q, self.v])
 
 
-def _require_finite(what: str, value: float, positive: bool = False, nonzero: bool = False):
-    """The one check of a time or step size: finite, and > 0 or != 0 where asked."""
-    ok = math.isfinite(value) and (value > 0.0 or not positive) and (value != 0.0 or not nonzero)
-    if not ok:
-        rule = "positive and finite" if positive else "non-zero and finite" if nonzero else "finite"
+def _require_finite(what: str, value: float, positive: bool = False):
+    """The one check of a time or step size: finite, and > 0 where asked."""
+    if not (math.isfinite(value) and (value > 0.0 or not positive)):
+        rule = "positive and finite" if positive else "finite"
         raise SystemError(f"{what} must be {rule}, got {value!r}")
 
 
@@ -81,6 +80,14 @@ def _require_steps(what: str, steps: float, whole: bool = False) -> None:
         raise SystemError(f"{what} asks for {steps!r} steps, more than MAX_STEPS = {MAX_STEPS}")
     if whole and not (steps >= 0 and steps == int(steps)):
         raise SystemError(f"{what} must be a whole number >= 0, got {steps!r}")
+
+
+def _require_run(eps: float, steps) -> None:
+    """The one run check: `steps` steps of eps, eps positive and finite, the count whole
+    from 0 to MAX_STEPS, and the end time eps * steps finite."""
+    _require_finite("eps", eps, positive=True)
+    _require_steps("steps", steps, whole=True)
+    _require_finite("the end time eps * steps", eps * steps)
 
 
 def _require_admissible(res, what: str, remedy: str | None = None) -> None:

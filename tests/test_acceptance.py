@@ -152,7 +152,7 @@ def test_criterion_5_tangency_and_conservation(particle, particle_x0):
         rate = grad_q @ hx[:3] + particle.mu_at(q) @ hx[3:]
         worst_tangency = max(worst_tangency, float(np.max(np.abs(rate))))
 
-    traj = integrate(particle, particle_x0, 1.0, 1e-4)
+    traj = integrate(particle, particle_x0, 1e-4, 10_000)
     e_drift = float(np.max(np.abs(traj.energies - traj.energies[0])))
     vy = traj.states[:, 4]
     vy_drift = float(np.max(np.abs(vy - vy[0])))
@@ -264,7 +264,7 @@ def test_criterion_8_two_point_equivalences(particle, particle_x0):
 def test_criterion_9_deformed_constraints(particle, particle_x0):
     dc = DeformedConstraint(g=[exprdiff.parse("v_x * v_y")], delta=0.05)
     x0 = StatePoint([0.0, 1.0, 0.0], [1.0, 1.0, 0.95])  # mu v + delta g = 0 here
-    traj = integrate(particle, x0, 1.0, 5e-4, deformation=dc)
+    traj = integrate(particle, x0, 5e-4, 2000, deformation=dc)
     drift = float(np.max(np.abs(traj.residuals - traj.residuals[0])))
 
     dc0 = DeformedConstraint(g=[exprdiff.parse("v_x * v_y")], delta=0.0)

@@ -127,6 +127,28 @@ def test_simulate_given_t_ends_at_t(tmp_path):
     assert len(lines) == 1 + 13 and float(lines[-1].split(",")[0]) == 0.25
 
 
+def test_simulate_summary_reports_the_step_it_took(tmp_path):
+    # given T = 0.25 and eps = 0.02, the run steps 0.25 / 12; given N, the eps it was given
+    cfg = {k: v for k, v in PARTICLE_SIM.items() if k != "N"}
+    for subdir, given, eps, steps in (("t", dict(cfg, eps=0.02, T=0.25), 0.25 / 12, 12),
+                                      ("n", PARTICLE_SIM, 0.01, 100)):
+        code, out = run(tmp_path, "simulate", given, subdir=subdir)
+        summary = json.loads((out / "summary.json").read_text())
+        assert code == 0 and (summary["eps"], summary["steps"]) == (eps, steps)
+
+
+def test_reference_given_n_steps_the_eps_it_was_given(tmp_path):
+    # 3 steps of 0.1 write t_k = k * 0.1, as vni10 does, not multiples of (0.1 * 3) / 3
+    columns = []
+    for integ in ("reference", "vni10"):
+        cfg = dict(PARTICLE_SIM, integrator=integ, eps=0.1, N=3)
+        code, out = run(tmp_path, "simulate", cfg, subdir=integ)
+        assert code == 0
+        lines = (out / "trajectory.csv").read_text().splitlines()
+        columns.append([line.split(",")[0] for line in lines])
+    assert columns[0] == columns[1]
+
+
 def test_a_multiplier_that_overflows_stops_the_run_at_its_row(tmp_path, capsys):
     # v = 1e200 keeps D, but the reaction multiplier y v_x^2 overflows at the start
     cfg = dict(PARTICLE_SIM, integrator="reference", v=[1e200, 1e200, 1e200])

@@ -284,7 +284,7 @@ def test_no_state_point_is_built_per_step(monkeypatch):
     runs = {
         "vni20": lambda: run_integrator(sys, "vni20", X0, 0.01, 1000),
         "dla": lambda: run_integrator(sys, "dla", X0, 0.01, 1000, beta=0.5),
-        "integrate": lambda: integrate(sys, X0, 1.0, 0.01),
+        "integrate": lambda: integrate(sys, X0, 0.01, 100),
         "reduced_field": lambda: [reduced_field(sys, split, xi) for _ in range(100)],
     }
     for name, call in runs.items():
@@ -533,9 +533,9 @@ def test_recorded_columns_are_the_diagnostics_of_each_row(system):
     on_deformed = StatePoint(x0.q, deformed_admissible_velocity(sys, x0.q, x0.v, eps))
     plain = functools.partial(constraint_residual, sys)
     runs = {
-        "reference": (integrate(sys, x0, eps * steps, eps), plain),
+        "reference": (integrate(sys, x0, eps, steps), plain),
         "deformed_reference": (
-            integrate(sys, x0, eps * steps, eps, dc), functools.partial(deformed_residual, sys, dc)
+            integrate(sys, x0, eps, steps, dc), functools.partial(deformed_residual, sys, dc)
         ),
         "vni10": (run_integrator(sys, "vni10", x0, eps, steps), plain),
         "vni20": (run_integrator(sys, "vni20", x0, eps, steps), plain),
@@ -573,6 +573,6 @@ def test_integrate_makes_four_multiplier_solves_per_step(monkeypatch, run):
     monkeypatch.setattr(reduction, "_gram_solve",
                         lambda *args, **kw: solves.append(1) or solve(*args, **kw))
     dc = DeformedConstraint(g=[exprdiff.parse("v_x*v_th"), exprdiff.parse("v_y*v_ph")], delta=0.05)
-    integrate(sys, DISK_X0, 0.01 * steps, 0.01, deformation=dc if run == "deformed" else None,
+    integrate(sys, DISK_X0, 0.01, steps, deformation=dc if run == "deformed" else None,
               project_each_step=run == "project_each_step")
     assert len(solves) == 4 * steps + 1

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import csv
+import functools
 import os
 import re
 import tempfile
@@ -15,7 +16,9 @@ from nonholo import discrete
 from nonholo.discrete import FiniteDifferenceMap, run_integrator
 from nonholo.embed import EmbeddingProblem, EvolutionInterpolant, OneStepMap
 from nonholo.flow import (
+    REFERENCE_STEP,
     BlowUpError,
+    _flow_steps,
     _march,
     flow_field,
     integrate,
@@ -23,7 +26,15 @@ from nonholo.flow import (
     rk4_step,
     write_csv,
 )
-from nonholo.system import MechanicalSystem, StatePoint, SystemError, nonholonomic_particle
+from nonholo.reduction import h_field
+from nonholo.system import (
+    MechanicalSystem,
+    StatePoint,
+    SystemError,
+    nonholonomic_particle,
+    rolling_disk,
+)
+from test_discrete import DISK_X0
 
 PARTICLE_X0 = StatePoint([0.0, 1.0, 0.0], [1.0, 1.0, 1.0])
 
@@ -40,8 +51,8 @@ def test_rk4_is_fourth_order():
     sys = nonholonomic_particle()
     ref = reference_flow(sys, PARTICLE_X0, 0.5)
     errs = []
-    for eps in (0.02, 0.01):
-        traj = integrate(sys, PARTICLE_X0, 0.5, eps)
+    for eps, steps in ((0.02, 25), (0.01, 50)):
+        traj = integrate(sys, PARTICLE_X0, eps, steps)
         end = traj.state(len(traj) - 1)
         errs.append(max(np.max(np.abs(end.q - ref.q)), np.max(np.abs(end.v - ref.v))))
     ratio = errs[0] / errs[1]
@@ -72,7 +83,7 @@ def test_particle_flow_invariants():
     # v_y never receives a force, so RK4 keeps it constant to the bit; energy
     # and the constraint residual are conserved to reference accuracy
     sys = nonholonomic_particle()
-    traj = integrate(sys, PARTICLE_X0, 1.0, 1e-3)
+    traj = integrate(sys, PARTICLE_X0, 1e-3, 1000)
     assert np.all(traj.states[:, 4] == 1.0)
     assert np.max(np.abs(traj.energies - traj.energies[0])) < 1e-10
     assert np.max(np.abs(traj.residuals)) < 1e-10
@@ -80,7 +91,7 @@ def test_particle_flow_invariants():
 
 def test_trajectory_recording(tmp_path):
     sys = nonholonomic_particle()
-    traj = integrate(sys, PARTICLE_X0, 0.5, 0.1)
+    traj = integrate(sys, PARTICLE_X0, 0.1, 5)
     assert len(traj) == 6
     assert traj.times[0] == 0.0 and traj.times[-1] == 0.5
     assert traj.lambdas[0, 0] == 0.5  # v_x v_y / (1 + y^2) at the start
@@ -96,7 +107,7 @@ def test_trajectory_recording(tmp_path):
 
 def test_csv_round_trip(tmp_path):
     sys = nonholonomic_particle()
-    traj = integrate(sys, PARTICLE_X0, 0.2, 0.05)
+    traj = integrate(sys, PARTICLE_X0, 0.05, 4)
     path = tmp_path / "run.csv"
     traj.to_csv(path)
     data = np.genfromtxt(path, delimiter=",", skip_header=1)
@@ -105,9 +116,29 @@ def test_csv_round_trip(tmp_path):
     assert np.array_equal(data[:, 1:7], traj.states)
 
 
+def test_integrate_steps_the_eps_it_is_given():
+    # 3 steps of 0.1 record t_k = k * 0.1, as a scheme does; (0.1 * 3) / 3 is an ulp above 0.1
+    sys = nonholonomic_particle()
+    traj = integrate(sys, PARTICLE_X0, 0.1, 3)
+    scheme = run_integrator(sys, "vni10", PARTICLE_X0, 0.1, 3)
+    assert traj.times.tobytes() == scheme.times.tobytes()
+
+
+@pytest.mark.parametrize("system", ["particle", "disk"])
+@pytest.mark.parametrize("t", [0.05, -0.05])
+def test_reference_flow_is_both_drivers_on_the_one_flow_rule(system, t):
+    # the reference flow's K steps, as integrate's steps and as flow_field's rule at REFERENCE_STEP
+    sys, x0 = {"particle": (_PARTICLE, PARTICLE_X0), "disk": (rolling_disk(), DISK_X0)}[system]
+    K = int(_flow_steps(t, REFERENCE_STEP))
+    end = reference_flow(sys, x0, t).concat()
+    assert end.tobytes() == integrate(sys, x0, t / K, K).states[-1].tobytes()
+    stack = flow_field(functools.partial(h_field, sys), x0.concat(), t, REFERENCE_STEP)
+    assert end.tobytes() == stack.tobytes()
+
+
 def test_zero_time_integration():
     sys = nonholonomic_particle()
-    traj = integrate(sys, PARTICLE_X0, 0.0, 0.1)
+    traj = integrate(sys, PARTICLE_X0, 0.1, 0)
     end = traj.state(len(traj) - 1)
     assert np.array_equal(end.q, PARTICLE_X0.q)
     assert np.array_equal(end.v, PARTICLE_X0.v)
@@ -118,7 +149,7 @@ def test_blow_up_carries_partial_trajectory():
     # x'' = 4 x^3 from x = 1 blows up in finite time
     sys = MechanicalSystem(["x"], np.eye(1), "-(x^4)", [])
     with pytest.raises(BlowUpError) as ei:
-        integrate(sys, StatePoint([1.0], [0.0]), 10.0, 1e-2)
+        integrate(sys, StatePoint([1.0], [0.0]), 1e-2, 1000)
     partial = ei.value.partial
     assert partial is not None and len(partial) >= 1
     assert np.all(np.isfinite(partial.states))
@@ -128,7 +159,7 @@ def test_a_fast_start_runs_at_its_own_scale():
     # v x 1e8 over 100 steps of 1e-12 is the standard path at 1e8 times the
     # speed: no state entry comes near overflow, so no step blows up
     x0 = StatePoint(PARTICLE_X0.q, PARTICLE_X0.v * 1e8)
-    traj = integrate(nonholonomic_particle(), x0, 1e-10, 1e-12)
+    traj = integrate(nonholonomic_particle(), x0, 1e-12, 100)
     assert len(traj) == 101 and np.isfinite(traj.states).all()
 
 
@@ -206,7 +237,7 @@ def test_flow_field_generic():
 
 def test_projection_option_keeps_d_exactly():
     sys = nonholonomic_particle()
-    traj = integrate(sys, PARTICLE_X0, 0.5, 0.01, project_each_step=True)
+    traj = integrate(sys, PARTICLE_X0, 0.01, 50, project_each_step=True)
     assert np.max(np.abs(traj.residuals)) < 1e-14
 
 
@@ -227,10 +258,10 @@ _NAN, _INF = float("nan"), float("inf")
 @pytest.mark.parametrize(
     "entry, call",
     [
-        ("integrate", lambda: integrate(_PARTICLE, PARTICLE_X0, 1.0, 0.0)),
-        ("integrate", lambda: integrate(_PARTICLE, PARTICLE_X0, 1.0, _NAN)),
-        ("integrate", lambda: integrate(_PARTICLE, PARTICLE_X0, _INF, 0.1)),
-        ("integrate", lambda: integrate(_PARTICLE, PARTICLE_X0, _NAN, 0.1)),
+        ("integrate", lambda: integrate(_PARTICLE, PARTICLE_X0, 0.0, 10)),
+        ("integrate", lambda: integrate(_PARTICLE, PARTICLE_X0, _NAN, 10)),
+        ("integrate", lambda: integrate(_PARTICLE, PARTICLE_X0, 1e305, 10_000)),  # end time
+        ("integrate", lambda: integrate(_PARTICLE, PARTICLE_X0, _INF, 10)),
         ("reference_flow", lambda: reference_flow(_PARTICLE, PARTICLE_X0, _INF)),
         ("flow_field", lambda: flow_field(lambda z: z, np.ones(1), 1.0, base_step=0.0)),
         ("flow_field", lambda: flow_field(lambda z: z, np.ones(1), 1.0, base_step=_NAN)),
@@ -255,8 +286,8 @@ def test_times_and_step_sizes_are_checked(entry, call):
 @pytest.mark.parametrize(
     "call",
     [
-        lambda: integrate(_PARTICLE, PARTICLE_X0, 1e300, 1e-300),  # T / eps_ref overflows
-        lambda: integrate(_PARTICLE, PARTICLE_X0, 1e10, 1e-3),
+        lambda: integrate(_PARTICLE, PARTICLE_X0, 1e-300, 1e300),  # past any integer width
+        lambda: integrate(_PARTICLE, PARTICLE_X0, 1e-3, 10**13),
         lambda: reference_flow(_PARTICLE, PARTICLE_X0, 1e305),
         lambda: flow_field(lambda z: z, np.ones(1), 1e300, base_step=1e-300),
         lambda: flow_field(lambda z: z, np.ones(2), 1e8, base_step=1.0),
@@ -326,7 +357,7 @@ def test_write_csv_writes_what_csv_writer_wrote(table):
 
 def test_csv_rows_are_the_cells_to_csv_writes(tmp_path):
     # a reference run, and a scheme's run with its Newton counts and deformed residuals
-    runs = [integrate(_PARTICLE, PARTICLE_X0, 0.2, 0.01),
+    runs = [integrate(_PARTICLE, PARTICLE_X0, 0.01, 20),
             run_integrator(_PARTICLE, "vni20", PARTICLE_X0, 0.01, 20)]
     for i, traj in enumerate(runs):
         path = tmp_path / f"run{i}.csv"

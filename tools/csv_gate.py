@@ -35,7 +35,9 @@ five runs of ``converge`` (``vni10``; ``original_node``, whose
 on original nodes, repaired at each step size like ``original_node``), where
 T = 0.25 is no whole number of the largest step 0.02, so each run takes
 round(T / eps) steps of T / N and ends at T, as ``other/simulate_t_not_whole``
-does (``vni10`` given T = 0.25 and eps = 0.02: 12 steps, the last at t = 0.25); two
+does (``vni10`` given T = 0.25 and eps = 0.02: 12 steps, the last at t = 0.25);
+``other/reference_n_steps_inexact`` runs ``reference`` given eps = 0.1 and N = 3,
+where (0.1 * 3) / 3 is an ulp above 0.1: its rows sit at t_k = k * 0.1, as a scheme's do; two
 of ``interp``, the second on a curve that meets a singular fiber block at
 its midpoint and stops there;
 five of ``embed``: ``vni10`` at
@@ -302,7 +304,9 @@ def configs() -> list[tuple[str, str, dict]]:
             ("other/deformed_rank_loss", "simulate", DEFORMED_RANK_LOSS),
             ("other/nodes_on_vni20", "simulate", {**SIM, "integrator": "vni20", "nodes": "original"}),
             ("other/simulate_t_not_whole", "simulate",
-             {**{k: v for k, v in SIM.items() if k != "N"}, "eps": 0.02, "T": 0.25})]
+             {**{k: v for k, v in SIM.items() if k != "N"}, "eps": 0.02, "T": 0.25}),
+            ("other/reference_n_steps_inexact", "simulate",
+             {**SIM, "integrator": "reference", "eps": 0.1, "N": 3})]
     out += [(f"other/{system}_project_each_step", "simulate",
              {**start, "integrator": "reference", "project_each_step": True, "eps": 0.01, "N": 200})
             for system, start in (("particle", PARTICLE), ("disk_off_d", DISK_OFF_D))]
