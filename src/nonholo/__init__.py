@@ -24,7 +24,7 @@ from . import discrete, embed, exprdiff, flow, reduction, system
 from .discrete import run_integrator
 from .embed import reduced_problem, reduced_step_map, verify_embedding
 from .flow import reference_flow
-from .system import MechanicalSystem, StatePoint, derive_connection
+from .system import MechanicalSystem, derive_connection
 
 __version__ = "0.1.0"
 
@@ -36,7 +36,6 @@ __all__ = [
     "reduction",
     "system",
     "MechanicalSystem",
-    "StatePoint",
     "derive_connection",
     "reference_flow",
     "run_integrator",

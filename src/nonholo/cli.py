@@ -36,6 +36,9 @@ from .discrete import (
 )
 from .embed import (
     BASE_STEP,
+    EXACT_P,
+    ORDER_LEVELS,
+    T_FRAC,
     exact_step_map,
     interpolate_in_D,
     reduced_problem,
@@ -48,10 +51,10 @@ from .reduction import DeformedConstraint, deformed_residual, lambda_continuous,
 from .system import (
     BUILTIN_FIELDS,
     MechanicalSystem,
-    StatePoint,
     SystemError,
     _require_admissible,
     _require_run,
+    _require_state,
     _require_steps,
     constraint_residual,
     deformed_node_residual,
@@ -268,9 +271,9 @@ KEYS = {
         "points": (_list(_state, 1, "{q, v} states"), REQUIRED, None),
         "project_initial": _START["project_initial"],
         "base_step": (_positive, BASE_STEP, None),
-        "t_frac": (_number, 0.37, None),
-        "order_levels": (_count(2), 5, None),
-        "p": (_count(1), 1, ("exact",)),
+        "t_frac": (_number, T_FRAC, None),
+        "order_levels": (_count(2), ORDER_LEVELS, None),
+        "p": (_count(1), EXACT_P, ("exact",)),
         "summary": (_file_name, "embedding.json", None),
     },
     "interp": {
@@ -312,9 +315,9 @@ def _read(cfg, command: str) -> _Run:
     return run
 
 
-def _initial_state(run: _Run, state, deformation=None, e=0.0) -> StatePoint:
-    """The (q, v) `state` on the deformation's set if one is given, else on the set a
-    scheme's nodes keep at step size e (`discrete._scheme_run`; e = 0 is D).
+def _initial_state(run: _Run, state, deformation=None, e=0.0) -> np.ndarray:
+    """The row (q, v) of the pair `state`, on the deformation's set if one is given, else on the
+    set a scheme's nodes keep at step size e (`discrete._scheme_run`; e = 0 is D).
 
     project_initial projects v onto D and, for e > 0, repairs it onto the
     scheme's set; the start, repaired or not, is checked against the set the
@@ -327,11 +330,11 @@ def _initial_state(run: _Run, state, deformation=None, e=0.0) -> StatePoint:
             v = project_velocity(sys, q, v)
             if e:
                 v = deformed_admissible_velocity(sys, q, v, e)
-        x = StatePoint(q, v)
+        x = _require_state(sys, np.concatenate([q, v]))
         if deformation is not None:
-            res = deformed_residual(sys, deformation, x.concat())
+            res = deformed_residual(sys, deformation, x)
         else:
-            res = deformed_node_residual(sys, x.concat(), e)
+            res = deformed_node_residual(sys, x, e)
     with _set_up():
         if repair and deformation is not None:
             _require_admissible(res, "projected initial velocity is off the deformed set",
@@ -361,7 +364,7 @@ def _steps_and_set(run: _Run, eps: float) -> tuple[int, float, float]:
     return N, h, 0.0
 
 
-def _run_steps(run: _Run, x0: StatePoint, N: int, h: float):
+def _run_steps(run: _Run, x0: np.ndarray, N: int, h: float):
     """The run's integrator from x0: N steps of h (`_steps_and_set`)."""
     if run["integrator"] == "reference":  # a study has no deformation or project_each_step
         return integrate(run["system"], x0, h, N, run.get("deformation"),
@@ -439,8 +442,8 @@ def convergence_study(cfg: dict, eps_list: list[float]) -> StudyResult:
         N, h, e = _steps_and_set(run, eps)
         runs.append((eps, _initial_state(run, (run["q"], run["v"]), e=e) if e else x0, N, h))
 
-    oracle_concat = reference_flow(sys, x0, T).concat()
-    oracle_lam = lambda_continuous(sys, oracle_concat, check=False)
+    oracle = reference_flow(sys, x0, T)
+    oracle_lam = lambda_continuous(sys, oracle, check=False)
 
     eps_ok, state, lam, failures = [], [], [], []
     for eps, *marched in runs:
@@ -450,7 +453,7 @@ def convergence_study(cfg: dict, eps_list: list[float]) -> StudyResult:
             failures.append({"eps": eps, "error": f"{type(exc).__name__}: {exc}"})
             continue
         eps_ok.append(eps)
-        state.append(float(np.max(np.abs(traj.states[-1] - oracle_concat))))
+        state.append(float(np.max(np.abs(traj.states[-1] - oracle))))
         lam.append(float(np.max(np.abs(traj.lambdas[-1] - oracle_lam), initial=0.0)))
 
     state_slope = lambda_slope = None
@@ -499,7 +502,7 @@ def cmd_embed(cfg: dict, out_dir: str) -> int:
                else reduced_step_map(sys, split, scheme))
         _flow_steps(eps, base_step)
     # _initial_state applies reduce_state's own rule to each point: it lies on D
-    points = [reduce_state(sys, split, _initial_state(run, x).concat(), check=False)
+    points = [reduce_state(sys, split, _initial_state(run, x), check=False)
               for x in run["points"]]
 
     started = time.perf_counter()
@@ -523,8 +526,8 @@ def cmd_interp(cfg: dict, out_dir: str) -> int:
     a, b = (_initial_state(run, run[key]) for key in ("x0", "x1"))
     csv_path = os.path.join(out_dir, run["output"])
     with _set_up():
-        split = derive_connection(sys, a.q if run["q0"] is None else run["q0"])
-        curve = interpolate_in_D(sys, split, a.concat(), b.concat(), eps)
+        split = derive_connection(sys, a[: sys.n] if run["q0"] is None else run["q0"])
+        curve = interpolate_in_D(sys, split, a, b, eps)
 
     header = ["t", *(f"{c}_{i + 1}" for c in "qv" for i in range(sys.n)),
               *(f"residual_{a_ + 1}" for a_ in range(sys.m))]

@@ -32,7 +32,7 @@ instead reproduces the midpoint-constraint scheme's behaviour.
 Multipliers are always reported in the O(1) normalization of the
 continuous reaction force, so they can be compared directly against
 `lambda_continuous` along a reference solution.  Nodes are flat rows
-x = (q, v) of length 2n; only `run_integrator` takes a `StatePoint`.
+x = (q, v) of length 2n, and every step returns (row, lambda, Newton iterations).
 ``vni10_step`` and ``vni20_step`` also step a stack of rows (..., 2n) in one
 call, the one-step map of `embed` on many points: ``vni10_step``'s products
 are stacked, and ``vni20_step``'s rows run the Newton iteration in lockstep,
@@ -54,13 +54,13 @@ from .reduction import _lambda_raw
 from .system import (
     COND_LIMIT,
     MechanicalSystem,
-    StatePoint,
     SystemError,
     _gram,
     _gram_solve,
     _require_admissible,
     _require_finite,
     _require_run,
+    _require_state,
     deformed_node_residual,
 )
 
@@ -70,7 +70,6 @@ __all__ = [
     "NewtonError",
     "newton_solve",
     "DiscreteNonholonomicSystem",
-    "StepResult",
     "vni10_step",
     "vni20_step",
     "original_node_step",
@@ -217,20 +216,6 @@ class DiscreteNonholonomicSystem:
         return cond, J
 
 
-@dataclass(frozen=True)
-class StepResult:
-    """One advance of a scheme: the new state row, its multiplier, Newton work.
-
-    For the two-point scheme the state is (q_{k+1}, (q_{k+1} - q_k) / eps).
-    A step of a stack of rows gives the stacked states and multipliers, and
-    one iteration count per row.
-    """
-
-    state: np.ndarray
-    lam: np.ndarray
-    iters: int
-
-
 def _node(q: np.ndarray, v: np.ndarray) -> np.ndarray:
     """The row (q, v) of a new node, or a stack of them; a node that blew up stops the run."""
     x = np.concatenate([q, v], axis=-1)
@@ -239,12 +224,15 @@ def _node(q: np.ndarray, v: np.ndarray) -> np.ndarray:
     return x
 
 
-def vni10_step(sys: MechanicalSystem, x: np.ndarray, eps: float) -> StepResult:
+def vni10_step(
+    sys: MechanicalSystem, x: np.ndarray, eps: float
+) -> tuple[np.ndarray, np.ndarray, int]:
     """First-order scheme: drift the node, then solve the multiplier exactly.
 
     The new velocity is admissible at the new configuration by construction,
-    and no iteration is needed: the multiplier system is linear.  A stack of
-    rows (..., 2n) steps in one pass; row b is the step of row b, bit for bit.
+    and no iteration is needed: the multiplier system is linear, so the step
+    returns (row, lambda, 0).  A stack of rows (..., 2n) steps in one pass;
+    row b is the step of row b, bit for bit, and the count is 0 per row.
     """
     q, v = x[..., : sys.n], x[..., sys.n :]
     q1 = q + eps * v
@@ -253,7 +241,7 @@ def vni10_step(sys: MechanicalSystem, x: np.ndarray, eps: float) -> StepResult:
     lam = -_gram_solve(_gram(sys, mu1), np.matvec(mu1, w), q1) / eps
     v1 = w + eps * np.matvec(sys.M_inv, np.matvec(mu1.mT, lam))
     iters = np.zeros(x.shape[:-1], dtype=int) if x.ndim > 1 else 0
-    return StepResult(_node(q1, v1), lam, iters)
+    return _node(q1, v1), lam, iters
 
 
 def _step_jacobian(sys: MechanicalSystem, eps: float, c: float, w: float, q, u, mu, mu_react):
@@ -307,7 +295,9 @@ def _implicit_step(
     return z[..., :n], z[..., n:], iters
 
 
-def vni20_step(sys: MechanicalSystem, x: np.ndarray, eps: float) -> StepResult:
+def vni20_step(
+    sys: MechanicalSystem, x: np.ndarray, eps: float
+) -> tuple[np.ndarray, np.ndarray, int]:
     """Second-order scheme: trapezoidal forces, reaction at the half point,
     constraint enforced at the new node q~_{k+1} = q_half + eps/2 v_{k+1}.
 
@@ -319,10 +309,12 @@ def vni20_step(sys: MechanicalSystem, x: np.ndarray, eps: float) -> StepResult:
     v1, lam, iters = _implicit_step(
         sys, eps, v, q_half, 0.5, 0.5, 0.5 * sys.grad_v_at(q), sys.mu_at(q_half)
     )
-    return StepResult(_node(q_half + 0.5 * eps * v1, v1), lam, iters)
+    return _node(q_half + 0.5 * eps * v1, v1), lam, iters
 
 
-def original_node_step(sys: MechanicalSystem, x: np.ndarray, eps: float) -> StepResult:
+def original_node_step(
+    sys: MechanicalSystem, x: np.ndarray, eps: float
+) -> tuple[np.ndarray, np.ndarray, int]:
     """Midpoint-constraint scheme on the original nodes (q_k, v_k).
 
     Admissibility here means the *deformed* residual mu(q - eps/2 v) v
@@ -335,7 +327,7 @@ def original_node_step(sys: MechanicalSystem, x: np.ndarray, eps: float) -> Step
     q, v = x[: sys.n], x[sys.n :]
     grad_back = sys.grad_v_at(q - 0.5 * eps * v)
     v1, lam, iters = _implicit_step(sys, eps, v, q, 0.5, 0.5, 0.5 * grad_back, sys.mu_at(q))
-    return StepResult(_node(q + eps * v1, v1), lam, iters)
+    return _node(q + eps * v1, v1), lam, iters
 
 
 def deformed_admissible_velocity(
@@ -368,13 +360,13 @@ def deformed_admissible_velocity(
 
 def dla_step(
     dsys: DiscreteNonholonomicSystem, q_prev: np.ndarray, q_cur: np.ndarray
-) -> StepResult:
+) -> tuple[np.ndarray, np.ndarray, int]:
     """Advance the two-point scheme: (q_{k-1}, q_k) -> q_{k+1}.
 
     The unknowns are the scaled difference u_v = (q_{k+1} - q_k) / eps and
-    the multiplier; the result's state is (q_{k+1}, u_v).  The step is
-    refused where its equations are not regular at the Newton seed, whose
-    Jacobian the certificate hands to Newton.
+    the multiplier; the step returns the row (q_{k+1}, u_v), lambda and the
+    Newton iterations.  It is refused where its equations are not regular at
+    the Newton seed, whose Jacobian the certificate hands to Newton.
     """
     sys, rho = dsys.sys, dsys.rho
     eps, beta = rho.eps, rho.beta
@@ -385,7 +377,7 @@ def dla_step(
     u_v, lam, iters = _implicit_step(
         sys, eps, v_k, q_cur, beta, 1.0 - beta, beta * grad_back, mu_cur, seed_jacobian
     )
-    return StepResult(_node(q_cur + eps * u_v, u_v), lam, iters)
+    return _node(q_cur + eps * u_v, u_v), lam, iters
 
 
 # benchmarks/tracer.py wraps `discrete.DiscreteTrajectory.to_csv` by name, and
@@ -393,10 +385,10 @@ def dla_step(
 DiscreteTrajectory = Trajectory
 
 
-# The one table of schemes: name -> (step function, consistency order).  The
-# node schemes step a state row, (sys, x, eps); the two-point scheme steps a
-# configuration pair, (dsys, q_prev, q_cur), and is of second order only at
-# beta = 1/2.  Callers look a step up when they are called, not at import, so a
+# The one table of schemes: name -> (step function, consistency order).  Each step
+# returns (row, lambda, iterations).  The node schemes step a state row, (sys, x, eps);
+# the two-point scheme steps a configuration pair, (dsys, q_prev, q_cur), and is of
+# second order only at beta = 1/2.  Callers look a step up when they are called, not at import, so a
 # rebinding of an entry (benchmarks/tracer.py wraps each step) reaches them.
 SCHEMES = {
     "vni10": (vni10_step, 1),
@@ -433,40 +425,41 @@ def _scheme_run(scheme: str, eps: float, steps, beta=None, policy=NodePolicy.RED
 def run_integrator(
     sys: MechanicalSystem,
     scheme: str,
-    x0: StatePoint,
+    x0,
     eps: float,
     steps: int,
     beta: float | None = None,
     policy: NodePolicy = NodePolicy.REDEFINED,
 ) -> Trajectory:
-    """Drive one of the discrete schemes for a fixed number of steps.
+    """Drive one of the discrete schemes from the row x0 = (q, v) for a fixed number of steps.
 
     The initial node must lie on the set the scheme's nodes keep (`_scheme_run`).
     The multiplier reported at the initial node is the continuous reaction
     multiplier, which the discrete ones approximate.
     """
     step_fn, rho, e = _scheme_run(scheme, eps, steps, beta, policy)
+    x0 = _require_state(sys, x0)
     with np.errstate(**_QUIET):  # the start may overflow, like a step; the check refuses it
-        res = deformed_node_residual(sys, x0.concat(), e)
+        res = deformed_node_residual(sys, x0, e)
     _require_admissible(res, f"initial node is off the set that {scheme}'s nodes keep")
     dsys = None if rho is None else DiscreteNonholonomicSystem(sys, rho)
     pair = []  # dla's configurations (q_{k-1}, q_k)
 
+    q0, v0 = x0[: sys.n], x0[sys.n :]
+
     def row(k, states):
         if k == 0:  # the pair before the start may overflow: build it under the loop's checks
             if rho is not None and policy is NodePolicy.REDEFINED:
-                pair[:] = rho.inverse(x0.q, x0.v)
+                pair[:] = rho.inverse(q0, v0)
             elif rho is not None:
-                pair[:] = x0.q - eps * x0.v, x0.q
-            x = x0.concat()
-            return x, _lambda_raw(sys, x), 0
+                pair[:] = q0 - eps * v0, q0
+            return x0, _lambda_raw(sys, x0), 0
         if rho is None:
-            out = step_fn(sys, states[k - 1], eps)
-            return out.state, out.lam, out.iters
-        out = step_fn(dsys, *pair)
-        pair[:] = pair[1], out.state[: sys.n]
+            return step_fn(sys, states[k - 1], eps)
+        x, lam, iters = step_fn(dsys, *pair)
+        pair[:] = pair[1], x[: sys.n]
         if policy is NodePolicy.REDEFINED:
-            return _node(*rho.forward(*pair)), out.lam, out.iters
-        return out.state, out.lam, out.iters
+            x = _node(*rho.forward(*pair))
+        return x, lam, iters
 
     return _march(sys, int(steps), eps, row, discrete=True)

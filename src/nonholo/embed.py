@@ -69,6 +69,12 @@ FD_STEP = 1e-6
 ORDER_FLOOR = 1e-10
 # the reduced problem's largest flow step, unless its caller gives one
 BASE_STEP = 2e-3
+# verify_embedding's defaults: g is sampled at t = T_FRAC eps, and the order is fitted
+# over ORDER_LEVELS step sizes eps / 2^j
+T_FRAC = 0.37
+ORDER_LEVELS = 5
+# the consistency order the exact map claims, unless its caller gives one
+EXACT_P = 1
 
 
 def chi0(tau: float) -> float:
@@ -187,13 +193,13 @@ def reduced_step_map(sys: MechanicalSystem, split: ConnectionSplit, scheme: str)
 
     def step(eps: float, xi: np.ndarray) -> np.ndarray:
         with np.errstate(**_QUIET):  # the node step checks what it makes
-            out = step_fn(sys, psi_embed(sys, split, xi), eps)
-        return reduce_state(sys, split, out.state, check=False)
+            x = step_fn(sys, psi_embed(sys, split, xi), eps)[0]
+        return reduce_state(sys, split, x, check=False)
 
     return OneStepMap(step, p)
 
 
-def exact_step_map(problem: EmbeddingProblem, p: int = 1) -> OneStepMap:
+def exact_step_map(problem: EmbeddingProblem, p: int = EXACT_P) -> OneStepMap:
     """The problem's own flow packaged as a one-step map (zero perturbation)."""
     return OneStepMap(problem.flow, p)
 
@@ -322,8 +328,8 @@ def verify_embedding(
     phi: OneStepMap,
     eps: float,
     points: np.ndarray,
-    t_frac: float = 0.37,
-    order_levels: int = 5,
+    t_frac: float = T_FRAC,
+    order_levels: int = ORDER_LEVELS,
 ) -> dict:
     """Numerical checks of the embedding at the given base points.
 

@@ -32,10 +32,10 @@ from .exprdiff import EvalError
 from .reduction import DeformedConstraint, _field, deformed_field, deformed_residual, h_field
 from .system import (
     MechanicalSystem,
-    StatePoint,
     SystemError,
     _require_finite,
     _require_run,
+    _require_state,
     _require_steps,
     constraint_residual,
     deformed_node_residual,
@@ -109,9 +109,6 @@ class Trajectory:
     n: int
     newton_iters: np.ndarray | None = None  # (K+1,)
     deformed_residuals: np.ndarray | None = None  # (K+1, m)
-
-    def state(self, k: int) -> StatePoint:
-        return StatePoint(self.states[k, : self.n], self.states[k, self.n :])
 
     def __len__(self) -> int:
         return self.states.shape[0]
@@ -241,13 +238,14 @@ def _march(
 
 def integrate(
     sys: MechanicalSystem,
-    x0: StatePoint,
+    x0,
     eps: float,
     steps: int,
     deformation: DeformedConstraint | None = None,
     project_each_step: bool = False,
 ) -> Trajectory:
-    """March the constrained dynamics from x0: `steps` RK4 steps of eps, rows at t_k = k eps.
+    """March the constrained dynamics from the row x0 = (q, v): `steps` RK4 steps of eps,
+    rows at t_k = k eps.
 
     eps may be negative, as in `reference_flow`'s backward flow.  With a
     `deformation`, the field, the recorded multiplier and the recorded
@@ -255,6 +253,7 @@ def integrate(
     mu(q) v + delta g(q, v) = 0.
     """
     _require_run(abs(eps), steps)  # a backward run is checked as the forward run of |eps|
+    x0 = _require_state(sys, x0)
     if deformation is None:
         field = functools.partial(h_field, sys)
     else:
@@ -264,7 +263,7 @@ def integrate(
     def row(k, states):
         nonlocal k1
         if k == 0:
-            x = x0.concat()
+            x = x0
         else:
             x = rk4_step(field, states[k - 1], eps, k1)
             if _blew_up(x):  # the march names the step and t
@@ -289,10 +288,12 @@ def _flow_steps(t, step: float) -> np.ndarray:
     return np.where(times == 0.0, 0.0, np.maximum(1.0, np.ceil(np.abs(times) / step)))
 
 
-def reference_flow(sys: MechanicalSystem, x0: StatePoint, t: float) -> StatePoint:
-    """Endpoint of the flow after time t (either sign), at reference accuracy."""
+def reference_flow(sys: MechanicalSystem, x0, t: float) -> np.ndarray:
+    """The row (q, v) the flow from the row x0 reaches after time t (either sign), at
+    reference accuracy."""
+    x0 = _require_state(sys, x0)
     K = int(_flow_steps(t, REFERENCE_STEP))
-    return integrate(sys, x0, t / K, K).state(K) if K else x0
+    return integrate(sys, x0, t / K, K).states[K] if K else x0
 
 
 def flow_field(

@@ -45,7 +45,6 @@ __all__ = [
     "reduced_field",
     "reduce_state",
     "DeformedConstraint",
-    "deformed_lambda",
     "deformed_field",
     "deformed_residual",
 ]
@@ -156,11 +155,6 @@ class DeformedConstraint:
 def deformed_residual(sys: MechanicalSystem, dc: DeformedConstraint, x: np.ndarray) -> np.ndarray:
     """mu(q) v + delta g(q, v) -- the quantity the deformed dynamics conserves; a stack too."""
     return constraint_residual(sys, x) + dc.delta * dc.g_at(sys, x)
-
-
-def deformed_lambda(sys: MechanicalSystem, dc: DeformedConstraint, x: np.ndarray) -> np.ndarray:
-    """Multiplier of the deformed dynamics (reaction along the deformed one-forms)."""
-    return _field(sys, dc, x)[1]
 
 
 def deformed_field(sys: MechanicalSystem, dc: DeformedConstraint, x: np.ndarray) -> np.ndarray:

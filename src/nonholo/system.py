@@ -5,7 +5,8 @@ L(q, v) = 1/2 v'Mv - V(q) together with the admissible-velocity set
 D = {(q, v) : mu(q) v = 0} cut out by m constraint one-forms.  The mass
 matrix is constant; V and the entries of mu are expressions in the
 configuration names.  Velocity names are derived as ``v_<name>`` and are
-reserved for deformation functions g(q, v).
+reserved for deformation functions g(q, v).  A state is the row x = (q, v)
+of length 2n, and `_require_state` is its one check.
 """
 from __future__ import annotations
 
@@ -19,7 +20,6 @@ from . import exprdiff
 from .exprdiff import Expression
 
 __all__ = [
-    "StatePoint",
     "MechanicalSystem",
     "ConnectionSplit",
     "SystemError",
@@ -45,28 +45,6 @@ class SystemError(ValueError):
     """Invalid system data or a rank/conditioning failure at an evaluation point."""
 
 
-@dataclass(frozen=True)
-class StatePoint:
-    """A point (q, v) of the velocity phase space, not necessarily on D.
-
-    The validated state of the public API; every kernel takes its flat row `concat()`.
-    """
-
-    q: np.ndarray
-    v: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "q", np.asarray(self.q, dtype=float))
-        object.__setattr__(self, "v", np.asarray(self.v, dtype=float))
-        if self.q.shape != self.v.shape or self.q.ndim != 1:
-            raise SystemError("q and v must be 1-d arrays of equal length")
-        if not (np.all(np.isfinite(self.q)) and np.all(np.isfinite(self.v))):
-            raise SystemError("state entries must be finite")
-
-    def concat(self) -> np.ndarray:
-        return np.concatenate([self.q, self.v])
-
-
 def _require_finite(what: str, value: float, positive: bool = False):
     """The one check of a time or step size: finite, and > 0 where asked."""
     if not (math.isfinite(value) and (value > 0.0 or not positive)):
@@ -75,7 +53,12 @@ def _require_finite(what: str, value: float, positive: bool = False):
 
 
 def _require_steps(what: str, steps: float, whole: bool = False) -> None:
-    """The one cap on a step count: |steps| at most MAX_STEPS (a `whole` one: 0 to MAX_STEPS)."""
+    """The one cap on a step count: |steps| at most MAX_STEPS (a `whole` one: 0 to MAX_STEPS).
+
+    NaN is no count, so it is refused as not a whole number, not as one above the cap.
+    """
+    if steps != steps:
+        raise SystemError(f"{what} must be a whole number >= 0, got {steps!r}")
     if not abs(steps) <= MAX_STEPS:
         raise SystemError(f"{what} asks for {steps!r} steps, more than MAX_STEPS = {MAX_STEPS}")
     if whole and not (steps >= 0 and steps == int(steps)):
@@ -88,6 +71,20 @@ def _require_run(eps: float, steps) -> None:
     _require_finite("eps", eps, positive=True)
     _require_steps("steps", steps, whole=True)
     _require_finite("the end time eps * steps", eps * steps)
+
+
+def _require_state(sys: MechanicalSystem, x) -> np.ndarray:
+    """The one check of a state: x as a new float row (q, v) of shape (2n,), every entry finite."""
+    try:
+        row = np.asarray(x)
+    except ValueError:  # a ragged nesting
+        row = np.asarray(None)
+    if row.dtype.kind not in "iuf" or row.shape != (2 * sys.n,):
+        raise SystemError(f"a state must be a row (q, v) of {2 * sys.n} numbers, got {x!r}")
+    row = row.astype(float)
+    if not np.isfinite(row).all():
+        raise SystemError("state entries must be finite")
+    return row
 
 
 def _require_admissible(res, what: str, remedy: str | None = None) -> None:

@@ -1,10 +1,11 @@
 """Shared fixtures: the standard particle start and its reference endpoints."""
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from nonholo.flow import reference_flow
-from nonholo.system import StatePoint, nonholonomic_particle
+from nonholo.system import nonholonomic_particle
 
 
 @pytest.fixture(scope="session")
@@ -14,7 +15,7 @@ def particle():
 
 @pytest.fixture(scope="session")
 def particle_x0():
-    return StatePoint([0.0, 1.0, 0.0], [1.0, 1.0, 1.0])
+    return np.array([0.0, 1.0, 0.0, 1.0, 1.0, 1.0])
 
 
 @pytest.fixture(scope="session")

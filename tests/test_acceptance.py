@@ -32,7 +32,7 @@ from nonholo.reduction import (
     psi_embed,
     reduce_state,
 )
-from nonholo.system import StatePoint, derive_connection, project_velocity
+from nonholo.system import derive_connection, project_velocity
 
 EPS_GRID = [0.1 * 2.0**-j for j in range(5, 11)]
 T_STUDY = 0.5
@@ -71,16 +71,16 @@ def test_criterion_1_distribution_preservation(particle, particle_x0):
 
 def _endpoint_study(particle, particle_x0, oracle_t05, scheme):
     """Endpoint state and multiplier errors across the acceptance step grid."""
-    oracle = oracle_t05.concat()
+    oracle = oracle_t05
     lam_oracle = lambda_continuous(particle, oracle, check=False)
     state_errs, lam_errs = [], []
     for eps in EPS_GRID:
         N = round(T_STUDY / eps)
         if scheme == "original_node":
             v_fix = deformed_admissible_velocity(
-                particle, particle_x0.q, particle_x0.v, eps
+                particle, particle_x0[:3], particle_x0[3:], eps
             )
-            x0 = StatePoint(particle_x0.q, v_fix)
+            x0 = np.concatenate([particle_x0[:3], v_fix])
         else:
             x0 = particle_x0
         traj = run_integrator(particle, scheme, x0, eps, N)
@@ -122,9 +122,9 @@ def test_criterion_4_original_node_degradation(particle, particle_x0, oracle_t05
     plain_maxima = []
     for eps in EPS_GRID:
         N = round(T_STUDY / eps)
-        v_fix = deformed_admissible_velocity(particle, particle_x0.q, particle_x0.v, eps)
+        v_fix = deformed_admissible_velocity(particle, particle_x0[:3], particle_x0[3:], eps)
         traj = run_integrator(
-            particle, "original_node", StatePoint(particle_x0.q, v_fix), eps, N
+            particle, "original_node", np.concatenate([particle_x0[:3], v_fix]), eps, N
         )
         worst_deformed = max(worst_deformed, float(np.max(np.abs(traj.deformed_residuals))))
         plain_maxima.append(float(np.max(np.abs(traj.residuals))))
@@ -145,10 +145,9 @@ def test_criterion_5_tangency_and_conservation(particle, particle_x0):
     for _ in range(100):
         q = rng.normal(size=3)
         v = project_velocity(particle, q, rng.normal(size=3))
-        x = StatePoint(q, v)
         dmu = particle.mu_jac_at(q)
-        grad_q = x.v @ dmu  # (m, n): d/dq_j of mu^a_i v^i
-        hx = h_field(particle, x.concat())
+        grad_q = v @ dmu  # (m, n): d/dq_j of mu^a_i v^i
+        hx = h_field(particle, np.concatenate([q, v]))
         rate = grad_q @ hx[:3] + particle.mu_at(q) @ hx[3:]
         worst_tangency = max(worst_tangency, float(np.max(np.abs(rate))))
 
@@ -263,7 +262,7 @@ def test_criterion_8_two_point_equivalences(particle, particle_x0):
 
 def test_criterion_9_deformed_constraints(particle, particle_x0):
     dc = DeformedConstraint(g=[exprdiff.parse("v_x * v_y")], delta=0.05)
-    x0 = StatePoint([0.0, 1.0, 0.0], [1.0, 1.0, 0.95])  # mu v + delta g = 0 here
+    x0 = np.array([0.0, 1.0, 0.0, 1.0, 1.0, 0.95])  # mu v + delta g = 0 here
     traj = integrate(particle, x0, 5e-4, 2000, deformation=dc)
     drift = float(np.max(np.abs(traj.residuals - traj.residuals[0])))
 
@@ -272,7 +271,7 @@ def test_criterion_9_deformed_constraints(particle, particle_x0):
     gap = 0.0
     for _ in range(50):
         q = rng.normal(size=3)
-        x = StatePoint(q, project_velocity(particle, q, rng.normal(size=3))).concat()
+        x = np.concatenate([q, project_velocity(particle, q, rng.normal(size=3))])
         gap = max(
             gap,
             float(np.max(np.abs(deformed_field(particle, dc0, x) - h_field(particle, x)))),

@@ -24,31 +24,28 @@ from nonholo.discrete import (
 from nonholo.flow import integrate
 from nonholo.reduction import (
     DeformedConstraint,
+    _field,
     _lambda_raw,
-    deformed_lambda,
     deformed_residual,
     lambda_continuous,
-    reduced_field,
 )
 from nonholo.system import (
     MechanicalSystem,
-    StatePoint,
     SystemError,
     constraint_residual,
-    derive_connection,
     energy,
     nonholonomic_particle,
     project_velocity,
     rolling_disk,
 )
 
-X0 = StatePoint([0.0, 1.0, 0.0], [1.0, 1.0, 1.0])
+X0 = np.array([0.0, 1.0, 0.0, 1.0, 1.0, 1.0])
 
 # The rolling disk has a potential with a non-zero Hessian, a non-identity
 # mass matrix and two constraints.
 _TH, _W_TH, _W_PH = 0.7, 0.3, 1.1  # an admissible start: (v_x, v_y) = w_ph (cos th, sin th) / 2
-DISK_X0 = StatePoint(
-    [1.0, 0.0, _TH, 0.0], [0.5 * np.cos(_TH) * _W_PH, 0.5 * np.sin(_TH) * _W_PH, _W_TH, _W_PH]
+DISK_X0 = np.array(
+    [1.0, 0.0, _TH, 0.0, 0.5 * np.cos(_TH) * _W_PH, 0.5 * np.sin(_TH) * _W_PH, _W_TH, _W_PH]
 )
 
 
@@ -61,42 +58,42 @@ def fit_slope(eps_list, errs):
 
 def test_vni10_single_step():
     sys = nonholonomic_particle()
-    out = vni10_step(sys, X0.concat(), 0.1)
-    assert np.array_equal(out.state[:3], [0.1, 1.1, 0.1])
-    assert abs(out.lam[0] - 1.0 / 2.21) < 1e-15
+    x1, lam, iters = vni10_step(sys, X0, 0.1)
+    assert np.array_equal(x1[:3], [0.1, 1.1, 0.1])
+    assert abs(lam[0] - 1.0 / 2.21) < 1e-15
     want_v = [0.9502262443438914, 1.0, 1.0452488687782805]
-    assert np.max(np.abs(out.state[3:] - want_v)) < 1e-15
-    assert out.iters == 0
+    assert np.max(np.abs(x1[3:] - want_v)) < 1e-15
+    assert iters == 0
     # the new node is admissible
-    assert abs(sys.mu_at(out.state[:3]) @ out.state[3:]) < 1e-15
+    assert abs(sys.mu_at(x1[:3]) @ x1[3:]) < 1e-15
 
 
 def test_vni20_single_step():
     sys = nonholonomic_particle()
-    out = vni20_step(sys, X0.concat(), 0.1)
-    assert abs(out.lam[0] - 1.0 / 2.155) < 1e-12
+    x1, lam, iters = vni20_step(sys, X0, 0.1)
+    assert abs(lam[0] - 1.0 / 2.155) < 1e-12
     want_v = [0.951276102088167, 1.0, 1.0464037122969837]
     want_q = [0.09756380510440835, 1.1, 0.10232018561484918]
-    assert np.max(np.abs(out.state[3:] - want_v)) < 1e-12
-    assert np.max(np.abs(out.state[:3] - want_q)) < 1e-12
-    assert out.iters >= 1
-    assert abs(sys.mu_at(out.state[:3]) @ out.state[3:]) < 1e-12
+    assert np.max(np.abs(x1[3:] - want_v)) < 1e-12
+    assert np.max(np.abs(x1[:3] - want_q)) < 1e-12
+    assert iters >= 1
+    assert abs(sys.mu_at(x1[:3]) @ x1[3:]) < 1e-12
 
 
 def test_original_node_single_step():
     sys = nonholonomic_particle()
-    x = StatePoint([0.0, 1.0, 0.0], [1.0, 1.0, 0.95]).concat()
+    x = np.array([0.0, 1.0, 0.0, 1.0, 1.0, 0.95])
     assert abs(deformed_node_residual(sys, x, 0.1)[0]) < 1e-15
-    out = original_node_step(sys, x, 0.1)
-    assert abs(out.lam[0] - 1.0 / 2.05) < 1e-13
+    x1, lam, _ = original_node_step(sys, x, 0.1)
+    assert abs(lam[0] - 1.0 / 2.05) < 1e-13
     # the step conserves the deformed residual, not the plain one
-    assert abs(deformed_node_residual(sys, out.state, 0.1)[0]) < 1e-12
+    assert abs(deformed_node_residual(sys, x1, 0.1)[0]) < 1e-12
 
 
 def test_original_node_rejects_plain_nodes():
     sys = nonholonomic_particle()
     with pytest.raises(SystemError):
-        original_node_step(sys, X0.concat(), 0.1)  # on D but not on the deformed set
+        original_node_step(sys, X0, 0.1)  # on D but not on the deformed set
 
 
 def test_dla_single_step_original_nodes_closed_form():
@@ -105,16 +102,17 @@ def test_dla_single_step_original_nodes_closed_form():
     sys = nonholonomic_particle()
     eps = 0.1
     dsys = DiscreteNonholonomicSystem(sys, FiniteDifferenceMap(beta=1.0, eps=eps))
-    out = dla_step(dsys, X0.q - eps * X0.v, X0.q)
-    assert abs(out.lam[0] - 1.0 / 2.1) < 1e-12
+    q0, v0 = X0[:3], X0[3:]
+    _, lam, _ = dla_step(dsys, q0 - eps * v0, q0)
+    assert abs(lam[0] - 1.0 / 2.1) < 1e-12
 
     rng = np.random.default_rng(21)
     for _ in range(20):
         q = rng.normal(size=3)
         v = project_velocity(sys, q, rng.normal(size=3))
-        out = dla_step(dsys, q - eps * v, q)
+        _, lam, _ = dla_step(dsys, q - eps * v, q)
         want = v[0] * v[1] / (1.0 + q[1] * (q[1] + eps * v[1]))
-        assert abs(out.lam[0] - want) < 1e-11
+        assert abs(lam[0] - want) < 1e-11
 
 
 # --- finite-difference map and discrete system --------------------------------
@@ -157,7 +155,7 @@ def test_discrete_lagrangian_and_constraint():
     # pairs generated from an admissible node satisfy the discrete constraint
     for beta in (0.0, 0.25, 0.5, 1.0):
         rho = FiniteDifferenceMap(beta=beta, eps=0.1)
-        x, y = rho.inverse(X0.q, X0.v)
+        x, y = rho.inverse(X0[:3], X0[3:])
         assert abs((sys.mu_at(rho.point(x, y)) @ (y - x))[0]) < 1e-14
 
 
@@ -211,7 +209,7 @@ def test_regularity_certificate_admits_small_step_sizes():
     # cond grow like 0.5 / eps^2: dla refused eps = 1e-7 where vni20 runs
     sys = nonholonomic_particle()
     dsys = DiscreteNonholonomicSystem(sys, FiniteDifferenceMap(beta=0.5, eps=1e-7))
-    cond, _ = dsys.check_regularity(X0.q, X0.v, sys.mu_at(X0.q))
+    cond, _ = dsys.check_regularity(X0[:3], X0[3:], sys.mu_at(X0[:3]))
     assert cond < 3.0
     dla = run_integrator(sys, "dla", X0, 1e-7, 10, beta=0.5)
     vni20 = run_integrator(sys, "vni20", X0, 1e-7, 10)
@@ -227,15 +225,15 @@ def test_dla_step_builds_the_seed_jacobian_once():
     # Newton's first one: dmu and hess V are evaluated there once each
     sys = rolling_disk()
     dsys = DiscreteNonholonomicSystem(sys, FiniteDifferenceMap(beta=0.5, eps=0.01))
-    q_prev, q_cur = dsys.rho.inverse(DISK_X0.q, DISK_X0.v)
+    q_prev, q_cur = dsys.rho.inverse(DISK_X0[:4], DISK_X0[4:])
     seed = q_cur + 0.5 * 0.01 * ((q_cur - q_prev) / 0.01)
     calls = {"mu_jac_at": [], "hess_v_at": []}
     for name, seen in calls.items():
         accessor = getattr(sys, name)
         setattr(sys, name, lambda q, seen=seen, accessor=accessor: seen.append(np.array(q))
                 or accessor(q))
-    out = dla_step(dsys, q_prev, q_cur)
-    assert out.iters >= 1
+    iters = dla_step(dsys, q_prev, q_cur)[2]
+    assert iters >= 1
     for name, seen in calls.items():
         assert sum(np.array_equal(q, seed) for q in seen) == 1, name
 
@@ -244,12 +242,12 @@ def test_dla_step_evaluates_mu_at_the_current_configuration_once():
     # the regularity certificate and the step equations share one mu(q_k)
     sys = rolling_disk()
     dsys = DiscreteNonholonomicSystem(sys, FiniteDifferenceMap(beta=0.5, eps=0.01))
-    q_prev, q_cur = dsys.rho.inverse(DISK_X0.q, DISK_X0.v)
+    q_prev, q_cur = dsys.rho.inverse(DISK_X0[:4], DISK_X0[4:])
     calls = []
     mu_at = sys.mu_at
     sys.mu_at = lambda q: calls.append(np.array(q)) or mu_at(q)
-    out = dla_step(dsys, q_prev, q_cur)
-    assert out.iters >= 1
+    iters = dla_step(dsys, q_prev, q_cur)[2]
+    assert iters >= 1
     assert sum(np.array_equal(q, q_cur) for q in calls) == 1
 
 
@@ -266,31 +264,10 @@ def test_newton_step_evaluates_mu_once_per_iterate():
     calls = []
     mu_at = sys.mu_at
     sys.mu_at = lambda q: calls.append(q) or mu_at(q)
-    out = vni20_step(sys, DISK_X0.concat(), 0.01)
-    assert out.iters >= 1
+    iters = vni20_step(sys, DISK_X0, 0.01)[2]
+    assert iters >= 1
     # the reaction row at q_half, then one per iterate: each iteration's and the final one
-    assert len(calls) == 1 + out.iters + 1
-
-
-def test_no_state_point_is_built_per_step(monkeypatch):
-    # StatePoint is the validated type of the public API; below it the loops
-    # pass flat (q, v) rows, so their StatePoint count does not grow with steps
-    built = []
-    post_init = StatePoint.__post_init__
-    monkeypatch.setattr(StatePoint, "__post_init__", lambda x: built.append(x) or post_init(x))
-    sys = nonholonomic_particle()
-    split = derive_connection(sys, q0=X0.q)
-    xi = np.array([0.0, 1.0, 0.0, 1.0, 1.0])
-    runs = {
-        "vni20": lambda: run_integrator(sys, "vni20", X0, 0.01, 1000),
-        "dla": lambda: run_integrator(sys, "dla", X0, 0.01, 1000, beta=0.5),
-        "integrate": lambda: integrate(sys, X0, 0.01, 100),
-        "reduced_field": lambda: [reduced_field(sys, split, xi) for _ in range(100)],
-    }
-    for name, call in runs.items():
-        built.clear()
-        call()
-        assert len(built) <= 1, f"{name} built {len(built)} StatePoints"
+    assert len(calls) == 1 + iters + 1
 
 
 # --- invariants over many steps -----------------------------------------------
@@ -307,8 +284,8 @@ def test_node_schemes_preserve_d_over_long_runs():
 def test_original_node_conserves_deformed_residual():
     sys = nonholonomic_particle()
     eps = 0.01
-    v0 = deformed_admissible_velocity(sys, X0.q, X0.v, eps)
-    traj = run_integrator(sys, "original_node", StatePoint(X0.q, v0), eps, 200)
+    v0 = deformed_admissible_velocity(sys, X0[:3], X0[3:], eps)
+    traj = run_integrator(sys, "original_node", np.concatenate([X0[:3], v0]), eps, 200)
     assert np.max(np.abs(traj.deformed_residuals)) < 1e-10
     # the plain residual is genuinely nonzero (the node set is deformed)
     assert np.max(np.abs(traj.residuals)) > 1e-6
@@ -334,9 +311,9 @@ def test_unconstrained_vni10_is_symplectic_euler():
     # m = 0: drift q1 = q + eps v, then kick v1 = v - eps M^-1 grad V(q1); D is all of TQ
     sys = MechanicalSystem(["x", "y"], np.diag([1.0, 2.0]), "(x^2+y^2)/2", [])
     q, v = np.array([1.0, -2.0]), np.array([0.5, 3.0])
-    out = vni10_step(sys, np.concatenate([q, v]), 0.25)
-    assert np.array_equal(out.state, [1.125, -1.25, 0.21875, 3.15625])
-    assert out.lam.shape == (0,) and out.iters == 0
+    x1, lam, iters = vni10_step(sys, np.concatenate([q, v]), 0.25)
+    assert np.array_equal(x1, [1.125, -1.25, 0.21875, 3.15625])
+    assert lam.shape == (0,) and iters == 0
     assert np.array_equal(deformed_admissible_velocity(sys, q, v, 0.25), v)
 
 
@@ -344,17 +321,15 @@ def test_unconstrained_vni20_is_trapezoidal_rule():
     # harmonic oscillator: the m = 0 step equations reduce to the implicit
     # trapezoidal rule, solvable in closed form
     sys = MechanicalSystem(["x"], np.eye(1), "0.5*x^2", [])
-    x = StatePoint([1.0], [0.5])
+    q0, v0 = 1.0, 0.5
     eps = 0.2
-    out = vni20_step(sys, x.concat(), eps)
+    x1 = vni20_step(sys, np.array([q0, v0]), eps)[0]
     # solve v1 = v0 - eps/2 (q0 + q1), q1 = q0 + eps/2 (v0 + v1) directly
     a = np.array([[1.0 + eps * eps / 4.0, 0.0], [-eps / 2.0, 1.0]])
-    rhs = np.array(
-        [x.v[0] - 0.5 * eps * (2.0 * x.q[0] + 0.5 * eps * x.v[0]), x.q[0] + 0.5 * eps * x.v[0]]
-    )
+    rhs = np.array([v0 - 0.5 * eps * (2.0 * q0 + 0.5 * eps * v0), q0 + 0.5 * eps * v0])
     v1, q1 = np.linalg.solve(a, rhs)
-    assert abs(out.state[1] - v1) < 1e-13
-    assert abs(out.state[0] - q1) < 1e-13
+    assert abs(x1[1] - v1) < 1e-13
+    assert abs(x1[0] - q1) < 1e-13
 
 
 # --- scheme equivalences through the node redefinition -------------------------
@@ -400,8 +375,7 @@ def endpoint_errors(sys, scheme, ref, eps_list, **kw):
     for eps in eps_list:
         steps = round(0.5 / eps)
         traj = run_integrator(sys, scheme, X0, eps, steps, **kw)
-        end = traj.state(len(traj) - 1)
-        errs.append(max(np.max(np.abs(end.q - ref.q)), np.max(np.abs(end.v - ref.v))))
+        errs.append(np.max(np.abs(traj.states[-1] - ref)))
     return errs
 
 
@@ -410,7 +384,7 @@ def test_first_order_state_and_multiplier_convergence(particle, oracle_t05):
     slope = fit_slope(EPS_COARSE, errs)
     assert 0.9 < slope < 1.1, f"state slope {slope} (errors {errs})"
 
-    lam_ref = lambda_continuous(particle, oracle_t05.concat())
+    lam_ref = lambda_continuous(particle, oracle_t05)
     lam_errs = []
     for eps in EPS_COARSE:
         traj = run_integrator(particle, "vni10", X0, eps, round(0.5 / eps))
@@ -438,12 +412,10 @@ def test_midpoint_constraint_scheme_degrades_to_first_order(particle, oracle_t05
     errs = []
     res_end = []
     for eps in EPS_COARSE:
-        v0 = deformed_admissible_velocity(particle, X0.q, X0.v, eps)
-        traj = run_integrator(particle, "original_node", StatePoint(X0.q, v0), eps, round(0.5 / eps))
-        end = traj.state(len(traj) - 1)
-        errs.append(
-            max(np.max(np.abs(end.q - oracle_t05.q)), np.max(np.abs(end.v - oracle_t05.v)))
-        )
+        v0 = deformed_admissible_velocity(particle, X0[:3], X0[3:], eps)
+        x0 = np.concatenate([X0[:3], v0])
+        traj = run_integrator(particle, "original_node", x0, eps, round(0.5 / eps))
+        errs.append(np.max(np.abs(traj.states[-1] - oracle_t05)))
         res_end.append(abs(traj.residuals[-1, 0]))
     slope = fit_slope(EPS_COARSE, errs)
     assert 0.9 < slope < 1.1, f"state slope {slope} (errors {errs})"
@@ -464,7 +436,7 @@ def test_run_integrator_validation():
         run_integrator(sys, "vni10", X0, 0.1, 10, beta=0.5)
     with pytest.raises(SystemError):
         run_integrator(sys, "dla", X0, 0.1, 10)
-    off = StatePoint([0.0, 1.0, 0.0], [1.0, 0.0, 0.0])
+    off = np.array([0.0, 1.0, 0.0, 1.0, 0.0, 0.0])
     with pytest.raises(SystemError):
         run_integrator(sys, "vni10", off, 0.1, 10)
     with pytest.raises(SystemError):
@@ -530,7 +502,8 @@ def test_recorded_columns_are_the_diagnostics_of_each_row(system):
         sys, x0, g = rolling_disk(), DISK_X0, ["v_x*v_th", "v_y*v_ph"]
     eps, steps = 0.01, 40
     dc = DeformedConstraint(g=[exprdiff.parse(e) for e in g], delta=0.05)
-    on_deformed = StatePoint(x0.q, deformed_admissible_velocity(sys, x0.q, x0.v, eps))
+    q0, v0 = x0[: sys.n], x0[sys.n :]
+    on_deformed = np.concatenate([q0, deformed_admissible_velocity(sys, q0, v0, eps)])
     plain = functools.partial(constraint_residual, sys)
     runs = {
         "reference": (integrate(sys, x0, eps, steps), plain),
@@ -549,7 +522,7 @@ def test_recorded_columns_are_the_diagnostics_of_each_row(system):
         ),
     }
     lambda_of = {"reference": functools.partial(_lambda_raw, sys),
-                 "deformed_reference": functools.partial(deformed_lambda, sys, dc)}
+                 "deformed_reference": lambda x: _field(sys, dc, x)[1]}
     for name, (traj, residual_at) in runs.items():
         assert len(traj) == steps + 1, name
         for k, x in enumerate(traj.states):

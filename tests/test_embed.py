@@ -92,10 +92,8 @@ def test_interpolation_is_flat_near_the_ends():
 def test_interpolation_rejects_off_d_input():
     sys = nonholonomic_particle()
     split = derive_connection(sys, q0=np.array([0.0, 1.0, 0.0]))
-    from nonholo.system import StatePoint
-
     good = psi_embed(sys, split, np.array([0.0, 1.0, 0.0, 1.0, 1.0]))
-    bad = StatePoint([0.0, 1.0, 0.0], [1.0, 0.0, 0.0]).concat()
+    bad = np.array([0.0, 1.0, 0.0, 1.0, 0.0, 0.0])
     with pytest.raises(SystemError):
         interpolate_in_D(sys, split, good, bad, 0.1)
 

@@ -29,14 +29,13 @@ from nonholo.flow import (
 from nonholo.reduction import h_field
 from nonholo.system import (
     MechanicalSystem,
-    StatePoint,
     SystemError,
     nonholonomic_particle,
     rolling_disk,
 )
 from test_discrete import DISK_X0
 
-PARTICLE_X0 = StatePoint([0.0, 1.0, 0.0], [1.0, 1.0, 1.0])
+PARTICLE_X0 = np.array([0.0, 1.0, 0.0, 1.0, 1.0, 1.0])
 
 
 def test_rk4_single_step_value():
@@ -53,8 +52,7 @@ def test_rk4_is_fourth_order():
     errs = []
     for eps, steps in ((0.02, 25), (0.01, 50)):
         traj = integrate(sys, PARTICLE_X0, eps, steps)
-        end = traj.state(len(traj) - 1)
-        errs.append(max(np.max(np.abs(end.q - ref.q)), np.max(np.abs(end.v - ref.v))))
+        errs.append(np.max(np.abs(traj.states[-1] - ref)))
     ratio = errs[0] / errs[1]
     assert 14.0 < ratio < 18.0, f"error ratio {ratio} (errors {errs})"
 
@@ -64,10 +62,7 @@ def test_flow_semigroup_property():
     mid = reference_flow(sys, PARTICLE_X0, 0.1)
     end_composed = reference_flow(sys, mid, 0.1)
     end_direct = reference_flow(sys, PARTICLE_X0, 0.2)
-    gap = max(
-        np.max(np.abs(end_composed.q - end_direct.q)),
-        np.max(np.abs(end_composed.v - end_direct.v)),
-    )
+    gap = np.max(np.abs(end_composed - end_direct))
     assert gap < 1e-9
 
 
@@ -75,7 +70,7 @@ def test_backward_flow_inverts_forward():
     sys = nonholonomic_particle()
     fwd = reference_flow(sys, PARTICLE_X0, 0.1)
     back = reference_flow(sys, fwd, -0.1)
-    gap = max(np.max(np.abs(back.q - PARTICLE_X0.q)), np.max(np.abs(back.v - PARTICLE_X0.v)))
+    gap = np.max(np.abs(back - PARTICLE_X0))
     assert gap < 1e-11
 
 
@@ -130,26 +125,24 @@ def test_reference_flow_is_both_drivers_on_the_one_flow_rule(system, t):
     # the reference flow's K steps, as integrate's steps and as flow_field's rule at REFERENCE_STEP
     sys, x0 = {"particle": (_PARTICLE, PARTICLE_X0), "disk": (rolling_disk(), DISK_X0)}[system]
     K = int(_flow_steps(t, REFERENCE_STEP))
-    end = reference_flow(sys, x0, t).concat()
+    end = reference_flow(sys, x0, t)
     assert end.tobytes() == integrate(sys, x0, t / K, K).states[-1].tobytes()
-    stack = flow_field(functools.partial(h_field, sys), x0.concat(), t, REFERENCE_STEP)
+    stack = flow_field(functools.partial(h_field, sys), x0, t, REFERENCE_STEP)
     assert end.tobytes() == stack.tobytes()
 
 
 def test_zero_time_integration():
     sys = nonholonomic_particle()
     traj = integrate(sys, PARTICLE_X0, 0.1, 0)
-    end = traj.state(len(traj) - 1)
-    assert np.array_equal(end.q, PARTICLE_X0.q)
-    assert np.array_equal(end.v, PARTICLE_X0.v)
-    assert np.array_equal(reference_flow(sys, PARTICLE_X0, 0.0).q, PARTICLE_X0.q)
+    assert np.array_equal(traj.states[-1], PARTICLE_X0)
+    assert np.array_equal(reference_flow(sys, PARTICLE_X0, 0.0), PARTICLE_X0)
 
 
 def test_blow_up_carries_partial_trajectory():
     # x'' = 4 x^3 from x = 1 blows up in finite time
     sys = MechanicalSystem(["x"], np.eye(1), "-(x^4)", [])
     with pytest.raises(BlowUpError) as ei:
-        integrate(sys, StatePoint([1.0], [0.0]), 1e-2, 1000)
+        integrate(sys, [1.0, 0.0], 1e-2, 1000)
     partial = ei.value.partial
     assert partial is not None and len(partial) >= 1
     assert np.all(np.isfinite(partial.states))
@@ -158,7 +151,7 @@ def test_blow_up_carries_partial_trajectory():
 def test_a_fast_start_runs_at_its_own_scale():
     # v x 1e8 over 100 steps of 1e-12 is the standard path at 1e8 times the
     # speed: no state entry comes near overflow, so no step blows up
-    x0 = StatePoint(PARTICLE_X0.q, PARTICLE_X0.v * 1e8)
+    x0 = np.concatenate([PARTICLE_X0[:3], PARTICLE_X0[3:] * 1e8])
     traj = integrate(nonholonomic_particle(), x0, 1e-12, 100)
     assert len(traj) == 101 and np.isfinite(traj.states).all()
 
@@ -204,7 +197,7 @@ def test_a_diagnostic_that_fails_early_stops_the_march(monkeypatch):
     monkeypatch.setitem(discrete.SCHEMES, "vni10",
                         (lambda *args: calls.append(1) or step_fn(*args), p))
     with pytest.raises(SystemError) as ei:
-        run_integrator(sys, "vni10", StatePoint([0.0, 0.0], [1e200, 1e200]), 1e-300, 100_000)
+        run_integrator(sys, "vni10", [0.0, 0.0, 1e200, 1e200], 1e-300, 100_000)
     assert str(ei.value) == "energy is not finite (inf)"
     assert (ei.value.step, ei.value.t, len(ei.value.partial)) == (0, 0.0, 0)
     assert len(calls) <= 2
@@ -288,18 +281,30 @@ def test_times_and_step_sizes_are_checked(entry, call):
     [
         lambda: integrate(_PARTICLE, PARTICLE_X0, 1e-300, 1e300),  # past any integer width
         lambda: integrate(_PARTICLE, PARTICLE_X0, 1e-3, 10**13),
+        lambda: integrate(_PARTICLE, PARTICLE_X0, 0.1, _INF),
+        lambda: run_integrator(_PARTICLE, "vni10", PARTICLE_X0, 0.1, _INF),
         lambda: reference_flow(_PARTICLE, PARTICLE_X0, 1e305),
         lambda: flow_field(lambda z: z, np.ones(1), 1e300, base_step=1e-300),
         lambda: flow_field(lambda z: z, np.ones(2), 1e8, base_step=1.0),
     ],
-    ids=["integrate_overflow", "integrate_1e13", "reference_flow_overflow",
-         "flow_field_overflow", "flow_field_1e8"],
+    ids=["integrate_overflow", "integrate_1e13", "integrate_inf", "run_integrator_inf",
+         "reference_flow_overflow", "flow_field_overflow", "flow_field_1e8"],
 )
 def test_step_counts_are_capped(call):
     # a time and a step that are finite alone can still ask for more steps
     # than MAX_STEPS, or for a count that overflows; both are SystemErrors,
     # raised before anything is allocated or stepped
     with pytest.raises(SystemError, match="MAX_STEPS"):
+        call()
+
+
+@pytest.mark.parametrize("call", [
+    lambda: integrate(_PARTICLE, PARTICLE_X0, 0.1, _NAN),
+    lambda: run_integrator(_PARTICLE, "vni10", PARTICLE_X0, 0.1, _NAN),
+], ids=["integrate", "run_integrator"])
+def test_a_nan_step_count_is_no_whole_number(call):
+    # NaN is no count, not one above MAX_STEPS (an infinite count is: see above)
+    with pytest.raises(SystemError, match="steps must be a whole number >= 0, got nan"):
         call()
 
 

@@ -18,7 +18,6 @@ from nonholo.reduction import (
 )
 from nonholo.system import (
     MechanicalSystem,
-    StatePoint,
     SystemError,
     derive_connection,
     nonholonomic_particle,
@@ -39,35 +38,35 @@ def random_on_d(sys, rng, count):
     for _ in range(count):
         q = rng.normal(size=sys.n)
         v = project_velocity(sys, q, rng.normal(size=sys.n))
-        yield StatePoint(q, v)
+        yield np.concatenate([q, v])
 
 
 def test_multiplier_closed_form_particle():
     sys = nonholonomic_particle()
-    x = StatePoint([0.0, 1.0, 0.0], [1.0, 1.0, 1.0])
-    lam = lambda_continuous(sys, x.concat())
+    x = np.array([0.0, 1.0, 0.0, 1.0, 1.0, 1.0])
+    lam = lambda_continuous(sys, x)
     assert lam.shape == (1,)
     assert lam[0] == 0.5
 
     rng = np.random.default_rng(0)
     for x in random_on_d(sys, rng, 50):
-        lam = lambda_continuous(sys, x.concat())
-        want = x.v[0] * x.v[1] / (1.0 + x.q[1] ** 2)
+        lam = lambda_continuous(sys, x)
+        want = x[3] * x[4] / (1.0 + x[1] ** 2)
         assert abs(lam[0] - want) < 1e-13 * (1 + abs(want))
 
 
 def test_multiplier_requires_on_d_state():
     sys = nonholonomic_particle()
-    off = StatePoint([0.0, 1.0, 0.0], [1.0, 0.0, 0.0])
+    off = np.array([0.0, 1.0, 0.0, 1.0, 0.0, 0.0])
     with pytest.raises(SystemError):
-        lambda_continuous(sys, off.concat())
-    lam = lambda_continuous(sys, off.concat(), check=False)
+        lambda_continuous(sys, off)
+    lam = lambda_continuous(sys, off, check=False)
     assert np.isfinite(lam).all()
 
 
 def test_field_value_particle():
     sys = nonholonomic_particle()
-    x = StatePoint([0.0, 1.0, 0.0], [1.0, 1.0, 1.0]).concat()
+    x = np.array([0.0, 1.0, 0.0, 1.0, 1.0, 1.0])
     assert np.array_equal(h_field(sys, x), [1.0, 1.0, 1.0, -0.5, 0.0, 0.5])
 
 
@@ -77,9 +76,9 @@ def test_field_tangency_hand_derived():
     sys = nonholonomic_particle()
     rng = np.random.default_rng(1)
     for x in random_on_d(sys, rng, 100):
-        f = h_field(sys, x.concat())
+        f = h_field(sys, x)
         fq, fv = f[:3], f[3:]
-        ddt = -x.v[0] * fq[1] + (-x.q[1] * fv[0] + fv[2])
+        ddt = -x[3] * fq[1] + (-x[1] * fv[0] + fv[2])
         assert abs(ddt) < 1e-10, f"constraint drifts at rate {ddt}"
 
 
@@ -87,9 +86,9 @@ def test_field_tangency_with_potential_and_mass():
     sys = heavy_particle()
     rng = np.random.default_rng(2)
     for x in random_on_d(sys, rng, 100):
-        f = h_field(sys, x.concat())
+        f = h_field(sys, x)
         fq, fv = f[:3], f[3:]
-        ddt = -x.v[0] * fq[1] + (-x.q[1] * fv[0] + fv[2])
+        ddt = -x[3] * fq[1] + (-x[1] * fv[0] + fv[2])
         assert abs(ddt) < 1e-10
 
 
@@ -97,9 +96,9 @@ def test_energy_is_instantaneously_conserved():
     sys = heavy_particle()
     rng = np.random.default_rng(3)
     for x in random_on_d(sys, rng, 100):
-        f = h_field(sys, x.concat())
-        grad_e_q = sys.grad_v_at(x.q)
-        grad_e_v = sys.M @ x.v
+        f = h_field(sys, x)
+        grad_e_q = sys.grad_v_at(x[:3])
+        grad_e_v = sys.M @ x[3:]
         ddt = grad_e_q @ f[:3] + grad_e_v @ f[3:]
         assert abs(ddt) < 1e-10
 
@@ -108,7 +107,7 @@ def test_unconstrained_field():
     # m = 0 runs the constrained code on zero-row arrays: every field is
     # (v, -M^-1 grad V), the multiplier and the residual are empty
     sys = MechanicalSystem(["x"], np.eye(1), "x^2", [])
-    x = StatePoint([3.0], [2.0]).concat()
+    x = np.array([3.0, 2.0])
     assert np.array_equal(h_field(sys, x), [2.0, -6.0])
     assert np.array_equal(h_field(sys, np.stack([x, 2.0 * x])), [[2.0, -6.0], [4.0, -12.0]])
     assert lambda_continuous(sys, x).shape == (0,)
@@ -136,7 +135,7 @@ def test_reduce_state_rejects_off_d():
     sys = nonholonomic_particle()
     split = derive_connection(sys, q0=np.array([0.0, 1.0, 0.0]))
     with pytest.raises(SystemError):
-        reduce_state(sys, split, StatePoint([0.0, 1.0, 0.0], [1.0, 0.0, 0.0]).concat())
+        reduce_state(sys, split, np.array([0.0, 1.0, 0.0, 1.0, 0.0, 0.0]))
 
 
 def test_reduced_field_value_and_consistency():
@@ -169,16 +168,16 @@ def test_perturbed_lambda_against_direct_solve():
     rng = np.random.default_rng(8)
     h = 1e-7
     for x in random_on_d(sys, rng, 25):
-        mu = sys.mu_at(x.q)
+        mu = sys.mu_at(x[:3])
         dmu_v = np.empty((1, 3))
         for j in range(3):
-            qp, qm = x.q.copy(), x.q.copy()
+            qp, qm = x[:3].copy(), x[:3].copy()
             qp[j] += h
             qm[j] -= h
-            dmu_v[:, j] = (sys.mu_at(qp) - sys.mu_at(qm)) @ x.v / (2 * h)
-        rhs = dmu_v @ x.v + mu @ (-sys.M_inv @ sys.grad_v_at(x.q))
+            dmu_v[:, j] = (sys.mu_at(qp) - sys.mu_at(qm)) @ x[3:] / (2 * h)
+        rhs = dmu_v @ x[3:] + mu @ (-sys.M_inv @ sys.grad_v_at(x[:3]))
         lam_direct = np.linalg.solve(mu @ sys.M_inv @ mu.T, -rhs)
-        lam = lambda_continuous(sys, x.concat())
+        lam = lambda_continuous(sys, x)
         assert np.max(np.abs(lam - lam_direct)) < 1e-6
 
 
@@ -192,7 +191,7 @@ def product_deformation(delta: float) -> DeformedConstraint:
 def test_deformed_gram_matrix_value():
     sys = nonholonomic_particle()
     dc = product_deformation(0.05)
-    x = StatePoint([0.0, 1.0, 0.0], [1.0, 1.0, 1.0]).concat()
+    x = np.array([0.0, 1.0, 0.0, 1.0, 1.0, 1.0])
     # the deformed one-form mu + delta dg/dv is (-0.95, 0.05, 1) here
     rows = sys.mu_at(x[:3]) + dc.delta * dc.g_grad(sys, x)[:, 3:]
     assert abs((rows @ sys.M_inv @ rows.T)[0, 0] - 1.905) < 1e-15
@@ -201,7 +200,7 @@ def test_deformed_gram_matrix_value():
 def test_deformed_residual_value():
     sys = nonholonomic_particle()
     dc = product_deformation(0.05)
-    x = StatePoint([0.0, 1.0, 0.0], [1.0, 1.0, 1.0]).concat()
+    x = np.array([0.0, 1.0, 0.0, 1.0, 1.0, 1.0])
     # mu v = 0 here, so the residual is just delta v_x v_y
     assert abs(deformed_residual(sys, dc, x)[0] - 0.05) < 1e-16
 
@@ -227,13 +226,13 @@ def test_deformation_off_recovers_plain_field():
     dc = DeformedConstraint(g=[exprdiff.parse("v_x*v_y")], delta=0.0)
     rng = np.random.default_rng(12)
     for x in random_on_d(sys, rng, 10):
-        want = h_field(sys, x.concat())
-        assert deformed_field(sys, dc, x.concat()).tobytes() == want.tobytes()
+        want = h_field(sys, x)
+        assert deformed_field(sys, dc, x).tobytes() == want.tobytes()
 
 
 def test_deformed_rows_that_vanish_fail_the_certificate():
     # delta g_v = (y, 0, -1) cancels mu = (-y, 0, 1): the deformed Gram matrix is zero
     dc = DeformedConstraint(g=[exprdiff.parse("y*v_x - v_z")], delta=1.0)
-    x = StatePoint([0.0, 1.0, 0.0], [1.0, 1.0, 1.0]).concat()
+    x = np.array([0.0, 1.0, 0.0, 1.0, 1.0, 1.0])
     with pytest.raises(SystemError, match="not positive definite"):
         deformed_field(nonholonomic_particle(), dc, x)

@@ -8,11 +8,12 @@ import numpy as np
 import pytest
 
 from nonholo import exprdiff
+from nonholo.discrete import run_integrator
+from nonholo.flow import integrate, reference_flow
 from nonholo.system import (
     BUILTIN_FIELDS,
     ConnectionSplit,
     MechanicalSystem,
-    StatePoint,
     SystemError,
     _gram,
     _gram_solve,
@@ -50,10 +51,10 @@ def test_particle_gram_matrix():
 def test_residual_and_projection():
     sys = nonholonomic_particle()
     q = np.array([0.0, 1.0, 0.0])
-    x = StatePoint(q, np.array([1.0, 0.0, 0.0]))
-    assert np.array_equal(constraint_residual(sys, x.concat()), np.array([-1.0]))
+    x = np.array([0.0, 1.0, 0.0, 1.0, 0.0, 0.0])
+    assert np.array_equal(constraint_residual(sys, x), np.array([-1.0]))
 
-    w = project_velocity(sys, q, x.v)
+    w = project_velocity(sys, q, x[3:])
     assert np.allclose(w, [0.5, 0.0, 0.5], atol=0, rtol=0)
     assert abs(sys.mu_at(q) @ w)[0] < 1e-15
 
@@ -79,8 +80,8 @@ def test_projection_is_m_orthogonal():
 
 def test_energy_value():
     sys = nonholonomic_particle()
-    x = StatePoint(np.array([0.0, 1.0, 0.0]), np.array([1.0, 1.0, 1.0]))
-    assert energy(sys, x.concat()) == 1.5
+    x = np.array([0.0, 1.0, 0.0, 1.0, 1.0, 1.0])
+    assert energy(sys, x) == 1.5
 
 
 def test_auto_fiber_prefers_last_tied_block():
@@ -144,13 +145,41 @@ def test_zero_constraint_row_has_no_fiber():
         derive_connection(sys, q0=np.array([0.0, 1.0]))
 
 
-def test_state_validation():
-    with pytest.raises(SystemError):
-        StatePoint(np.array([1.0, 2.0]), np.array([1.0]))
-    with pytest.raises(SystemError):
-        StatePoint(np.array([np.nan]), np.array([1.0]))
-    x = StatePoint([0, 1, 0], [1, 1, 0])
-    assert x.q.dtype == float
+_RUNS = {
+    "integrate": lambda sys, x0: integrate(sys, x0, 0.01, 3),
+    "run_integrator": lambda sys, x0: run_integrator(sys, "vni10", x0, 0.01, 3),
+    "reference_flow": lambda sys, x0: reference_flow(sys, x0, 0.01),
+}
+
+
+_NO_ROW = "a state must be a row \\(q, v\\) of 6 numbers"
+
+
+@pytest.mark.parametrize("bad, message", [
+    ([0.0, 1.0, 1.0, 1.0], _NO_ROW),  # (q, v) of the wrong length
+    ([[0.0, 1.0, 0.0], [1.0, 1.0, 1.0]], _NO_ROW),  # q and v as two rows
+    ([0.0, 1.0, 0.0, 1.0, 1.0, np.nan], "state entries must be finite"),
+    ([0.0, 1.0, 0.0, 1.0, -np.inf, 1.0], "state entries must be finite"),
+    ([0.0, 1.0, 0.0, "a", 1.0, 1.0], _NO_ROW),
+    ([0.0, 1.0, 0.0, None, 1.0, 1.0], _NO_ROW),
+    ([0.0, 1.0, 0.0, [1.0], 1.0, 1.0], _NO_ROW),  # a ragged nesting
+], ids=["length", "two_rows", "nan", "inf", "string", "none", "ragged"])
+@pytest.mark.parametrize("run", _RUNS)
+def test_the_runs_refuse_a_state_that_is_no_row_of_2n_finite_numbers(run, bad, message):
+    with pytest.raises(SystemError, match=message):
+        _RUNS[run](nonholonomic_particle(), bad)
+
+
+@pytest.mark.parametrize("run", _RUNS)
+def test_the_runs_take_a_list_and_leave_the_callers_row_as_it_is(run):
+    sys = nonholonomic_particle()
+    x0 = np.array([0.0, 1.0, 0.0, 1.0, 1.0, 1.0])
+    given = x0.copy()
+    from_list, from_row = _RUNS[run](sys, [0, 1, 0, 1, 1, 1]), _RUNS[run](sys, x0)
+    if run != "reference_flow":
+        from_list, from_row = from_list.states, from_row.states
+    assert from_list.tobytes() == from_row.tobytes()
+    assert x0.tobytes() == given.tobytes()
 
 
 def test_system_validation():
@@ -173,14 +202,15 @@ def test_system_validation():
 def test_unconstrained_system_supported():
     sys = MechanicalSystem(["x", "y"], np.eye(2), "x^2 + y^2", [])
     assert sys.m == 0
-    x = StatePoint([1.0, 0.0], [0.0, 2.0])
-    assert constraint_residual(sys, x.concat()).shape == (0,)
-    assert np.array_equal(project_velocity(sys, x.q, x.v), x.v)
-    assert c_matrix(sys, sys.mu_at(x.q), x.q).shape == (0, 0)
+    x = np.array([1.0, 0.0, 0.0, 2.0])
+    q, v = x[:2], x[2:]
+    assert constraint_residual(sys, x).shape == (0,)
+    assert np.array_equal(project_velocity(sys, q, v), v)
+    assert c_matrix(sys, sys.mu_at(q), q).shape == (0, 0)
     # the empty reaction leaves every entry as it is, signed zeros included
-    w = project_velocity(sys, x.q, np.array([-0.0, 2.0]))
+    w = project_velocity(sys, q, np.array([-0.0, 2.0]))
     assert w.tolist() == [0.0, 2.0] and np.signbit(w[0])
-    assert energy(sys, x.concat()) == 3.0
+    assert energy(sys, x) == 3.0
 
 
 def test_gram_matrix_conditioning_guard():
