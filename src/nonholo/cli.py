@@ -22,7 +22,7 @@ import json
 import os
 import sys as _sys
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict
 
 import numpy as np
 
@@ -30,8 +30,12 @@ from . import exprdiff
 from .discrete import (
     SCHEMES,
     NodePolicy,
+    StudyResult,
     _scheme_run,
+    _steps_to,
     deformed_admissible_velocity,
+    endpoint_study,
+    plan_study,
     run_integrator,
 )
 from .embed import (
@@ -47,7 +51,7 @@ from .embed import (
 )
 from .flow import (_QUIET, REFERENCE_STEP, RUNTIME_ERRORS, _flow_steps, integrate,
                    reference_flow, write_csv)
-from .reduction import DeformedConstraint, deformed_residual, lambda_continuous, reduce_state
+from .reduction import DeformedConstraint, deformed_residual, reduce_state
 from .system import (
     BUILTIN_FIELDS,
     MechanicalSystem,
@@ -347,32 +351,6 @@ def _initial_state(run: _Run, state, deformation=None, e=0.0) -> np.ndarray:
     return x
 
 
-def _steps_and_set(run: _Run, eps: float) -> tuple[int, float, float]:
-    """(N, h, e): a run's N steps of h, N and h = eps if given N, else N = max(1, round(T / eps))
-    and h = T / N, ending at T; and e of the set its nodes keep (`discrete._scheme_run` at h;
-    e = 0 is D).  A run that the library would refuse is a config error here."""
-    with _set_up():
-        if run.get("N") is not None:
-            N, h = run["N"], eps
-        else:
-            _require_steps("T / eps", run["T"] / eps)
-            N = max(1, round(run["T"] / eps))
-            h = run["T"] / N
-        if run["integrator"] != "reference":
-            return N, h, _scheme_run(run["integrator"], h, N, run["beta"], run["nodes"])[2]
-        _require_run(h, N)
-    return N, h, 0.0
-
-
-def _run_steps(run: _Run, x0: np.ndarray, N: int, h: float):
-    """The run's integrator from x0: N steps of h (`_steps_and_set`)."""
-    if run["integrator"] == "reference":  # a study has no deformation or project_each_step
-        return integrate(run["system"], x0, h, N, run.get("deformation"),
-                         run.get("project_each_step", False))
-    return run_integrator(run["system"], run["integrator"], x0, h, N, beta=run["beta"],
-                          policy=run["nodes"])
-
-
 # --- simulate -------------------------------------------------------------------
 
 
@@ -381,12 +359,18 @@ def cmd_simulate(cfg: dict, out_dir: str) -> int:
     integ, eps, dc = run["integrator"], run["eps"], run["deformation"]
     if (run["N"] is None) == (run["T"] is None):
         raise ConfigError("give exactly one of 'N' (step count) or 'T' (end time)")
-    N, h, e = _steps_and_set(run, eps)
+    with _set_up():  # a run that the library would refuse is a config error here
+        N, h = (run["N"], eps) if run["N"] is not None else _steps_to(run["T"], eps)
+        _require_run(h, N)
+        e = 0.0 if integ == "reference" else _scheme_run(integ, h, N, run["beta"], run["nodes"])[2]
     x0 = _initial_state(run, (run["q"], run["v"]), dc, e)
     csv_path, summary_path = (os.path.join(out_dir, run[key]) for key in ("output", "summary"))
     started = time.perf_counter()
     try:
-        traj = _run_steps(run, x0, N, h)
+        if integ == "reference":
+            traj = integrate(run["system"], x0, h, N, dc, run["project_each_step"])
+        else:
+            traj = run_integrator(run["system"], integ, x0, h, N, run["beta"], run["nodes"])
     except RUNTIME_ERRORS as exc:
         # a failure inside the run loop carries its rows and where it stopped
         where = ""
@@ -412,58 +396,19 @@ def cmd_simulate(cfg: dict, out_dir: str) -> int:
 # --- converge -------------------------------------------------------------------
 
 
-@dataclass
-class StudyResult:
-    """Per-step-size endpoint errors and the fitted consistency orders."""
-
-    eps: list[float]
-    state_error: list[float]
-    lambda_error: list[float]
-    state_slope: float | None
-    lambda_slope: float | None
-    failures: list[dict] = field(default_factory=list)
-
-
 def convergence_study(cfg: dict, eps_list: list[float]) -> StudyResult:
-    """Endpoint errors against one high-resolution oracle, across step sizes.
-
-    The step sizes run one after another, largest first, on the one system
-    built from the config; a step size whose run fails is recorded in
-    `failures` and the study goes on.
-    """
+    """Endpoint errors against one high-resolution oracle, across step sizes, on the one
+    system built from the config: `discrete.plan_study`, then `discrete.endpoint_study`."""
     run = cfg if isinstance(cfg, _Run) else _read(cfg, "converge")
     eps_list = _eps_list(eps_list, "eps_list")
     sys, T = run["system"], run["T"]
     x0 = _initial_state(run, (run["q"], run["v"]))
     with _set_up("the reference oracle: "):
         _flow_steps(T, REFERENCE_STEP)
-    runs = []  # (eps, start, N, h): a start on D is the oracle's own
-    for eps in sorted(eps_list, reverse=True):
-        N, h, e = _steps_and_set(run, eps)
-        runs.append((eps, _initial_state(run, (run["q"], run["v"]), e=e) if e else x0, N, h))
-
-    oracle = reference_flow(sys, x0, T)
-    oracle_lam = lambda_continuous(sys, oracle, check=False)
-
-    eps_ok, state, lam, failures = [], [], [], []
-    for eps, *marched in runs:
-        try:
-            traj = _run_steps(run, *marched)
-        except RUNTIME_ERRORS as exc:
-            failures.append({"eps": eps, "error": f"{type(exc).__name__}: {exc}"})
-            continue
-        eps_ok.append(eps)
-        state.append(float(np.max(np.abs(traj.states[-1] - oracle))))
-        lam.append(float(np.max(np.abs(traj.lambdas[-1] - oracle_lam), initial=0.0)))
-
-    state_slope = lambda_slope = None
-    if len(eps_ok) >= 4:
-        logs = np.log(eps_ok)
-        if min(state) > 0.0:
-            state_slope = float(np.polyfit(logs, np.log(state), 1)[0])
-        if min(lam) > 0.0:
-            lambda_slope = float(np.polyfit(logs, np.log(lam), 1)[0])
-    return StudyResult(eps_ok, state, lam, state_slope, lambda_slope, failures)
+    with _set_up():
+        runs = plan_study(sys, run["integrator"], x0, T, eps_list, run["beta"], run["nodes"],
+                          run["project_initial"])
+    return endpoint_study(sys, runs, reference_flow(sys, x0, T))
 
 
 def cmd_converge(cfg: dict, out_dir: str, eps_list: list[float] | None) -> int:

@@ -43,14 +43,15 @@ failing row's error.  ``original_node_step`` and ``dla_step`` take one state.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable
 
 import numpy as np
 
-from .flow import _QUIET, RUNTIME_ERRORS, BlowUpError, NewtonError, Trajectory, _blew_up, _march
-from .reduction import _lambda_raw
+from .flow import (_QUIET, RUNTIME_ERRORS, BlowUpError, NewtonError, Trajectory, _blew_up, _march,
+                   integrate)
+from .reduction import _lambda_raw, lambda_continuous
 from .system import (
     COND_LIMIT,
     MechanicalSystem,
@@ -61,6 +62,7 @@ from .system import (
     _require_finite,
     _require_run,
     _require_state,
+    _require_steps,
     deformed_node_residual,
 )
 
@@ -77,6 +79,9 @@ __all__ = [
     "dla_step",
     "SCHEMES",
     "run_integrator",
+    "StudyResult",
+    "plan_study",
+    "endpoint_study",
 ]
 
 NEWTON_TOL = 1e-12
@@ -463,3 +468,83 @@ def run_integrator(
         return x, lam, iters
 
     return _march(sys, int(steps), eps, row, discrete=True)
+
+
+def _steps_to(T: float, eps: float) -> tuple[int, float]:
+    """The one stop rule of a run to the end time T: N = max(1, round(T / eps)) steps of
+    h = T / N, returned as (N, h); a T / eps above MAX_STEPS is refused."""
+    _require_finite("eps", eps, positive=True)
+    _require_steps("T / eps", T / eps)
+    N = max(1, round(T / eps))
+    return N, T / N
+
+
+@dataclass
+class StudyResult:
+    """Per-step-size endpoint errors and the fitted consistency orders."""
+
+    eps: list[float]
+    state_error: list[float]
+    lambda_error: list[float]
+    state_slope: float | None
+    lambda_slope: float | None
+    failures: list[dict] = field(default_factory=list)
+
+
+def plan_study(sys: MechanicalSystem, integrator: str, x0, T: float, eps_list, beta=None,
+               policy=NodePolicy.REDEFINED, repair: bool = False) -> list[tuple[float, Callable]]:
+    """An endpoint study's runs to T, largest step size first: pairs (eps, march), march()
+    running `integrator` ("reference" or a scheme, with beta and policy where it reads them)
+    for N steps of T / N (`_steps_to`) from the row x0 on D, or, where the run keeps a set with
+    e > 0 (`_scheme_run`) and `repair` is set, from x0 repaired onto it.  Before anything is
+    integrated, it refuses a start off its run's set and two step sizes of one N, which the fit
+    would count twice."""
+    if integrator == "reference" and (beta is not None or policy is not NodePolicy.REDEFINED):
+        raise SystemError("beta and the node policy only apply to the two-point scheme")
+    x0 = _require_state(sys, x0)
+    q, v = x0[: sys.n], x0[sys.n :]
+    runs, taken = [], {}  # taken: N -> the step size that takes it
+    for eps in sorted(eps_list, reverse=True):
+        N, h = _steps_to(T, eps)
+        if N in taken:
+            raise SystemError(f"step sizes {taken[N]!r} and {eps!r} both take N = {N} steps of "
+                              f"{h!r}; a study takes one N per step size")
+        taken[N] = eps
+        e = 0.0 if integrator == "reference" else _scheme_run(integrator, h, N, beta, policy)[2]
+        start = x0
+        if e and repair:
+            start = np.concatenate([q, deformed_admissible_velocity(sys, q, v, e)])
+        with np.errstate(**_QUIET):  # a start that overflows is refused, as in run_integrator
+            res = deformed_node_residual(sys, start, e)
+        _require_admissible(res, f"the start of step size {eps!r} is off the set its run keeps")
+        march = (functools.partial(integrate, sys, start, h, N) if integrator == "reference" else
+                 functools.partial(run_integrator, sys, integrator, start, h, N, beta, policy))
+        runs.append((eps, march))
+    return runs
+
+
+def endpoint_study(
+    sys: MechanicalSystem, runs: list[tuple[float, Callable]], oracle
+) -> StudyResult:
+    """`plan_study`'s runs, one after another, and their endpoint errors against the oracle,
+    the flow's row at T.  A run that fails is recorded in `failures` and the study goes on."""
+    oracle_lam = lambda_continuous(sys, oracle, check=False)
+    eps_ok, state, lam, failures = [], [], [], []
+    for eps, march in runs:
+        try:
+            traj = march()
+        except RUNTIME_ERRORS as exc:
+            failures.append({"eps": eps, "error": f"{type(exc).__name__}: {exc}"})
+            continue
+        eps_ok.append(eps)
+        state.append(float(np.max(np.abs(traj.states[-1] - oracle))))
+        lam.append(float(np.max(np.abs(traj.lambdas[-1] - oracle_lam), initial=0.0)))
+
+    state_slope = lambda_slope = None
+    if len(eps_ok) >= 4:
+        logs = np.log(eps_ok)
+        if min(state) > 0.0:
+            state_slope = float(np.polyfit(logs, np.log(state), 1)[0])
+        if min(lam) > 0.0:
+            lambda_slope = float(np.polyfit(logs, np.log(lam), 1)[0])
+    return StudyResult(eps_ok, state, lam, state_slope, lambda_slope, failures)

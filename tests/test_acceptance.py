@@ -9,11 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from nonholo import exprdiff
-from nonholo.discrete import (
-    NodePolicy,
-    deformed_admissible_velocity,
-    run_integrator,
-)
+from nonholo.discrete import NodePolicy, endpoint_study, plan_study, run_integrator
 from nonholo.embed import (
     EvolutionInterpolant,
     exact_step_map,
@@ -28,7 +24,6 @@ from nonholo.reduction import (
     deformed_field,
     deformed_residual,
     h_field,
-    lambda_continuous,
     psi_embed,
     reduce_state,
 )
@@ -69,28 +64,10 @@ def test_criterion_1_distribution_preservation(particle, particle_x0):
     )
 
 
-def _endpoint_study(particle, particle_x0, oracle_t05, scheme):
-    """Endpoint state and multiplier errors across the acceptance step grid."""
-    oracle = oracle_t05
-    lam_oracle = lambda_continuous(particle, oracle, check=False)
-    state_errs, lam_errs = [], []
-    for eps in EPS_GRID:
-        N = round(T_STUDY / eps)
-        if scheme == "original_node":
-            v_fix = deformed_admissible_velocity(
-                particle, particle_x0[:3], particle_x0[3:], eps
-            )
-            x0 = np.concatenate([particle_x0[:3], v_fix])
-        else:
-            x0 = particle_x0
-        traj = run_integrator(particle, scheme, x0, eps, N)
-        state_errs.append(float(np.max(np.abs(traj.states[-1] - oracle))))
-        lam_errs.append(float(np.max(np.abs(traj.lambdas[-1] - lam_oracle))))
-    return state_errs, lam_errs
-
-
 def test_criterion_2_first_order_scheme(particle, particle_x0, oracle_t05):
-    state_errs, lam_errs = _endpoint_study(particle, particle_x0, oracle_t05, "vni10")
+    study = endpoint_study(particle, plan_study(particle, "vni10", particle_x0, T_STUDY, EPS_GRID),
+                           oracle_t05)
+    state_errs, lam_errs = study.state_error, study.lambda_error
     slope = fitted_slope(EPS_GRID, state_errs)
     lam_slope = fitted_slope(EPS_GRID, lam_errs)
     ok = 0.9 <= slope <= 1.1 and lam_slope >= 0.0
@@ -102,7 +79,9 @@ def test_criterion_2_first_order_scheme(particle, particle_x0, oracle_t05):
 
 
 def test_criterion_3_second_order_scheme(particle, particle_x0, oracle_t05):
-    state_errs, _ = _endpoint_study(particle, particle_x0, oracle_t05, "vni20")
+    state_errs = endpoint_study(
+        particle, plan_study(particle, "vni20", particle_x0, T_STUDY, EPS_GRID), oracle_t05
+    ).state_error
     slope = fitted_slope(EPS_GRID, state_errs)
     ok = 1.9 <= slope <= 2.1
     check(
@@ -113,19 +92,14 @@ def test_criterion_3_second_order_scheme(particle, particle_x0, oracle_t05):
 
 
 def test_criterion_4_original_node_degradation(particle, particle_x0, oracle_t05):
-    state_errs, _ = _endpoint_study(
-        particle, particle_x0, oracle_t05, "original_node"
-    )
-    slope = fitted_slope(EPS_GRID, state_errs)
+    # each step size's start is repaired onto the deformed set that its run keeps
+    runs = plan_study(particle, "original_node", particle_x0, T_STUDY, EPS_GRID, repair=True)
+    slope = fitted_slope(EPS_GRID, endpoint_study(particle, runs, oracle_t05).state_error)
 
     worst_deformed = 0.0
     plain_maxima = []
-    for eps in EPS_GRID:
-        N = round(T_STUDY / eps)
-        v_fix = deformed_admissible_velocity(particle, particle_x0[:3], particle_x0[3:], eps)
-        traj = run_integrator(
-            particle, "original_node", np.concatenate([particle_x0[:3], v_fix]), eps, N
-        )
+    for _, march in runs:
+        traj = march()
         worst_deformed = max(worst_deformed, float(np.max(np.abs(traj.deformed_residuals))))
         plain_maxima.append(float(np.max(np.abs(traj.residuals))))
     res_slope = fitted_slope(EPS_GRID, plain_maxima)

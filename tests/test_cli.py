@@ -572,6 +572,18 @@ def test_converge_records_a_failed_step_size_and_goes_on(tmp_path, capsys):
     assert len((out / "convergence.csv").read_text().splitlines()) == 1 + 4
 
 
+@pytest.mark.parametrize("eps_list", ["0.6,0.7,0.8,0.9", "0.02,0.02,0.01,0.005"])
+def test_converge_refuses_step_sizes_that_run_the_same_steps(tmp_path, capsys, eps_list):
+    # at T = 0.5, 0.6 ... 0.9 each run one step of 0.5 (a fit of slope 0 for a scheme of
+    # order 2), and a repeated 0.02 runs its 25 steps twice: one run counted twice in the fit
+    cfg = dict(CONVERGE, integrator="vni20", T=0.5)
+    code, out = run(tmp_path, "converge", cfg, "--eps-list", eps_list)
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert len(err.splitlines()) == 1 and err.startswith("config error: step sizes"), err
+    assert not any(out.iterdir())
+
+
 def test_converge_original_node_repairs_each_start(tmp_path, capsys):
     # project_initial puts each step size's start on original_node's deformed set
     cfg = dict(CONVERGE, integrator="original_node", T=0.2, project_initial=True,

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import functools
+import warnings
 
 import numpy as np
 import pytest
@@ -15,21 +16,23 @@ from nonholo.discrete import (
     deformed_admissible_velocity,
     deformed_node_residual,
     dla_step,
+    endpoint_study,
     newton_solve,
     original_node_step,
+    plan_study,
     run_integrator,
     vni10_step,
     vni20_step,
 )
-from nonholo.flow import integrate
+from nonholo.flow import integrate, reference_flow
 from nonholo.reduction import (
     DeformedConstraint,
     _field,
     _lambda_raw,
     deformed_residual,
-    lambda_continuous,
 )
 from nonholo.system import (
+    ADMISSIBLE_TOL,
     MechanicalSystem,
     SystemError,
     constraint_residual,
@@ -364,45 +367,111 @@ def test_two_point_scheme_matches_node_schemes_on_disk():
         assert np.max(np.abs(a.lambdas - b.lambdas)) < tol, scheme
 
 
+# --- symmetry: a step by eps, then one by -eps ------------------------------------
+
+
+@pytest.mark.parametrize("system", ["particle", "disk"])
+def test_second_order_scheme_is_symmetric(system):
+    # dla at beta 1/2 is vni20 (criterion 8); FiniteDifferenceMap refuses a step of -eps
+    sys, x0 = (nonholonomic_particle(), X0) if system == "particle" else (rolling_disk(), DISK_X0)
+    for eps in (0.1, 0.01):
+        back = vni20_step(sys, vni20_step(sys, x0, eps)[0], -eps)[0]
+        assert np.max(np.abs(back - x0)) <= 1e-12, eps
+
+
+@pytest.mark.parametrize("system", ["particle", "disk"])
+def test_first_order_scheme_misses_its_start_by_eps_squared(system):
+    # the defect of symmetry is O(eps^2): about 100 times smaller at a tenth of the step
+    sys, x0 = (nonholonomic_particle(), X0) if system == "particle" else (rolling_disk(), DISK_X0)
+    defects = [np.max(np.abs(vni10_step(sys, vni10_step(sys, x0, eps)[0], -eps)[0] - x0))
+               for eps in (0.1, 0.01)]
+    assert 80.0 <= defects[0] / defects[1] <= 125.0, defects
+
+
 # --- convergence orders ---------------------------------------------------------
 
 
 EPS_COARSE = [0.0125, 0.00625, 0.003125, 0.0015625]
 
 
-def endpoint_errors(sys, scheme, ref, eps_list, **kw):
-    errs = []
-    for eps in eps_list:
-        steps = round(0.5 / eps)
-        traj = run_integrator(sys, scheme, X0, eps, steps, **kw)
-        errs.append(np.max(np.abs(traj.states[-1] - ref)))
-    return errs
-
-
 def test_first_order_state_and_multiplier_convergence(particle, oracle_t05):
-    errs = endpoint_errors(particle, "vni10", oracle_t05, EPS_COARSE)
+    study = endpoint_study(particle, plan_study(particle, "vni10", X0, 0.5, EPS_COARSE),
+                           oracle_t05)
+    errs = study.state_error
     slope = fit_slope(EPS_COARSE, errs)
     assert 0.9 < slope < 1.1, f"state slope {slope} (errors {errs})"
 
-    lam_ref = lambda_continuous(particle, oracle_t05)
-    lam_errs = []
-    for eps in EPS_COARSE:
-        traj = run_integrator(particle, "vni10", X0, eps, round(0.5 / eps))
-        lam_errs.append(abs(traj.lambdas[-1, 0] - lam_ref[0]))
+    lam_errs = study.lambda_error
     lam_slope = fit_slope(EPS_COARSE, lam_errs)
     assert -0.1 < lam_slope < 1.1, f"multiplier slope {lam_slope} (errors {lam_errs})"
 
 
 def test_second_order_state_convergence(particle, oracle_t05):
-    errs = endpoint_errors(particle, "vni20", oracle_t05, EPS_COARSE)
+    errs = endpoint_study(particle, plan_study(particle, "vni20", X0, 0.5, EPS_COARSE),
+                          oracle_t05).state_error
     slope = fit_slope(EPS_COARSE, errs)
     assert 1.9 < slope < 2.1, f"state slope {slope} (errors {errs})"
 
 
 def test_second_order_richardson_ratio(particle, oracle_t05):
-    errs = endpoint_errors(particle, "vni20", oracle_t05, [0.0125, 0.00625])
+    errs = endpoint_study(particle, plan_study(particle, "vni20", X0, 0.5, [0.0125, 0.00625]),
+                          oracle_t05).state_error
     ratio = errs[0] / errs[1]
     assert 3.6 < ratio < 4.4, f"halving the step scaled the error by {ratio}"
+
+
+@pytest.mark.parametrize("eps_list, named", [
+    ([0.6, 0.7, 0.8, 0.9], "step sizes 0.9 and 0.8 both take N = 1 steps of 0.5"),
+    ([0.02, 0.02, 0.01, 0.005], "step sizes 0.02 and 0.02 both take N = 25 steps of 0.02"),
+])
+def test_a_study_refuses_step_sizes_that_take_the_same_steps(particle, eps_list, named):
+    # one run counted twice in the fit: at T = 0.5, 0.6 ... 0.9 all step once, and
+    # vni20 reads as order 0
+    with pytest.raises(SystemError, match=named):
+        plan_study(particle, "vni20", X0, 0.5, eps_list)
+
+
+def test_a_study_refuses_what_its_integrator_does_not_take(particle):
+    with pytest.raises(SystemError, match="two-point scheme"):
+        plan_study(particle, "reference", X0, 0.5, [0.1], beta=0.5)
+    with pytest.raises(SystemError, match="two-point scheme"):
+        plan_study(particle, "vni20", X0, 0.5, [0.1], policy=NodePolicy.ORIGINAL)
+
+
+def test_a_study_refuses_a_start_that_overflows_with_no_warning(particle):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # mu v = -y v_x + v_z overflows
+        with pytest.raises(SystemError, match="off the set"):
+            plan_study(particle, "vni10", [0.0, 10.0, 0.0, 1e308, 0.0, 0.0], 0.5, [0.1])
+
+
+def test_a_study_records_a_failed_step_size_and_goes_on():
+    # x'' = 4 x^3 from x = 1: the oracle reaches T = 0.6, and vni20's Newton
+    # iteration fails at the largest step size only
+    quartic, x0 = MechanicalSystem(["x"], np.eye(1), "-(x^4)", []), np.array([1.0, 0.0])
+    runs = plan_study(quartic, "vni20", x0, 0.6, [0.2, 0.1, 0.05, 0.025, 0.0125])
+    study = endpoint_study(quartic, runs, reference_flow(quartic, x0, 0.6))
+    assert study.failures == [
+        {"eps": 0.2, "error": "NewtonError: no convergence after 30 Newton iterations"}]
+    assert study.eps == [0.1, 0.05, 0.025, 0.0125]
+    assert abs(study.state_slope - 2.0) <= 0.15, study
+
+
+@pytest.mark.parametrize("scheme, beta, policy, e_per_h", [
+    ("original_node", None, NodePolicy.REDEFINED, 1.0),  # mu(q - h/2 v) v = 0
+    ("dla", 0.3, NodePolicy.ORIGINAL, 1.4),  # mu(q - (1 - beta) h v) v = 0
+])
+def test_a_study_repairs_each_start_onto_its_runs_set(scheme, beta, policy, e_per_h):
+    sys, eps_list = rolling_disk(), [0.02, 0.01, 0.005, 0.0025]
+    with pytest.raises(SystemError, match="off the set"):
+        plan_study(sys, scheme, DISK_X0, 0.25, eps_list, beta, policy)
+    runs = plan_study(sys, scheme, DISK_X0, 0.25, eps_list, beta, policy, repair=True)
+    assert [eps for eps, _ in runs] == eps_list
+    for eps, march in runs:
+        traj = march()
+        start, h = traj.states[0], traj.times[1]
+        assert np.max(np.abs(deformed_node_residual(sys, start, e_per_h * h))) <= ADMISSIBLE_TOL
+        assert np.max(np.abs(constraint_residual(sys, start))) > ADMISSIBLE_TOL, eps  # off D
 
 
 def test_midpoint_constraint_scheme_degrades_to_first_order(particle, oracle_t05):

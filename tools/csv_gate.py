@@ -93,6 +93,8 @@ does not read, and exit 2 naming it: ``misuse/simulate_integrater``,
 ``misuse/interp_sampels`` misspell a key, ``misuse/interp_x0_vv`` puts a
 stray key in a state, and ``misuse/embed_p_vni10`` gives ``p``, which only
 ``exact`` reads, to ``vni10``.
+``misuse/converge_same_step_count`` asks for the step sizes 0.0205 and 0.02, which
+both take round(0.25 / eps) = 12 steps: refused, as the fit would count one run twice.
 Six runs are refused while they are set up, each with one ``config error:``
 line:
 ``fail/embed_projected_point_1e8``, a particle point repaired by
@@ -430,6 +432,7 @@ def configs() -> list[tuple[str, str, dict]]:
         ("interp", "sampels", {**INTERP, "sampels": 5}),
         ("interp", "x0_vv", {**INTERP, "x0": {**INTERP["x0"], "vv": [1.0, 1.0, 1.0]}}),
         ("embed", "p_vni10", {**EMBED, "p": 1}),
+        ("converge", "same_step_count", {**CONVERGE, "eps_list": [0.0205, 0.02, 0.01, 0.005]}),
     ]
     out += [(f"misuse/{command}_{name}", command, cfg) for command, name, cfg in misuse]
     return out
